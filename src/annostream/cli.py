@@ -29,7 +29,7 @@ from .generators import (adjlist_instance, clique_edges, cycle_edges,
                          weighted_instance, weighted_turnstile_instance,
                          with_query_set)
 from .protocol import (MUTATIONS, SCHEMES, TrialStats, get_scheme,
-                       run_adversarial, run_honest, run_with_transcript)
+                       run_adversarial, run_with_transcript)
 from .protocol import sweep_costs as _sweep_costs
 from .stream import ParseError, ProofTranscript, parse_stream, serialize_stream
 
@@ -161,10 +161,11 @@ def cmd_run(args) -> int:
 # --- attack ------------------------------------------------------------
 
 
-def _honest_trials(scheme, inst, trials, seed, p):
+def _honest_trials(scheme, inst, honest, trials, seed, p):
     stats = TrialStats(scheme=scheme.name, policy="honest")
     for i in range(trials):
-        res = run_honest(scheme, inst, seed=((seed << 16) ^ (i + 1)), p=p)
+        res = run_with_transcript(scheme, inst, honest,
+                                  seed=((seed << 16) ^ (i + 1)), p=p)
         stats.trials += 1
         if res.accepted:
             stats.accepted += 1
@@ -188,13 +189,17 @@ def cmd_attack(args) -> int:
             raise ConfigError(f"policy {pol!r} does not apply to "
                               f"{scheme.name}")
 
+    # one honest proof per run; every policy mutates its own copies of it
     def one(pol):
         if pol == "honest":
-            return _honest_trials(scheme, inst, args.trials, args.seed, p)
+            return _honest_trials(scheme, inst, honest, args.trials,
+                                  args.seed, p)
         return run_adversarial(scheme, inst, pol, args.trials,
-                               seed=args.seed, p=p)
+                               seed=args.seed, p=p, honest=honest)
 
     try:
+        p = scheme.field_config(inst, p).p
+        honest = scheme.prove(inst, p)
         if args.jobs > 1 and len(policies) > 1:
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(one, policies))

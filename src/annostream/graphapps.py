@@ -79,32 +79,102 @@ def _final_graph(inst) -> nx.Graph:
     return _cached(inst, "graph", build)
 
 
-def _matching_edges(G) -> list:
-    m = nx.max_weight_matching(G, maxcardinality=True)
-    return sorted((min(a, b), max(a, b)) for a, b in m)
+def _maximum_matching(inst) -> list:
+    """One maximum-cardinality matching of the final graph, sorted."""
+    def build():
+        m = nx.max_weight_matching(_final_graph(inst), maxcardinality=True)
+        return sorted((min(a, b), max(a, b)) for a, b in m)
+    return _cached(inst, "matching", build)
 
 
 def _deficiency_witness(inst) -> list:
     """Vertex set attaining the matching-number duality minimum.
 
-    Standard structure argument: the witness is the neighborhood of the
-    inessential vertices (those avoided by some maximum matching) minus
-    those vertices themselves.
+    This is the Gallai-Edmonds set A(G) = N(D) - D, where D is the set of
+    inessential vertices (those missed by some maximum matching). D is
+    read off one maximum matching M: it is the set of vertices reached
+    from an M-exposed vertex by an even-length alternating path, i.e. the
+    even-labelled vertices of one Edmonds alternating forest rooted at
+    every exposed vertex, blossom members included (Edmonds 1965). M is
+    maximum, so the search can never meet an augmenting path.
     """
     def build():
         G = _final_graph(inst)
-        base = len(nx.max_weight_matching(G, maxcardinality=True))
-        dset = []
-        for v in G:
-            H = G.copy()
-            H.remove_node(v)
-            if len(nx.max_weight_matching(H, maxcardinality=True)) == base:
-                dset.append(v)
+        dset = _even_vertices(G, _maximum_matching(inst))
         nbrs = set()
         for v in dset:
             nbrs.update(G.neighbors(v))
-        return sorted(nbrs - set(dset))
+        return sorted(nbrs - dset)
     return _cached(inst, "witness", build)
+
+
+def _even_vertices(G, matching) -> set:
+    """Even-labelled vertices of the alternating forest grown from every
+    vertex the maximum matching leaves exposed.
+
+    Edmonds' search over vertices 1..n with blossoms contracted in place:
+    `base` maps a vertex to the base of its outermost blossom, `parent`
+    holds the forest edge into each odd vertex (and, after contraction,
+    the cross edges of the blossom). Vertex 0 stands for "none".
+    """
+    n = G.number_of_nodes()
+    mate = [0] * (n + 1)
+    for a, b in matching:
+        mate[a], mate[b] = b, a
+    parent = [0] * (n + 1)
+    base = list(range(n + 1))
+    even = [False] * (n + 1)
+    queue = [v for v in range(1, n + 1) if not mate[v]]
+    for v in queue:
+        even[v] = True
+
+    def root_path(a):
+        """Blossom bases from a up to its tree's root."""
+        path = []
+        while True:
+            a = base[a]
+            path.append(a)
+            if not mate[a]:
+                return path
+            a = parent[mate[a]]
+
+    def mark_path(v, b, child, inside):
+        while base[v] != b:
+            inside.add(base[v])
+            inside.add(base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for to in G.neighbors(v):
+            if base[v] == base[to] or mate[v] == to:
+                continue
+            if even[to]:
+                left = set(root_path(v))
+                for b in root_path(to):
+                    if b in left:
+                        break
+                else:
+                    raise RuntimeError("augmenting path found: the "
+                                       "matching is not maximum")
+                inside = set()
+                mark_path(v, b, to, inside)
+                mark_path(to, b, v, inside)
+                for u in range(1, n + 1):
+                    if base[u] in inside:
+                        base[u] = b
+                        if not even[u]:
+                            even[u] = True
+                            queue.append(u)
+            elif not parent[to]:  # matched: every exposed vertex is even
+                parent[to] = v
+                even[mate[to]] = True
+                queue.append(mate[to])
+    return {v for v in range(1, n + 1) if even[v]}
 
 
 def _components_outside(inst, witness) -> list:
@@ -214,8 +284,7 @@ class MatchingFrugal(_SplitMixin, Scheme):
     # prover ------------------------------------------------------------
 
     def _certificate(self, inst):
-        matching = _cached(inst, "matching",
-                           lambda: _matching_edges(_final_graph(inst)))
+        matching = _maximum_matching(inst)
         witness = _deficiency_witness(inst)
         blocks = _components_outside(inst, witness)
         return matching, witness, blocks
@@ -440,8 +509,7 @@ class MatchingLaconic(Scheme):
         return 3 * inst.n + 8 * self.s + 24
 
     def prove(self, inst, p: int) -> ProofTranscript:
-        matching = _cached(inst, "matching",
-                           lambda: _matching_edges(_final_graph(inst)))
+        matching = _maximum_matching(inst)
         witness = _deficiency_witness(inst)
         forest = self._forest(inst, witness)
         return self._assemble(inst, matching, witness, forest, p)
@@ -592,8 +660,7 @@ class MatchingLaconic(Scheme):
         return k
 
     def mutate_output(self, inst, transcript, p, rng):
-        matching = _cached(inst, "matching",
-                           lambda: _matching_edges(_final_graph(inst)))
+        matching = _maximum_matching(inst)
         witness = _deficiency_witness(inst)
         forest = list(self._forest(inst, witness))
         if not matching or not forest:

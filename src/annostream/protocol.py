@@ -266,13 +266,20 @@ def run_with_transcript(scheme, inst: GraphInstance,
 
 def run_adversarial(scheme, inst: GraphInstance, policy: str,
                     trials: int, seed: int = 0,
-                    p: Optional[int] = None) -> TrialStats:
+                    p: Optional[int] = None,
+                    honest: Optional[ProofTranscript] = None) -> TrialStats:
+    """Mutate the honest transcript once per trial and verify each copy.
+
+    `honest` is a transcript `scheme.prove` already gave for this instance
+    and modulus; without it the scheme proves here.
+    """
     if policy not in MUTATIONS:
         raise KeyError(f"unknown mutation policy {policy!r}")
     if policy not in scheme.mutations:
         raise ValueError(f"policy {policy} not applicable to {scheme.name}")
     cfg = scheme.field_config(inst, p)
-    honest = scheme.prove(inst, cfg.p)
+    if honest is None:
+        honest = scheme.prove(inst, cfg.p)
     mutate = MUTATIONS[policy]
     stats = TrialStats(scheme=scheme.name, policy=policy)
     for i in range(trials):

@@ -165,6 +165,28 @@ def test_attack_honest_policy_accepts_all(k5):
     assert int(rows[1][3]) == 6 and int(rows[1][5]) == 0
 
 
+def test_attack_proves_once(k5, monkeypatch, capsys):
+    # every policy and every honest trial reuses one honest transcript
+    from annostream import cli
+    from annostream.protocol import get_scheme
+    cls = get_scheme("tri-laconic")
+    calls = []
+    real = cls.prove
+    monkeypatch.setattr(cls, "prove",
+                        lambda self, inst, p: calls.append(p)
+                        or real(self, inst, p))
+    code = cli.main(["attack", "--scheme", "tri-laconic", "--input", k5,
+                     "--trials", "3", "--policy", "honest",
+                     "--policy", "coefficient_flip",
+                     "--policy", "output_value_lie"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [r[1] for r in rows[1:]] == ["honest", "coefficient_flip",
+                                        "output_value_lie"]
+    assert rows[1][3] == "3"
+    assert len(calls) == 1
+
+
 def test_attack_zero_trials_exits_two(k5):
     assert run_cli("attack", "--scheme", "tri-laconic", "--input", k5,
                    "--trials", "0").returncode == 2

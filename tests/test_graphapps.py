@@ -2,8 +2,12 @@
 
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from annostream.graphapps import _deficiency_witness, _final_graph
 from annostream.generators import (clique_edges, cycle_edges, dag_instance,
                                    digraph_instance, gnp_edges, path_edges,
                                    star_edges, turnstile_instance,
@@ -66,6 +70,99 @@ def test_matching_costs_stay_in_budget():
     assert res.accepted
     assert res.hcost <= lac.hcost_bound(inst)
     assert res.vcost <= lac.vcost_bound(inst)
+
+
+def _witness_by_deletion(G) -> list:
+    """N(D) - D with D = {v : nu(G - v) = nu(G)}, by n+1 blossom calls."""
+    base = len(nx.max_weight_matching(G, maxcardinality=True))
+    dset = set()
+    for v in G:
+        H = G.copy()
+        H.remove_node(v)
+        if len(nx.max_weight_matching(H, maxcardinality=True)) == base:
+            dset.add(v)
+    return sorted({u for v in dset for u in G.neighbors(v)} - dset)
+
+
+@st.composite
+def _random_graph(draw, n=None, planted=False):
+    n = draw(st.integers(1, 14)) if n is None else n
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = {e for e, k in zip(pairs, keep) if k}
+    if planted:  # a perfect matching on 1..n
+        edges |= {(v, v + 1) for v in range(1, n, 2)}
+    return n, sorted(edges)
+
+
+@st.composite
+def _star(draw):
+    n = draw(st.integers(2, 14))
+    return n, star_edges(1, list(range(2, n + 1)))
+
+
+@st.composite
+def _odd_cliques(draw):
+    sizes = draw(st.lists(st.sampled_from([1, 3, 5]), min_size=1,
+                          max_size=4))
+    edges, start = [], 1
+    for k in sizes:
+        edges += [(start + a - 1, start + b - 1) for a, b in clique_edges(k)]
+        start += k
+    return start - 1, edges
+
+
+_GRAPHS = st.one_of(
+    _random_graph(),
+    st.integers(0, 6).flatmap(lambda h: _random_graph(n=2 * h + 1)),
+    st.integers(2, 7).flatmap(lambda h: _random_graph(n=2 * h,
+                                                       planted=True)),
+    st.integers(1, 14).map(lambda n: (n, [])),
+    _star(),
+    _odd_cliques(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRAPHS)
+def test_witness_matches_deletion_definition(graph):
+    n, edges = graph
+    inst = vanilla_instance(n, edges)
+    assert _deficiency_witness(inst) == _witness_by_deletion(
+        _final_graph(inst))
+
+
+def _pendant_stars(n, leaves=4):
+    """Stars of `leaves` pendant vertices, centres joined in a path."""
+    centres = list(range(1, n + 1, leaves + 1))
+    edges = [(c, v) for c in centres
+             for v in range(c + 1, min(c + leaves, n) + 1)]
+    return edges + list(zip(centres, centres[1:]))
+
+
+def _odd_components(n):
+    """Triangles hung between n // 10 hub vertices; leftovers isolated."""
+    hubs = n // 10
+    edges = []
+    for i, a in enumerate(range(hubs + 1, n - 1, 3)):
+        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2),
+                  (1 + i % hubs, a), (1 + (i + 1) % hubs, a + 1)]
+    return edges
+
+
+@pytest.mark.parametrize("n", [40, 96])
+@pytest.mark.parametrize("builder", [_pendant_stars, _odd_components])
+@pytest.mark.parametrize("name", ["maxmatch-frugal", "maxmatch-laconic"])
+def test_matching_complete_on_deficient_graphs(name, builder, n):
+    inst = vanilla_instance(n, builder(n))
+    k = oracle_max_matching(inst)
+    assert 2 * k < n and _deficiency_witness(inst)
+    scheme = get_scheme(name).configure(inst)
+    res = run_honest(scheme, inst, seed=n)
+    assert res.accepted, res.reason
+    assert res.value == k
+    assert res.hcost == scheme.hcost_bound(inst)
 
 
 def test_mis_output_is_a_true_mis():

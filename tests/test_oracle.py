@@ -14,7 +14,8 @@ from annostream.oracle import (oracle_acyclic, oracle_bfs, oracle_components,
                                oracle_cross_edges, oracle_dijkstra,
                                oracle_induced_edges, oracle_is_mis,
                                oracle_is_toposort, oracle_max_matching,
-                               oracle_triangles, tutte_berge_bound)
+                               oracle_triangles, tutte_berge_bound,
+                               tutte_rank_matching)
 
 
 def test_triangles_closed_forms():
@@ -81,6 +82,27 @@ def test_matching_vs_networkx():
         g = nx.Graph(edges)
         g.add_nodes_from(range(1, n + 1))
         assert oracle_max_matching(inst) == len(nx.max_weight_matching(g))
+
+
+def test_tutte_rank_agrees_with_bitmask():
+    # the n > 20 path against the exact recursion, on every density
+    rng = random.Random(3)
+    for trial in range(120):
+        n = rng.randrange(1, 17)
+        edges = gnp_edges(n, rng.choice([0.0, 0.1, 0.3, 0.6, 1.0]),
+                          3000 + trial)
+        inst = vanilla_instance(n, edges)
+        assert tutte_rank_matching(inst) == oracle_max_matching(inst), \
+            (n, edges)
+
+
+def test_matching_past_twenty():
+    assert oracle_max_matching(vanilla_instance(41, path_edges(41))) == 20
+    assert oracle_max_matching(vanilla_instance(41, cycle_edges(41))) == 20
+    assert oracle_max_matching(vanilla_instance(25, clique_edges(25))) == 12
+    assert oracle_max_matching(
+        vanilla_instance(30, star_edges(1, list(range(2, 31))))) == 1
+    assert oracle_max_matching(vanilla_instance(30, [])) == 0
 
 
 def test_components():

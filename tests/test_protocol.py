@@ -92,6 +92,11 @@ def test_run_adversarial_counts():
     assert st.trials == 25
     assert st.accepted + st.rejected == 25
     assert st.accepted_wrong <= st.accepted
+    # a precomputed honest transcript gives the same trials
+    cfg = scheme.field_config(inst)
+    again = run_adversarial(scheme, inst, "coefficient_flip", trials=25,
+                            seed=5, honest=scheme.prove(inst, cfg.p))
+    assert again == st
     with pytest.raises(KeyError):
         run_adversarial(scheme, inst, "nonsense", trials=1)
     with pytest.raises(ValueError):
