@@ -19,7 +19,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .extension import resolve_shape
 from .field import is_prime
@@ -190,21 +189,15 @@ def cmd_attack(args) -> int:
                               f"{scheme.name}")
 
     # one honest proof per run; every policy mutates its own copies of it
-    def one(pol):
-        if pol == "honest":
-            return _honest_trials(scheme, inst, honest, args.trials,
-                                  args.seed, p)
-        return run_adversarial(scheme, inst, pol, args.trials,
-                               seed=args.seed, p=p, honest=honest)
-
     try:
         p = scheme.field_config(inst, p).p
         honest = scheme.prove(inst, p)
-        if args.jobs > 1 and len(policies) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(one, policies))
-        else:
-            results = [one(pol) for pol in policies]
+        results = [
+            _honest_trials(scheme, inst, honest, args.trials, args.seed, p)
+            if pol == "honest" else
+            run_adversarial(scheme, inst, pol, args.trials, seed=args.seed,
+                            p=p, honest=honest)
+            for pol in policies]
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -429,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--policy", action="append", default=None,
                     help="mutation policy (repeatable; default: all that "
                          "apply; 'honest' runs unmutated transcripts)")
-    sp.add_argument("--jobs", type=int, default=4,
-                    help="concurrent policies")
     sp.add_argument("--out", default=None, help="CSV path (default stdout)")
     sp.set_defaults(func=cmd_attack)
 

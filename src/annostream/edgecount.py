@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extension import (ShapeConfig, coeffs_from_values_nd, coeffs_to_serial,
-                        grid_bump, impulse_block, impulse_table, mat_mulmod,
-                        nd_eval, nd_grid_sum, resolve_shape)
+from .extension import (ShapeConfig, coeffs_from_values_nd, impulse_block,
+                        impulse_table, mat_mulmod)
 from .field import fe_random
 from .oracle import oracle_cross_edges, oracle_induced_edges
-from .protocol import Scheme, register, _clone_transcript
-from .stream import (EdgeToken, GraphInstance, ProofTranscript, RejectError,
-                     SetMember, SetQuery)
+from .protocol import Scheme, bump_grid_total, register, _clone_transcript
+from .setops import check_grid_claim
+from .stream import (EdgeToken, ProofTranscript, RejectError, SetMember,
+                     SetQuery)
 
 
 class PairSketch:
@@ -87,7 +87,11 @@ def vertex_grid_index(sc: ShapeConfig):
 
 
 def member_matrix(members, sc, Dt, x_idx, y_idx, p) -> np.ndarray:
-    """G[w, c] = delta_{x_c}(w) * chi~_S(w, y_c), prover side."""
+    """G[w, c] = delta_{x_c}(w) * chi~_S(w, y_c) for every vertex c.
+
+    Prover side: the pair charge of S x S over an adjacency multiplicity
+    matrix is then G @ Adj @ G.T on the degree grid.
+    """
     wt = Dt.shape[0]
     chi = np.zeros((wt, sc.s), dtype=np.int64)
     for u in members:
@@ -104,17 +108,6 @@ class _EdgeCountBase(Scheme):
     model = "turnstile"
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie")
     cross = False
-
-    def __init__(self, n: int, t: int, s: int):
-        self.n = n
-        self.t = t
-        self.s = s
-        self.sc = ShapeConfig(n, t, s)
-
-    @classmethod
-    def configure(cls, inst, t=None, s=None, **kw):
-        t, s = resolve_shape(inst.n, t, s)
-        return cls(inst.n, t, s)
 
     @staticmethod
     def _query_count(inst) -> int:
@@ -162,7 +155,7 @@ class _EdgeCountBase(Scheme):
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):
-        t, s, sc = self.t, self.s, self.sc
+        t, sc = self.t, self.sc
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         sketch = PairSketch(sc, r1, r2, p)
         left = LineArray(sc, r1, p)
@@ -190,32 +183,23 @@ class _EdgeCountBase(Scheme):
                 meter.grow("query_registers")
         if not saw_query:
             raise ValueError("stream carries no query set")
-        wt = 2 * t - 1
         values = []
         for want in expected:
-            tensor = reader.coeffs("pair_poly", (wt, wt))
-            if nd_eval(tensor, (r1, r2), p) != want:
-                raise RejectError("pair polynomial disagrees at random point")
-            total = nd_grid_sum(tensor, (t, t), p)
+            total = check_grid_claim(reader, "pair_poly", (t, t), (r1, r2),
+                                     want, p, "pair polynomial")
             if not self.cross:
                 if total % 2:
                     raise RejectError("ordered pair total is odd")
                 total //= 2
             values.append(total)
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
         return tuple(values)
 
     def mutate_output(self, inst, transcript, p, rng):
         out = _clone_transcript(transcript)
-        t = self.t
         step = 1 if self.cross else 2
         shift = step * rng.randrange(1, max(2, inst.n))
-        bump = np.outer(grid_bump(t, p), grid_bump(t, p)) * shift % p
-        tensor = np.zeros((2 * t - 1, 2 * t - 1), dtype=np.int64)
-        tensor[:t, :t] = bump
-        b = out.blocks[rng.randrange(len(out.blocks))]
-        b.values = (b.values + coeffs_to_serial(tensor)) % p
+        bump_grid_total(out.blocks[rng.randrange(len(out.blocks))],
+                        (self.t, self.t), shift, p)
         return out
 
 

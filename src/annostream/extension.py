@@ -236,9 +236,18 @@ def coeffs_from_serial(values, shape: tuple) -> np.ndarray:
 
 
 def nd_eval(tensor: np.ndarray, point, p: int) -> int:
-    """Evaluate a coefficient tensor at a point by iterated Horner."""
+    """Evaluate a coefficient tensor at a point by iterated Horner.
+
+    One axis runs on Python ints, which beats numpy's per-step overhead
+    on a single row.
+    """
     _check_numpy_modulus(p)
     acc = np.asarray(tensor, dtype=np.int64) % p
+    if acc.ndim == 1:
+        x, out = int(point[0]) % p, 0
+        for c in reversed(acc.tolist()):
+            out = (out * x + c) % p
+        return out
     for x in reversed([c % p for c in point]):
         res = np.zeros(acc.shape[:-1], dtype=np.int64)
         for i in range(acc.shape[-1] - 1, -1, -1):
@@ -247,16 +256,25 @@ def nd_eval(tensor: np.ndarray, point, p: int) -> int:
     return int(acc)
 
 
+@lru_cache(maxsize=None)
+def power_sums(grid: int, count: int, p: int) -> np.ndarray:
+    """S_i = sum_{x=1..grid} x^i mod p for i < count."""
+    xs = np.arange(1, grid + 1, dtype=np.int64) % p
+    powers = np.ones(grid, dtype=np.int64)
+    out = np.zeros(count, dtype=np.int64)
+    for i in range(count):
+        out[i] = powers.sum() % p
+        powers = powers * xs % p
+    out.setflags(write=False)  # cached: every caller shares this array
+    return out
+
+
 def nd_grid_sum(tensor: np.ndarray, grid_sizes, p: int) -> int:
     """sum of the polynomial over [g_1] x ... x [g_k] via power sums."""
     _check_numpy_modulus(p)
     acc = np.asarray(tensor, dtype=np.int64) % p
     for g in reversed(list(grid_sizes)):
-        d = acc.shape[-1]
-        psums = np.zeros(d, dtype=np.int64)
-        for i in range(d):
-            psums[i] = sum(pow(x, i, p) for x in range(1, g + 1)) % p
-        acc = (acc * psums % p).sum(axis=-1) % p
+        acc = (acc * power_sums(g, acc.shape[-1], p) % p).sum(axis=-1) % p
     return int(acc)
 
 

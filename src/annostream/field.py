@@ -92,22 +92,6 @@ class FieldConfig:
         return (self.p - 1).bit_length()
 
 
-def fe_add(a: int, b: int, p: int) -> int:
-    return (a + b) % p
-
-
-def fe_sub(a: int, b: int, p: int) -> int:
-    return (a - b) % p
-
-
-def fe_mul(a: int, b: int, p: int) -> int:
-    return a * b % p
-
-
-def fe_neg(a: int, p: int) -> int:
-    return -a % p
-
-
 def fe_inv(a: int, p: int) -> int:
     """Multiplicative inverse; raises on zero."""
     if a % p == 0:

@@ -31,15 +31,14 @@ import numpy as np
 
 from .edgecount import (LineArray, PairSketch, member_matrix, pair_charge,
                         vertex_grid_index)
-from .extension import (ShapeConfig, coeffs_from_values_nd, grid_bump,
-                        impulse_block, nd_eval, nd_grid_sum, resolve_shape)
+from .extension import ShapeConfig, coeffs_from_values_nd, impulse_block
 from .field import fe_random
 from .oracle import (oracle_acyclic, oracle_components, oracle_is_mis,
                      oracle_is_toposort, oracle_max_matching)
-from .protocol import Scheme, register, _clone_transcript
-from .setops import (Fingerprint, LineCheck, dense_indicator, directed_key,
-                     line_check_dims, line_check_help, monomial,
-                     undirected_key)
+from .protocol import Scheme, bump_grid_total, register, _clone_transcript
+from .setops import (Fingerprint, LineCheck, check_grid_claim,
+                     dense_indicator, directed_key, line_check_dims,
+                     line_check_help, monomial, undirected_key)
 from .stream import EdgeToken, ProofTranscript, RejectError
 
 
@@ -61,10 +60,7 @@ def inner_split(n: int, s: int):
 
 
 def _cached(inst, key: str, build):
-    cache = getattr(inst, "_prover_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(inst, "_prover_cache", cache)
+    cache = inst.prover_cache
     if key not in cache:
         cache[key] = build()
     return cache[key]
@@ -184,6 +180,37 @@ def _components_outside(inst, witness) -> list:
                   key=lambda c: c[0])
 
 
+def _groups(vertices, edges) -> list:
+    """Vertex sets of the components that `edges` form on `vertices`.
+
+    Union-find; edges with an end outside `vertices` are ignored. Each
+    group is sorted and groups come in order of their least member.
+    """
+    parent = {v: v for v in vertices}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for (u, v) in edges:
+        if u in parent and v in parent:
+            parent[find(u)] = find(v)
+    groups: dict = {}
+    for v in sorted(vertices):
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
+
+
+def _keys_within(members, n):
+    """Undirected edge keys of every pair of distinct members."""
+    mem = sorted(members)
+    for i, u in enumerate(mem):
+        for v in mem[i + 1:]:
+            yield undirected_key(u, v, n)
+
+
 def _adj_matrix(inst, p, directed=False) -> np.ndarray:
     n = inst.n
     adj = np.zeros((n, n), dtype=np.int64)
@@ -202,7 +229,7 @@ def _edge_key_items(inst, n):
             for (u, v), c in inst.final_edges().items()]
 
 
-class _SplitMixin:
+class _SplitScheme(Scheme):
     """Schemes carrying a pair sketch on a (tp, sp) grid plus line checks
     over the edge-key universe.
 
@@ -212,9 +239,7 @@ class _SplitMixin:
     """
 
     def __init__(self, n: int, t: int, s: int):
-        self.n = n
-        self.t = t
-        self.s = s
+        super().__init__(n, t, s)
         self.tp, self.sp, width = self._grid(n, t, s)
         self.isc = ShapeConfig(n, self.tp, self.sp)
         self.edge_dims = line_check_dims(n * n, width)
@@ -224,10 +249,15 @@ class _SplitMixin:
         """(tp, sp, line width) for the shape knob (t, s)."""
         return (*inner_split(n, s), s)
 
-    @classmethod
-    def configure(cls, inst, t=None, s=None, **kw):
-        t, s = resolve_shape(inst.n, t, s)
-        return cls(inst.n, t, s)
+    def _pair_claim(self, reader, label, point, expected, p, what) -> int:
+        """Grid total of a pair polynomial on the sketch's [tp] x [tp]."""
+        return check_grid_claim(reader, label, (self.tp, self.tp), point,
+                                expected, p, what)
+
+    def _bump_pairs(self, tr, shift, p):
+        """Shift the grid total of the last block, a pair polynomial."""
+        bump_grid_total(tr.blocks[-1], (self.tp, self.tp), shift, p)
+        return tr
 
     def _charge_help(self, inst, member_lists, p, directed=False):
         """Summed pair polynomial over the given member lists."""
@@ -246,7 +276,7 @@ class _SplitMixin:
 
 
 @register
-class MatchingFrugal(_SplitMixin, Scheme):
+class MatchingFrugal(_SplitScheme):
     """Maximum matching size with about 3s^2 cells of verifier state.
 
     The pair sketch sits on the main [t] x [s] grid (s^2 cells, help
@@ -293,8 +323,7 @@ class MatchingFrugal(_SplitMixin, Scheme):
         matching, witness, blocks = self._certificate(inst)
         return self._assemble(inst, matching, witness, blocks, p)
 
-    def _assemble(self, inst, matching, witness, blocks, p,
-                  forge_pair_gap: int = 0) -> ProofTranscript:
+    def _assemble(self, inst, matching, witness, blocks, p) -> ProofTranscript:
         n = inst.n
         tr = ProofTranscript()
         tr.add_scalars("k", [len(matching)])
@@ -312,19 +341,13 @@ class MatchingFrugal(_SplitMixin, Scheme):
                       line_check_help(sub, sup, p, "subset"))
         outside = [v for v in range(1, n + 1) if v not in set(witness)]
         tr.add_coeffs("inside_pairs", self._charge_help(inst, [outside], p))
-        block_poly = self._charge_help(inst, blocks, p)
-        if forge_pair_gap:
-            tp = self.tp
-            bump = np.outer(grid_bump(tp, p), grid_bump(tp, p))
-            block_poly[:tp, :tp] = (block_poly[:tp, :tp]
-                                    + forge_pair_gap * bump) % p
-        tr.add_coeffs("block_pairs", block_poly)
+        tr.add_coeffs("block_pairs", self._charge_help(inst, blocks, p))
         return tr
 
     # verifier ----------------------------------------------------------
 
     def run_verifier(self, inst, reader, p, rng, meter):
-        n, tp = inst.n, self.tp
+        n = inst.n
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         rho = fe_random(rng, p)
         gamma = fe_random(rng, p)
@@ -404,22 +427,13 @@ class MatchingFrugal(_SplitMixin, Scheme):
         if 2 * k != usize + n - odd:
             raise RejectError("duality count does not match claimed size")
 
-        sub.finish(reader.coeffs("matching_subset",
-                                 (2 * self.edge_dims[0] - 1,)),
-                   "matching containment")
-        wt = 2 * tp - 1
-        t_in = reader.coeffs("inside_pairs", (wt, wt))
-        if nd_eval(t_in, (r1, r2), p) != acc_inside:
-            raise RejectError("outside-pair polynomial wrong at random point")
-        total_in = nd_grid_sum(t_in, (tp, tp), p)
-        t_blk = reader.coeffs("block_pairs", (wt, wt))
-        if nd_eval(t_blk, (r1, r2), p) != acc_blocks:
-            raise RejectError("block-pair polynomial wrong at random point")
-        total_blk = nd_grid_sum(t_blk, (tp, tp), p)
+        sub.finish(reader, "matching_subset", "matching containment")
+        total_in = self._pair_claim(reader, "inside_pairs", (r1, r2),
+                                    acc_inside, p, "outside-pair polynomial")
+        total_blk = self._pair_claim(reader, "block_pairs", (r1, r2),
+                                     acc_blocks, p, "block-pair polynomial")
         if total_in != total_blk:
             raise RejectError("components leave cross edges unaccounted")
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
         return k
 
     # lies ---------------------------------------------------------------
@@ -441,8 +455,8 @@ class MatchingFrugal(_SplitMixin, Scheme):
         blocks.append([lone])
         G = _final_graph(inst)
         gap = 2 * sum(1 for u in G.neighbors(lone) if u in set(tgt))
-        return self._assemble(inst, matching, witness, blocks, p,
-                              forge_pair_gap=gap)
+        return self._bump_pairs(
+            self._assemble(inst, matching, witness, blocks, p), gap, p)
 
     def mutate_vertices(self, inst, transcript, p, rng):
         out = _clone_transcript(transcript)
@@ -514,16 +528,7 @@ class MatchingLaconic(Scheme):
         forest = self._forest(inst, witness)
         return self._assemble(inst, matching, witness, forest, p)
 
-    def _pair_universe(self, members) -> list:
-        out = []
-        mem = sorted(members)
-        for i, u in enumerate(mem):
-            for v in mem[i + 1:]:
-                out.append((undirected_key(u, v, self.n), 1))
-        return out
-
-    def _assemble(self, inst, matching, witness, forest, p,
-                  forge_gap: int = 0) -> ProofTranscript:
+    def _assemble(self, inst, matching, witness, forest, p) -> ProofTranscript:
         n = self.n
         tr = ProofTranscript()
         tr.add_vertices("matching", [v for e in matching for v in e])
@@ -539,40 +544,15 @@ class MatchingLaconic(Scheme):
         tr.add_coeffs("forest_subset",
                       line_check_help(sub_f, sup, p, "subset"))
         outside = [v for v in range(1, n + 1) if v not in set(witness)]
-        comp = self._forest_components(forest, outside)
-        t1 = dense_indicator(self._pair_universe(outside), self.edge_dims)
+        t1 = dense_indicator([(k, 1) for k in _keys_within(outside, n)],
+                             self.edge_dims)
         tr.add_coeffs("inside_inter",
                       line_check_help(sup, t1, p, "intersect"))
-        items2: list = []
-        for blk in comp:
-            items2.extend(self._pair_universe(blk))
-        t2 = dense_indicator(items2, self.edge_dims)
-        g2 = line_check_help(sup, t2, p, "intersect")
-        if forge_gap:
-            H = self.edge_dims[0]
-            bump = np.zeros(2 * H - 1, dtype=np.int64)
-            bump[:H] = grid_bump(H, p)
-            g2 = (g2 + forge_gap * bump) % p
-        tr.add_coeffs("block_inter", g2)
+        t2 = dense_indicator([(k, 1) for blk in _groups(outside, forest)
+                              for k in _keys_within(blk, n)], self.edge_dims)
+        tr.add_coeffs("block_inter",
+                      line_check_help(sup, t2, p, "intersect"))
         return tr
-
-    @staticmethod
-    def _forest_components(forest, outside) -> list:
-        parent = {v: v for v in outside}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for (u, v) in forest:
-            if u in parent and v in parent:
-                parent[find(u)] = find(v)
-        groups: dict = {}
-        for v in outside:
-            groups.setdefault(find(v), []).append(v)
-        return sorted(groups.values(), key=lambda g: g[0])
 
     def run_verifier(self, inst, reader, p, rng, meter):
         n = self.n
@@ -613,50 +593,28 @@ class MatchingLaconic(Scheme):
         if len(fl) % 2:
             raise RejectError("odd forest id list")
         outside = [v for v in range(1, n + 1) if v not in wset]
-        parent = {v: v for v in outside}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(len(fl) // 2):
-            a, b = fl[2 * i], fl[2 * i + 1]
+        forest = list(zip(fl[::2], fl[1::2]))
+        for a, b in forest:
             if a in wset or b in wset or a == b \
                     or not (1 <= a <= n and 1 <= b <= n):
                 raise RejectError("forest edge leaves the outside set")
             sub_f.add_left(undirected_key(a, b, n))
-            parent[find(a)] = find(b)
-        groups: dict = {}
-        for v in outside:
-            groups.setdefault(find(v), []).append(v)
-        blocks = list(groups.values())
+        blocks = _groups(outside, forest)
         odd = sum(len(b) % 2 for b in blocks)
         if 2 * k != len(wset) + n - odd:
             raise RejectError("duality count does not match claimed size")
-        for i, u in enumerate(outside):
-            for v in outside[i + 1:]:
-                int_1.add_right(undirected_key(u, v, n))
+        for key in _keys_within(outside, n):
+            int_1.add_right(key)
         for blk in blocks:
-            bs = sorted(blk)
-            for i, u in enumerate(bs):
-                for v in bs[i + 1:]:
-                    int_2.add_right(undirected_key(u, v, n))
+            for key in _keys_within(blk, n):
+                int_2.add_right(key)
 
-        H = self.edge_dims[0]
-        sub_m.finish(reader.coeffs("matching_subset", (2 * H - 1,)),
-                     "matching containment")
-        sub_f.finish(reader.coeffs("forest_subset", (2 * H - 1,)),
-                     "forest containment")
-        m1 = int_1.finish(reader.coeffs("inside_inter", (2 * H - 1,)),
-                          "outside pair count")
-        m2 = int_2.finish(reader.coeffs("block_inter", (2 * H - 1,)),
-                          "block pair count")
+        sub_m.finish(reader, "matching_subset", "matching containment")
+        sub_f.finish(reader, "forest_subset", "forest containment")
+        m1 = int_1.finish(reader, "inside_inter", "outside pair count")
+        m2 = int_2.finish(reader, "block_inter", "block pair count")
         if m1 != m2:
             raise RejectError("components leave cross edges unaccounted")
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
         return k
 
     def mutate_output(self, inst, transcript, p, rng):
@@ -683,8 +641,9 @@ class MatchingLaconic(Scheme):
         lone = leaves[0]
         forest = [e for e in forest if lone not in e]
         gap = sum(1 for u in G.neighbors(lone) if u in set(blk) and u != lone)
-        return self._assemble(inst, matching[:-1], witness, forest, p,
-                              forge_gap=gap)
+        tr = self._assemble(inst, matching[:-1], witness, forest, p)
+        bump_grid_total(tr.blocks[-1], self.edge_dims[:1], gap, p)
+        return tr
 
     def mutate_vertices(self, inst, transcript, p, rng):
         out = _clone_transcript(transcript)
@@ -699,7 +658,7 @@ class MatchingLaconic(Scheme):
 
 
 @register
-class MaximalIndependentSet(_SplitMixin, Scheme):
+class MaximalIndependentSet(_SplitScheme):
     """Validates a claimed maximal independent set and outputs it.
 
     Independence: the pair polynomial over the set totals zero.
@@ -785,7 +744,7 @@ class MaximalIndependentSet(_SplitMixin, Scheme):
         return self._assemble(inst, self._greedy(inst), p)
 
     def run_verifier(self, inst, reader, p, rng, meter):
-        n, tp = self.n, self.tp
+        n = self.n
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         rho, rho_v = fe_random(rng, p), fe_random(rng, p)
         gamma = fe_random(rng, p)
@@ -829,22 +788,12 @@ class MaximalIndependentSet(_SplitMixin, Scheme):
         if fp_part.value != fp_all.value:
             raise RejectError("set and pointer sources do not partition V")
 
-        wt = 2 * tp - 1
-        t_set = reader.coeffs("independent_pairs", (wt, wt))
-        if nd_eval(t_set, (r1, r2), p) != acc:
-            raise RejectError("set-pair polynomial wrong at random point")
-        if nd_grid_sum(t_set, (tp, tp), p) != 0:
+        if self._pair_claim(reader, "independent_pairs", (r1, r2), acc, p,
+                            "set-pair polynomial") != 0:
             raise RejectError("claimed set is not independent")
-        H = self.edge_dims[0]
-        sub.finish(reader.coeffs("pointer_subset", (2 * H - 1,)),
-                   "pointer containment")
-        Hv = self.vert_dims[0]
-        overlap = inter.finish(reader.coeffs("partner_inter", (2 * Hv - 1,)),
-                               "partner overlap")
-        if overlap != 0:
+        sub.finish(reader, "pointer_subset", "pointer containment")
+        if inter.finish(reader, "partner_inter", "partner overlap") != 0:
             raise RejectError("a pointer partner lies outside the set")
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
         return tuple(members)
 
     def mutate_vertices(self, inst, transcript, p, rng):
@@ -860,7 +809,7 @@ class MaximalIndependentSet(_SplitMixin, Scheme):
 
 
 @register
-class TopoSort(_SplitMixin, Scheme):
+class TopoSort(_SplitScheme):
     """Validates a claimed topological order of a DAG edge stream.
 
     The order must be a permutation (fingerprint against V) and the
@@ -923,17 +872,19 @@ class TopoSort(_SplitMixin, Scheme):
             P = (P + pair_charge(Gpre, adj, Gone, p)) % p
         return coeffs_from_values_nd(P, p)
 
-    def _assemble(self, inst, order, p, forge_gap: int = 0):
+    def _assemble(self, inst, order, p):
         tr = ProofTranscript()
         tr.add_vertices("order", order)
-        poly = self._forward_help(inst, order, p)
-        if forge_gap:
-            tp = self.tp
-            poly[:tp, :tp] = (poly[:tp, :tp] + forge_gap
-                              * np.outer(grid_bump(tp, p),
-                                         grid_bump(tp, p))) % p
-        tr.add_coeffs("forward_pairs", poly)
+        tr.add_coeffs("forward_pairs", self._forward_help(inst, order, p))
         return tr
+
+    def _forged(self, inst, order, p):
+        """Transcript for `order` whose forward count is patched up to
+        the stream's edge total."""
+        pos = {v: i for i, v in enumerate(order)}
+        edges = inst.directed_edges()
+        gap = sum(1 for (a, b) in edges if pos[a] > pos[b])
+        return self._bump_pairs(self._assemble(inst, order, p), gap, p)
 
     def prove(self, inst, p: int) -> ProofTranscript:
         order = self._kahn(inst)
@@ -942,7 +893,7 @@ class TopoSort(_SplitMixin, Scheme):
         return self._assemble(inst, order, p)
 
     def run_verifier(self, inst, reader, p, rng, meter):
-        n, tp = self.n, self.tp
+        n = self.n
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         gamma = fe_random(rng, p)
         sketch = PairSketch(self.isc, r1, r2, p)
@@ -972,13 +923,8 @@ class TopoSort(_SplitMixin, Scheme):
             pre1.add(v)
         if fp_ord.value != fp_all.value:
             raise RejectError("order is not a permutation of V")
-        wt = 2 * tp - 1
-        poly = reader.coeffs("forward_pairs", (wt, wt))
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
-        if nd_eval(poly, (r1, r2), p) != acc:
-            raise RejectError("forward-pair polynomial wrong at random point")
-        if nd_grid_sum(poly, (tp, tp), p) != m % p:
+        if self._pair_claim(reader, "forward_pairs", (r1, r2), acc, p,
+                            "forward-pair polynomial") != m % p:
             raise RejectError("an edge points backward in the order")
         return tuple(order)
 
@@ -990,28 +936,19 @@ class TopoSort(_SplitMixin, Scheme):
         u, v = edges[rng.randrange(len(edges))]
         iu, iv = order.index(u), order.index(v)
         order[iu], order[iv] = order[iv], order[iu]
-        return order, (u, v)
+        return order
 
     def mutate_vertices(self, inst, transcript, p, rng):
-        got = self._violating_order(inst, rng)
-        if got is None:
-            return None
-        return self._assemble(inst, got[0], p)
+        order = self._violating_order(inst, rng)
+        return None if order is None else self._assemble(inst, order, p)
 
     def mutate_output(self, inst, transcript, p, rng):
-        got = self._violating_order(inst, rng)
-        if got is None:
-            return None
-        order = got[0]
-        pos = {v: i for i, v in enumerate(order)}
-        forward = sum(1 for (a, b) in inst.directed_edges()
-                      if pos[a] < pos[b])
-        gap = len(inst.directed_edges()) - forward
-        return self._assemble(inst, order, p, forge_gap=gap)
+        order = self._violating_order(inst, rng)
+        return None if order is None else self._forged(inst, order, p)
 
 
 @register
-class Acyclicity(_SplitMixin, Scheme):
+class Acyclicity(_SplitScheme):
     """Claimed verdict plus certificate: an order when acyclic, a cycle
     checked edge-by-edge against the stream otherwise."""
 
@@ -1072,16 +1009,19 @@ class Acyclicity(_SplitMixin, Scheme):
             return []
         return _cached(inst, "cycle", build)
 
+    @staticmethod
+    def _acyclic(order_transcript) -> ProofTranscript:
+        tr = ProofTranscript()
+        tr.add_scalars("verdict", [1])
+        tr.blocks.extend(order_transcript.blocks)
+        return tr
+
     def prove(self, inst, p: int) -> ProofTranscript:
         if oracle_acyclic(inst):
-            inner = self._sorter().prove(inst, p)
-            tr = ProofTranscript()
-            tr.add_scalars("verdict", [1])
-            tr.blocks.extend(inner.blocks)
-            return tr
+            return self._acyclic(self._sorter().prove(inst, p))
         return self._cycle_transcript(inst, self._find_cycle(inst), p)
 
-    def _cycle_transcript(self, inst, cyc, p, forge_gap: int = 0):
+    def _cycle_transcript(self, inst, cyc, p):
         n = self.n
         tr = ProofTranscript()
         tr.add_scalars("verdict", [0])
@@ -1093,13 +1033,7 @@ class Acyclicity(_SplitMixin, Scheme):
         sup = dense_indicator(
             [(directed_key(u, v, n), 1) for (u, v) in inst.directed_edges()],
             self.edge_dims)
-        g = line_check_help(sub, sup, p, "subset")
-        if forge_gap:
-            H = self.edge_dims[0]
-            bump = np.zeros(2 * H - 1, dtype=np.int64)
-            bump[:H] = grid_bump(H, p)
-            g = (g + forge_gap * bump) % p
-        tr.add_coeffs("cycle_subset", g)
+        tr.add_coeffs("cycle_subset", line_check_help(sub, sup, p, "subset"))
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):
@@ -1108,7 +1042,7 @@ class Acyclicity(_SplitMixin, Scheme):
         if verdict not in (0, 1):
             raise RejectError("verdict must be 0 or 1")
         if verdict == 1:
-            value = self._sorter().run_verifier(inst, reader, p, rng, meter)
+            self._sorter().run_verifier(inst, reader, p, rng, meter)
             return True
         rho = fe_random(rng, p)
         gamma = fe_random(rng, p)
@@ -1135,11 +1069,7 @@ class Acyclicity(_SplitMixin, Scheme):
             fp_s.add(v)
         if fp_s.value != fp_c.value:
             raise RejectError("sorted copy does not match the cycle")
-        H = self.edge_dims[0]
-        sub.finish(reader.coeffs("cycle_subset", (2 * H - 1,)),
-                   "cycle containment")
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
+        sub.finish(reader, "cycle_subset", "cycle containment")
         return False
 
     def mutate_output(self, inst, transcript, p, rng):
@@ -1153,20 +1083,12 @@ class Acyclicity(_SplitMixin, Scheme):
                           if (cyc[i], cyc[(i + 1) % 3]) not in present)
             if missing == 0:
                 return None
-            return self._cycle_transcript(inst, cyc, p,
-                                          forge_gap=(-missing) % p)
+            tr = self._cycle_transcript(inst, cyc, p)
+            bump_grid_total(tr.blocks[-1], self.edge_dims[:1], -missing, p)
+            return tr
         # claim acyclic with a forged forward count
-        sorter = self._sorter()
         order = list(range(1, inst.n + 1))
-        pos = {v: i for i, v in enumerate(order)}
-        forward = sum(1 for (a, b) in inst.directed_edges()
-                      if pos[a] < pos[b])
-        gap = len(inst.directed_edges()) - forward
-        inner = sorter._assemble(inst, order, p, forge_gap=gap)
-        tr = ProofTranscript()
-        tr.add_scalars("verdict", [1])
-        tr.blocks.extend(inner.blocks)
-        return tr
+        return self._acyclic(self._sorter()._forged(inst, order, p))
 
     def mutate_vertices(self, inst, transcript, p, rng):
         out = _clone_transcript(transcript)
@@ -1181,7 +1103,7 @@ class Acyclicity(_SplitMixin, Scheme):
 
 
 @register
-class Components(_SplitMixin, Scheme):
+class Components(_SplitScheme):
     """Connected component count via per-component spanning-tree blocks.
 
     Each block is a stream of records (vertex, child_count, parent,
@@ -1233,7 +1155,7 @@ class Components(_SplitMixin, Scheme):
             return blocks
         return _cached(inst, "comp_blocks", build)
 
-    def _assemble(self, inst, blocks, p, forge_gap: int = 0):
+    def _assemble(self, inst, blocks, p):
         n = self.n
         tr = ProofTranscript()
         tr.add_scalars("component_count", [len(blocks)])
@@ -1251,20 +1173,15 @@ class Components(_SplitMixin, Scheme):
         sub = dense_indicator([(undirected_key(a, b, n), 1)
                                for (a, b) in tree_edges], self.edge_dims)
         tr.add_coeffs("tree_subset", line_check_help(sub, sup, p, "subset"))
-        poly = self._charge_help(inst, members_per_block, p)
-        if forge_gap:
-            tp = self.tp
-            poly[:tp, :tp] = (poly[:tp, :tp] + forge_gap
-                              * np.outer(grid_bump(tp, p),
-                                         grid_bump(tp, p))) % p
-        tr.add_coeffs("block_pairs", poly)
+        tr.add_coeffs("block_pairs",
+                      self._charge_help(inst, members_per_block, p))
         return tr
 
     def prove(self, inst, p: int) -> ProofTranscript:
         return self._assemble(inst, self._blocks(inst), p)
 
     def run_verifier(self, inst, reader, p, rng, meter):
-        n, tp = self.n, self.tp
+        n = self.n
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         rho = fe_random(rng, p)
         g1, g2, g3 = (fe_random(rng, p) for _ in range(3))
@@ -1330,17 +1247,10 @@ class Components(_SplitMixin, Scheme):
             raise RejectError("tree references do not match child counts")
         if fp_part.value != fp_all.value:
             raise RejectError("blocks do not partition V")
-        H = self.edge_dims[0]
-        sub.finish(reader.coeffs("tree_subset", (2 * H - 1,)),
-                   "tree containment")
-        wt = 2 * tp - 1
-        poly = reader.coeffs("block_pairs", (wt, wt))
-        if nd_eval(poly, (r1, r2), p) != acc_blocks:
-            raise RejectError("block-pair polynomial wrong at random point")
-        if nd_grid_sum(poly, (tp, tp), p) != (2 * m_total) % p:
+        sub.finish(reader, "tree_subset", "tree containment")
+        if self._pair_claim(reader, "block_pairs", (r1, r2), acc_blocks, p,
+                            "block-pair polynomial") != (2 * m_total) % p:
             raise RejectError("blocks do not absorb every stream edge")
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
         return c
 
     def mutate_output(self, inst, transcript, p, rng):
@@ -1379,7 +1289,7 @@ class Components(_SplitMixin, Scheme):
         others = {v for v in
                   ([block[0]] + [r[0] for r in recs if r is not lone])}
         gap = 2 * sum(1 for u in G.neighbors(lone[0]) if u in others)
-        return self._assemble(inst, blocks, p, forge_gap=gap)
+        return self._bump_pairs(self._assemble(inst, blocks, p), gap, p)
 
     def mutate_vertices(self, inst, transcript, p, rng):
         out = _clone_transcript(transcript)

@@ -19,6 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from .extension import ShapeConfig, coeffs_to_serial, grid_bump, resolve_shape
 from .field import FieldConfig, make_rng
 from .stream import GraphInstance, ProofTranscript, RejectError
 
@@ -93,7 +96,10 @@ class TrialStats:
 
 
 class Scheme:
-    """Base interface; concrete schemes subclass and register."""
+    """Base interface; concrete schemes subclass and register.
+
+    By default a scheme lays the vertices out on the grid [t] x [s].
+    """
 
     name = ""
     model = "turnstile"
@@ -104,11 +110,18 @@ class Scheme:
     # one `v dist prev` line per vertex instead of a single value
     output_kind = "value"
 
+    def __init__(self, n: int, t: int, s: int):
+        self.n = n
+        self.t = t
+        self.s = s
+        self.sc = ShapeConfig(n, t, s)
+
     @classmethod
     def configure(cls, inst: GraphInstance,
                   t: Optional[int] = None, s: Optional[int] = None,
                   **kw) -> "Scheme":
-        raise NotImplementedError
+        t, s = resolve_shape(inst.n, t, s)
+        return cls(inst.n, t, s)
 
     def field_config(self, inst: GraphInstance,
                      p: Optional[int] = None) -> FieldConfig:
@@ -168,6 +181,20 @@ def _clone_transcript(transcript: ProofTranscript) -> ProofTranscript:
     for b in transcript.blocks:
         out.blocks.append(type(b)(b.label, b.kind, b.values.copy(), b.shape))
     return out
+
+
+def bump_grid_total(block, grid, shift: int, p: int):
+    """Shift the grid total of a coefficient block by `shift`, in place.
+
+    Adds shift times the product of the axes' grid bumps to the low
+    corner of the block, so a forged claim keeps its degree bounds.
+    """
+    bump = np.full((), shift % p, dtype=np.int64)
+    for g in grid:
+        bump = np.multiply.outer(bump, grid_bump(g, p)) % p
+    tensor = np.zeros(block.shape, dtype=np.int64)
+    tensor[tuple(slice(g) for g in grid)] = bump
+    block.values = (block.values + coeffs_to_serial(tensor)) % p
 
 
 # --- mutation policies ------------------------------------------------------
@@ -239,9 +266,11 @@ MUTATIONS = {
 def _verify(scheme, inst, transcript, p, seed) -> RunResult:
     meter = SpaceMeter()
     rng = make_rng(seed, f"verifier/{scheme.name}")
-    reader = transcript.reader()
+    reader = transcript.reader(p)
     try:
         value = scheme.run_verifier(inst, reader, p, rng, meter)
+        if not reader.at_end():
+            raise RejectError("unexpected trailing help")
         status, reason = "output", ""
     except RejectError as exc:
         value, status, reason = None, "reject", exc.reason

@@ -6,9 +6,9 @@ equality of multisets that the verifier sees in different orders.
 
 Line checks: a set S over universe [N] is laid out on a grid [H] x [V]
 and the verifier keeps the restriction of its indicator extension to a
-random line, L_S[y] = chi~_S(rho, y) for y in [V], at H field operations
-total per insert... actually O(1) each: one cell of L_S changes per
-insert. The prover then sends the coefficients of
+random line, L_S[y] = chi~_S(rho, y) for y in [V], at O(1) field
+operations per insert: one cell of L_S changes. The prover then sends
+the coefficients of
 
     g(X) = sum_y chi~_S(X, y) * chi~_T(X, y)        (intersection)
     g(X) = sum_y chi~_S(X, y) * (1 - chi~_T(X, y))  (containment)
@@ -22,12 +22,10 @@ when only a zero test is needed).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .extension import (ShapeConfig, coeffs_from_values_1d, impulse_block,
-                        impulse_table, mat_mulmod)
+                        impulse_table, mat_mulmod, nd_eval, nd_grid_sum)
 from .stream import RejectError
 
 
@@ -65,33 +63,20 @@ class Fingerprint:
     def add(self, key: int, mult: int = 1):
         self.value = (self.value + mult * pow(self.gamma, key, self.p)) % self.p
 
-    def add_term(self, term: int, mult: int = 1):
-        self.value = (self.value + mult * term) % self.p
 
+def check_grid_claim(reader, label: str, grid, point, expected: int, p: int,
+                     what: str) -> int:
+    """Read one claimed polynomial and return its total over the grid.
 
-@lru_cache(maxsize=None)
-def power_sums(grid: int, count: int, p: int) -> np.ndarray:
-    """S_i = sum_{x=1..grid} x^i mod p for i < count."""
-    xs = np.arange(1, grid + 1, dtype=np.int64) % p
-    powers = np.ones(grid, dtype=np.int64)
-    out = np.zeros(count, dtype=np.int64)
-    for i in range(count):
-        out[i] = powers.sum() % p
-        powers = powers * xs % p
-    return out
-
-
-def poly_eval_np(coeffs: np.ndarray, x: int, p: int) -> int:
-    acc = 0
-    x = x % p
-    for c in coeffs[::-1].tolist():
-        acc = (acc * x + c) % p
-    return acc
-
-
-def poly_grid_sum(coeffs: np.ndarray, grid: int, p: int) -> int:
-    ps = power_sums(grid, len(coeffs), p)
-    return int((np.asarray(coeffs, dtype=np.int64) * ps % p).sum() % p)
+    The block holds 2g-1 coefficients along each axis of the grid
+    [g_1] x ... x [g_k] (degree at most 2g-2, the degree of a product of
+    two grid extensions); it must agree with the verifier's own value
+    `expected` at its random point.
+    """
+    tensor = reader.coeffs(label, tuple(2 * g - 1 for g in grid))
+    if nd_eval(tensor, point, p) != expected % p:
+        raise RejectError(f"{what} disagrees at the random point")
+    return nd_grid_sum(tensor, grid, p)
 
 
 class LineCheck:
@@ -134,15 +119,11 @@ class LineCheck:
             prod = self.left * self.right % self.p
         return int(prod.sum() % self.p)
 
-    def finish(self, coeffs: np.ndarray, what: str = "line check") -> int:
-        """Consume the help polynomial; returns its sum over the row grid."""
-        if len(coeffs) != 2 * self.H - 1:
-            raise RejectError(f"{what}: expected {2 * self.H - 1} "
-                              f"coefficients, got {len(coeffs)}")
-        if poly_eval_np(coeffs, self.rho, self.p) != self.point_value():
-            raise RejectError(f"{what}: polynomial disagrees at the "
-                              "evaluation point")
-        total = poly_grid_sum(coeffs, self.H, self.p)
+    def finish(self, reader, label: str, what: str = "line check") -> int:
+        """Read the help polynomial; returns its sum over the row grid."""
+        total = check_grid_claim(reader, label, (self.H,), (self.rho,),
+                                 self.point_value(), self.p,
+                                 f"{what} polynomial")
         if self.mode == "subset" and total != 0:
             raise RejectError(f"{what}: containment violated")
         return total

@@ -27,15 +27,14 @@ from functools import lru_cache
 import networkx as nx
 import numpy as np
 
-from .extension import (ShapeConfig, _check_numpy_modulus,
-                        coeffs_from_values_1d, coeffs_from_values_nd,
-                        impulse_block, impulse_table, mat_mulmod, nd_eval,
-                        resolve_shape)
+from .extension import (_check_numpy_modulus, coeffs_from_values_1d,
+                        coeffs_from_values_nd, impulse_block, impulse_table,
+                        mat_mulmod, nd_eval, power_sums)
 from .field import FieldConfig, fe_inv, fe_random
 from .graphapps import _adj_matrix, _cached, _edge_tokens
 from .oracle import oracle_bfs, oracle_dijkstra
 from .protocol import Scheme, register, _clone_transcript
-from .setops import (LineCheck, dense_indicator, line_check_help, power_sums,
+from .setops import (LineCheck, dense_indicator, line_check_help,
                      undirected_key, weighted_key)
 from .stream import EdgeToken, ProofTranscript, RejectError
 
@@ -115,6 +114,107 @@ def _mult_weighted_graph(inst) -> nx.Graph:
     return _cached(inst, "wgraph", build)
 
 
+def _horizon(dist) -> int:
+    """Largest finite distance, 0 when nothing is reached."""
+    return max((d for d in dist[1:] if d is not None), default=0)
+
+
+class _BallAudit:
+    """Verifier state of the unweighted schemes' round-by-round audit.
+
+    The stream pass fills the adjacency line a(r1, y, r2) and the source
+    row fingerprint; every round then checks one ball polynomial at
+    (r1, r2) against the ball line b(r1, y), links its partial sums to
+    the degree vector by a fingerprint at beta, and rebuilds the ball
+    line in place from that vector. `psi_prev` and `psi_cur` fingerprint
+    the last two balls, so their equality means the ball stopped growing.
+    """
+
+    def __init__(self, scheme, inst, p, rng, meter):
+        n, t, s = scheme.n, scheme.t, scheme.s
+        self.n, self.sc, self.p = n, scheme.sc, p
+        self.src = src = _require_source(inst)
+        _check_numpy_modulus(p)
+        self.r1, self.r2 = fe_random(rng, p), fe_random(rng, p)
+        beta = fe_random(rng, p)
+        b0 = fe_random(rng, p)
+        b1 = fe_random(rng, p)
+        self.i1 = i1 = np.array(impulse_table(self.r1, t, p), dtype=np.int64)
+        impn = np.array(impulse_table(self.r2, n, p), dtype=np.int64)
+        self.b0pow = b0pow = np.array([pow(b0, v, p) for v in range(1, n + 1)],
+                                      dtype=np.int64)
+        self.b1pow = [pow(b1, v, p) for v in range(1, n + 1)]
+        self.betapow = betapow = np.array(
+            [pow(beta, v, p) for v in range(1, n + 1)], dtype=np.int64)
+        self.asketch = asketch = np.zeros(s, dtype=np.int64)
+        self.ball = np.zeros(s, dtype=np.int64)
+        meter.alloc("adjacency_line", s)
+        meter.alloc("ball_line", s)
+        meter.alloc("registers", 16)
+        g0 = 0
+        for (u, v, delta) in _edge_tokens(inst):
+            d_ = delta % p
+            xu, yu = self.sc.shape(u)
+            xv, yv = self.sc.shape(v)
+            asketch[yu - 1] = (asketch[yu - 1]
+                               + d_ * i1[xu - 1] % p * impn[v - 1]) % p
+            asketch[yv - 1] = (asketch[yv - 1]
+                               + d_ * i1[xv - 1] % p * impn[u - 1]) % p
+            if u == src:
+                g0 = (g0 + d_ * int(b0pow[v - 1])) % p
+            if v == src:
+                g0 = (g0 + d_ * int(b0pow[u - 1])) % p
+        self.g0 = g0
+        self.psi_prev = self.psi_cur = self.b1pow[src - 1]
+        self.S_X = power_sums(t, 2 * t - 1, p)
+        tau = np.zeros(n, dtype=np.int64)
+        up = np.ones(n, dtype=np.int64)
+        base = np.arange(1, n + 1, dtype=np.int64) % p
+        for j in range(n):
+            tau[j] = int((up * betapow % p).sum() % p)
+            up = up * base % p
+        self.tau = tau
+
+    def _next_ball(self, q):
+        """Ball line and fingerprint of {source} plus the support of q."""
+        p, i1, ball = self.p, self.i1, self.ball
+        xs, ys = self.sc.shape(self.src)
+        ball[:] = 0
+        ball[ys - 1] = i1[xs - 1]
+        psi = self.b1pow[self.src - 1]
+        for u in range(1, self.n + 1):
+            if u != self.src and q[u - 1]:
+                xu, yu = self.sc.shape(u)
+                ball[yu - 1] = (ball[yu - 1] + i1[xu - 1]) % p
+                psi = (psi + self.b1pow[u - 1]) % p
+        self.psi_prev, self.psi_cur = self.psi_cur, psi
+
+    def source_round(self, reader):
+        """Read the source degree row, check it and grow the first ball."""
+        p = self.p
+        q0 = reader.scalars("source_degrees", self.n) % p
+        if int((q0 * self.b0pow % p).sum() % p) != self.g0:
+            raise RejectError("source degree row does not match the stream")
+        self._next_ball(q0)
+        return q0
+
+    def round(self, reader, d):
+        """Audit round d; returns its degree vector."""
+        p = self.p
+        C = reader.coeffs("ball_poly", (2 * self.sc.t - 1, self.n))
+        rhs = int((self.ball * self.asketch % p).sum() % p)
+        if nd_eval(C, (self.r1, self.r2), p) != rhs:
+            raise RejectError(
+                f"round {d}: ball polynomial wrong at random point")
+        rows = (self.S_X[:, None] * C % p) * self.tau[None, :] % p
+        link = int((rows.sum(axis=1) % p).sum() % p)
+        qd = reader.scalars("round_degrees", self.n) % p
+        if int((qd * self.betapow % p).sum() % p) != link:
+            raise RejectError(f"round {d}: degree fingerprints disagree")
+        self._next_ball(qd)
+        return qd
+
+
 @register
 class SsspUnweighted(Scheme):
     """Single-source distances on an unweighted edge stream.
@@ -132,15 +232,6 @@ class SsspUnweighted(Scheme):
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
                  "qd_scalar_flip")
     scalar_flip_labels = ("source_degrees", "round_degrees")
-
-    def __init__(self, n: int, t: int, s: int):
-        self.n = n
-        self.sc = ShapeConfig(n, t, s)
-
-    @classmethod
-    def configure(cls, inst, t=None, s=None, **kw):
-        t, s = resolve_shape(inst.n, t, s)
-        return cls(inst.n, t, s)
 
     def field_config(self, inst, p=None):
         if p is not None:
@@ -171,13 +262,8 @@ class SsspUnweighted(Scheme):
             return dist
         return _cached(inst, f"bfs:{inst.source}", build)
 
-    def _horizon(self, inst) -> int:
-        dist = self._distances(inst)
-        return max(d for d in dist[1:] if d is not None) if any(
-            d is not None for d in dist[1:]) else 0
-
     def _assemble(self, inst, Dhat: int, labels, p: int) -> ProofTranscript:
-        n, t, s = self.n, self.sc.t, self.sc.s
+        n, t, s = self.n, self.t, self.s
         src = _require_source(inst)
         tr = ProofTranscript()
         tr.add_scalars("horizon", [Dhat])
@@ -212,54 +298,25 @@ class SsspUnweighted(Scheme):
 
     def prove(self, inst, p: int) -> ProofTranscript:
         dist = self._distances(inst)
-        Dhat = self._horizon(inst)
+        Dhat = _horizon(dist)
         labels = [dist[v] if dist[v] is not None else Dhat + 1
                   for v in range(1, inst.n + 1)]
         return self._assemble(inst, Dhat, labels, p)
 
     def hcost_bound(self, inst) -> int:
-        Dhat = self._horizon(inst)
-        n, wt = self.n, 2 * self.sc.t - 1
+        Dhat = _horizon(self._distances(inst))
+        n, wt = self.n, 2 * self.t - 1
         return 1 + 2 * n + Dhat * (wt * n + n)
 
     def vcost_bound(self, inst) -> int:
-        return 2 * self.sc.s + 16
+        return 2 * self.s + 16
 
     # verifier ----------------------------------------------------------
 
     def run_verifier(self, inst, reader, p, rng, meter):
-        n, t, s = self.n, self.sc.t, self.sc.s
-        src = _require_source(inst)
-        _check_numpy_modulus(p)
-        r1, r2 = fe_random(rng, p), fe_random(rng, p)
-        beta = fe_random(rng, p)
-        b0 = fe_random(rng, p)
-        b1, b2 = fe_random(rng, p), fe_random(rng, p)
-        i1 = np.array(impulse_table(r1, t, p), dtype=np.int64)
-        impn = np.array(impulse_table(r2, n, p), dtype=np.int64)
-        b0pow = np.array([pow(b0, v, p) for v in range(1, n + 1)],
-                         dtype=np.int64)
-        b1pow = [pow(b1, v, p) for v in range(1, n + 1)]
-        betapow = np.array([pow(beta, v, p) for v in range(1, n + 1)],
-                           dtype=np.int64)
-        asketch = np.zeros(s, dtype=np.int64)
-        ball = np.zeros(s, dtype=np.int64)
-        meter.alloc("adjacency_line", s)
-        meter.alloc("ball_line", s)
-        meter.alloc("registers", 16)
-        g0 = 0
-        for (u, v, delta) in _edge_tokens(inst):
-            d_ = delta % p
-            xu, yu = self.sc.shape(u)
-            xv, yv = self.sc.shape(v)
-            asketch[yu - 1] = (asketch[yu - 1]
-                               + d_ * i1[xu - 1] % p * impn[v - 1]) % p
-            asketch[yv - 1] = (asketch[yv - 1]
-                               + d_ * i1[xv - 1] % p * impn[u - 1]) % p
-            if u == src:
-                g0 = (g0 + d_ * int(b0pow[v - 1])) % p
-            if v == src:
-                g0 = (g0 + d_ * int(b0pow[u - 1])) % p
+        n = self.n
+        audit = _BallAudit(self, inst, p, rng, meter)
+        b2 = fe_random(rng, p)
 
         Dhat = reader.scalar("horizon")
         if not 0 <= Dhat <= max(n - 1, 0):
@@ -275,60 +332,19 @@ class SsspUnweighted(Scheme):
             lab = int(labels[v - 1])
             if not 0 <= lab <= Dhat + 1:
                 raise RejectError("distance label out of range")
-            if (lab == 0) != (v == src):
+            if (lab == 0) != (v == audit.src):
                 raise RejectError("label zero must mark the source alone")
             value.append(lab if lab <= Dhat else None)
-            phi_hat = (phi_hat + b1pow[v - 1] * span[max(1, lab)]) % p
+            phi_hat = (phi_hat + audit.b1pow[v - 1] * span[max(1, lab)]) % p
 
-        q0 = reader.scalars("source_degrees", n) % p
-        if int((q0 * b0pow % p).sum() % p) != g0:
-            raise RejectError("source degree row does not match the stream")
-        xs, ys = self.sc.shape(src)
-        ball[ys - 1] = i1[xs - 1]
-        psi_prev = b1pow[src - 1]
-        psi_cur = psi_prev
-        for u in range(1, n + 1):
-            if u != src and q0[u - 1]:
-                xu, yu = self.sc.shape(u)
-                ball[yu - 1] = (ball[yu - 1] + i1[xu - 1]) % p
-                psi_cur = (psi_cur + b1pow[u - 1]) % p
-        phi = b2pow[1] * psi_cur % p if Dhat >= 1 else 0
-
-        S_X = power_sums(t, 2 * t - 1, p)
-        tau = np.zeros(n, dtype=np.int64)
-        up = np.ones(n, dtype=np.int64)
-        base = np.arange(1, n + 1, dtype=np.int64) % p
-        for j in range(n):
-            tau[j] = int((up * betapow % p).sum() % p)
-            up = up * base % p
-
-        wt = 2 * t - 1
+        audit.source_round(reader)
+        phi = b2pow[1] * audit.psi_cur % p if Dhat >= 1 else 0
         for d in range(1, Dhat + 1):
-            C = reader.coeffs("ball_poly", (wt, n)) % p
-            rhs = int((ball * asketch % p).sum() % p)
-            if nd_eval(C, (r1, r2), p) != rhs:
-                raise RejectError(
-                    f"round {d}: ball polynomial wrong at random point")
-            rows = (S_X[:, None] * C % p) * tau[None, :] % p
-            link = int((rows.sum(axis=1) % p).sum() % p)
-            qd = reader.scalars("round_degrees", n) % p
-            if int((qd * betapow % p).sum() % p) != link:
-                raise RejectError(f"round {d}: degree fingerprints disagree")
-            psi_prev = psi_cur
-            ball[:] = 0
-            ball[ys - 1] = i1[xs - 1]
-            psi_cur = b1pow[src - 1]
-            for u in range(1, n + 1):
-                if u != src and qd[u - 1]:
-                    xu, yu = self.sc.shape(u)
-                    ball[yu - 1] = (ball[yu - 1] + i1[xu - 1]) % p
-                    psi_cur = (psi_cur + b1pow[u - 1]) % p
+            audit.round(reader, d)
             if d + 1 <= Dhat:
-                phi = (phi + b2pow[d + 1] * psi_cur) % p
+                phi = (phi + b2pow[d + 1] * audit.psi_cur) % p
 
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
-        if psi_cur != psi_prev:
+        if audit.psi_cur != audit.psi_prev:
             raise RejectError("ball still growing at the claimed horizon")
         if phi != phi_hat:
             raise RejectError("labels do not match the discovered balls")
@@ -381,7 +397,7 @@ class StPath(SsspUnweighted):
             return 0
         if K is not None:
             return K - 1
-        return self._horizon(inst)
+        return _horizon(dist)
 
     def prove(self, inst, p: int) -> ProofTranscript:
         if inst.target is None:
@@ -389,102 +405,31 @@ class StPath(SsspUnweighted):
         return self._assemble(inst, self._claimed_horizon(inst), None, p)
 
     def hcost_bound(self, inst) -> int:
-        n, wt = self.n, 2 * self.sc.t - 1
+        n, wt = self.n, 2 * self.t - 1
         return 1 + n + self._claimed_horizon(inst) * (wt * n + n)
 
     def run_verifier(self, inst, reader, p, rng, meter):
-        n, t, s = self.n, self.sc.t, self.sc.s
-        src = _require_source(inst)
+        n = self.n
         vt = inst.target
         if vt is None:
             raise ValueError("scheme needs a target vertex in the header")
-        _check_numpy_modulus(p)
-        r1, r2 = fe_random(rng, p), fe_random(rng, p)
-        beta = fe_random(rng, p)
-        b0 = fe_random(rng, p)
-        b1 = fe_random(rng, p)
-        i1 = np.array(impulse_table(r1, t, p), dtype=np.int64)
-        impn = np.array(impulse_table(r2, n, p), dtype=np.int64)
-        b0pow = np.array([pow(b0, v, p) for v in range(1, n + 1)],
-                         dtype=np.int64)
-        b1pow = [pow(b1, v, p) for v in range(1, n + 1)]
-        betapow = np.array([pow(beta, v, p) for v in range(1, n + 1)],
-                           dtype=np.int64)
-        asketch = np.zeros(s, dtype=np.int64)
-        ball = np.zeros(s, dtype=np.int64)
-        meter.alloc("adjacency_line", s)
-        meter.alloc("ball_line", s)
-        meter.alloc("registers", 16)
-        g0 = 0
-        for (u, v, delta) in _edge_tokens(inst):
-            d_ = delta % p
-            xu, yu = self.sc.shape(u)
-            xv, yv = self.sc.shape(v)
-            asketch[yu - 1] = (asketch[yu - 1]
-                               + d_ * i1[xu - 1] % p * impn[v - 1]) % p
-            asketch[yv - 1] = (asketch[yv - 1]
-                               + d_ * i1[xv - 1] % p * impn[u - 1]) % p
-            if u == src:
-                g0 = (g0 + d_ * int(b0pow[v - 1])) % p
-            if v == src:
-                g0 = (g0 + d_ * int(b0pow[u - 1])) % p
+        audit = _BallAudit(self, inst, p, rng, meter)
 
         Dhat = reader.scalar("horizon")
         if not 0 <= Dhat <= max(n - 1, 0):
             raise RejectError("distance horizon out of range")
-        q0 = reader.scalars("source_degrees", n) % p
-        if int((q0 * b0pow % p).sum() % p) != g0:
-            raise RejectError("source degree row does not match the stream")
-        hit = 0 if vt == src else None
+        q0 = audit.source_round(reader)
+        hit = 0 if vt == audit.src else None
         if hit is None and q0[vt - 1]:
             hit = 1
-        xs, ys = self.sc.shape(src)
-        ball[ys - 1] = i1[xs - 1]
-        psi_prev = b1pow[src - 1]
-        psi_cur = psi_prev
-        for u in range(1, n + 1):
-            if u != src and q0[u - 1]:
-                xu, yu = self.sc.shape(u)
-                ball[yu - 1] = (ball[yu - 1] + i1[xu - 1]) % p
-                psi_cur = (psi_cur + b1pow[u - 1]) % p
-
-        S_X = power_sums(t, 2 * t - 1, p)
-        tau = np.zeros(n, dtype=np.int64)
-        up = np.ones(n, dtype=np.int64)
-        base = np.arange(1, n + 1, dtype=np.int64) % p
-        for j in range(n):
-            tau[j] = int((up * betapow % p).sum() % p)
-            up = up * base % p
-
-        wt = 2 * t - 1
         for d in range(1, Dhat + 1):
-            C = reader.coeffs("ball_poly", (wt, n)) % p
-            rhs = int((ball * asketch % p).sum() % p)
-            if nd_eval(C, (r1, r2), p) != rhs:
-                raise RejectError(
-                    f"round {d}: ball polynomial wrong at random point")
-            rows = (S_X[:, None] * C % p) * tau[None, :] % p
-            link = int((rows.sum(axis=1) % p).sum() % p)
-            qd = reader.scalars("round_degrees", n) % p
-            if int((qd * betapow % p).sum() % p) != link:
-                raise RejectError(f"round {d}: degree fingerprints disagree")
+            qd = audit.round(reader, d)
             if hit is None and qd[vt - 1]:
                 hit = d + 1
-            psi_prev = psi_cur
-            ball[:] = 0
-            ball[ys - 1] = i1[xs - 1]
-            psi_cur = b1pow[src - 1]
-            for u in range(1, n + 1):
-                if u != src and qd[u - 1]:
-                    xu, yu = self.sc.shape(u)
-                    ball[yu - 1] = (ball[yu - 1] + i1[xu - 1]) % p
-                    psi_cur = (psi_cur + b1pow[u - 1]) % p
 
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
         if hit is not None:
             return int(hit)
-        if psi_cur != psi_prev:
+        if audit.psi_cur != audit.psi_prev:
             raise RejectError("path status unresolved at the claimed horizon")
         raise RejectError("unreachable: ball stabilized before the target")
 
@@ -504,23 +449,11 @@ class StPath(SsspUnweighted):
         return out
 
 
-@register
-class SsspWeightedTurnstile(Scheme):
-    """Weighted distances where updates accumulate into edge weights.
+class _WeightedScheme(Scheme):
+    """Weighted distances: the shape knob is unused, W bounds the weights
+    and the modulus must also exceed the largest relaxation round."""
 
-    The verifier spends a cell per vertex: one sketch of each weight
-    row, the label table it fills itself, and the source row kept
-    exactly for bootstrapping the first ball. Round d sends one
-    univariate polynomial, the sum of weight selectors over vertices
-    that could relax a neighbor to distance d+1; the verifier checks it
-    at a random point against its row sketches, then reads new labels
-    off the vertex grid values.
-    """
-
-    name = "sssp-wturnstile"
     output_kind = "labels"
-    model = "turnstile"
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie")
 
     def __init__(self, n: int, W: int):
         self.n = n
@@ -539,6 +472,24 @@ class SsspWeightedTurnstile(Scheme):
     def oracle_value(self, inst):
         return tuple(oracle_dijkstra(inst)[1:])
 
+
+@register
+class SsspWeightedTurnstile(_WeightedScheme):
+    """Weighted distances where updates accumulate into edge weights.
+
+    The verifier spends a cell per vertex: one sketch of each weight
+    row, the label table it fills itself, and the source row kept
+    exactly for bootstrapping the first ball. Round d sends one
+    univariate polynomial, the sum of weight selectors over vertices
+    that could relax a neighbor to distance d+1; the verifier checks it
+    at a random point against its row sketches, then reads new labels
+    off the vertex grid values.
+    """
+
+    name = "sssp-wturnstile"
+    model = "turnstile"
+    mutations = ("coefficient_flip", "block_truncation", "output_value_lie")
+
     # prover ------------------------------------------------------------
 
     def _distances(self, inst) -> list:
@@ -551,11 +502,6 @@ class SsspWeightedTurnstile(Scheme):
                 dist[v] = int(d)
             return dist
         return _cached(inst, f"wdist:{inst.source}", build)
-
-    def _horizon(self, inst) -> int:
-        dist = self._distances(inst)
-        return max(d for d in dist[1:] if d is not None) if any(
-            d is not None for d in dist[1:]) else 0
 
     def _weight_matrix(self, inst) -> np.ndarray:
         def build():
@@ -570,7 +516,7 @@ class SsspWeightedTurnstile(Scheme):
     def prove(self, inst, p: int) -> ProofTranscript:
         n, W = self.n, self.W
         dist = self._distances(inst)
-        Dhat = self._horizon(inst)
+        Dhat = _horizon(dist)
         tr = ProofTranscript()
         tr.add_scalars("horizon", [Dhat])
         M = W * (n - 1) + 1
@@ -601,7 +547,8 @@ class SsspWeightedTurnstile(Scheme):
     def hcost_bound(self, inst) -> int:
         n, W = self.n, self.W
         M = W * (n - 1) + 1
-        return 1 + max(self._horizon(inst) - 1, 0) * M + (2 * n - 1)
+        Dhat = _horizon(self._distances(inst))
+        return 1 + max(Dhat - 1, 0) * M + (2 * n - 1)
 
     def vcost_bound(self, inst) -> int:
         return 5 * self.n + 16
@@ -646,7 +593,7 @@ class SsspWeightedTurnstile(Scheme):
         M = W * (n - 1) + 1
         meter.alloc("round_values", n)
         for d in range(1, Dhat):
-            C = reader.coeffs("round_poly", (M,)) % p
+            C = reader.coeffs("round_poly", (M,))
             grid, pt = _eval_on_vertices(C, rho, n, p)
             rhs = 0
             for v in range(1, n + 1):
@@ -670,11 +617,8 @@ class SsspWeightedTurnstile(Scheme):
             for v in range(u + 1, n + 1):
                 if (dist[u] is None) != (dist[v] is None):
                     inter.add_right(undirected_key(u, v, n))
-        if inter.finish(reader.coeffs("frontier_inter", (2 * n - 1,)),
-                        "frontier") != 0:
+        if inter.finish(reader, "frontier_inter", "frontier") != 0:
             raise RejectError("an edge leaves the discovered region")
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
         return tuple(dist[1:])
 
     # adversary ---------------------------------------------------------
@@ -702,7 +646,7 @@ class SsspWeightedTurnstile(Scheme):
 
 
 @register
-class SsspWeightedVanilla(Scheme):
+class SsspWeightedVanilla(_WeightedScheme):
     """Weighted distances with one row sketch per weight class.
 
     Labels and parent pointers arrive first; parents induce weighted
@@ -715,28 +659,10 @@ class SsspWeightedVanilla(Scheme):
     """
 
     name = "sssp-wvanilla"
-    output_kind = "labels"
     model = "weighted"
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
                  "qd_scalar_flip")
     scalar_flip_labels = ("distance_labels", "parent_labels")
-
-    def __init__(self, n: int, W: int):
-        self.n = n
-        self.W = W
-
-    @classmethod
-    def configure(cls, inst, t=None, s=None, **kw):
-        return cls(inst.n, inst.W)
-
-    def field_config(self, inst, p=None):
-        if p is not None:
-            return FieldConfig(p)
-        return FieldConfig.auto_from_n(inst.n, D=inst.W * (inst.n - 1),
-                                       W=inst.W)
-
-    def oracle_value(self, inst):
-        return tuple(oracle_dijkstra(inst)[1:])
 
     # prover ------------------------------------------------------------
 
@@ -778,8 +704,7 @@ class SsspWeightedVanilla(Scheme):
         n, W = self.n, self.W
         src = _require_source(inst)
         SENT = W * (n - 1) + 1
-        finite = [d for d in dist[1:] if d is not None]
-        Dhat = max(finite) if finite else 0
+        Dhat = _horizon(dist)
         tr = ProofTranscript()
         tr.add_scalars("distance_labels",
                        [dist[v] if dist[v] is not None else SENT
@@ -823,9 +748,7 @@ class SsspWeightedVanilla(Scheme):
 
     def hcost_bound(self, inst) -> int:
         n, W = self.n, self.W
-        dist, _ = self._labels(inst)
-        finite = [d for d in dist[1:] if d is not None]
-        Dhat = max(finite) if finite else 0
+        Dhat = _horizon(self._labels(inst)[0])
         return 2 * n + Dhat * n + (2 * n * W - 1) + (2 * n - 1)
 
     def vcost_bound(self, inst) -> int:
@@ -883,7 +806,7 @@ class SsspWeightedVanilla(Scheme):
                    default=0)
         meter.alloc("round_values", n)
         for d in range(Dhat):
-            C = reader.coeffs("round_poly", (n,)) % p
+            C = reader.coeffs("round_poly", (n,))
             grid, pt = _eval_on_vertices(C, rho, n, p)
             rhs = 0
             for v in range(1, n + 1):
@@ -901,17 +824,13 @@ class SsspWeightedVanilla(Scheme):
                         f"round {d}: a label exceeds its relaxation round")
         meter.free("round_values")
 
-        sub.finish(reader.coeffs("tree_subset", (2 * n * W - 1,)),
-                   "parent edges")
+        sub.finish(reader, "tree_subset", "parent edges")
         for u in range(1, n + 1):
             for v in range(u + 1, n + 1):
                 if (lab[u] == SENT) != (lab[v] == SENT):
                     inter.add_right(undirected_key(u, v, n))
-        if inter.finish(reader.coeffs("frontier_inter", (2 * n - 1,)),
-                        "frontier") != 0:
+        if inter.finish(reader, "frontier_inter", "frontier") != 0:
             raise RejectError("an edge leaves the labeled region")
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
         return tuple(lab[v] if lab[v] < SENT else None
                      for v in range(1, n + 1))
 

@@ -26,8 +26,9 @@ block boundaries are free framing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -81,14 +82,9 @@ class GraphInstance:
     source: Optional[int] = None
     target: Optional[int] = None
     tokens: list = field(default_factory=list)
-
-    def edge_tokens(self) -> Iterator:
-        for tok in self.tokens:
-            if isinstance(tok, (EdgeToken, AdjItem)):
-                yield tok
-
-    def stream_length(self) -> int:
-        return sum(1 for _ in self.edge_tokens())
+    # prover-side results derived from the tokens, keyed by name
+    prover_cache: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def final_edges(self) -> dict:
         """Multiset of undirected edges after all updates.
@@ -115,14 +111,6 @@ class GraphInstance:
     def weighted_edges(self) -> list:
         return [(min(tok.u, tok.v), max(tok.u, tok.v), tok.w)
                 for tok in self.tokens if isinstance(tok, EdgeToken)]
-
-    def query_sets(self) -> tuple:
-        """Final contents of the U and W query sets."""
-        us, ws = set(), set()
-        for tok in self.tokens:
-            if isinstance(tok, SetMember):
-                (us if tok.side == 0 else ws).add(tok.v)
-        return us, ws
 
 
 def _parse_header(line: str) -> dict:
@@ -356,8 +344,8 @@ class ProofTranscript:
     def element_count(self) -> int:
         return sum(b.element_count() for b in self.blocks)
 
-    def reader(self) -> "TranscriptReader":
-        return TranscriptReader(self)
+    def reader(self, p: int) -> "TranscriptReader":
+        return TranscriptReader(self, p)
 
     # text round-trip ----------------------------------------------------------
 
@@ -375,6 +363,7 @@ class ProofTranscript:
 
     @classmethod
     def load(cls, text: str) -> "ProofTranscript":
+        """Parse `dump` output; any malformed text raises ParseError."""
         t = cls()
         cur = None
         pending: list = []
@@ -386,7 +375,11 @@ class ProofTranscript:
             if len(pending) != count:
                 raise ParseError(f"block {label}: {len(pending)} of "
                                  f"{count} values")
-            arr = np.array(pending, dtype=np.int64)
+            try:
+                arr = np.array(pending, dtype=np.int64)
+            except OverflowError:
+                raise ParseError(f"block {label}: value outside int64") \
+                    from None
             t.blocks.append(Block(label, kind, arr, shape=shape))
 
         for raw in text.splitlines():
@@ -396,39 +389,52 @@ class ProofTranscript:
             if line.startswith("@"):
                 flush()
                 parts = line[1:].split()
+                if not parts:
+                    raise ParseError("block header without a label")
                 label = parts[0]
                 fields = _parse_header(" ".join(parts[1:]))
                 kind = fields.get("kind")
                 if kind not in _BLOCK_KINDS:
                     raise ParseError(f"bad block kind {kind!r}")
-                count = int(fields["count"])
+                need = ("count", "shape") if kind == "coeffs" else ("count",)
+                for key in need:
+                    if key not in fields:
+                        raise ParseError(f"block {label}: header lacks {key}=")
+                count = _int_field(fields["count"], label)
                 shape = None
                 if kind == "coeffs":
-                    shape = tuple(int(x) for x in fields["shape"].split(","))
+                    shape = tuple(_int_field(x, label)
+                                  for x in fields["shape"].split(","))
+                    if min(shape) < 0 or math.prod(shape) != count:
+                        raise ParseError(f"block {label}: shape does not "
+                                         f"hold {count} values")
                 cur = (label, kind, count, shape)
                 pending = []
             else:
                 if cur is None:
                     raise ParseError("transcript values before any block")
-                pending.extend(int(x) for x in line.split())
+                pending.extend(_int_field(x, cur[0]) for x in line.split())
         flush()
         return t
+
+
+def _int_field(raw: str, label: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"block {label}: bad integer {raw!r}") from None
 
 
 class TranscriptReader:
     """Forward-only cursor; any structural mismatch is a proof rejection."""
 
-    def __init__(self, transcript: ProofTranscript):
+    def __init__(self, transcript: ProofTranscript, p: int):
         self._blocks = transcript.blocks
         self._pos = 0
+        self.p = p
 
     def at_end(self) -> bool:
         return self._pos >= len(self._blocks)
-
-    def peek_label(self) -> Optional[str]:
-        if self.at_end():
-            return None
-        return self._blocks[self._pos].label
 
     def _next(self, label: str, kind: str) -> Block:
         if self.at_end():
@@ -467,4 +473,7 @@ class TranscriptReader:
         if b.values.size != expect:
             raise RejectError(f"block {label}: expected {expect} "
                               f"coefficients, got {b.values.size}")
+        if b.values.size and not (0 <= b.values.min()
+                                  and b.values.max() < self.p):
+            raise RejectError(f"block {label}: coefficient outside [0, p)")
         return coeffs_from_serial(b.values, tuple(shape))

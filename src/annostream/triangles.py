@@ -27,42 +27,37 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extension import (ShapeConfig, coeffs_from_values_1d,
-                        coeffs_from_values_nd, coeffs_to_serial, grid_bump,
-                        impulse_block, impulse_table, mat_mulmod, nd_eval,
-                        nd_grid_sum, resolve_shape)
+from .edgecount import member_matrix, pair_charge, vertex_grid_index
+from .extension import (coeffs_from_values_1d, coeffs_from_values_nd,
+                        impulse_block, impulse_table)
 from .field import fe_random
+from .graphapps import _adj_matrix, _edge_tokens
 from .oracle import oracle_triangles
-from .protocol import Scheme, register, _clone_transcript
-from .setops import Fingerprint, directed_key, poly_eval_np, poly_grid_sum
-from .stream import (AdjItem, EdgeToken, GraphInstance, ProofTranscript,
-                     RejectError)
-
-
-def _edges(inst: GraphInstance):
-    if inst.model not in ("turnstile", "vanilla"):
-        raise ValueError(f"edge-stream scheme cannot run on {inst.model}")
-    for tok in inst.tokens:
-        if isinstance(tok, EdgeToken):
-            yield tok.u, tok.v, tok.delta
-        else:
-            raise ValueError("unexpected query-set tokens in triangle input")
+from .protocol import Scheme, bump_grid_total, register, _clone_transcript
+from .setops import Fingerprint, check_grid_claim, directed_key
+from .stream import AdjItem, ProofTranscript, RejectError
 
 
 class _TriangleBase(Scheme):
-    def __init__(self, n: int, t: int, s: int):
-        self.n = n
-        self.t = t
-        self.s = s
-        self.sc = ShapeConfig(n, t, s)
-
-    @classmethod
-    def configure(cls, inst, t=None, s=None, **kw):
-        t, s = resolve_shape(inst.n, t, s)
-        return cls(inst.n, t, s)
+    mutations = ("coefficient_flip", "block_truncation", "output_value_lie")
+    # lies shift the grid total by a multiple of this, the number of
+    # times the charge counts each triangle; 0 allows any nonzero shift
+    _lie_step = 0
 
     def oracle_value(self, inst):
         return oracle_triangles(inst)
+
+    def mutate_output(self, inst, transcript, p, rng):
+        """Shift the total of the charge polynomial, the last block, by
+        a multiple of `_lie_step` (any nonzero residue when it is 0)."""
+        out = _clone_transcript(transcript)
+        if self._lie_step:
+            shift = self._lie_step * rng.randrange(1, max(2, inst.n))
+        else:
+            shift = rng.randrange(1, p)
+        block = out.blocks[-1]
+        bump_grid_total(block, [(w + 1) // 2 for w in block.shape], shift, p)
+        return out
 
 
 @register
@@ -70,7 +65,6 @@ class TrianglesLaconic(_TriangleBase):
     """One short univariate claim; verifier stores a full n x s table."""
 
     name = "tri-laconic"
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie")
 
     def hcost_bound(self, inst) -> int:
         return 2 * self.t - 1
@@ -83,7 +77,7 @@ class TrianglesLaconic(_TriangleBase):
         D = impulse_block(np.arange(1, 2 * t), t, p)  # (2t-1, t)
         table = np.zeros((2 * t - 1, n, s), dtype=np.int64)
         acc = np.zeros(2 * t - 1, dtype=np.int64)
-        for (a, b, delta) in _edges(inst):
+        for (a, b, delta) in _edge_tokens(inst):
             prod = table[:, a - 1, :] * table[:, b - 1, :] % p
             acc = (acc + delta * prod.sum(axis=1)) % p
             xa, ya = sc.shape(a)
@@ -104,7 +98,7 @@ class TrianglesLaconic(_TriangleBase):
         meter.alloc("registers", 2)
         table = np.zeros((n, s), dtype=np.int64)
         acc = 0
-        for (a, b, delta) in _edges(inst):
+        for (a, b, delta) in _edge_tokens(inst):
             prod = table[a - 1] * table[b - 1] % p
             acc = (acc + delta * int(prod.sum() % p)) % p
             xa, ya = sc.shape(a)
@@ -113,21 +107,8 @@ class TrianglesLaconic(_TriangleBase):
                                     + delta * imp[xb - 1]) % p
             table[b - 1, ya - 1] = (table[b - 1, ya - 1]
                                     + delta * imp[xa - 1]) % p
-        coeffs = reader.coeffs("charge_poly", (2 * t - 1,))
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
-        if poly_eval_np(coeffs, r, p) != acc % p:
-            raise RejectError("charge polynomial disagrees at random point")
-        return poly_grid_sum(coeffs, t, p)
-
-    def mutate_output(self, inst, transcript, p, rng):
-        out = _clone_transcript(transcript)
-        bump = np.zeros(2 * self.t - 1, dtype=np.int64)
-        bump[:self.t] = grid_bump(self.t, p)
-        shift = rng.randrange(1, p)
-        b = out.blocks[0]
-        b.values = (b.values + shift * bump) % p
-        return out
+        return check_grid_claim(reader, "charge_poly", (t,), (r,), acc, p,
+                                "charge polynomial")
 
 
 @register
@@ -135,16 +116,12 @@ class TrianglesFrugal(_TriangleBase):
     """Tiny verifier (two length-s rows); large trivariate claim."""
 
     name = "tri-frugal"
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie")
 
     def hcost_bound(self, inst) -> int:
         return (2 * self.t - 1) ** 2 * (2 * self.n - 1)
 
     def vcost_bound(self, inst) -> int:
         return 2 * self.s + 16
-
-    def _shape3(self):
-        return (2 * self.t - 1, 2 * self.t - 1, 2 * self.n - 1)
 
     def prove(self, inst, p: int) -> ProofTranscript:
         t, s, n, sc = self.t, self.s, self.n, self.sc
@@ -169,7 +146,7 @@ class TrianglesFrugal(_TriangleBase):
             bufa.clear()
             bufb.clear()
 
-        for (a, b, delta) in _edges(inst):
+        for (a, b, delta) in _edge_tokens(inst):
             xa, ya = sc.shape(a)
             xb, yb = sc.shape(b)
             bufa.append(delta * Dt[:, xa - 1, None] % p
@@ -197,7 +174,7 @@ class TrianglesFrugal(_TriangleBase):
         row1 = [0] * s
         row2 = [0] * s
         acc = 0
-        for (a, b, delta) in _edges(inst):
+        for (a, b, delta) in _edge_tokens(inst):
             xa, ya = sc.shape(a)
             xb, yb = sc.shape(b)
             acc = (acc + delta * i1[xa - 1] * row1[ya - 1] % p
@@ -207,46 +184,8 @@ class TrianglesFrugal(_TriangleBase):
                                + delta * i1[x - 1] * i3[other - 1]) % p
                 row2[y - 1] = (row2[y - 1]
                                + delta * i2[x - 1] * i3[other - 1]) % p
-        tensor = reader.coeffs("charge_poly", self._shape3())
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
-        if nd_eval(tensor, (r1, r2, r3), p) != acc % p:
-            raise RejectError("charge polynomial disagrees at random point")
-        return nd_grid_sum(tensor, (t, t, n), p)
-
-    def mutate_output(self, inst, transcript, p, rng):
-        out = _clone_transcript(transcript)
-        t, n = self.t, self.n
-        bump = np.einsum("i,j,k->ijk", grid_bump(t, p), grid_bump(t, p),
-                         grid_bump(n, p)) % p
-        shift = rng.randrange(1, p)
-        tensor = np.zeros(self._shape3(), dtype=np.int64)
-        tensor[:t, :t, :n] = bump * shift % p
-        out.blocks[0].values = (out.blocks[0].values
-                                + coeffs_to_serial(tensor)) % p
-        return out
-
-
-def _vertex_grid_index(sc: ShapeConfig):
-    xs = np.empty(sc.n, dtype=np.int64)
-    ys = np.empty(sc.n, dtype=np.int64)
-    for v in range(1, sc.n + 1):
-        xs[v - 1], ys[v - 1] = sc.shape(v)
-    return xs - 1, ys - 1
-
-
-def _apex_matrix(nbrs, sc, Dt, x_idx, y_idx, p) -> np.ndarray:
-    """G[w, c] = delta_{x_c}(w) * chi~_{N(v)}(w, y_c) for every vertex c.
-
-    The apex charge polynomial is then G @ Adj @ G.T evaluated over
-    whatever adjacency multiplicity matrix applies at this apex.
-    """
-    wt = Dt.shape[0]
-    chi = np.zeros((wt, sc.s), dtype=np.int64)
-    for u in nbrs:
-        xu, yu = sc.shape(u)
-        chi[:, yu - 1] = (chi[:, yu - 1] + Dt[:, xu - 1]) % p
-    return Dt[:, x_idx] * chi[:, y_idx] % p
+        return check_grid_claim(reader, "charge_poly", (t, t, n),
+                                (r1, r2, r3), acc, p, "charge polynomial")
 
 
 @register
@@ -261,6 +200,7 @@ class TrianglesSparse(_TriangleBase):
     name = "tri-sparse"
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
                  "vertex_list_permutation_lie")
+    _lie_step = 6
 
     def hcost_bound(self, inst) -> int:
         m = sum(abs(c) for c in inst.final_edges().values())
@@ -284,18 +224,15 @@ class TrianglesSparse(_TriangleBase):
         t, n, sc = self.t, self.n, self.sc
         wt = 2 * t - 1
         Dt = impulse_block(np.arange(1, 2 * t), t, p)
-        x_idx, y_idx = _vertex_grid_index(sc)
-        adj = np.zeros((n, n), dtype=np.int64)
-        for (u, v), c in inst.final_edges().items():
-            adj[u - 1, v - 1] = c % p
-            adj[v - 1, u - 1] = c % p
+        x_idx, y_idx = vertex_grid_index(sc)
+        adj = _adj_matrix(inst, p)
         P = np.zeros((wt, wt), dtype=np.int64)
         for v in range(1, n + 1):
             lst = nbrs.get(v, [])
             if not lst:
                 continue
-            G = _apex_matrix(lst, sc, Dt, x_idx, y_idx, p)
-            P = (P + mat_mulmod(mat_mulmod(G, adj, p), G.T, p)) % p
+            G = member_matrix(lst, sc, Dt, x_idx, y_idx, p)
+            P = (P + pair_charge(G, adj, G, p)) % p
         tr = ProofTranscript()
         for v in range(1, n + 1):
             tr.add_vertices("nbrs", nbrs.get(v, []))
@@ -314,7 +251,7 @@ class TrianglesSparse(_TriangleBase):
         pair = np.zeros((s, s), dtype=np.int64)
         fp_in = Fingerprint(gamma, p)
         fp_replay = Fingerprint(gamma, p)
-        for (a, b, delta) in _edges(inst):
+        for (a, b, delta) in _edge_tokens(inst):
             xa, ya = sc.shape(a)
             xb, yb = sc.shape(b)
             pair[ya - 1, yb - 1] = (pair[ya - 1, yb - 1]
@@ -340,27 +277,11 @@ class TrianglesSparse(_TriangleBase):
             acc = (acc + int(b1 @ (pair @ b2 % p) % p)) % p
         if fp_replay.value != fp_in.value:
             raise RejectError("replayed neighborhoods do not match stream")
-        wt = 2 * t - 1
-        tensor = reader.coeffs("charge_poly", (wt, wt))
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
-        if nd_eval(tensor, (r1, r2), p) != acc % p:
-            raise RejectError("charge polynomial disagrees at random point")
-        total = nd_grid_sum(tensor, (t, t), p)
+        total = check_grid_claim(reader, "charge_poly", (t, t), (r1, r2),
+                                 acc, p, "charge polynomial")
         if total % 6 != 0:
             raise RejectError("pair total is not a multiple of six")
         return total // 6
-
-    def mutate_output(self, inst, transcript, p, rng):
-        out = _clone_transcript(transcript)
-        t = self.t
-        shift = 6 * rng.randrange(1, max(2, inst.n))
-        bump = np.outer(grid_bump(t, p), grid_bump(t, p)) * shift % p
-        tensor = np.zeros((2 * t - 1, 2 * t - 1), dtype=np.int64)
-        tensor[:t, :t] = bump
-        out.blocks[-1].values = (out.blocks[-1].values
-                                 + coeffs_to_serial(tensor)) % p
-        return out
 
     def mutate_vertices(self, inst, transcript, p, rng):
         nbrs = self._neighborhoods(inst)
@@ -383,7 +304,7 @@ class TrianglesAdjList(_TriangleBase):
 
     name = "tri-adj"
     model = "adjlist"
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie")
+    _lie_step = 4
 
     def hcost_bound(self, inst) -> int:
         return (2 * self.t - 1) ** 2
@@ -397,7 +318,7 @@ class TrianglesAdjList(_TriangleBase):
         t, n, sc = self.t, self.n, self.sc
         wt = 2 * t - 1
         Dt = impulse_block(np.arange(1, 2 * t), t, p)
-        x_idx, y_idx = _vertex_grid_index(sc)
+        x_idx, y_idx = vertex_grid_index(sc)
         rows: dict = {v: [] for v in range(1, n + 1)}
         for tok in inst.tokens:
             rows[tok.v].append(tok.u)
@@ -410,8 +331,8 @@ class TrianglesAdjList(_TriangleBase):
                     adj[v - 1, u - 1] = 1
             if not rows[v]:
                 continue
-            G = _apex_matrix(rows[v], sc, Dt, x_idx, y_idx, p)
-            P = (P + mat_mulmod(mat_mulmod(G, adj, p), G.T, p)) % p
+            G = member_matrix(rows[v], sc, Dt, x_idx, y_idx, p)
+            P = (P + pair_charge(G, adj, G, p)) % p
         tr = ProofTranscript()
         tr.add_coeffs("charge_poly", coeffs_from_values_nd(P, p))
         return tr
@@ -419,7 +340,7 @@ class TrianglesAdjList(_TriangleBase):
     def run_verifier(self, inst, reader, p, rng, meter):
         if inst.model != "adjlist":
             raise ValueError("tri-adj needs adjacency-list input")
-        t, s, n, sc = self.t, self.s, self.n, self.sc
+        t, s, sc = self.t, self.s, self.sc
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         i1 = impulse_table(r1, t, p)
         i2 = impulse_table(r2, t, p)
@@ -457,24 +378,8 @@ class TrianglesAdjList(_TriangleBase):
                                         + i1[xu - 1] * i2[xv - 1]) % p
         if row:
             close_row()
-        wt = 2 * t - 1
-        tensor = reader.coeffs("charge_poly", (wt, wt))
-        if not reader.at_end():
-            raise RejectError("unexpected trailing help")
-        if nd_eval(tensor, (r1, r2), p) != acc % p:
-            raise RejectError("charge polynomial disagrees at random point")
-        total = nd_grid_sum(tensor, (t, t), p)
+        total = check_grid_claim(reader, "charge_poly", (t, t), (r1, r2),
+                                 acc, p, "charge polynomial")
         if total % 4 != 0:
             raise RejectError("pair total is not a multiple of four")
         return total // 4
-
-    def mutate_output(self, inst, transcript, p, rng):
-        out = _clone_transcript(transcript)
-        t = self.t
-        shift = 4 * rng.randrange(1, max(2, inst.n))
-        bump = np.outer(grid_bump(t, p), grid_bump(t, p)) * shift % p
-        tensor = np.zeros((2 * t - 1, 2 * t - 1), dtype=np.int64)
-        tensor[:t, :t] = bump
-        out.blocks[0].values = (out.blocks[0].values
-                                + coeffs_to_serial(tensor)) % p
-        return out

@@ -69,6 +69,50 @@ def test_run_mutated_replay_exits_one(k5, tmp_path):
     assert "reject=" in r.stdout
 
 
+def _replay_edited(k5, tmp_path, edit):
+    """Replay the honest tri-laconic transcript after `edit(text, p)`."""
+    proof = tmp_path / "k5.proof"
+    r = run_cli("run", "--scheme", "tri-laconic", "--t", "4", "--input", k5,
+                "--out", str(proof))
+    p = int(next(ln for ln in r.stdout.splitlines()
+                 if ln.startswith("p="))[2:])
+    bad = tmp_path / "edited.proof"
+    bad.write_text(edit(proof.read_text(), p))
+    return run_cli("run", "--scheme", "tri-laconic", "--t", "4", "--input",
+                   k5, "--seed", "7", "--replay", str(bad))
+
+
+def _raise_first_value(text, by):
+    lines = text.splitlines()
+    i = next(i for i, ln in enumerate(lines)
+             if ln and not ln.startswith(("!", "@")))
+    first, rest = (lines[i].split(None, 1) + [""])[:2]
+    lines[i] = f"{int(first) + by} {rest}".strip()
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text, p: _raise_first_value(text, 2 ** 70),
+    lambda text, p: text.replace(" count=7", ""),
+    lambda text, p: text.replace(" shape=7", ""),
+], ids=["value_beyond_int64", "header_without_count",
+        "coeffs_header_without_shape"])
+def test_replay_malformed_transcript_exits_two(k5, tmp_path, edit):
+    r = _replay_edited(k5, tmp_path, edit)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
+def test_replay_non_canonical_coefficient_exits_one(k5, tmp_path):
+    honest = _replay_edited(k5, tmp_path, lambda text, p: text)
+    assert honest.returncode == 0 and "output=10" in honest.stdout
+    raised = _replay_edited(k5, tmp_path,
+                            lambda text, p: _raise_first_value(text, p))
+    assert raised.returncode == 1
+    assert "reject=block charge_poly: coefficient outside [0, p)" \
+        in raised.stdout.splitlines()
+
+
 def test_run_malformed_file_exits_two(tmp_path):
     bad = tmp_path / "bad.stream"
     bad.write_text("who knows\n1 2\n")
@@ -146,7 +190,7 @@ def test_label_output_block(tmp_path):
 
 def test_attack_csv_schema(k5):
     r = run_cli("attack", "--scheme", "tri-laconic", "--input", k5,
-                "--trials", "8", "--seed", "3", "--jobs", "2")
+                "--trials", "8", "--seed", "3")
     assert r.returncode == 0
     rows = list(csv.reader(io.StringIO(r.stdout)))
     assert rows[0] == ["scheme", "policy", "trials", "accepted",

@@ -9,8 +9,8 @@ from annostream.extension import (PointSketch, ShapeConfig, coeffs_from_serial,
                                   coeffs_from_values_1d, coeffs_from_values_nd,
                                   coeffs_to_serial, dense_eval, grid_bump,
                                   impulse_block, impulse_table, mat_mulmod,
-                                  nd_eval, nd_grid_sum, resolve_shape,
-                                  unit_impulse)
+                                  nd_eval, nd_grid_sum, power_sums,
+                                  resolve_shape, unit_impulse)
 from annostream.field import poly_eval
 
 P = 1048583
@@ -113,6 +113,13 @@ def test_grid_sum():
                      for _ in range(shape[0])], dtype=np.int64)
     coeffs = coeffs_from_values_nd(vals, P)
     assert nd_grid_sum(coeffs, shape, P) == int(vals.sum()) % P
+
+
+def test_power_sums_small():
+    ps = power_sums(4, 3, P)
+    assert ps.tolist() == [4, 10, 30]
+    coeffs = np.array([2, 1], dtype=np.int64)  # 2 + x summed over 1..4
+    assert nd_grid_sum(coeffs, (4,), P) == 8 + 10
 
 
 def test_serial_order_round_trip():

@@ -8,11 +8,17 @@ import pytest
 from annostream.field import fe_random_nonzero
 from annostream.setops import (Fingerprint, LineCheck, dense_indicator,
                                directed_key, line_check_dims, line_check_help,
-                               poly_grid_sum, power_sums, undirected_key,
-                               weighted_key)
-from annostream.stream import RejectError
+                               undirected_key, weighted_key)
+from annostream.stream import ProofTranscript, RejectError
 
 P = 1048583
+
+
+def _help(coeffs):
+    """A reader positioned on one help block labelled "g"."""
+    tr = ProofTranscript()
+    tr.add_coeffs("g", coeffs)
+    return tr.reader(P)
 
 
 def test_fingerprint_order_insensitive():
@@ -81,13 +87,6 @@ def test_key_packings_are_injective():
     assert len(wseen) == n * (n - 1) // 2 * W
 
 
-def test_power_sums_small():
-    ps = power_sums(4, 3, P)
-    assert ps.tolist() == [4, 10, 30]
-    coeffs = np.array([2, 1], dtype=np.int64)  # 2 + x summed over 1..4
-    assert poly_grid_sum(coeffs, 4, P) == 8 + 10
-
-
 def test_line_check_dims():
     assert line_check_dims(49, 7) == (7, 7)
     assert line_check_dims(50, 7) == (8, 7)
@@ -115,7 +114,7 @@ def test_line_check_intersection_counts():
         help_coeffs = line_check_help(
             dense_indicator([(k, 1) for k in a], dims),
             dense_indicator([(k, 1) for k in b], dims), P, "intersect")
-        assert lc.finish(help_coeffs) == len(a & b)
+        assert lc.finish(_help(help_coeffs), "g") == len(a & b)
 
 
 def test_line_check_subset_accepts_and_rejects():
@@ -134,7 +133,7 @@ def test_line_check_subset_accepts_and_rejects():
         coeffs = line_check_help(
             dense_indicator([(k, 1) for k in a], dims),
             dense_indicator([(k, 1) for k in b], dims), P, "subset")
-        return lc.finish(coeffs)
+        return lc.finish(_help(coeffs), "g")
 
     assert run(sub, sup, rng.randrange(P)) == 0
 
@@ -169,7 +168,7 @@ def test_line_check_catches_forged_polynomial():
         for k in b:
             lc.add_right(k)
         try:
-            lc.finish(honest_for_legal)
+            lc.finish(_help(honest_for_legal), "g")
         except RejectError:
             caught += 1
     assert caught >= 39
@@ -187,14 +186,14 @@ def test_line_check_multiplicity_left():
     coeffs = line_check_help(dense_indicator([(5, 3), (7, 2)], dims),
                              dense_indicator([(5, 1), (6, 1)], dims),
                              P, "intersect")
-    assert lc.finish(coeffs) == 3
+    assert lc.finish(_help(coeffs), "g") == 3
 
 
 def test_line_check_wrong_length_rejected():
     dims = (4, 3)
     lc = LineCheck(dims, 5, P, "intersect")
     with pytest.raises(RejectError):
-        lc.finish(np.zeros(2 * 4, dtype=np.int64))
+        lc.finish(_help(np.zeros(2 * 4, dtype=np.int64)), "g")
 
 
 def test_line_check_state_is_two_lines():

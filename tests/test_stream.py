@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annostream.stream import (EdgeToken, GraphInstance, ParseError,
                                ProofTranscript, SetQuery, parse_stream,
@@ -51,6 +53,49 @@ def test_parse_vertex_range():
         parse_stream("n=3 model=vanilla\n1 4\n")
     with pytest.raises(ParseError):
         parse_stream("n=3 model=turnstile\n0 2 1\n")
+
+
+@pytest.mark.parametrize("text", [
+    "@x kind=scalars count=1\n1180591620717411303424\n",
+    "@x kind=scalars\n1\n",
+    "@x kind=coeffs count=1\n1\n",
+    "@x kind=coeffs count=1 shape=1,a\n1\n",
+    "@x kind=coeffs count=3 shape=5,7\n1 2 3\n",
+    "@x kind=vertices count=two\n1\n",
+    "@x kind=vertices count=1\n1.5\n",
+    "@\n",
+    "@x kind=scalars count=1 flag\n1\n",
+])
+def test_transcript_load_raises_parse_error(text):
+    with pytest.raises(ParseError):
+        ProofTranscript.load(text)
+
+
+_FIELD = st.one_of(
+    st.sampled_from(["kind=coeffs", "kind=scalars", "kind=vertices",
+                     "kind=", "count=", "shape=", "flag", "=", "shape=,"]),
+    st.builds("count={}".format, st.integers(-2, 12)),
+    st.builds("shape={},{}".format, st.integers(-1, 4), st.integers(-1, 4)),
+    st.builds("shape={}".format, st.integers(-1, 12)),
+)
+_HEADER = st.builds(lambda label, fields: " ".join(["@" + label] + fields),
+                    st.sampled_from(["", "b", "b c"]),
+                    st.lists(_FIELD, max_size=4))
+_VALUES = st.lists(st.one_of(
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70).map(str),
+    st.integers(-3, 12).map(str),
+    st.text(max_size=4)), max_size=6).map(" ".join)
+_TRANSCRIPT = st.lists(st.one_of(_HEADER, _VALUES, st.just("!transcript v=1")),
+                       max_size=8).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TRANSCRIPT)
+def test_transcript_load_fuzz_raises_only_parse_error(text):
+    try:
+        ProofTranscript.load(text)
+    except ParseError:
+        pass
 
 
 def test_query_sets():
@@ -121,7 +166,7 @@ def test_transcript_reader_enforces_order_and_shape():
     tr = ProofTranscript()
     tr.add_scalars("a", [7])
     tr.add_coeffs("b", np.ones((2, 2), dtype=np.int64))
-    r = tr.reader()
+    r = tr.reader(97)
     assert r.scalar("a") == 7
     with pytest.raises(Exception):
         r.coeffs("b", (3, 2))
