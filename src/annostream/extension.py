@@ -16,6 +16,22 @@ extension by delta * prod_i delta_{u_i}(r_i). Impulse tables delta_u(r_i) for
 all u in the domain are precomputed once per (point, domain) and shared
 read-only; they are derived constants, not live verifier state.
 
+Provers need an extension on whole node ranges instead: a help polynomial
+is a product of extensions, so it is known from its values on 1..2g-1.
+extend_rows gets those from the values on [g] in closed form. Off the
+grid, x > g, every impulse shares the factor P(x) = prod_{x'}(x - x'):
+
+    delta_u(x) = P(x) * inv(x - u) * inv(den_u),
+
+so the extension at x is P(x) times a sum over the rows u where f is not
+zero. An O(g) table of inverses gives every constant, and the sums are
+one mat_mulmod, so the cost follows the support of the input rather than
+a dense (2g-1) x g impulse block.
+
+mat_mulmod is the one modular matmul: float64 BLAS over chunks of the
+inner axis sized from the operands' largest entries, so that each dot
+product is exact; operands already in [0, p) are not reduced again.
+
 Vertex shaping packs [n] into [t] x [s] with t*s >= n, row-major:
 x = ceil(v/s), y = ((v-1) mod s) + 1.
 """
@@ -54,17 +70,6 @@ def _impulse_inv_denominators(size: int, p: int) -> tuple:
             den = p - den
         out.append(fe_inv(den, p))
     return tuple(out)
-
-
-def unit_impulse(u: int, x: int, size: int, p: int) -> int:
-    """delta_u(x) over the domain [size]."""
-    if not 1 <= u <= size:
-        raise ValueError(f"impulse index {u} outside domain [{size}]")
-    num = 1
-    for xp in range(1, size + 1):
-        if xp != u:
-            num = num * (x - xp) % p
-    return num * _impulse_inv_denominators(size, p)[u - 1] % p
 
 
 def impulse_table(x: int, size: int, p: int) -> list:
@@ -177,25 +182,6 @@ class PointSketch:
         for table, c in zip(self.tables, coords):
             w = w * table[c - 1] % self.p
         self.value = (self.value + w) % self.p
-
-
-def dense_eval(array, point, p: int) -> int:
-    """Evaluate the extension of a dense grid array at an arbitrary point.
-
-    array is nested sequences (or an ndarray) over [s_1] x ... x [s_k].
-    Linear in the grid size; fine at desk scale.
-    """
-    arr = np.asarray(array, dtype=object)
-    tables = [impulse_table(x, size, p) for x, size in zip(point, arr.shape)]
-    total = 0
-    for idx in np.ndindex(*arr.shape):
-        w = int(arr[idx]) % p
-        if w == 0:
-            continue
-        for table, c in zip(tables, idx):
-            w = w * table[c] % p
-        total = (total + w) % p
-    return total
 
 
 # --- coefficient blocks ---------------------------------------------------
@@ -341,23 +327,101 @@ def coeffs_from_values_nd(tensor: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _residues(a, p: int):
+    """a as int64 residues in [0, p) and its largest entry.
+
+    An operand that is already reduced is returned as it is: a min/max
+    scan costs far less than a `%` over every entry.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if a.size == 0:
+        return a, 0
+    lo, hi = int(a.min()), int(a.max())
+    if lo < 0 or hi >= p:
+        a = a % p
+        hi = int(a.max())
+    return a, hi
+
+
+def exact_chunk(bound: int) -> int:
+    """Longest float64 dot product that stays exact with terms <= bound.
+
+    Integers up to 2^53 are exact in float64, so chunk * bound <= 2^53
+    keeps every partial sum exact whatever order BLAS adds in.
+    """
+    return max(1, (1 << 53) // bound) if bound else 1 << 53
+
+
 def mat_mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) % p without overflow.
 
-    Uses float64 BLAS when the accumulated dot products provably fit the
-    53-bit mantissa, otherwise chunks an int64 matmul.
+    Runs float64 BLAS over chunks of the inner axis short enough that
+    every dot product is exact, sized from the operands' largest entries:
+    a 0/1 adjacency against residues is a single call.
     """
     _check_numpy_modulus(p)
-    a = np.ascontiguousarray(a % p)
-    b = np.ascontiguousarray(b % p)
+    a, amax = _residues(a, p)
+    b, bmax = _residues(b, p)
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
     inner = a.shape[-1]
-    max_chunk = max(1, int((1 << 53) // ((p - 1) ** 2)))
-    if inner <= max_chunk:
-        return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    chunk = exact_chunk(amax * bmax)
+    if inner <= chunk:
+        return np.rint(a @ b).astype(np.int64) % p
     out = None
-    for lo in range(0, inner, max_chunk):
-        hi = min(inner, lo + max_chunk)
-        part = np.rint(a[..., lo:hi].astype(np.float64)
-                       @ b[lo:hi].astype(np.float64)).astype(np.int64) % p
+    for lo in range(0, inner, chunk):
+        hi = min(inner, lo + chunk)
+        part = np.rint(a[..., lo:hi] @ b[lo:hi]).astype(np.int64) % p
         out = part if out is None else (out + part) % p
     return out
+
+
+def _inverse_table(m: int, p: int) -> list:
+    """[inv(k) for k in 0..m-1] (inv(0) read as 0) in O(m), for 2 <= m <= p.
+
+    inv(k) = -(p // k) * inv(p mod k), since p = (p // k) k + p mod k.
+    """
+    inv = [0, 1]
+    for k in range(2, m):
+        inv.append(-(p // k) * inv[p % k] % p)
+    return inv
+
+
+def extend_rows(values, p: int, count=None) -> np.ndarray:
+    """Extend values on the nodes [g] along axis 0 to the nodes 1..count.
+
+    count >= g defaults to 2g-1, the nodes a product of two extensions
+    needs. Rows 1..g are the values themselves. Row x > g is
+    P(x) * sum_u inv(x-u) * inv(den_u) * f(u) over the rows u where f is
+    not zero: one mat_mulmod of the Toeplitz gather inv(x-u) against them.
+    """
+    _check_numpy_modulus(p)
+    vals = np.asarray(values, dtype=np.int64)
+    g = vals.shape[0]
+    count = 2 * g - 1 if count is None else count
+    if count >= p:
+        raise ValueError(f"{count} nodes are not distinct mod {p}")
+    flat, _ = _residues(vals.reshape(g, -1), p)
+    out = np.zeros((count, flat.shape[1]), dtype=np.int64)
+    out[:g] = flat
+    support = np.flatnonzero(flat.any(axis=1))
+    if count > g and support.size:
+        inv = _inverse_table(count, p)
+        inv_fact = [1] * g
+        for k in range(1, g):
+            inv_fact[k] = inv_fact[k - 1] * inv[k] % p
+        # inv(den_u) = (-1)^(g-u) inv((u-1)!) inv((g-u)!)
+        inv_den = np.array([inv_fact[u - 1] * inv_fact[g - u]
+                            * (-1) ** (g - u) % p
+                            for u in (support + 1).tolist()], dtype=np.int64)
+        # P(g+1) = g!, and P(x+1) = P(x) * x * inv(x-g)
+        P = [1]
+        for k in range(2, g + 1):
+            P[0] = P[0] * k % p
+        for x in range(g + 1, count):
+            P.append(P[-1] * x % p * inv[x - g] % p)
+        xs = np.arange(g + 1, count + 1)
+        gather = np.array(inv, dtype=np.int64)[xs[:, None] - (support + 1)]
+        tail = mat_mulmod(gather, flat[support] * inv_den[:, None] % p, p)
+        out[g:] = np.array(P, dtype=np.int64)[:, None] * tail % p
+    return out.reshape((count,) + vals.shape[1:])

@@ -113,17 +113,6 @@ def fe_random_nonzero(rng: random.Random, p: int) -> int:
     return rng.randrange(1, p)
 
 
-def poly_eval(coeffs, x: int, p: int) -> int:
-    """Evaluate a univariate polynomial by Horner's rule.
-
-    coeffs are lowest degree first: coeffs[i] multiplies x^i.
-    """
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def split_seed(seed: int, label: str) -> int:
     """Derive an independent substream seed from (seed, label).
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extension import (ShapeConfig, coeffs_from_values_1d, impulse_block,
-                        impulse_table, mat_mulmod, nd_eval, nd_grid_sum)
+from .extension import (ShapeConfig, coeffs_from_values_1d, extend_rows,
+                        impulse_table, nd_eval, nd_grid_sum)
 from .stream import RejectError
 
 
@@ -150,11 +150,8 @@ def dense_indicator(items, dims) -> np.ndarray:
 def line_check_help(dense_left: np.ndarray, dense_right: np.ndarray,
                     p: int, mode: str) -> np.ndarray:
     """Honest coefficients of g for a containment/intersection instance."""
-    H, V = dense_left.shape
-    xs = np.arange(1, 2 * H, dtype=np.int64)
-    D = impulse_block(xs, H, p)
-    L = mat_mulmod(D, dense_left % p, p)
-    R = mat_mulmod(D, dense_right % p, p)
+    L = extend_rows(dense_left, p)
+    R = extend_rows(dense_right, p)
     if mode == "subset":
         vals = (L * ((1 - R) % p) % p).sum(axis=1) % p
     else:

@@ -28,8 +28,8 @@ import networkx as nx
 import numpy as np
 
 from .extension import (_check_numpy_modulus, coeffs_from_values_1d,
-                        coeffs_from_values_nd, impulse_block, impulse_table,
-                        mat_mulmod, nd_eval, power_sums)
+                        coeffs_from_values_nd, extend_rows, impulse_block,
+                        impulse_table, nd_eval, power_sums)
 from .field import FieldConfig, fe_inv, fe_random
 from .graphapps import _adj_matrix, _cached, _edge_tokens
 from .oracle import oracle_bfs, oracle_dijkstra
@@ -520,9 +520,7 @@ class SsspWeightedTurnstile(_WeightedScheme):
         tr = ProofTranscript()
         tr.add_scalars("horizon", [Dhat])
         M = W * (n - 1) + 1
-        Wmat = self._weight_matrix(inst) % p
-        IB = impulse_block(np.arange(1, M + 1), n, p)
-        Vals = mat_mulmod(IB, Wmat, p)
+        Vals = extend_rows(self._weight_matrix(inst), p, count=M)
         for d in range(1, Dhat):
             pv = np.zeros(M, dtype=np.int64)
             for v in range(1, n + 1):

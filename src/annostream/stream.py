@@ -123,6 +123,15 @@ def _parse_header(line: str) -> dict:
     return fields
 
 
+def _header_int(hdr: dict, key: str, default=None):
+    if key not in hdr:
+        return default
+    try:
+        return int(hdr[key])
+    except ValueError:
+        raise ParseError(f"{key} must be an integer") from None
+
+
 def _vertex(tokstr: str, n: int) -> int:
     try:
         v = int(tokstr)
@@ -145,22 +154,19 @@ def parse_stream(text: str) -> GraphInstance:
     hdr = _parse_header(lines[0])
     if "n" not in hdr or "model" not in hdr:
         raise ParseError("header must set n= and model=")
-    try:
-        n = int(hdr["n"])
-    except ValueError:
-        raise ParseError("n must be an integer") from None
+    n = _header_int(hdr, "n")
     if n < 1:
         raise ParseError("n must be positive")
     model = hdr["model"]
     if model not in MODELS:
         raise ParseError(f"unknown model {hdr['model']!r}")
-    W = int(hdr.get("W", 1))
+    W = _header_int(hdr, "W", 1)
     if model == "weighted" and "W" not in hdr:
         raise ParseError("weighted model requires W=")
     if W < 1:
         raise ParseError("W must be positive")
-    source = int(hdr["source"]) if "source" in hdr else None
-    target = int(hdr["target"]) if "target" in hdr else None
+    source = _header_int(hdr, "source")
+    target = _header_int(hdr, "target")
     for label, val in (("source", source), ("target", target)):
         if val is not None and not 1 <= val <= n:
             raise ParseError(f"{label} {val} outside [1, {n}]")

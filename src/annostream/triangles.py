@@ -29,7 +29,7 @@ import numpy as np
 
 from .edgecount import member_matrix, pair_charge, vertex_grid_index
 from .extension import (coeffs_from_values_1d, coeffs_from_values_nd,
-                        impulse_block, impulse_table)
+                        exact_chunk, impulse_block, impulse_table)
 from .field import fe_random
 from .graphapps import _adj_matrix, _edge_tokens
 from .oracle import oracle_triangles
@@ -130,8 +130,7 @@ class TrianglesFrugal(_TriangleBase):
         Dn = impulse_block(np.arange(1, 2 * n), n, p)
         B = np.zeros((wt, s, wn), dtype=np.int64)
         Q = np.zeros((wt, wt, wn), dtype=np.int64)
-        # float64 dot products stay exact while chunk * (p-1)^2 < 2^53
-        chunk_cap = min(256, max(1, (1 << 53) // ((p - 1) ** 2)))
+        chunk_cap = min(256, exact_chunk((p - 1) ** 2))
         bufa: list = []
         bufb: list = []
 

@@ -121,6 +121,18 @@ def test_run_malformed_file_exits_two(tmp_path):
     assert r.stderr.strip()
 
 
+@pytest.mark.parametrize("header", ["n=3 model=weighted W=x",
+                                    "n=3 model=vanilla source=abc",
+                                    "n=3 model=vanilla target=1.5"])
+def test_run_malformed_header_integer_exits_two(tmp_path, header):
+    bad = tmp_path / "bad.stream"
+    bad.write_text(header + "\n1 2\n")
+    r = run_cli("run", "--scheme", "tri-laconic", "--input", str(bad))
+    assert r.returncode == 2
+    assert "must be an integer" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_run_unknown_scheme_exits_two(k5):
     assert run_cli("run", "--scheme", "zork", "--input", k5).returncode == 2
 

@@ -4,16 +4,63 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annostream.extension import (PointSketch, ShapeConfig, coeffs_from_serial,
                                   coeffs_from_values_1d, coeffs_from_values_nd,
-                                  coeffs_to_serial, dense_eval, grid_bump,
+                                  coeffs_to_serial, extend_rows, grid_bump,
                                   impulse_block, impulse_table, mat_mulmod,
                                   nd_eval, nd_grid_sum, power_sums,
-                                  resolve_shape, unit_impulse)
-from annostream.field import poly_eval
+                                  resolve_shape)
 
 P = 1048583
+# the largest prime the vectorized path takes: (P_TOP - 1)^2 > 2^50, so an
+# exact float64 dot product holds at most 8 full-size terms
+P_TOP = 33554393
+
+
+# --- reference helpers, straight from the definitions ------------------------
+
+
+def poly_eval(coeffs, x, p):
+    """Horner's rule; coeffs[i] multiplies x^i."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def unit_impulse(u, x, size, p):
+    """delta_u(x) = prod_{x' != u} (x - x') / (u - x') over [size]."""
+    num = den = 1
+    for xp in range(1, size + 1):
+        if xp != u:
+            num = num * (x - xp) % p
+            den = den * (u - xp) % p
+    return num * pow(den, p - 2, p) % p
+
+
+def dense_eval(array, point, p):
+    """The extension of a grid array at a point, summed cell by cell."""
+    arr = np.asarray(array, dtype=object)
+    total = 0
+    for idx in np.ndindex(*arr.shape):
+        w = int(arr[idx])
+        for x, size, c in zip(point, arr.shape, idx):
+            w = w * unit_impulse(c + 1, x, size, p) % p
+        total = (total + w) % p
+    return total
+
+
+def object_mulmod(a, b, p):
+    return (np.asarray(a).astype(object) @ np.asarray(b).astype(object)) % p
+
+
+def test_poly_eval_matches_horner_by_hand():
+    # 2 + 3x + x^3 at x=5 mod 97: 2 + 15 + 125 = 142 = 45
+    assert poly_eval([2, 3, 0, 1], 5, 97) == 45
+    assert poly_eval([], 5, 97) == 0
 
 
 def test_impulse_identity_on_grid():
@@ -182,6 +229,40 @@ def test_point_sketch_matches_direct_lde():
     assert sk.value == nd_eval(coeffs, pt, P)
 
 
+_ENTRIES = (0, 1, -1, P - 1, P, P + 1, 2 * P + 3, -P, -5 * P - 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.integers(1, 40), extra=st.one_of(st.none(), st.integers(0, 45)),
+       support=st.sampled_from(["empty", "sparse", "dense"]),
+       trailing=st.sampled_from([(), (1,), (3,), (2, 3)]),
+       seed=st.integers(0, 2 ** 32))
+def test_extend_rows_matches_impulse_block(g, extra, support, trailing, seed):
+    rng = random.Random(seed)
+    vals = np.zeros((g,) + trailing, dtype=np.int64)
+    rows = {"empty": [], "dense": range(g),
+            "sparse": rng.sample(range(g), min(g, rng.randint(1, 3)))}
+    for u in rows[support]:
+        for idx in np.ndindex(*trailing):
+            vals[(u,) + idx] = rng.choice(_ENTRIES + (rng.randrange(P),))
+        vals[(u,) + (0,) * len(trailing)] = P + 1  # nonzero mod P
+    count = None if extra is None else g + extra
+    nodes = np.arange(1, (2 * g - 1 if count is None else count) + 1)
+    want = object_mulmod(impulse_block(nodes, g, P),
+                         (vals % P).reshape(g, -1), P)
+    got = extend_rows(vals, P, count=count)
+    assert got.dtype == np.int64
+    assert got.shape == (len(nodes),) + trailing
+    assert np.array_equal(got.reshape(len(nodes), -1), want.astype(np.int64))
+
+
+def test_extend_rows_keeps_its_input():
+    vals = np.array([[3, -1], [0, 0], [P + 2, 5]], dtype=np.int64)
+    before = vals.copy()
+    extend_rows(vals, P)
+    assert np.array_equal(vals, before)
+
+
 def test_mat_mulmod():
     rng = random.Random(10)
     A = np.array([[rng.randrange(P) for _ in range(4)] for _ in range(3)],
@@ -193,10 +274,47 @@ def test_mat_mulmod():
     assert np.array_equal(C, ref.astype(np.int64))
 
 
+@pytest.mark.parametrize("p", [P, P_TOP])
+def test_mat_mulmod_exact_at_chunk_boundary(p):
+    # row and column 0 are all p-1; the rest are odd residues near p, whose
+    # products carry low bits that an inexact float64 sum would drop
+    rng = np.random.default_rng(p)
+    full = (1 << 53) // ((p - 1) ** 2)
+    for inner in (full - 1, full, full + 1, 2 * full + 3):
+        a = rng.integers(p - 5000, p, size=(3, inner)) | 1
+        b = rng.integers(p - 5000, p, size=(inner, 3)) | 1
+        a[0], b[:, 0] = p - 1, p - 1
+        assert np.array_equal(mat_mulmod(a, b, p), object_mulmod(a, b, p))
+
+
+def test_mat_mulmod_reduces_only_what_needs_it():
+    rng = np.random.default_rng(11)
+    p = P_TOP
+    resid = rng.integers(0, p, size=(4, 300))
+    adj = rng.integers(0, 2, size=(300, 5))
+    assert np.array_equal(mat_mulmod(resid, adj, p),
+                          object_mulmod(resid, adj, p))
+    neg = rng.integers(-3 * p, 0, size=(4, 30))
+    assert np.array_equal(mat_mulmod(neg, neg.T, p),
+                          object_mulmod(neg, neg.T, p))
+    # unreduced, a product of these would pass 2^53 on its own
+    top = 7 * p + (rng.integers(p - 5000, p, size=(3, 20)) | 1)
+    top[0, 0] = p
+    assert np.array_equal(mat_mulmod(top, top.T, p),
+                          object_mulmod(top, top.T, p))
+    empty = mat_mulmod(np.zeros((3, 0), dtype=np.int64),
+                       np.zeros((0, 4), dtype=np.int64), p)
+    assert empty.shape == (3, 4) and not empty.any()
+
+
 def test_modulus_guard_refuses_overflow_primes():
     big = 67108879  # prime above the staged int64-product limit
     with pytest.raises(ValueError):
         impulse_block([5], 4, big)
+    with pytest.raises(ValueError, match="too large for vectorized path"):
+        extend_rows(np.ones((3, 2), dtype=np.int64), big)
+    with pytest.raises(ValueError, match="too large for vectorized path"):
+        extend_rows(np.zeros((3, 2), dtype=np.int64), big, count=5)
     with pytest.raises(ValueError):
         nd_eval(np.ones((2, 2), dtype=np.int64), (3, 4), big)
     # scalar path carries no overflow risk and stays usable

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from annostream.field import (FieldConfig, fe_inv, fe_pow, fe_random_nonzero,
-                              is_prime, make_rng, next_prime, poly_eval,
-                              split_seed)
+                              is_prime, make_rng, next_prime, split_seed)
 
 
 def test_is_prime_small():
@@ -42,12 +41,6 @@ def test_inverse_and_pow():
     assert fe_pow(3, p - 1, p) == 1
     with pytest.raises(ZeroDivisionError):
         fe_inv(0, p)
-
-
-def test_poly_eval_matches_horner_by_hand():
-    # 2 + 3x + x^3 at x=5 mod 97: 2 + 15 + 125 = 142 = 45
-    assert poly_eval([2, 3, 0, 1], 5, 97) == 45
-    assert poly_eval([], 5, 97) == 0
 
 
 def test_field_config_auto_scales_with_n():

@@ -176,3 +176,45 @@ def test_transcript_load_rejects_bad_counts():
     text = "!transcript v=1\n@x kind=scalars count=3\n1 2\n"
     with pytest.raises(ParseError):
         ProofTranscript.load(text)
+
+
+@pytest.mark.parametrize("header", [
+    "n=3 model=weighted W=x", "n=3 model=vanilla source=abc",
+    "n=3 model=vanilla source=1 target=1.5", "n= model=vanilla",
+    "n=3 model=turnstile W=" + "9" * 5000,
+])
+def test_parse_malformed_header_integers(header):
+    with pytest.raises(ParseError):
+        parse_stream(header + "\n1 2 1\n")
+
+
+_INT = st.one_of(st.integers(-2, 12).map(str),
+                 st.integers(min_value=-2 ** 70, max_value=2 ** 70).map(str),
+                 st.sampled_from(["x", "1.5", "", "abc", "+3", "1_0"]))
+_MODEL = st.sampled_from(["turnstile", "vanilla", "weighted", "adjlist",
+                          "x", ""])
+_HEADER_FIELD = st.one_of(
+    st.builds("n={}".format, _INT), st.builds("model={}".format, _MODEL),
+    st.builds("W={}".format, _INT), st.builds("source={}".format, _INT),
+    st.builds("target={}".format, _INT),
+    st.sampled_from(["flag", "=", "n", "#"]))
+# mostly a well-formed n= and model= first, so later fields get parsed
+_STREAM_HEADER = st.builds(
+    lambda n, model, rest: " ".join([f"n={n}", f"model={model}"] + rest),
+    st.one_of(st.integers(1, 9).map(str), _INT), _MODEL,
+    st.lists(_HEADER_FIELD, max_size=4))
+_BODY_LINE = st.lists(st.one_of(
+    _INT, st.sampled_from(["U:", "U+W:", "|", ":", "1:", "2:", "#"]),
+    st.text(max_size=3)), max_size=5).map(" ".join)
+_STREAM = st.builds(lambda head, body: "\n".join([head] + body),
+                    _STREAM_HEADER, st.lists(_BODY_LINE, max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_STREAM, st.lists(_HEADER_FIELD).map(" ".join),
+                 st.text(max_size=40)))
+def test_parse_stream_fuzz_raises_only_parse_error(text):
+    try:
+        parse_stream(text)
+    except ParseError:
+        pass
