@@ -72,12 +72,23 @@ def _load_instance(path: str):
         raise ConfigError(f"{path}: {exc}")
 
 
-def _configured_scheme(args, inst):
+def _scheme_class(args, inst):
+    """The scheme named by --scheme; refuses an input outside its domain."""
     try:
         cls = get_scheme(args.scheme)
     except KeyError:
         raise ConfigError(f"unknown scheme {args.scheme!r}; known: "
                           + ", ".join(sorted(SCHEMES)))
+    for (u, v), c in sorted(inst.final_edges().items()):
+        if c < 0 or (cls.simple_graph and c > 1):
+            need = "0 or 1" if cls.simple_graph else "at least 0"
+            raise ConfigError(f"edge {u} {v} has final multiplicity {c}; "
+                              f"{cls.name} needs {need}")
+    return cls
+
+
+def _configured_scheme(args, inst):
+    cls = _scheme_class(args, inst)
     try:
         return cls.configure(inst, t=args.t, s=args.s)
     except ValueError as exc:
@@ -287,11 +298,7 @@ def _plot_svg(rows, path):
 def cmd_sweep(args) -> int:
     p = _modulus_override()
     inst = _load_instance(args.input)
-    try:
-        get_scheme(args.scheme)
-    except KeyError:
-        raise ConfigError(f"unknown scheme {args.scheme!r}; known: "
-                          + ", ".join(sorted(SCHEMES)))
+    _scheme_class(args, inst)
     try:
         shapes = [resolve_shape(inst.n, t, s)
                   for (t, s) in _sweep_shapes(args)]

@@ -13,6 +13,11 @@ input promise, matching how the generator builds query lines).
 
 Queries are cumulative: each query line extends the running set(s) and
 triggers one polynomial, so an extended set reuses all verifier state.
+
+The sketch pieces below are the one place that lays vertices on a grid:
+the verifier's line and pair sketches, and the prover's member matrices
+and pair charges over the final adjacency. The triangle, predicate and
+shortest-path schemes build on them.
 """
 
 from __future__ import annotations
@@ -104,6 +109,43 @@ def pair_charge(G_left, adj, G_right, p) -> np.ndarray:
     return mat_mulmod(mat_mulmod(G_left, adj, p), G_right.T, p)
 
 
+def adjacency_matrix(inst, p, directed=False) -> np.ndarray:
+    """Final edge multiplicities mod p as an n x n matrix.
+
+    Symmetric by default; `directed` counts each edge token u -> v in
+    row u only.
+    """
+    n = inst.n
+    adj = np.zeros((n, n), dtype=np.int64)
+    if directed:
+        for (u, v) in inst.directed_edges():
+            adj[u - 1][v - 1] += 1
+    else:
+        for (u, v), c in inst.final_edges().items():
+            adj[u - 1][v - 1] = c % p
+            adj[v - 1][u - 1] = c % p
+    return adj % p
+
+
+def member_pair_charge(inst, member_lists, sc: ShapeConfig, p) -> np.ndarray:
+    """Coefficients of the pair charge of S x S summed over the lists S.
+
+    Vertices sit on the grid `sc`; the charge counts ordered member pairs
+    over the final edge multiset, on the (2t-1) x (2t-1) degree grid.
+    """
+    t = sc.t
+    Dt = impulse_block(np.arange(1, 2 * t), t, p)
+    x_idx, y_idx = vertex_grid_index(sc)
+    adj = adjacency_matrix(inst, p)
+    P = np.zeros((2 * t - 1, 2 * t - 1), dtype=np.int64)
+    for members in member_lists:
+        if not members:
+            continue
+        G = member_matrix(members, sc, Dt, x_idx, y_idx, p)
+        P = (P + pair_charge(G, adj, G, p)) % p
+    return coeffs_from_values_nd(P, p)
+
+
 class _EdgeCountBase(Scheme):
     model = "turnstile"
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie")
@@ -137,10 +179,7 @@ class _EdgeCountBase(Scheme):
         t, sc = self.t, self.sc
         Dt = impulse_block(np.arange(1, 2 * t), t, p)
         x_idx, y_idx = vertex_grid_index(sc)
-        adj = np.zeros((self.n, self.n), dtype=np.int64)
-        for (u, v), c in inst.final_edges().items():
-            adj[u - 1, v - 1] = c % p
-            adj[v - 1, u - 1] = c % p
+        adj = adjacency_matrix(inst, p)
         tr = ProofTranscript()
         us: list = []
         ws: list = []

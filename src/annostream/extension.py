@@ -24,9 +24,9 @@ grid, x > g, every impulse shares the factor P(x) = prod_{x'}(x - x'):
     delta_u(x) = P(x) * inv(x - u) * inv(den_u),
 
 so the extension at x is P(x) times a sum over the rows u where f is not
-zero. An O(g) table of inverses gives every constant, and the sums are
-one mat_mulmod, so the cost follows the support of the input rather than
-a dense (2g-1) x g impulse block.
+zero. The impulses' own den_u table and an O(g) table of inverses give
+every constant, and the sums are one mat_mulmod, so the cost follows the
+support of the input rather than a dense (2g-1) x g impulse block.
 
 mat_mulmod is the one modular matmul: float64 BLAS over chunks of the
 inner axis sized from the operands' largest entries, so that each dot
@@ -407,13 +407,8 @@ def extend_rows(values, p: int, count=None) -> np.ndarray:
     support = np.flatnonzero(flat.any(axis=1))
     if count > g and support.size:
         inv = _inverse_table(count, p)
-        inv_fact = [1] * g
-        for k in range(1, g):
-            inv_fact[k] = inv_fact[k - 1] * inv[k] % p
-        # inv(den_u) = (-1)^(g-u) inv((u-1)!) inv((g-u)!)
-        inv_den = np.array([inv_fact[u - 1] * inv_fact[g - u]
-                            * (-1) ** (g - u) % p
-                            for u in (support + 1).tolist()], dtype=np.int64)
+        inv_den = np.array(_impulse_inv_denominators(g, p),
+                           dtype=np.int64)[support]
         # P(g+1) = g!, and P(x+1) = P(x) * x * inv(x-g)
         P = [1]
         for k in range(2, g + 1):

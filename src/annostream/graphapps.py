@@ -29,7 +29,8 @@ import math
 import networkx as nx
 import numpy as np
 
-from .edgecount import (LineArray, PairSketch, member_matrix, pair_charge,
+from .edgecount import (LineArray, PairSketch, adjacency_matrix,
+                        member_matrix, member_pair_charge, pair_charge,
                         vertex_grid_index)
 from .extension import ShapeConfig, coeffs_from_values_nd, impulse_block
 from .field import fe_random
@@ -211,19 +212,6 @@ def _keys_within(members, n):
             yield undirected_key(u, v, n)
 
 
-def _adj_matrix(inst, p, directed=False) -> np.ndarray:
-    n = inst.n
-    adj = np.zeros((n, n), dtype=np.int64)
-    if directed:
-        for (u, v) in inst.directed_edges():
-            adj[u - 1][v - 1] += 1
-    else:
-        for (u, v), c in inst.final_edges().items():
-            adj[u - 1][v - 1] = c % p
-            adj[v - 1][u - 1] = c % p
-    return adj % p
-
-
 def _edge_key_items(inst, n):
     return [(undirected_key(u, v, n), c)
             for (u, v), c in inst.final_edges().items()]
@@ -259,20 +247,9 @@ class _SplitScheme(Scheme):
         bump_grid_total(tr.blocks[-1], (self.tp, self.tp), shift, p)
         return tr
 
-    def _charge_help(self, inst, member_lists, p, directed=False):
+    def _charge_help(self, inst, member_lists, p):
         """Summed pair polynomial over the given member lists."""
-        tp = self.tp
-        Dt = impulse_block(np.arange(1, 2 * tp), tp, p)
-        x_idx, y_idx = vertex_grid_index(self.isc)
-        adj = _adj_matrix(inst, p, directed=directed)
-        wt = 2 * tp - 1
-        P = np.zeros((wt, wt), dtype=np.int64)
-        for members in member_lists:
-            if not members:
-                continue
-            G = member_matrix(members, self.isc, Dt, x_idx, y_idx, p)
-            P = (P + pair_charge(G, adj, G, p)) % p
-        return coeffs_from_values_nd(P, p)
+        return member_pair_charge(inst, member_lists, self.isc, p)
 
 
 @register
@@ -292,6 +269,7 @@ class MatchingFrugal(_SplitScheme):
 
     name = "maxmatch-frugal"
     model = "vanilla"
+    simple_graph = True
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
                  "vertex_list_permutation_lie")
 
@@ -482,6 +460,7 @@ class MatchingLaconic(Scheme):
 
     name = "maxmatch-laconic"
     model = "vanilla"
+    simple_graph = True
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
                  "vertex_list_permutation_lie")
 
@@ -669,6 +648,7 @@ class MaximalIndependentSet(_SplitScheme):
 
     name = "mis"
     model = "vanilla"
+    simple_graph = True
     mutations = ("coefficient_flip", "block_truncation",
                  "vertex_list_permutation_lie")
 
@@ -859,7 +839,7 @@ class TopoSort(_SplitScheme):
         tp = self.tp
         Dt = impulse_block(np.arange(1, 2 * tp), tp, p)
         x_idx, y_idx = vertex_grid_index(self.isc)
-        adj = _adj_matrix(inst, p, directed=True)
+        adj = adjacency_matrix(inst, p, directed=True)
         wt = 2 * tp - 1
         P = np.zeros((wt, wt), dtype=np.int64)
         chi = np.zeros((wt, self.isc.s), dtype=np.int64)
@@ -1117,6 +1097,7 @@ class Components(_SplitScheme):
 
     name = "components"
     model = "turnstile"
+    simple_graph = True
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
                  "vertex_list_permutation_lie")
 

@@ -109,6 +109,9 @@ class Scheme:
     # "labels" marks per-vertex distance outputs; the CLI prints those as
     # one `v dist prev` line per vertex instead of a single value
     output_kind = "value"
+    # every scheme needs final edge multiplicities >= 0; a scheme that
+    # certifies a predicate of a simple graph needs them in {0, 1}
+    simple_graph = False
 
     def __init__(self, n: int, t: int, s: int):
         self.n = n

@@ -22,16 +22,17 @@ horizon and the unreachable remainder.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 
 import networkx as nx
 import numpy as np
 
+from .edgecount import (LineArray, adjacency_matrix, member_matrix,
+                        vertex_grid_index)
 from .extension import (_check_numpy_modulus, coeffs_from_values_1d,
                         coeffs_from_values_nd, extend_rows, impulse_block,
-                        impulse_table, nd_eval, power_sums)
-from .field import FieldConfig, fe_inv, fe_random
-from .graphapps import _adj_matrix, _cached, _edge_tokens
+                        impulse_table, mat_mulmod, nd_eval, power_sums)
+from .field import FieldConfig, fe_random
+from .graphapps import _cached, _edge_tokens
 from .oracle import oracle_bfs, oracle_dijkstra
 from .protocol import Scheme, register, _clone_transcript
 from .setops import (LineCheck, dense_indicator, line_check_help,
@@ -53,42 +54,6 @@ def _require_source(inst):
     if inst.source is None:
         raise ValueError("scheme needs a source vertex in the header")
     return inst.source
-
-
-@lru_cache(maxsize=None)
-def _weight_inv_denominators(W: int, p: int) -> tuple:
-    """inv of prod_{j in 0..W, j != w} (w - j) for each w in 0..W."""
-    fact = [1] * (W + 1)
-    for i in range(1, W + 1):
-        fact[i] = fact[i - 1] * i % p
-    out = []
-    for w in range(W + 1):
-        den = fact[w] * fact[W - w] % p
-        if (W - w) % 2:
-            den = (p - den) % p
-        out.append(fe_inv(den, p))
-    return tuple(out)
-
-
-def _weight_impulse_vec(w: int, xs: np.ndarray, W: int, p: int) -> np.ndarray:
-    """Selector polynomial over the weight nodes {0..W}, evaluated at xs.
-
-    Value 1 where xs == w, 0 at the other nodes; degree W.
-    """
-    inv = _weight_inv_denominators(W, p)[w]
-    out = np.full(xs.shape, inv, dtype=np.int64)
-    for j in range(W + 1):
-        if j != w:
-            out = out * ((xs - j) % p) % p
-    return out
-
-
-def _weight_impulse(w: int, x: int, W: int, p: int) -> int:
-    inv = _weight_inv_denominators(W, p)[w]
-    for j in range(W + 1):
-        if j != w:
-            inv = inv * ((x - j) % p) % p
-    return inv
 
 
 def _eval_on_vertices(coeffs: np.ndarray, rho: int, n: int, p: int):
@@ -131,7 +96,7 @@ class _BallAudit:
     """
 
     def __init__(self, scheme, inst, p, rng, meter):
-        n, t, s = scheme.n, scheme.t, scheme.s
+        n, t = scheme.n, scheme.t
         self.n, self.sc, self.p = n, scheme.sc, p
         self.src = src = _require_source(inst)
         _check_numpy_modulus(p)
@@ -139,27 +104,22 @@ class _BallAudit:
         beta = fe_random(rng, p)
         b0 = fe_random(rng, p)
         b1 = fe_random(rng, p)
-        self.i1 = i1 = np.array(impulse_table(self.r1, t, p), dtype=np.int64)
-        impn = np.array(impulse_table(self.r2, n, p), dtype=np.int64)
+        impn = impulse_table(self.r2, n, p)
         self.b0pow = b0pow = np.array([pow(b0, v, p) for v in range(1, n + 1)],
                                       dtype=np.int64)
         self.b1pow = [pow(b1, v, p) for v in range(1, n + 1)]
         self.betapow = betapow = np.array(
             [pow(beta, v, p) for v in range(1, n + 1)], dtype=np.int64)
-        self.asketch = asketch = np.zeros(s, dtype=np.int64)
-        self.ball = np.zeros(s, dtype=np.int64)
-        meter.alloc("adjacency_line", s)
-        meter.alloc("ball_line", s)
+        self.asketch = asketch = LineArray(self.sc, self.r1, p)
+        self.ball = LineArray(self.sc, self.r1, p)
+        meter.alloc("adjacency_line", asketch.cells)
+        meter.alloc("ball_line", self.ball.cells)
         meter.alloc("registers", 16)
         g0 = 0
         for (u, v, delta) in _edge_tokens(inst):
             d_ = delta % p
-            xu, yu = self.sc.shape(u)
-            xv, yv = self.sc.shape(v)
-            asketch[yu - 1] = (asketch[yu - 1]
-                               + d_ * i1[xu - 1] % p * impn[v - 1]) % p
-            asketch[yv - 1] = (asketch[yv - 1]
-                               + d_ * i1[xv - 1] % p * impn[u - 1]) % p
+            asketch.add(u, d_ * impn[v - 1] % p)
+            asketch.add(v, d_ * impn[u - 1] % p)
             if u == src:
                 g0 = (g0 + d_ * int(b0pow[v - 1])) % p
             if v == src:
@@ -177,15 +137,13 @@ class _BallAudit:
 
     def _next_ball(self, q):
         """Ball line and fingerprint of {source} plus the support of q."""
-        p, i1, ball = self.p, self.i1, self.ball
-        xs, ys = self.sc.shape(self.src)
-        ball[:] = 0
-        ball[ys - 1] = i1[xs - 1]
+        p, ball = self.p, self.ball
+        ball.arr[:] = 0
+        ball.add(self.src)
         psi = self.b1pow[self.src - 1]
         for u in range(1, self.n + 1):
             if u != self.src and q[u - 1]:
-                xu, yu = self.sc.shape(u)
-                ball[yu - 1] = (ball[yu - 1] + i1[xu - 1]) % p
+                ball.add(u)
                 psi = (psi + self.b1pow[u - 1]) % p
         self.psi_prev, self.psi_cur = self.psi_cur, psi
 
@@ -202,7 +160,7 @@ class _BallAudit:
         """Audit round d; returns its degree vector."""
         p = self.p
         C = reader.coeffs("ball_poly", (2 * self.sc.t - 1, self.n))
-        rhs = int((self.ball * self.asketch % p).sum() % p)
+        rhs = int((self.ball.arr * self.asketch.arr % p).sum() % p)
         if nd_eval(C, (self.r1, self.r2), p) != rhs:
             raise RejectError(
                 f"round {d}: ball polynomial wrong at random point")
@@ -263,32 +221,23 @@ class SsspUnweighted(Scheme):
         return _cached(inst, f"bfs:{inst.source}", build)
 
     def _assemble(self, inst, Dhat: int, labels, p: int) -> ProofTranscript:
-        n, t, s = self.n, self.t, self.s
+        n, t = self.n, self.t
         src = _require_source(inst)
         tr = ProofTranscript()
         tr.add_scalars("horizon", [Dhat])
         if labels is not None:
             tr.add_scalars("distance_labels", labels)
-        Amat = _adj_matrix(inst, p)
+        Amat = adjacency_matrix(inst, p)
         q = Amat[src - 1].copy()
         tr.add_scalars("source_degrees", q.tolist())
         Dt = impulse_block(np.arange(1, 2 * t), t, p)
-        Agrid = np.zeros((t, s, n), dtype=np.int64)
-        for v in range(1, n + 1):
-            xv, yv = self.sc.shape(v)
-            Agrid[xv - 1, yv - 1, :] = Amat[v - 1]
-        Avals = np.einsum('wx,xyu->wyu', Dt, Agrid) % p
+        x_idx, y_idx = vertex_grid_index(self.sc)
         ball = {src} | {int(u) + 1 for u in np.flatnonzero(q)
                         if int(u) + 1 != src}
-        wt = 2 * t - 1
-        chi = np.zeros((wt, s), dtype=np.int64)
         for _ in range(Dhat):
-            chi[:] = 0
-            for v in ball:
-                xv, yv = self.sc.shape(v)
-                chi[:, yv - 1] = (chi[:, yv - 1] + Dt[:, xv - 1]) % p
-            pvals = np.einsum('wy,wyu->wu', chi, Avals) % p
-            tr.add_coeffs("ball_poly", coeffs_from_values_nd(pvals, p))
+            G = member_matrix(ball, self.sc, Dt, x_idx, y_idx, p)
+            tr.add_coeffs("ball_poly",
+                          coeffs_from_values_nd(mat_mulmod(G, Amat, p), p))
             ind = np.zeros(n, dtype=np.int64)
             ind[[v - 1 for v in ball]] = 1
             q = Amat @ ind % p
@@ -472,6 +421,43 @@ class _WeightedScheme(Scheme):
     def oracle_value(self, inst):
         return tuple(oracle_dijkstra(inst)[1:])
 
+    def _weight_matrix(self, inst, edges, key) -> np.ndarray:
+        """Symmetric n x n matrix of the (u, v, weight) edges, cached
+        under `key`."""
+        def build():
+            Wmat = np.zeros((self.n, self.n), dtype=np.int64)
+            for (u, v, w) in edges:
+                Wmat[u - 1, v - 1] = w
+                Wmat[v - 1, u - 1] = w
+            return Wmat
+        return _cached(inst, key, build)
+
+    def _crossing_keys(self, reached):
+        """Keys of the vertex pairs with exactly one end in `reached`."""
+        n = self.n
+        for u in range(1, n + 1):
+            for v in range(u + 1, n + 1):
+                if (u in reached) != (v in reached):
+                    yield undirected_key(u, v, n)
+
+    def _frontier_help(self, edges, reached, p) -> np.ndarray:
+        """Intersection help for the (u, v, count) edges against the
+        pairs that cross out of `reached`."""
+        n = self.n
+        items = [(undirected_key(u, v, n), c) for (u, v, c) in edges]
+        crossing = [(key, 1) for key in self._crossing_keys(reached)]
+        return line_check_help(dense_indicator(items, (n, n)),
+                               dense_indicator(crossing, (n, n)), p,
+                               "intersect")
+
+    def _check_frontier(self, inter, reader, reached, reason):
+        """Finish the edge-side intersection `inter` against the pairs
+        crossing out of `reached`; rejects with `reason` unless empty."""
+        for key in self._crossing_keys(reached):
+            inter.add_right(key)
+        if inter.finish(reader, "frontier_inter", "frontier") != 0:
+            raise RejectError(reason)
+
 
 @register
 class SsspWeightedTurnstile(_WeightedScheme):
@@ -503,16 +489,6 @@ class SsspWeightedTurnstile(_WeightedScheme):
             return dist
         return _cached(inst, f"wdist:{inst.source}", build)
 
-    def _weight_matrix(self, inst) -> np.ndarray:
-        def build():
-            n = inst.n
-            Wmat = np.zeros((n, n), dtype=np.int64)
-            for (u, v), c in inst.final_edges().items():
-                Wmat[u - 1, v - 1] = c
-                Wmat[v - 1, u - 1] = c
-            return Wmat
-        return _cached(inst, "wmat", build)
-
     def prove(self, inst, p: int) -> ProofTranscript:
         n, W = self.n, self.W
         dist = self._distances(inst)
@@ -520,26 +496,22 @@ class SsspWeightedTurnstile(_WeightedScheme):
         tr = ProofTranscript()
         tr.add_scalars("horizon", [Dhat])
         M = W * (n - 1) + 1
-        Vals = extend_rows(self._weight_matrix(inst), p, count=M)
+        edges = [(u, v, c) for (u, v), c in inst.final_edges().items()]
+        Vals = extend_rows(self._weight_matrix(inst, edges, "wmat"), p,
+                           count=M)
+        # the weight-w selector over the nodes {0..W} is the impulse at
+        # w+1 over [W+1]: column w of each reached vertex's block
+        sel = {v: impulse_block(Vals[:, v - 1] + 1, W + 1, p)
+               for v in range(1, n + 1) if dist[v] is not None}
         for d in range(1, Dhat):
             pv = np.zeros(M, dtype=np.int64)
-            for v in range(1, n + 1):
-                dv = dist[v]
-                if dv is None or dv > d:
-                    continue
-                w = d + 1 - dv
+            for v, block in sel.items():
+                w = d + 1 - dist[v]
                 if 1 <= w <= W:
-                    pv = (pv + _weight_impulse_vec(w, Vals[:, v - 1],
-                                                   W, p)) % p
+                    pv = (pv + block[:, w]) % p
             tr.add_coeffs("round_poly", coeffs_from_values_1d(pv, p))
-        crossing = [(undirected_key(u, v, n), 1)
-                    for u in range(1, n + 1) for v in range(u + 1, n + 1)
-                    if (dist[u] is None) != (dist[v] is None)]
-        weights = [(undirected_key(u, v, n), c)
-                   for (u, v), c in inst.final_edges().items()]
-        tr.add_coeffs("frontier_inter", line_check_help(
-            dense_indicator(weights, (n, n)),
-            dense_indicator(crossing, (n, n)), p, "intersect"))
+        tr.add_coeffs("frontier_inter",
+                      self._frontier_help(edges, set(sel), p))
         return tr
 
     def hcost_bound(self, inst) -> int:
@@ -600,8 +572,8 @@ class SsspWeightedTurnstile(_WeightedScheme):
                     continue
                 w = d + 1 - dv
                 if 1 <= w <= W:
-                    rhs = (rhs + _weight_impulse(w, int(row[v - 1]),
-                                                 W, p)) % p
+                    rhs = (rhs + impulse_table(int(row[v - 1]) + 1, W + 1,
+                                               p)[w]) % p
             if pt != rhs:
                 raise RejectError(
                     f"round {d}: relaxation polynomial wrong at random point")
@@ -611,12 +583,9 @@ class SsspWeightedTurnstile(_WeightedScheme):
         meter.free("round_values")
         meter.free("row_sketch")
 
-        for u in range(1, n + 1):
-            for v in range(u + 1, n + 1):
-                if (dist[u] is None) != (dist[v] is None):
-                    inter.add_right(undirected_key(u, v, n))
-        if inter.finish(reader, "frontier_inter", "frontier") != 0:
-            raise RejectError("an edge leaves the discovered region")
+        reached = {v for v in range(1, n + 1) if dist[v] is not None}
+        self._check_frontier(inter, reader, reached,
+                             "an edge leaves the discovered region")
         return tuple(dist[1:])
 
     # adversary ---------------------------------------------------------
@@ -688,16 +657,6 @@ class SsspWeightedVanilla(_WeightedScheme):
             return dist, prev
         return _cached(inst, f"wvlabels:{inst.source}", build)
 
-    def _weight_matrix(self, inst) -> np.ndarray:
-        def build():
-            n = inst.n
-            Wmat = np.zeros((n, n), dtype=np.int64)
-            for (u, v, w) in inst.weighted_edges():
-                Wmat[u - 1, v - 1] = w
-                Wmat[v - 1, u - 1] = w
-            return Wmat
-        return _cached(inst, "wvmat", build)
-
     def _assemble(self, inst, dist, prev, p, zero_entry=None):
         n, W = self.n, self.W
         src = _require_source(inst)
@@ -708,7 +667,7 @@ class SsspWeightedVanilla(_WeightedScheme):
                        [dist[v] if dist[v] is not None else SENT
                         for v in range(1, n + 1)])
         tr.add_scalars("parent_labels", list(prev[1:]))
-        Wmat = self._weight_matrix(inst)
+        Wmat = self._weight_matrix(inst, inst.weighted_edges(), "wvmat")
         for d in range(Dhat):
             cv = np.zeros(n, dtype=np.int64)
             for v in range(1, n + 1):
@@ -730,14 +689,9 @@ class SsspWeightedVanilla(_WeightedScheme):
         tr.add_coeffs("tree_subset", line_check_help(
             dense_indicator(tree, wdims),
             dense_indicator(edges, wdims), p, "subset"))
-        crossing = [(undirected_key(u, v, n), 1)
-                    for u in range(1, n + 1) for v in range(u + 1, n + 1)
-                    if (dist[u] is None) != (dist[v] is None)]
-        plain = [(undirected_key(u, v, n), 1)
-                 for (u, v, w) in inst.weighted_edges()]
-        tr.add_coeffs("frontier_inter", line_check_help(
-            dense_indicator(plain, (n, n)),
-            dense_indicator(crossing, (n, n)), p, "intersect"))
+        reached = {v for v in range(1, n + 1) if dist[v] is not None}
+        tr.add_coeffs("frontier_inter", self._frontier_help(
+            [(u, v, 1) for (u, v, w) in inst.weighted_edges()], reached, p))
         return tr
 
     def prove(self, inst, p: int) -> ProofTranscript:
@@ -823,12 +777,9 @@ class SsspWeightedVanilla(_WeightedScheme):
         meter.free("round_values")
 
         sub.finish(reader, "tree_subset", "parent edges")
-        for u in range(1, n + 1):
-            for v in range(u + 1, n + 1):
-                if (lab[u] == SENT) != (lab[v] == SENT):
-                    inter.add_right(undirected_key(u, v, n))
-        if inter.finish(reader, "frontier_inter", "frontier") != 0:
-            raise RejectError("an edge leaves the labeled region")
+        reached = {v for v in range(1, n + 1) if lab[v] < SENT}
+        self._check_frontier(inter, reader, reached,
+                             "an edge leaves the labeled region")
         return tuple(lab[v] if lab[v] < SENT else None
                      for v in range(1, n + 1))
 
@@ -838,7 +789,7 @@ class SsspWeightedVanilla(_WeightedScheme):
         n, W = self.n, self.W
         src = _require_source(inst)
         dist, prev = self._labels(inst)
-        Wmat = self._weight_matrix(inst)
+        Wmat = self._weight_matrix(inst, inst.weighted_edges(), "wvmat")
         children = {prev[x] for x in range(1, n + 1)
                     if x != src and dist[x] is not None}
         cands = []

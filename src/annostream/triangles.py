@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .edgecount import member_matrix, pair_charge, vertex_grid_index
+from .edgecount import (LineArray, PairSketch, member_matrix,
+                        member_pair_charge, pair_charge, vertex_grid_index)
 from .extension import (coeffs_from_values_1d, coeffs_from_values_nd,
                         exact_chunk, impulse_block, impulse_table)
 from .field import fe_random
-from .graphapps import _adj_matrix, _edge_tokens
+from .graphapps import _edge_tokens
 from .oracle import oracle_triangles
 from .protocol import Scheme, bump_grid_total, register, _clone_transcript
 from .setops import Fingerprint, check_grid_claim, directed_key
@@ -220,60 +221,42 @@ class TrianglesSparse(_TriangleBase):
         return self._transcript_for(inst, self._neighborhoods(inst), p)
 
     def _transcript_for(self, inst, nbrs, p) -> ProofTranscript:
-        t, n, sc = self.t, self.n, self.sc
-        wt = 2 * t - 1
-        Dt = impulse_block(np.arange(1, 2 * t), t, p)
-        x_idx, y_idx = vertex_grid_index(sc)
-        adj = _adj_matrix(inst, p)
-        P = np.zeros((wt, wt), dtype=np.int64)
-        for v in range(1, n + 1):
-            lst = nbrs.get(v, [])
-            if not lst:
-                continue
-            G = member_matrix(lst, sc, Dt, x_idx, y_idx, p)
-            P = (P + pair_charge(G, adj, G, p)) % p
+        lists = [nbrs.get(v, []) for v in range(1, self.n + 1)]
         tr = ProofTranscript()
-        for v in range(1, n + 1):
-            tr.add_vertices("nbrs", nbrs.get(v, []))
-        tr.add_coeffs("charge_poly", coeffs_from_values_nd(P, p))
+        for lst in lists:
+            tr.add_vertices("nbrs", lst)
+        tr.add_coeffs("charge_poly",
+                      member_pair_charge(inst, lists, self.sc, p))
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):
-        t, s, n, sc = self.t, self.s, self.n, self.sc
+        t, n, sc = self.t, self.n, self.sc
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         gamma = fe_random(rng, p)
-        i1 = impulse_table(r1, t, p)
-        i2 = impulse_table(r2, t, p)
-        meter.alloc("pair_sketch", s * s)
-        meter.alloc("line_rows", 2 * s)
+        sketch = PairSketch(sc, r1, r2, p)
+        b1 = LineArray(sc, r1, p)
+        b2 = LineArray(sc, r2, p)
+        meter.alloc("pair_sketch", sketch.cells)
+        meter.alloc("line_rows", b1.cells + b2.cells)
         meter.alloc("registers", 5)
-        pair = np.zeros((s, s), dtype=np.int64)
         fp_in = Fingerprint(gamma, p)
         fp_replay = Fingerprint(gamma, p)
         for (a, b, delta) in _edge_tokens(inst):
-            xa, ya = sc.shape(a)
-            xb, yb = sc.shape(b)
-            pair[ya - 1, yb - 1] = (pair[ya - 1, yb - 1]
-                                    + delta * i1[xa - 1] * i2[xb - 1]) % p
-            pair[yb - 1, ya - 1] = (pair[yb - 1, ya - 1]
-                                    + delta * i1[xb - 1] * i2[xa - 1]) % p
+            sketch.add_sym(a, b, delta)
             fp_in.add(directed_key(a, b, n), delta)
             fp_in.add(directed_key(b, a, n), delta)
         acc = 0
-        b1 = np.zeros(s, dtype=np.int64)
-        b2 = np.zeros(s, dtype=np.int64)
         for v in range(1, n + 1):
             members = reader.vertices("nbrs")
-            b1[:] = 0
-            b2[:] = 0
+            b1.arr[:] = 0
+            b2.arr[:] = 0
             for u in members.tolist():
                 if not 1 <= u <= n:
                     raise RejectError(f"replayed neighbor {u} out of range")
-                xu, yu = sc.shape(u)
-                b1[yu - 1] = (b1[yu - 1] + i1[xu - 1]) % p
-                b2[yu - 1] = (b2[yu - 1] + i2[xu - 1]) % p
+                b1.add(u)
+                b2.add(u)
                 fp_replay.add(directed_key(v, u, n))
-            acc = (acc + int(b1 @ (pair @ b2 % p) % p)) % p
+            acc = (acc + sketch.bilinear(b1.arr, b2.arr)) % p
         if fp_replay.value != fp_in.value:
             raise RejectError("replayed neighborhoods do not match stream")
         total = check_grid_claim(reader, "charge_poly", (t, t), (r1, r2),
@@ -339,22 +322,20 @@ class TrianglesAdjList(_TriangleBase):
     def run_verifier(self, inst, reader, p, rng, meter):
         if inst.model != "adjlist":
             raise ValueError("tri-adj needs adjacency-list input")
-        t, s, sc = self.t, self.s, self.sc
+        t, sc = self.t, self.sc
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
-        i1 = impulse_table(r1, t, p)
-        i2 = impulse_table(r2, t, p)
-        meter.alloc("pair_sketch", s * s)
-        meter.alloc("line_rows", 2 * s)
+        sketch = PairSketch(sc, r1, r2, p)
+        b1 = LineArray(sc, r1, p)
+        b2 = LineArray(sc, r2, p)
+        meter.alloc("pair_sketch", sketch.cells)
+        meter.alloc("line_rows", b1.cells + b2.cells)
         meter.alloc("registers", 4)
-        pair = np.zeros((s, s), dtype=np.int64)
-        b1 = np.zeros(s, dtype=np.int64)
-        b2 = np.zeros(s, dtype=np.int64)
         acc = 0
         row = 0
 
         def close_row():
             nonlocal acc
-            acc = (acc + int(b1 @ (pair @ b2 % p) % p)) % p
+            acc = (acc + sketch.bilinear(b1.arr, b2.arr)) % p
 
         for tok in inst.tokens:
             if not isinstance(tok, AdjItem):
@@ -363,18 +344,12 @@ class TrianglesAdjList(_TriangleBase):
                 if row:
                     close_row()
                 row = tok.v
-                b1[:] = 0
-                b2[:] = 0
-            u = tok.u
-            xu, yu = sc.shape(u)
-            b1[yu - 1] = (b1[yu - 1] + i1[xu - 1]) % p
-            b2[yu - 1] = (b2[yu - 1] + i2[xu - 1]) % p
-            if u > tok.v:  # first reveal of this edge
-                xv, yv = sc.shape(tok.v)
-                pair[yv - 1, yu - 1] = (pair[yv - 1, yu - 1]
-                                        + i1[xv - 1] * i2[xu - 1]) % p
-                pair[yu - 1, yv - 1] = (pair[yu - 1, yv - 1]
-                                        + i1[xu - 1] * i2[xv - 1]) % p
+                b1.arr[:] = 0
+                b2.arr[:] = 0
+            b1.add(tok.u)
+            b2.add(tok.u)
+            if tok.u > tok.v:  # first reveal of this edge
+                sketch.add_sym(tok.v, tok.u)
         if row:
             close_row()
         total = check_grid_claim(reader, "charge_poly", (t, t), (r1, r2),

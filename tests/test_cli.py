@@ -291,3 +291,37 @@ def test_gen_query_flags(tmp_path):
     assert run.returncode == 0
     bad = run_cli("gen", "gnp", "8", "--query-right", "4,5")
     assert bad.returncode == 2
+
+
+# a deletion leaves edge 1-3 at final multiplicity -1
+NEGATIVE = "n=4 model=turnstile\n1 2 1\n2 3 1\n1 3 -1\n3 4 1\n"
+# edge 1-2 ends at multiplicity 2
+DOUBLED = "n=4 model=turnstile\n1 2 2\n2 3 1\n1 3 1\n3 4 1\n"
+
+
+@pytest.mark.parametrize("text,edge,schemes", [
+    (NEGATIVE, "edge 1 3", ("tri-laconic", "tri-frugal", "components",
+                            "mis")),
+    (DOUBLED, "edge 1 2", ("components", "mis", "maxmatch-frugal",
+                           "maxmatch-laconic")),
+], ids=["negative", "doubled"])
+def test_input_outside_scheme_domain_exits_two(tmp_path, capsys, text,
+                                               edge, schemes):
+    from annostream import cli
+    path = tmp_path / "g.stream"
+    path.write_text(text)
+    for scheme in schemes:
+        for cmd in (["run"], ["attack", "--trials", "1"],
+                    ["sweep", "--t-grid", "2"]):
+            assert cli.main(cmd + ["--scheme", scheme,
+                                   "--input", str(path)]) == 2
+            assert edge in capsys.readouterr().err
+
+
+def test_triangles_count_a_doubled_edge(tmp_path, capsys):
+    from annostream import cli
+    path = tmp_path / "g.stream"
+    path.write_text(DOUBLED)
+    assert cli.main(["run", "--scheme", "tri-laconic",
+                     "--input", str(path)]) == 0
+    assert "output=2" in capsys.readouterr().out.splitlines()

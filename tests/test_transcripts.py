@@ -4,6 +4,9 @@ The sha256 of every scheme's honest `dump()` on a small fixed input is
 pinned, and so is that of every mutation policy's forgeries of it at a
 fixed adversary seed, so a refactor of the provers, of the lies or of
 the transcript layout that changes a single help element shows up here.
+The verifier's verdict on each of those transcripts (status, reason,
+value and both costs) is pinned as well, so a rewrite of a verifier that
+changes what it accepts, why it rejects or what it charges shows up too.
 Any block appended after the last one a verifier reads is rejected by
 the runner.
 """
@@ -20,8 +23,8 @@ from annostream.generators import (adjlist_instance, dag_instance,
                                    weighted_turnstile_instance,
                                    with_query_set)
 from annostream.field import make_rng
-from annostream.protocol import (MUTATIONS, _clone_transcript, get_scheme,
-                                 run_with_transcript)
+from annostream.protocol import (MUTATIONS, _clone_transcript, _verify,
+                                 get_scheme, run_with_transcript)
 
 
 def _cases():
@@ -247,6 +250,70 @@ def test_forged_transcripts_are_pinned(key):
         got[f"{key}:{policy}"] = h.hexdigest()
     assert got == {k: v for k, v in FORGED.items()
                    if k.split(":")[0] == key}
+
+
+# sha256 over the verdicts on the honest transcript (verifier seed
+# FORGED_SEED) and on every forgery behind FORGED, each forgery verified
+# with the seed run_adversarial gives its trial
+VERDICTS = {
+    "acyclicity":
+        "03788d1feaaf94f3434ab9e22332f34709cc3203fd63271bdcc55768c39bead0",
+    "acyclicity/cyclic":
+        "a7747d6e6298225accbb59f4c06b1ef21996c6734b3e542e4940bc10e9634494",
+    "components":
+        "8bfe54ce744a558f7260a1912d10981d12c21c0641ffc3fde28c6a04753c4028",
+    "edgecount-cross":
+        "882210099c12f0a7b5fb0b0a588de4ab9f205ae4f30a9111fcf824672c061446",
+    "edgecount-induced":
+        "394d06e9db4eadcf3b912c2319eb9c452770d2fb9dc27814b5292431b3378232",
+    "maxmatch-frugal":
+        "cb287c6e961c35f278e41c8c414aa49ae9d01bb034fb1c0ab03624bd8deb8abb",
+    "maxmatch-laconic":
+        "9a4dd8e3a9fae5aa300602b9f7241a3aafa006a4d6416230a85d07256e2501b6",
+    "mis":
+        "7d2ab9d7335ae8aa081f93e366b9ceba0114098dac2b6e04f8f96fca31a8b714",
+    "sssp-unweighted":
+        "a517e30159ddd91129fc1611163dd0af6d806af1d2c3e08976291aa01338c715",
+    "sssp-wturnstile":
+        "cbc3ec08bfd988f076883800c335db2d74ee442dcac7209f64eea83b0f577d8e",
+    "sssp-wvanilla":
+        "b025318fdcf6de8b74e446cfb6b81f01cf8168c0b69558cc628a8188243bbd39",
+    "stpath":
+        "1327d07aaf90279e948b303057e1e1ba5e90c9abffaa0efbcc61510d23d8c0b2",
+    "toposort":
+        "2c7726d3675265afbb3e8e5ff6b268af1ef2c0152c123e73d3cb7b42680c20d6",
+    "tri-adj":
+        "a3e4026ce4e8294b745bd1769e1ec0d90c4a04df011d98631282d3c05b081295",
+    "tri-frugal":
+        "17fa6bbec47975a32c789ba003aed8a8038563f7f086a0eedbf0241aa639d212",
+    "tri-laconic":
+        "e114034934faed4857007d1245e576a6f3d31890deefaf8e2a7e4a7a39e11fdc",
+    "tri-sparse":
+        "d1087fcb080e28a7c5e7c01ea84189c69a9e3dfa939f798e03eab960f49979b4",
+}
+
+
+def _verdict_line(res) -> bytes:
+    return (f"{res.status}|{res.reason}|{res.value!r}|{res.hcost}|"
+            f"{res.vcost}\n").encode()
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_verdicts_are_pinned(key):
+    scheme, inst, p, tr = _honest(key)
+    h = hashlib.sha256(_verdict_line(_verify(scheme, inst, tr, p,
+                                             FORGED_SEED)))
+    for policy in scheme.mutations:
+        for i in range(FORGED_TRIALS):
+            arng = make_rng(FORGED_SEED,
+                            f"adversary/{scheme.name}/{policy}/{i}")
+            forged = MUTATIONS[policy](scheme, inst, tr, p, arng)
+            if forged is None:
+                h.update(b"none\n")
+                continue
+            h.update(_verdict_line(_verify(scheme, inst, forged, p,
+                                           (FORGED_SEED << 16) ^ (i + 1))))
+    assert h.hexdigest() == VERDICTS[key]
 
 
 @pytest.mark.parametrize("key", sorted(PINNED))
