@@ -79,9 +79,14 @@ def _scheme_class(args, inst):
     except KeyError:
         raise ConfigError(f"unknown scheme {args.scheme!r}; known: "
                           + ", ".join(sorted(SCHEMES)))
+    if cls.simple_graph:
+        top, need = 1, "0 or 1"
+    elif cls.weight_bounded:
+        top, need = inst.W, f"0 to W={inst.W}"
+    else:
+        top, need = None, "at least 0"
     for (u, v), c in sorted(inst.final_edges().items()):
-        if c < 0 or (cls.simple_graph and c > 1):
-            need = "0 or 1" if cls.simple_graph else "at least 0"
+        if c < 0 or (top is not None and c > top):
             raise ConfigError(f"edge {u} {v} has final multiplicity {c}; "
                               f"{cls.name} needs {need}")
     return cls

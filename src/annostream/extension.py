@@ -28,6 +28,17 @@ zero. The impulses' own den_u table and an O(g) table of inverses give
 every constant, and the sums are one mat_mulmod, so the cost follows the
 support of the input rather than a dense (2g-1) x g impulse block.
 
+Help polynomials travel as monomial coefficients, interpolated from the
+values on the nodes 1..m. With w_u = f(u) * inv(den_u) and
+M(X) = prod_{x<=m} (X - x) = sum_j a_j X^j, the extension is
+sum_u w_u * M(X) / (X - u), so
+
+    [X^i] f~ = sum_k a_{i+k+1} * S_k,   where S_k = sum_u w_u * u^k.
+
+S is a transposed-Vandermonde product and the coefficients are a Hankel
+product against it: two mat_mulmod calls per axis, with power tables
+built by doubling instead of an m-step loop.
+
 mat_mulmod is the one modular matmul: float64 BLAS over chunks of the
 inner axis sized from the operands' largest entries, so that each dot
 product is exact; operands already in [0, p) are not reduced again.
@@ -39,13 +50,16 @@ x = ceil(v/s), y = ((v-1) mod s) + 1.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
 from .field import fe_inv
 
-# numpy fast paths assume p^2 * 2^12 fits int64 so short dot products can
-# defer reduction; every auto-chosen modulus at desk scale is far below this.
+# The vectorized paths hold residues in int64. Below this limit a product
+# of two residues is under 2^50, so int64 has room for an unreduced sum of
+# 2^13 of them (PairSketch.bilinear's `table @ right`), and float64 holds
+# it exactly, so exact_chunk((p - 1)^2) >= 8 and mat_mulmod stays exact.
 _NUMPY_P_LIMIT = 1 << 25
 
 
@@ -267,38 +281,76 @@ def nd_grid_sum(tensor: np.ndarray, grid_sizes, p: int) -> int:
 # --- interpolation from grid values ----------------------------------------
 
 
+def _power_table(x: np.ndarray, count: int, p: int) -> np.ndarray:
+    """T[i, r] = x[i]^r mod p for r < count, doubling the filled columns."""
+    out = np.ones((len(x), count), dtype=np.int64)
+    have, step = 1, x % p  # step = x^have
+    while have < count:
+        take = min(have, count - have)
+        out[:, have:have + take] = out[:, :take] * step[:, None] % p
+        have += take
+        step = step * step % p
+    return out
+
+
 @lru_cache(maxsize=None)
-def _inv_factorials(m: int, p: int) -> np.ndarray:
-    fact = [1] * m
-    for i in range(1, m):
-        fact[i] = fact[i - 1] * i % p
-    return np.array([fe_inv(f, p) for f in fact], dtype=np.int64)
+def _node_poly(m: int, p: int) -> np.ndarray:
+    """a_0..a_m, lowest first, of M(X) = prod_{x=1..m} (X - x) mod p."""
+    a = np.zeros(m + 1, dtype=np.int64)
+    a[0] = 1
+    for x in range(1, m + 1):
+        a[1:x + 1] = (a[:x] - x * a[1:x + 1]) % p
+        a[0] = -x * a[0] % p
+    a.setflags(write=False)  # cached: every caller shares this array
+    return a
+
+
+def _unstack(blocks: np.ndarray, b: int, m: int) -> np.ndarray:
+    """Row q*b + r of the result from column block q, row r of a product."""
+    q = -(-m // b)
+    return blocks.reshape(b, q, -1).transpose(1, 0, 2).reshape(q * b, -1)[:m]
+
+
+def _interpolate_rows(values: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients along axis 0 of the interpolant of (m, cols) values.
+
+    Two mat_mulmod calls (see the module docstring): the powers u^r,
+    r < b, against the weights times u^(jb) for each block j, which gives
+    S, then the Hankel rows a_{r+1+k} against the block-shifted copies of
+    S. b is about sqrt(m * cols), at most m, so each operand holds about
+    m * b entries: a dense m x m table only where the input is as large.
+    """
+    _check_numpy_modulus(p)
+    flat, _ = _residues(values, p)
+    m, cols = flat.shape
+    if m >= p:
+        raise ValueError(f"{m} nodes are not distinct mod {p}")
+    if not flat.size:
+        return flat.copy()
+    inv_den = np.array(_impulse_inv_denominators(m, p), dtype=np.int64)
+    w = flat * inv_den[:, None] % p
+    b = min(m, isqrt(m * cols - 1) + 1)
+    q = -(-m // b)
+    nodes = np.arange(1, m + 1, dtype=np.int64)
+    low = _power_table(nodes, b, p)  # u^r, r < b
+    high = _power_table(low[:, -1] * nodes % p, q, p)  # u^(jb), j < q
+    stacked = w[:, None, :] * high[:, :, None] % p
+    S = _unstack(mat_mulmod(low.T, stacked.reshape(m, q * cols), p), b, m)
+    # c_{jb+r} = sum_k a_{r+1+k} S_{k-jb}: one Hankel block against
+    # q shifted copies of S, zero above the top
+    a = np.concatenate((_node_poly(m, p), np.zeros(b, dtype=np.int64)))
+    hankel = a[np.arange(1, b + 1)[:, None] + np.arange(m)]
+    shifted = np.concatenate((np.zeros(((q - 1) * b, cols), dtype=np.int64),
+                              S))
+    gather = np.arange(m)[:, None] + b * np.arange(q - 1, -1, -1)
+    return _unstack(mat_mulmod(hankel, shifted[gather].reshape(m, q * cols),
+                               p), b, m)
 
 
 def coeffs_from_values_1d(values, p: int) -> np.ndarray:
-    """Monomial coefficients of the poly taking these values on 1..M.
-
-    Newton forward differences: on unit-spaced nodes the divided difference
-    f[x_0..x_k] equals Delta^k f(1) / k!.
-    """
-    _check_numpy_modulus(p)
-    vals = np.asarray(values, dtype=np.int64) % p
-    m = len(vals)
-    inv_fact = _inv_factorials(m, p)
-    coeffs = np.zeros(m, dtype=np.int64)
-    basis = np.zeros(m, dtype=np.int64)
-    basis[0] = 1
-    d = vals.copy()
-    for k in range(m):
-        ck = int(d[0]) * int(inv_fact[k]) % p
-        coeffs = (coeffs + ck * basis) % p
-        if k < m - 1:
-            node = k + 1
-            shifted = np.zeros(m, dtype=np.int64)
-            shifted[1:k + 2] = basis[:k + 1]
-            basis = (shifted - node * basis) % p
-            d = (d[1:] - d[:-1]) % p
-    return coeffs
+    """Monomial coefficients of the poly taking these values on 1..M."""
+    vals = np.asarray(values, dtype=np.int64)
+    return _interpolate_rows(vals.reshape(-1, 1), p).ravel()
 
 
 def coeffs_from_values_nd(tensor: np.ndarray, p: int) -> np.ndarray:
@@ -307,23 +359,8 @@ def coeffs_from_values_nd(tensor: np.ndarray, p: int) -> np.ndarray:
     out = np.asarray(tensor, dtype=np.int64) % p
     for axis in range(out.ndim):
         moved = np.moveaxis(out, axis, 0)
-        m = moved.shape[0]
-        flat = moved.reshape(m, -1)
-        inv_fact = _inv_factorials(m, p)
-        coeffs = np.zeros_like(flat)
-        basis = np.zeros(m, dtype=np.int64)
-        basis[0] = 1
-        d = flat.copy()
-        for k in range(m):
-            ck = d[0] * int(inv_fact[k]) % p
-            coeffs = (coeffs + basis[:, None] * ck[None, :]) % p
-            if k < m - 1:
-                node = k + 1
-                shifted = np.zeros(m, dtype=np.int64)
-                shifted[1:k + 2] = basis[:k + 1]
-                basis = (shifted - node * basis) % p
-                d = (d[1:] - d[:-1]) % p
-        out = np.moveaxis(coeffs.reshape(moved.shape), 0, axis)
+        flat = _interpolate_rows(moved.reshape(moved.shape[0], -1), p)
+        out = np.moveaxis(flat.reshape(moved.shape), 0, axis)
     return out
 
 

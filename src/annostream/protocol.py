@@ -110,8 +110,10 @@ class Scheme:
     # one `v dist prev` line per vertex instead of a single value
     output_kind = "value"
     # every scheme needs final edge multiplicities >= 0; a scheme that
-    # certifies a predicate of a simple graph needs them in {0, 1}
+    # certifies a predicate of a simple graph needs them in {0, 1}, and
+    # one that reads them as edge weights needs them at most the header's W
     simple_graph = False
+    weight_bounded = False
 
     def __init__(self, n: int, t: int, s: int):
         self.n = n

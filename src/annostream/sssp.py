@@ -403,6 +403,7 @@ class _WeightedScheme(Scheme):
     and the modulus must also exceed the largest relaxation round."""
 
     output_kind = "labels"
+    weight_bounded = True
 
     def __init__(self, n: int, W: int):
         self.n = n

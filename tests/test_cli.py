@@ -297,6 +297,8 @@ def test_gen_query_flags(tmp_path):
 NEGATIVE = "n=4 model=turnstile\n1 2 1\n2 3 1\n1 3 -1\n3 4 1\n"
 # edge 1-2 ends at multiplicity 2
 DOUBLED = "n=4 model=turnstile\n1 2 2\n2 3 1\n1 3 1\n3 4 1\n"
+# edge 1-2 aggregates to weight 5, above the header's W
+HEAVY = "n=4 model=turnstile W=2 source=1\n1 2 5\n2 3 1\n3 4 2\n"
 
 
 @pytest.mark.parametrize("text,edge,schemes", [
@@ -304,7 +306,8 @@ DOUBLED = "n=4 model=turnstile\n1 2 2\n2 3 1\n1 3 1\n3 4 1\n"
                             "mis")),
     (DOUBLED, "edge 1 2", ("components", "mis", "maxmatch-frugal",
                            "maxmatch-laconic")),
-], ids=["negative", "doubled"])
+    (HEAVY, "edge 1 2", ("sssp-wturnstile",)),
+], ids=["negative", "doubled", "above-w"])
 def test_input_outside_scheme_domain_exits_two(tmp_path, capsys, text,
                                                edge, schemes):
     from annostream import cli
@@ -316,6 +319,17 @@ def test_input_outside_scheme_domain_exits_two(tmp_path, capsys, text,
             assert cli.main(cmd + ["--scheme", scheme,
                                    "--input", str(path)]) == 2
             assert edge in capsys.readouterr().err
+
+
+def test_weighted_turnstile_takes_weights_up_to_w(tmp_path, capsys):
+    from annostream import cli
+    path = tmp_path / "g.stream"
+    path.write_text(HEAVY.replace("W=2", "W=5"))
+    assert cli.main(["run", "--scheme", "sssp-wturnstile",
+                     "--input", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert ["1 0 -", "2 5 -", "3 6 -", "4 8 -"] == [
+        line for line in out if line[:1].isdigit()]
 
 
 def test_triangles_count_a_doubled_edge(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Low-degree extension machinery: impulses, interpolation, shaping."""
 
+import math
 import random
 
 import numpy as np
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from annostream.extension import (PointSketch, ShapeConfig, coeffs_from_serial,
                                   coeffs_from_values_1d, coeffs_from_values_nd,
-                                  coeffs_to_serial, extend_rows, grid_bump,
-                                  impulse_block, impulse_table, mat_mulmod,
-                                  nd_eval, nd_grid_sum, power_sums,
-                                  resolve_shape)
+                                  coeffs_to_serial, exact_chunk, extend_rows,
+                                  grid_bump, impulse_block, impulse_table,
+                                  mat_mulmod, nd_eval, nd_grid_sum,
+                                  power_sums, resolve_shape)
+from annostream.field import next_prime
 
 P = 1048583
 # the largest prime the vectorized path takes: (P_TOP - 1)^2 > 2^50, so an
@@ -51,6 +53,39 @@ def dense_eval(array, point, p):
             w = w * unit_impulse(c + 1, x, size, p) % p
         total = (total + w) % p
     return total
+
+
+def newton_coeffs(values, p):
+    """Monomial coefficients along axis 0 by Newton forward differences.
+
+    On the unit-spaced nodes 1..m the divided difference f[1..k+1] is
+    Delta^k f(1) / k!, and the Newton basis grows by one factor a step.
+    """
+    vals = np.asarray(values, dtype=np.int64) % p
+    m = vals.shape[0]
+    d = vals.reshape(m, -1)
+    coeffs = np.zeros_like(d)
+    basis = np.zeros(m, dtype=np.int64)
+    basis[0] = 1
+    fact = 1
+    for k in range(m):
+        ck = d[0] * pow(fact, p - 2, p) % p
+        coeffs = (coeffs + basis[:, None] * ck[None, :]) % p
+        if k < m - 1:
+            shifted = np.zeros(m, dtype=np.int64)
+            shifted[1:k + 2] = basis[:k + 1]
+            basis = (shifted - (k + 1) * basis) % p
+            d = (d[1:] - d[:-1]) % p
+            fact = fact * (k + 1) % p
+    return coeffs.reshape(vals.shape)
+
+
+def newton_coeffs_nd(tensor, p):
+    out = np.asarray(tensor, dtype=np.int64) % p
+    for axis in range(out.ndim):
+        out = np.moveaxis(newton_coeffs(np.moveaxis(out, axis, 0), p),
+                          0, axis)
+    return out
 
 
 def object_mulmod(a, b, p):
@@ -184,6 +219,110 @@ def test_grid_bump_shifts_total_by_one():
     bump = grid_bump(g, P)
     vals = [poly_eval(bump.tolist(), x, P) for x in range(1, g + 1)]
     assert vals == [1] + [0] * (g - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 300), trailing=st.sampled_from([(), (1,), (2, 3)]),
+       last=st.booleans(), prime=st.sampled_from(["above m", P, P_TOP]),
+       entries=st.sampled_from(["wide", "edge", "sparse"]),
+       seed=st.integers(0, 2 ** 32))
+def test_interpolation_matches_newton(m, trailing, last, prime, entries,
+                                      seed):
+    shape = (m,) + trailing
+    p = next_prime(max(shape)) if prime == "above m" else prime
+    rng = np.random.default_rng(seed)
+    if entries == "edge":
+        edge = np.array([0, 1, -1, p - 1, p, p + 1, 2 * p + 3, -p, -5 * p - 2])
+        vals = rng.choice(edge, size=shape)
+    else:
+        vals = rng.integers(-3 * p, 3 * p, size=shape)
+        if entries == "sparse":
+            vals[rng.random(shape) < 0.9] = 0
+    col = vals.reshape(m, -1)[:, -1].copy()
+    assert np.array_equal(coeffs_from_values_1d(col, p),
+                          newton_coeffs(col, p))
+    if last:  # the long axis last, behind the short ones
+        vals = np.moveaxis(vals, 0, -1)
+    got = coeffs_from_values_nd(vals, p)
+    assert got.dtype == np.int64 and got.shape == vals.shape
+    assert np.array_equal(got, newton_coeffs_nd(vals, p))
+
+
+def test_interpolation_of_a_long_line():
+    # the length of the `mis`, `acyclicity` and `components` line-check
+    # polynomials at n = 128
+    vals = np.random.default_rng(12).integers(-P_TOP, 2 * P_TOP, size=2979)
+    assert np.array_equal(coeffs_from_values_1d(vals, P_TOP),
+                          newton_coeffs(vals, P_TOP))
+
+
+def values_with_power_sums(S, p):
+    """Values on 1..m whose sums sum_u f(u) inv(den_u) u^k are S_k.
+
+    They are the values of the poly with coefficients
+    c_i = sum_k a_{i+k+1} S_k, where a are those of prod_{x<=m} (X - x).
+    """
+    m = len(S)
+    a = [1]
+    for x in range(1, m + 1):
+        a = [(lo - x * hi) % p for lo, hi in zip([0] + a, a + [0])]
+    hankel = np.array([[a[i + k + 1] if i + k < m else 0 for k in range(m)]
+                       for i in range(m)], dtype=object)
+    c = hankel @ np.asarray(S, dtype=object) % p
+    nodes = np.arange(1, m + 1, dtype=object)[:, None]
+    vals = np.zeros_like(c)
+    for row in c[::-1]:
+        vals = (vals * nodes + row) % p
+    return vals.astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [4194301, P_TOP])
+def test_interpolation_exact_at_chunk_boundary(p):
+    # both products inside the kernel run over the m nodes. Odd residues
+    # near p, whose products carry low bits that an inexact float64 sum
+    # would drop, go in as the weights w_u = f(u) inv(den_u) of the
+    # Vandermonde product and as the power sums S_k of the Hankel product
+    rng = np.random.default_rng(p)
+    full = exact_chunk((p - 1) ** 2)
+    for m in (full - 1, full, full + 1, 2 * full + 3):
+        near = rng.integers(p - 5000, p, size=(m, 2)) | 1
+        near[0] = p - 1
+        den = np.array([(-1) ** (m - u) * math.factorial(u - 1)
+                        * math.factorial(m - u) % p
+                        for u in range(1, m + 1)], dtype=object)
+        for vals in ((near * den[:, None] % p).astype(np.int64),
+                     values_with_power_sums(near, p)):
+            assert np.array_equal(coeffs_from_values_nd(vals, p),
+                                  newton_coeffs_nd(vals, p))
+
+
+def test_interpolation_keeps_its_input():
+    for vals in (np.array([[3, -1], [0, 0], [P + 2, 5]], dtype=np.int64),
+                 np.array([[3, 1], [0, 0], [7, 5]], dtype=np.int64)):
+        before = vals.copy()
+        coeffs_from_values_nd(vals, P)
+        coeffs_from_values_1d(vals[:, 0], P)
+        coeffs_from_values_1d(vals.T[0], P)
+        assert np.array_equal(vals, before)
+
+
+def test_interpolation_refuses_nodes_past_p():
+    # m >= p nodes are not distinct mod p, so no interpolant exists
+    with pytest.raises(ValueError, match="not distinct mod 7"):
+        coeffs_from_values_1d(np.ones(7, dtype=np.int64), 7)
+    with pytest.raises(ValueError, match="not distinct mod 7"):
+        coeffs_from_values_nd(np.ones((2, 9), dtype=np.int64), 7)
+    assert coeffs_from_values_1d(np.ones(6, dtype=np.int64),
+                                 7).tolist() == [1, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("g,p", [(1, 97), (6, P), (40, P_TOP), (96, 97)])
+def test_grid_bump_shifts_grid_total_by_one(g, p):
+    bump = grid_bump(g, p)
+    assert bump.shape == (g,)
+    assert [poly_eval(bump.tolist(), x, p) for x in range(1, g + 1)] == \
+        [1] + [0] * (g - 1)
+    assert nd_grid_sum(bump, (g,), p) == 1
 
 
 def test_shape_config_bijection():
