@@ -92,6 +92,17 @@ def _scheme_class(args, inst):
     return cls
 
 
+def _field(scheme, inst, p):
+    """The scheme's modulus; refuses one that its true count could reach."""
+    cfg = scheme.field_config(inst, p)
+    top, bound = scheme.count_ceiling(inst)
+    if top >= cfg.p:
+        raise ConfigError(f"{scheme.name} counts up to {bound} = {top} on "
+                          f"these multiplicities, not below p={cfg.p}; the "
+                          "count would wrap mod p")
+    return cfg
+
+
 def _configured_scheme(args, inst):
     cls = _scheme_class(args, inst)
     try:
@@ -142,7 +153,7 @@ def cmd_run(args) -> int:
     inst = _load_instance(args.input)
     scheme = _configured_scheme(args, inst)
     try:
-        cfg = scheme.field_config(inst, p)
+        cfg = _field(scheme, inst, p)
         if args.replay:
             try:
                 with open(args.replay) as fh:
@@ -206,7 +217,7 @@ def cmd_attack(args) -> int:
 
     # one honest proof per run; every policy mutates its own copies of it
     try:
-        p = scheme.field_config(inst, p).p
+        p = _field(scheme, inst, p).p
         honest = scheme.prove(inst, p)
         results = [
             _honest_trials(scheme, inst, honest, args.trials, args.seed, p)
@@ -303,8 +314,9 @@ def _plot_svg(rows, path):
 def cmd_sweep(args) -> int:
     p = _modulus_override()
     inst = _load_instance(args.input)
-    _scheme_class(args, inst)
+    cls = _scheme_class(args, inst)
     try:
+        _field(cls.configure(inst), inst, p)
         shapes = [resolve_shape(inst.n, t, s)
                   for (t, s) in _sweep_shapes(args)]
         rows = _sweep_costs(args.scheme, inst, shapes, seed=args.seed, p=p)

@@ -14,18 +14,24 @@ input promise, matching how the generator builds query lines).
 Queries are cumulative: each query line extends the running set(s) and
 triggers one polynomial, so an extended set reuses all verifier state.
 
-The sketch pieces below are the one place that lays vertices on a grid:
-the verifier's line and pair sketches, and the prover's member matrices
-and pair charges over the final adjacency. The triangle, predicate and
-shortest-path schemes build on them.
+The sketch pieces below are the one place that lays vertices on a grid.
+The verifier keeps a `PairSketch`, the adjacency extended along both x
+axes at (r1, r2), and `LineArray` rows chi~_S(r, y). The prover evaluates
+the same two objects on every node of the degree grid (`grid_adjacency`,
+`line_rows`), and `pair_charge` contracts them: a help polynomial is the
+verifier's bilinear form with the random points left free. The
+triangle, predicate and shortest-path schemes build on them.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-from .extension import (ShapeConfig, coeffs_from_values_nd, impulse_block,
-                        impulse_table, mat_mulmod)
+from .extension import (ShapeConfig, coeffs_from_values_nd, dot_mod,
+                        extend_rows, impulse_block, impulse_table,
+                        mat_mulmod)
 from .field import fe_random
 from .oracle import oracle_cross_edges, oracle_induced_edges
 from .protocol import Scheme, bump_grid_total, register, _clone_transcript
@@ -60,7 +66,7 @@ class PairSketch:
         self.add(b, a, delta)
 
     def bilinear(self, left: np.ndarray, right: np.ndarray) -> int:
-        col = self.table @ right % self.p
+        col = dot_mod(self.table, right, self.p)
         return int((left * col % self.p).sum() % self.p)
 
 
@@ -83,30 +89,49 @@ class LineArray:
                             + mult * self.imp[xv - 1]) % self.p
 
 
-def vertex_grid_index(sc: ShapeConfig):
-    xs = np.empty(sc.n, dtype=np.int64)
-    ys = np.empty(sc.n, dtype=np.int64)
-    for v in range(1, sc.n + 1):
-        xs[v - 1], ys[v - 1] = sc.shape(v)
-    return xs - 1, ys - 1
+def line_rows(member_lists, sc: ShapeConfig, Dt, p) -> np.ndarray:
+    """chi~_S(w, y) of each list S on the nodes w = 1..2t-1: (K, 2t-1, s).
 
-
-def member_matrix(members, sc, Dt, x_idx, y_idx, p) -> np.ndarray:
-    """G[w, c] = delta_{x_c}(w) * chi~_S(w, y_c) for every vertex c.
-
-    Prover side: the pair charge of S x S over an adjacency multiplicity
-    matrix is then G @ Adj @ G.T on the degree grid.
+    `LineArray` holds row r of one list; a member listed twice counts twice.
     """
-    wt = Dt.shape[0]
-    chi = np.zeros((wt, sc.s), dtype=np.int64)
-    for u in members:
-        xu, yu = sc.shape(u)
-        chi[:, yu - 1] = (chi[:, yu - 1] + Dt[:, xu - 1]) % p
-    return Dt[:, x_idx] * chi[:, y_idx] % p
+    sizes = [len(m) for m in member_lists]
+    vs = np.fromiter(chain.from_iterable(member_lists), dtype=np.int64,
+                     count=sum(sizes))
+    xs, ys = np.divmod(vs - 1, sc.s)
+    chi = np.zeros((len(sizes), sc.s, Dt.shape[0]), dtype=np.int64)
+    np.add.at(chi, (np.repeat(np.arange(len(sizes)), sizes), ys), Dt[:, xs].T)
+    return chi.transpose(0, 2, 1) % p
 
 
-def pair_charge(G_left, adj, G_right, p) -> np.ndarray:
-    return mat_mulmod(mat_mulmod(G_left, adj, p), G_right.T, p)
+def extend_x(rows, sc: ShapeConfig, p) -> np.ndarray:
+    """rows[(x, y), ...], one per vertex, on the nodes 1..2t-1 along x."""
+    pad = np.zeros((sc.t * sc.s,) + rows.shape[1:], dtype=np.int64)
+    pad[:sc.n] = rows
+    return extend_rows(pad.reshape((sc.t, sc.s) + rows.shape[1:]), p)
+
+
+def grid_adjacency(adj, sc: ShapeConfig, p) -> np.ndarray:
+    """adj extended along both x axes: A^[w1, w2, (y1, y2)], as `PairSketch`
+    holds it at the one node pair (r1, r2)."""
+    wt, s = 2 * sc.t - 1, sc.s
+    half = extend_x(adj, sc, p)  # (w1, y1, d)
+    full = extend_x(np.moveaxis(half, 2, 0), sc, p)  # (w2, y2, w1, y1)
+    return np.ascontiguousarray(full.transpose(2, 0, 3, 1)).reshape(
+        wt, wt, s * s)
+
+
+def pair_charge(left, right, adj_hat, p) -> np.ndarray:
+    """sum_k G_Lk Adj G_Rk^T on the degree grid, from line-row stacks.
+
+    With the member matrix G_S[w, c] = Dt[w, x_c] chi_S[w, y_c], grouping
+    the vertices c by grid cell gives sum_{y1, y2} C * A^ for
+    C = sum_k chi_Lk (x) chi_Rk: one mat_mulmod over the (K, 2t-1, s)
+    stacks, then a contraction against `grid_adjacency`.
+    """
+    K, wt, s = left.shape
+    C = mat_mulmod(left.reshape(K, wt * s).T, right.reshape(K, wt * s), p)
+    C = C.reshape(wt, s, wt, s).transpose(0, 2, 1, 3).reshape(wt, wt, s * s)
+    return dot_mod(C, adj_hat, p)
 
 
 def adjacency_matrix(inst, p, directed=False) -> np.ndarray:
@@ -127,29 +152,31 @@ def adjacency_matrix(inst, p, directed=False) -> np.ndarray:
     return adj % p
 
 
+def degree_grid(t: int, p: int) -> np.ndarray:
+    """Dt[w, x] = delta_x(w): impulses of [t] on the nodes 1..2t-1."""
+    return impulse_block(np.arange(1, 2 * t), t, p)
+
+
 def member_pair_charge(inst, member_lists, sc: ShapeConfig, p) -> np.ndarray:
     """Coefficients of the pair charge of S x S summed over the lists S.
 
     Vertices sit on the grid `sc`; the charge counts ordered member pairs
     over the final edge multiset, on the (2t-1) x (2t-1) degree grid.
     """
-    t = sc.t
-    Dt = impulse_block(np.arange(1, 2 * t), t, p)
-    x_idx, y_idx = vertex_grid_index(sc)
-    adj = adjacency_matrix(inst, p)
-    P = np.zeros((2 * t - 1, 2 * t - 1), dtype=np.int64)
-    for members in member_lists:
-        if not members:
-            continue
-        G = member_matrix(members, sc, Dt, x_idx, y_idx, p)
-        P = (P + pair_charge(G, adj, G, p)) % p
-    return coeffs_from_values_nd(P, p)
+    Dt = degree_grid(sc.t, p)
+    rows = line_rows(member_lists, sc, Dt, p)
+    adj_hat = grid_adjacency(adjacency_matrix(inst, p), sc, p)
+    return coeffs_from_values_nd(pair_charge(rows, rows, adj_hat, p), p)
 
 
 class _EdgeCountBase(Scheme):
     model = "turnstile"
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie")
     cross = False
+
+    def count_ceiling(self, inst) -> tuple:
+        # an ordered pair count is at most twice the edge multiset's size
+        return 2 * sum(abs(c) for c in inst.final_edges().values()), "2 sum c"
 
     @staticmethod
     def _query_count(inst) -> int:
@@ -176,10 +203,9 @@ class _EdgeCountBase(Scheme):
         return tuple(out)
 
     def prove(self, inst, p: int) -> ProofTranscript:
-        t, sc = self.t, self.sc
-        Dt = impulse_block(np.arange(1, 2 * t), t, p)
-        x_idx, y_idx = vertex_grid_index(sc)
-        adj = adjacency_matrix(inst, p)
+        sc = self.sc
+        Dt = degree_grid(self.t, p)
+        adj_hat = grid_adjacency(adjacency_matrix(inst, p), sc, p)
         tr = ProofTranscript()
         us: list = []
         ws: list = []
@@ -187,10 +213,10 @@ class _EdgeCountBase(Scheme):
             if isinstance(tok, SetMember):
                 (us if tok.side == 0 else ws).append(tok.v)
             elif isinstance(tok, SetQuery):
-                GU = member_matrix(us, sc, Dt, x_idx, y_idx, p)
-                GR = member_matrix(ws, sc, Dt, x_idx, y_idx, p) if self.cross else GU
-                tr.add_coeffs("pair_poly",
-                              coeffs_from_values_nd(pair_charge(GU, adj, GR, p), p))
+                left = line_rows([us], sc, Dt, p)
+                right = line_rows([ws], sc, Dt, p) if self.cross else left
+                tr.add_coeffs("pair_poly", coeffs_from_values_nd(
+                    pair_charge(left, right, adj_hat, p), p))
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):

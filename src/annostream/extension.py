@@ -58,9 +58,10 @@ from .field import fe_inv
 
 # The vectorized paths hold residues in int64. Below this limit a product
 # of two residues is under 2^50, so int64 has room for an unreduced sum of
-# 2^13 of them (PairSketch.bilinear's `table @ right`), and float64 holds
-# it exactly, so exact_chunk((p - 1)^2) >= 8 and mat_mulmod stays exact.
+# _INT64_TERMS = 2^13 of them (dot_mod), and float64 holds it exactly, so
+# exact_chunk((p - 1)^2) >= 8 and mat_mulmod stays exact.
 _NUMPY_P_LIMIT = 1 << 25
+_INT64_TERMS = 1 << 13
 
 
 def _check_numpy_modulus(p: int):
@@ -410,6 +411,18 @@ def mat_mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         hi = min(inner, lo + chunk)
         part = np.rint(a[..., lo:hi] @ b[lo:hi]).astype(np.int64) % p
         out = part if out is None else (out + part) % p
+    return out
+
+
+def dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """sum(a * b, axis=-1) % p for residues, in int64 sums of at most
+    _INT64_TERMS products; a and b broadcast, last axes of equal length."""
+    _check_numpy_modulus(p)
+    out = 0
+    for lo in range(0, max(a.shape[-1], 1), _INT64_TERMS):
+        hi = lo + _INT64_TERMS
+        out = (out + np.einsum("...k,...k->...", a[..., lo:hi],
+                               b[..., lo:hi])) % p
     return out
 
 

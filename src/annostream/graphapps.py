@@ -29,10 +29,10 @@ import math
 import networkx as nx
 import numpy as np
 
-from .edgecount import (LineArray, PairSketch, adjacency_matrix,
-                        member_matrix, member_pair_charge, pair_charge,
-                        vertex_grid_index)
-from .extension import ShapeConfig, coeffs_from_values_nd, impulse_block
+from .edgecount import (LineArray, PairSketch, adjacency_matrix, degree_grid,
+                        grid_adjacency, line_rows, member_pair_charge,
+                        pair_charge)
+from .extension import ShapeConfig, coeffs_from_values_nd
 from .field import fe_random
 from .oracle import (oracle_acyclic, oracle_components, oracle_is_mis,
                      oracle_is_toposort, oracle_max_matching)
@@ -836,21 +836,14 @@ class TopoSort(_SplitScheme):
         return self.s + 2 * self.sp + 16
 
     def _forward_help(self, inst, order, p) -> np.ndarray:
-        tp = self.tp
-        Dt = impulse_block(np.arange(1, 2 * tp), tp, p)
-        x_idx, y_idx = vertex_grid_index(self.isc)
-        adj = adjacency_matrix(inst, p, directed=True)
-        wt = 2 * tp - 1
-        P = np.zeros((wt, wt), dtype=np.int64)
-        chi = np.zeros((wt, self.isc.s), dtype=np.int64)
-        for i in range(1, len(order)):
-            v = order[i - 1]
-            xv, yv = self.isc.shape(v)
-            chi[:, yv - 1] = (chi[:, yv - 1] + Dt[:, xv - 1]) % p
-            Gpre = Dt[:, x_idx] * chi[:, y_idx] % p
-            Gone = member_matrix([order[i]], self.isc, Dt, x_idx, y_idx, p)
-            P = (P + pair_charge(Gpre, adj, Gone, p)) % p
-        return coeffs_from_values_nd(P, p)
+        """Pair charge of each prefix of the order into its next vertex."""
+        Dt = degree_grid(self.tp, p)
+        single = line_rows([[v] for v in order], self.isc, Dt, p)
+        prefix = np.cumsum(single[:-1], axis=0) % p
+        adj_hat = grid_adjacency(adjacency_matrix(inst, p, directed=True),
+                                 self.isc, p)
+        return coeffs_from_values_nd(
+            pair_charge(prefix, single[1:], adj_hat, p), p)
 
     def _assemble(self, inst, order, p):
         tr = ProofTranscript()

@@ -134,6 +134,11 @@ class Scheme:
             return FieldConfig(p)
         return FieldConfig.auto_from_n(inst.n)
 
+    def count_ceiling(self, inst: GraphInstance) -> tuple:
+        """(bound, formula) on the integer that a grid total of the help
+        lifts to; the modulus must exceed it or the count wraps."""
+        return 0, ""
+
     def prove(self, inst: GraphInstance, p: int) -> ProofTranscript:
         raise NotImplementedError
 

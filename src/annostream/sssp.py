@@ -26,11 +26,11 @@ from collections import deque
 import networkx as nx
 import numpy as np
 
-from .edgecount import (LineArray, adjacency_matrix, member_matrix,
-                        vertex_grid_index)
+from .edgecount import (LineArray, adjacency_matrix, degree_grid, extend_x,
+                        line_rows)
 from .extension import (_check_numpy_modulus, coeffs_from_values_1d,
-                        coeffs_from_values_nd, extend_rows, impulse_block,
-                        impulse_table, mat_mulmod, nd_eval, power_sums)
+                        coeffs_from_values_nd, dot_mod, extend_rows,
+                        impulse_block, impulse_table, nd_eval, power_sums)
 from .field import FieldConfig, fe_random
 from .graphapps import _cached, _edge_tokens
 from .oracle import oracle_bfs, oracle_dijkstra
@@ -230,14 +230,16 @@ class SsspUnweighted(Scheme):
         Amat = adjacency_matrix(inst, p)
         q = Amat[src - 1].copy()
         tr.add_scalars("source_degrees", q.tolist())
-        Dt = impulse_block(np.arange(1, 2 * t), t, p)
-        x_idx, y_idx = vertex_grid_index(self.sc)
+        Dt = degree_grid(t, p)
+        # the ball polynomial at (w, d) is sum_y chi_ball(w, y) E[w, y, d]
+        ext = np.ascontiguousarray(
+            extend_x(Amat, self.sc, p).transpose(0, 2, 1))  # (w, d, y)
         ball = {src} | {int(u) + 1 for u in np.flatnonzero(q)
                         if int(u) + 1 != src}
         for _ in range(Dhat):
-            G = member_matrix(ball, self.sc, Dt, x_idx, y_idx, p)
-            tr.add_coeffs("ball_poly",
-                          coeffs_from_values_nd(mat_mulmod(G, Amat, p), p))
+            chi = line_rows([ball], self.sc, Dt, p)[0]
+            tr.add_coeffs("ball_poly", coeffs_from_values_nd(
+                dot_mod(ext, chi[:, None, :], p), p))
             ind = np.zeros(n, dtype=np.int64)
             ind[[v - 1 for v in ball]] = 1
             q = Amat @ ind % p

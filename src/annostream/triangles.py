@@ -25,12 +25,14 @@ Tradeoffs (help elements, verifier cells), grid [t] x [s] with ts >= n:
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
-from .edgecount import (LineArray, PairSketch, member_matrix,
-                        member_pair_charge, pair_charge, vertex_grid_index)
+from .edgecount import (LineArray, PairSketch, degree_grid, line_rows,
+                        member_pair_charge)
 from .extension import (coeffs_from_values_1d, coeffs_from_values_nd,
-                        exact_chunk, impulse_block, impulse_table)
+                        dot_mod, exact_chunk, impulse_block, impulse_table)
 from .field import fe_random
 from .graphapps import _edge_tokens
 from .oracle import oracle_triangles
@@ -44,6 +46,14 @@ class _TriangleBase(Scheme):
     # lies shift the grid total by a multiple of this, the number of
     # times the charge counts each triangle; 0 allows any nonzero shift
     _lie_step = 0
+
+    def count_ceiling(self, inst) -> tuple:
+        # the grid total is k = max(1, _lie_step) times trace(A^3)/6, and
+        # trace(A^3) <= |A|_F^3 with |A|_F^2 = 2 sum c^2
+        k = max(1, self._lie_step)
+        sq = 2 * sum(c * c for c in inst.final_edges().values())
+        return (isqrt(k * k * sq ** 3) // 6,
+                f"{k if k > 1 else ''}|A|_F^3/6 with |A|_F^2 = 2 sum c^2")
 
     def oracle_value(self, inst):
         return oracle_triangles(inst)
@@ -297,24 +307,26 @@ class TrianglesAdjList(_TriangleBase):
     def prove(self, inst, p: int) -> ProofTranscript:
         if inst.model != "adjlist":
             raise ValueError("tri-adj needs adjacency-list input")
-        t, n, sc = self.t, self.n, self.sc
-        wt = 2 * t - 1
-        Dt = impulse_block(np.arange(1, 2 * t), t, p)
-        x_idx, y_idx = vertex_grid_index(sc)
-        rows: dict = {v: [] for v in range(1, n + 1)}
+        n, sc = self.n, self.sc
+        Dt = degree_grid(self.t, p)
+        rows: list = [[] for _ in range(n)]
         for tok in inst.tokens:
-            rows[tok.v].append(tok.u)
-        adj = np.zeros((n, n), dtype=np.int64)
-        P = np.zeros((wt, wt), dtype=np.int64)
-        for v in range(1, n + 1):
-            for u in rows[v]:
-                if u > v:  # first reveal
-                    adj[u - 1, v - 1] = 1
-                    adj[v - 1, u - 1] = 1
-            if not rows[v]:
-                continue
-            G = member_matrix(rows[v], sc, Dt, x_idx, y_idx, p)
-            P = (P + pair_charge(G, adj, G, p)) % p
+            rows[tok.v - 1].append(tok.u)
+        # A^ of the edges revealed through row v is half + half^T, where
+        # half is Dt[., x_v0] (x) line_rows(new_v0) at y1 = y_v0 summed
+        # over the rows v0 <= v; the charge of row v is then q + q^T with
+        # q = sum_{v0 <= v} (Dt[., x_v0] chi_v[., y_v0]) (x) <chi_v, new_v0>
+        chi = line_rows(rows, sc, Dt, p)
+        new = line_rows([[u for u in lst if u > v]
+                         for v, lst in enumerate(rows, 1)], sc, Dt, p)
+        new = np.ascontiguousarray(new.transpose(1, 0, 2))  # (w2, v0, y2)
+        xs, ys = np.divmod(np.arange(n), sc.s)
+        Q = np.zeros((Dt.shape[0],) * 2, dtype=np.int64)
+        for v in np.flatnonzero([len(lst) for lst in rows]):
+            a = chi[v][:, ys[:v + 1]] * Dt[:, xs[:v + 1]] % p
+            b = dot_mod(new[:, :v + 1], chi[v][:, None, :], p)
+            Q = (Q + dot_mod(a[:, None, :], b[None], p)) % p
+        P = (Q + Q.T) % p
         tr = ProofTranscript()
         tr.add_coeffs("charge_poly", coeffs_from_values_nd(P, p))
         return tr

@@ -336,6 +336,42 @@ def test_triangles_count_a_doubled_edge(tmp_path, capsys):
     from annostream import cli
     path = tmp_path / "g.stream"
     path.write_text(DOUBLED)
-    assert cli.main(["run", "--scheme", "tri-laconic",
+    for scheme in ("tri-laconic", "tri-frugal", "tri-sparse"):
+        assert cli.main(["run", "--scheme", scheme,
+                         "--input", str(path)]) == 0
+        assert "output=2" in capsys.readouterr().out.splitlines()
+
+
+# true counts far past the automatic modulus 1048583: 1.25e20 triangles,
+# and 600001 edges, so 1200002 ordered pairs
+WRAP = "n=3 model=turnstile\n1 2 5000000\n2 3 5000000\n1 3 5000000\n"
+WRAP_QUERY = "n=3 model=turnstile\n1 2 600000\n2 3 1\nU: 1 2\n"
+
+
+@pytest.mark.parametrize("text,schemes,bound", [
+    (WRAP, ("tri-laconic", "tri-frugal", "tri-sparse"), "|A|_F^3/6"),
+    (WRAP_QUERY, ("edgecount-induced",), "2 sum c"),
+    (WRAP_QUERY.replace("U: 1 2", "U+W: 1 | 2"), ("edgecount-cross",),
+     "2 sum c"),
+], ids=["triangles", "induced", "cross"])
+def test_counts_past_the_modulus_exit_two(tmp_path, capsys, text, schemes,
+                                          bound):
+    from annostream import cli
+    path = tmp_path / "g.stream"
+    path.write_text(text)
+    for scheme in schemes:
+        for cmd in (["run"], ["attack", "--trials", "1"],
+                    ["sweep", "--t-grid", "2"]):
+            assert cli.main(cmd + ["--scheme", scheme,
+                                   "--input", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert bound in err and "wrap mod p" in err
+
+
+def test_counts_below_the_modulus_still_run(tmp_path, capsys):
+    from annostream import cli
+    path = tmp_path / "g.stream"
+    path.write_text(WRAP_QUERY.replace("600000", "500000"))
+    assert cli.main(["run", "--scheme", "edgecount-induced",
                      "--input", str(path)]) == 0
-    assert "output=2" in capsys.readouterr().out.splitlines()
+    assert "output=500000" in capsys.readouterr().out.splitlines()
