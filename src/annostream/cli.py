@@ -27,8 +27,9 @@ from .generators import (adjlist_instance, clique_edges, cycle_edges,
                          turnstile_instance, vanilla_instance,
                          weighted_instance, weighted_turnstile_instance,
                          with_query_set)
-from .protocol import (MUTATIONS, SCHEMES, TrialStats, get_scheme,
-                       run_adversarial, run_with_transcript)
+from .protocol import (MUTATIONS, SCHEMES, TrialStats, check_domain,
+                       checked_field, get_scheme, run_adversarial,
+                       run_with_transcript)
 from .protocol import sweep_costs as _sweep_costs
 from .stream import ParseError, ProofTranscript, parse_stream, serialize_stream
 
@@ -79,28 +80,11 @@ def _scheme_class(args, inst):
     except KeyError:
         raise ConfigError(f"unknown scheme {args.scheme!r}; known: "
                           + ", ".join(sorted(SCHEMES)))
-    if cls.simple_graph:
-        top, need = 1, "0 or 1"
-    elif cls.weight_bounded:
-        top, need = inst.W, f"0 to W={inst.W}"
-    else:
-        top, need = None, "at least 0"
-    for (u, v), c in sorted(inst.final_edges().items()):
-        if c < 0 or (top is not None and c > top):
-            raise ConfigError(f"edge {u} {v} has final multiplicity {c}; "
-                              f"{cls.name} needs {need}")
+    try:
+        check_domain(cls, inst)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     return cls
-
-
-def _field(scheme, inst, p):
-    """The scheme's modulus; refuses one that its true count could reach."""
-    cfg = scheme.field_config(inst, p)
-    top, bound = scheme.count_ceiling(inst)
-    if top >= cfg.p:
-        raise ConfigError(f"{scheme.name} counts up to {bound} = {top} on "
-                          f"these multiplicities, not below p={cfg.p}; the "
-                          "count would wrap mod p")
-    return cfg
 
 
 def _configured_scheme(args, inst):
@@ -153,7 +137,7 @@ def cmd_run(args) -> int:
     inst = _load_instance(args.input)
     scheme = _configured_scheme(args, inst)
     try:
-        cfg = _field(scheme, inst, p)
+        cfg = checked_field(scheme, inst, p)
         if args.replay:
             try:
                 with open(args.replay) as fh:
@@ -217,7 +201,7 @@ def cmd_attack(args) -> int:
 
     # one honest proof per run; every policy mutates its own copies of it
     try:
-        p = _field(scheme, inst, p).p
+        p = checked_field(scheme, inst, p).p
         honest = scheme.prove(inst, p)
         results = [
             _honest_trials(scheme, inst, honest, args.trials, args.seed, p)
@@ -316,7 +300,7 @@ def cmd_sweep(args) -> int:
     inst = _load_instance(args.input)
     cls = _scheme_class(args, inst)
     try:
-        _field(cls.configure(inst), inst, p)
+        checked_field(cls.configure(inst), inst, p)
         shapes = [resolve_shape(inst.n, t, s)
                   for (t, s) in _sweep_shapes(args)]
         rows = _sweep_costs(args.scheme, inst, shapes, seed=args.seed, p=p)

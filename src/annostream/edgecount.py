@@ -35,9 +35,8 @@ from .extension import (ShapeConfig, coeffs_from_values_nd, dot_mod,
 from .field import fe_random
 from .oracle import oracle_cross_edges, oracle_induced_edges
 from .protocol import Scheme, bump_grid_total, register, _clone_transcript
-from .setops import check_grid_claim
-from .stream import (EdgeToken, ProofTranscript, RejectError, SetMember,
-                     SetQuery)
+from .setops import add_to_line, check_grid_claim
+from .stream import ProofTranscript, RejectError, SetMember, SetQuery
 
 
 class PairSketch:
@@ -46,27 +45,34 @@ class PairSketch:
     def __init__(self, sc: ShapeConfig, r1: int, r2: int, p: int):
         self.sc = sc
         self.p = p
-        self.i1 = impulse_table(r1, sc.t, p)
-        self.i2 = impulse_table(r2, sc.t, p)
+        self.i1 = np.array(impulse_table(r1, sc.t, p), dtype=np.int64)
+        self.i2 = np.array(impulse_table(r2, sc.t, p), dtype=np.int64)
         self.table = np.zeros((sc.s, sc.s), dtype=np.int64)
 
     @property
     def cells(self) -> int:
         return self.sc.s * self.sc.s
 
-    def add(self, a: int, b: int, delta: int = 1):
-        xa, ya = self.sc.shape(a)
-        xb, yb = self.sc.shape(b)
-        self.table[ya - 1, yb - 1] = (self.table[ya - 1, yb - 1] + delta
-                                      * self.i1[xa - 1] * self.i2[xb - 1]
-                                      ) % self.p
+    def add(self, a, b, delta=1):
+        """Add delta to the pair (a, b): scalars or equal-length int64
+        columns, one scatter of products of reduced residues per call."""
+        p = self.p
+        xa, ya = self.sc.grid_index(a)
+        xb, yb = self.sc.grid_index(b)
+        np.add.at(self.table, (ya, yb),
+                  delta % p * self.i1[xa] % p * self.i2[xb] % p)
+        self.table %= p
 
-    def add_sym(self, a: int, b: int, delta: int = 1):
-        self.add(a, b, delta)
-        self.add(b, a, delta)
+    def add_sym(self, a, b, delta=1):
+        """add(a, b, delta) and add(b, a, delta) as one call."""
+        if np.ndim(delta):
+            delta = np.concatenate([delta, delta])
+        self.add(np.ravel([a, b]), np.ravel([b, a]), delta)
 
     def bilinear(self, left: np.ndarray, right: np.ndarray) -> int:
-        col = dot_mod(self.table, right, self.p)
+        """left^T table right mod p for two lines, or the sum of it over
+        the rows of two equal stacks of lines."""
+        col = dot_mod(self.table, right[..., None, :], self.p)
         return int((left * col % self.p).sum() % self.p)
 
 
@@ -76,17 +82,22 @@ class LineArray:
     def __init__(self, sc: ShapeConfig, r: int, p: int):
         self.sc = sc
         self.p = p
-        self.imp = impulse_table(r, sc.t, p)
+        self.imp = np.array(impulse_table(r, sc.t, p), dtype=np.int64)
         self.arr = np.zeros(sc.s, dtype=np.int64)
 
     @property
     def cells(self) -> int:
         return self.sc.s
 
-    def add(self, v: int, mult: int = 1):
-        xv, yv = self.sc.shape(v)
-        self.arr[yv - 1] = (self.arr[yv - 1]
-                            + mult * self.imp[xv - 1]) % self.p
+    def add(self, v, mult=1):
+        """Insert vertex v, or each vertex of a column, mult times."""
+        add_to_line(self.arr, self.sc, self.imp, v, mult, self.p)
+
+    def rows(self, member_lists) -> np.ndarray:
+        """The line after inserting each list alone, one row per list:
+        `line_rows` at the one node r."""
+        return line_rows(member_lists, self.sc, self.imp[None, :],
+                         self.p)[:, 0]
 
 
 def line_rows(member_lists, sc: ShapeConfig, Dt, p) -> np.ndarray:
@@ -143,12 +154,14 @@ def adjacency_matrix(inst, p, directed=False) -> np.ndarray:
     n = inst.n
     adj = np.zeros((n, n), dtype=np.int64)
     if directed:
-        for (u, v) in inst.directed_edges():
-            adj[u - 1][v - 1] += 1
-    else:
-        for (u, v), c in inst.final_edges().items():
-            adj[u - 1][v - 1] = c % p
-            adj[v - 1][u - 1] = c % p
+        u, v = inst.edges[:2]
+        np.add.at(adj, (u - 1, v - 1), 1)
+    elif inst.final_edges():
+        edges = inst.final_edges()
+        lo, hi = np.array(list(edges), dtype=np.int64).T - 1
+        c = np.array(list(edges.values()), dtype=np.int64) % p
+        adj[lo, hi] = c
+        adj[hi, lo] = c
     return adj % p
 
 
@@ -180,7 +193,7 @@ class _EdgeCountBase(Scheme):
 
     @staticmethod
     def _query_count(inst) -> int:
-        return sum(1 for tok in inst.tokens if isinstance(tok, SetQuery))
+        return sum(1 for tok in inst.queries if isinstance(tok, SetQuery))
 
     def hcost_bound(self, inst) -> int:
         return self._query_count(inst) * (2 * self.t - 1) ** 2
@@ -192,7 +205,7 @@ class _EdgeCountBase(Scheme):
         us: set = set()
         ws: set = set()
         out = []
-        for tok in inst.tokens:
+        for tok in inst.queries:
             if isinstance(tok, SetMember):
                 (us if tok.side == 0 else ws).add(tok.v)
             elif isinstance(tok, SetQuery):
@@ -209,7 +222,7 @@ class _EdgeCountBase(Scheme):
         tr = ProofTranscript()
         us: list = []
         ws: list = []
-        for tok in inst.tokens:
+        for tok in inst.queries:
             if isinstance(tok, SetMember):
                 (us if tok.side == 0 else ws).append(tok.v)
             elif isinstance(tok, SetQuery):
@@ -228,22 +241,22 @@ class _EdgeCountBase(Scheme):
         meter.alloc("pair_sketch", sketch.cells)
         meter.alloc("line_rows", left.cells + right.cells)
         meter.alloc("registers", 2)
+        u, v, delta, _ = inst.edges
+        sketch.add_sym(u, v, delta)
         expected: list = []
         saw_query = False
-        for tok in inst.tokens:
-            if isinstance(tok, EdgeToken):
-                sketch.add_sym(tok.u, tok.v, tok.delta)
-            elif isinstance(tok, SetMember):
-                if tok.side == 0:
-                    left.add(tok.v)
-                    if not self.cross:
-                        right.add(tok.v)
-                else:
-                    if not self.cross:
-                        raise ValueError("induced count takes a single set")
-                    right.add(tok.v)
+        members: tuple = ([], [])
+        for tok in inst.queries:
+            if isinstance(tok, SetMember):
+                if tok.side and not self.cross:
+                    raise ValueError("induced count takes a single set")
+                members[tok.side].append(tok.v)
             elif isinstance(tok, SetQuery):
                 saw_query = True
+                us, ws = (np.array(m, dtype=np.int64) for m in members)
+                left.add(us)
+                right.add(ws if self.cross else us)
+                members = ([], [])
                 expected.append(sketch.bilinear(left.arr, right.arr))
                 meter.grow("query_registers")
         if not saw_query:

@@ -134,10 +134,19 @@ class ShapeConfig:
         self.t = t
         self.s = s
 
-    def shape(self, v: int) -> tuple:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} outside [1, {self.n}]")
-        return ((v - 1) // self.s + 1, (v - 1) % self.s + 1)
+    def shape(self, v) -> tuple:
+        """(x, y) of vertex v, or the columns (x, y) of an int array v."""
+        x, y = self.grid_index(v)
+        return x + 1, y + 1
+
+    def grid_index(self, v) -> tuple:
+        """0-based (x, y) of vertex v or of each entry of an int column;
+        ValueError for any vertex outside [1, n]."""
+        c = np.asarray(v) - 1
+        if c.size and c.view(np.uint64).max() >= self.n:  # c < 0 wraps
+            bad = c[(c < 0) | (c >= self.n)].flat[0] + 1
+            raise ValueError(f"vertex {bad} outside [1, {self.n}]")
+        return np.divmod(c, self.s)
 
     def unshape(self, x: int, y: int) -> int:
         v = (x - 1) * self.s + y

@@ -138,11 +138,11 @@ def star_edges(center: int, leaves) -> list:
 
 def with_query_set(inst: GraphInstance, members,
                    right=None) -> GraphInstance:
-    toks = list(inst.tokens)
-    toks.extend(SetMember(0, v) for v in members)
+    queries = list(inst.queries)
+    queries.extend(SetMember(0, v) for v in members)
     if right is not None:
-        toks.extend(SetMember(1, v) for v in right)
-    toks.append(SetQuery())
-    return GraphInstance(n=inst.n, model=inst.model, W=inst.W,
-                         source=inst.source, target=inst.target,
-                         tokens=toks)
+        queries.extend(SetMember(1, v) for v in right)
+    queries.append(SetQuery())
+    return GraphInstance.from_columns(
+        inst.n, inst.model, inst.W, inst.source, inst.target,
+        edges=inst.edges, queries=queries)

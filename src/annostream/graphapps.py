@@ -32,7 +32,7 @@ import numpy as np
 from .edgecount import (LineArray, PairSketch, adjacency_matrix, degree_grid,
                         grid_adjacency, line_rows, member_pair_charge,
                         pair_charge)
-from .extension import ShapeConfig, coeffs_from_values_nd
+from .extension import ShapeConfig, coeffs_from_values_nd, dot_mod
 from .field import fe_random
 from .oracle import (oracle_acyclic, oracle_components, oracle_is_mis,
                      oracle_is_toposort, oracle_max_matching)
@@ -40,17 +40,7 @@ from .protocol import Scheme, bump_grid_total, register, _clone_transcript
 from .setops import (Fingerprint, LineCheck, check_grid_claim,
                      dense_indicator, directed_key, line_check_dims,
                      line_check_help, monomial, undirected_key)
-from .stream import EdgeToken, ProofTranscript, RejectError
-
-
-def _edge_tokens(inst, models=("turnstile", "vanilla")):
-    if inst.model not in models:
-        raise ValueError(f"scheme cannot run on {inst.model} input")
-    for tok in inst.tokens:
-        if isinstance(tok, EdgeToken):
-            yield tok.u, tok.v, tok.delta
-        else:
-            raise ValueError("unexpected query-set tokens in input")
+from .stream import ProofTranscript, RejectError
 
 
 def inner_split(n: int, s: int):
@@ -204,12 +194,22 @@ def _groups(vertices, edges) -> list:
     return list(groups.values())
 
 
-def _keys_within(members, n):
+def _keys_within(members, n) -> np.ndarray:
     """Undirected edge keys of every pair of distinct members."""
-    mem = sorted(members)
-    for i, u in enumerate(mem):
-        for v in mem[i + 1:]:
-            yield undirected_key(u, v, n)
+    mem = np.array(sorted(members), dtype=np.int64)
+    i, j = np.triu_indices(mem.size, 1)
+    return undirected_key(mem[i], mem[j], n)
+
+
+def _increasing(ids, n) -> bool:
+    """Whether ids is strictly increasing inside [1, n]."""
+    return not ids.size or (ids[0] >= 1 and ids[-1] <= n
+                            and bool((ids[1:] > ids[:-1]).all()))
+
+
+def _in_range(ids, n) -> bool:
+    """Whether every id lies in [1, n] (ids below 1 wrap past n)."""
+    return not ids.size or bool((ids - 1).view(np.uint64).max() < n)
 
 
 def _edge_key_items(inst, n):
@@ -339,67 +339,56 @@ class MatchingFrugal(_SplitScheme):
         meter.alloc("subset_lines", sub.cells)
         meter.alloc("set_lines", out1.cells * 4)
         meter.alloc("registers", 12)
-        for (u, v, delta) in _edge_tokens(inst):
-            sketch.add_sym(u, v, delta)
-            sub.add_right(undirected_key(u, v, n), delta)
-        for v in range(1, n + 1):
-            out1.add(v)
-            out2.add(v)
+        u, v, delta, _ = inst.edge_stream()
+        sketch.add_sym(u, v, delta)
+        sub.add_right(undirected_key(u, v, n), delta)
+        everyone = np.arange(1, n + 1)
+        out1.add(everyone)
+        out2.add(everyone)
 
         k = reader.scalar("k")
         if not 0 <= k <= n // 2:
             raise RejectError("claimed matching size out of range")
         fp_flat = Fingerprint(gamma, p)
         pairs = reader.vertices("matching", 2 * k)
-        for i in range(k):
-            a, b = int(pairs[2 * i]), int(pairs[2 * i + 1])
-            if not (1 <= a <= n and 1 <= b <= n) or a == b:
-                raise RejectError("bad matching pair")
-            sub.add_left(undirected_key(a, b, n))
-            fp_flat.add(a)
-            fp_flat.add(b)
+        a, b = pairs[0::2], pairs[1::2]
+        if not _in_range(pairs, n) or (a == b).any():
+            raise RejectError("bad matching pair")
+        sub.add_left(undirected_key(a, b, n))
+        fp_flat.add(pairs)
         fp_sorted = Fingerprint(gamma, p)
-        prev = 0
-        for v in reader.vertices("endpoints", 2 * k).tolist():
-            if not prev < v <= n:
-                raise RejectError("endpoint list not strictly increasing")
-            prev = v
-            fp_sorted.add(v)
+        ends = reader.vertices("endpoints", 2 * k)
+        if not _increasing(ends, n):
+            raise RejectError("endpoint list not strictly increasing")
+        fp_sorted.add(ends)
         if fp_sorted.value != fp_flat.value:
             raise RejectError("endpoint list does not match the matching")
 
         fp_part = Fingerprint(gamma, p)
         fp_all = Fingerprint(gamma, p)
-        for v in range(1, n + 1):
-            fp_all.add(v)
-        usize = 0
-        for v in reader.vertices("witness").tolist():
-            if not 1 <= v <= n:
-                raise RejectError("witness vertex out of range")
-            usize += 1
-            fp_part.add(v)
-            out1.add(v, -1)
-            out2.add(v, -1)
+        fp_all.add(everyone)
+        witness = reader.vertices("witness")
+        if not _in_range(witness, n):
+            raise RejectError("witness vertex out of range")
+        usize = witness.size
+        fp_part.add(witness)
+        out1.add(witness, -1)
+        out2.add(witness, -1)
         acc_inside = sketch.bilinear(out1.arr, out2.arr)
 
         cblocks = reader.scalar("component_count")
         if not 0 <= cblocks <= n:
             raise RejectError("component count out of range")
-        odd = 0
-        acc_blocks = 0
+        blocks = []
         for _ in range(cblocks):
             members = reader.vertices("component")
-            blk1.arr[:] = 0
-            blk2.arr[:] = 0
-            for v in members.tolist():
-                if not 1 <= v <= n:
-                    raise RejectError("component vertex out of range")
-                fp_part.add(v)
-                blk1.add(v)
-                blk2.add(v)
-            odd += len(members) % 2
-            acc_blocks = (acc_blocks
-                          + sketch.bilinear(blk1.arr, blk2.arr)) % p
+            if not _in_range(members, n):
+                raise RejectError("component vertex out of range")
+            blocks.append(members)
+        odd = sum(len(members) % 2 for members in blocks)
+        if blocks:
+            fp_part.add(np.concatenate(blocks))
+        acc_blocks = sketch.bilinear(blk1.rows(blocks), blk2.rows(blocks))
         if fp_part.value != fp_all.value:
             raise RejectError("witness and components do not partition V")
         if 2 * k != usize + n - odd:
@@ -544,14 +533,15 @@ class MatchingLaconic(Scheme):
                     sub_m.cells + sub_f.cells + int_1.cells + int_2.cells)
         meter.alloc("stored_certificate", 3 * n)
         meter.alloc("registers", 8)
-        for (u, v, delta) in _edge_tokens(inst):
-            key = undirected_key(u, v, n)
-            sub_m.add_right(key, delta)
-            sub_f.add_right(key, delta)
-            int_1.add_left(key, delta)
-            int_2.add_left(key, delta)
+        u, v, delta, _ = inst.edge_stream()
+        key = undirected_key(u, v, n)
+        sub_m.add_right(key, delta)
+        sub_f.add_right(key, delta)
+        int_1.add_left(key, delta)
+        int_2.add_left(key, delta)
 
-        flat = reader.vertices("matching").tolist()
+        pairs = reader.vertices("matching")
+        flat = pairs.tolist()
         if len(flat) % 2:
             raise RejectError("odd matching id list")
         k = len(flat) // 2
@@ -563,30 +553,28 @@ class MatchingLaconic(Scheme):
             if a in seen or b in seen:
                 raise RejectError("matching endpoints collide")
             seen.update((a, b))
-            sub_m.add_left(undirected_key(a, b, n))
+        sub_m.add_left(undirected_key(pairs[0::2], pairs[1::2], n))
         witness = reader.vertices("witness").tolist()
         wset = set(witness)
         if len(wset) != len(witness) or not all(1 <= v <= n for v in witness):
             raise RejectError("bad witness set")
-        fl = reader.vertices("forest").tolist()
-        if len(fl) % 2:
+        fl = reader.vertices("forest")
+        if fl.size % 2:
             raise RejectError("odd forest id list")
         outside = [v for v in range(1, n + 1) if v not in wset]
-        forest = list(zip(fl[::2], fl[1::2]))
-        for a, b in forest:
-            if a in wset or b in wset or a == b \
-                    or not (1 <= a <= n and 1 <= b <= n):
-                raise RejectError("forest edge leaves the outside set")
-            sub_f.add_left(undirected_key(a, b, n))
-        blocks = _groups(outside, forest)
+        a, b = fl[0::2], fl[1::2]
+        if (np.isin(fl, witness).any() or (a == b).any()
+                or not _in_range(fl, n)):
+            raise RejectError("forest edge leaves the outside set")
+        sub_f.add_left(undirected_key(a, b, n))
+        blocks = _groups(outside, zip(a.tolist(), b.tolist()))
         odd = sum(len(b) % 2 for b in blocks)
         if 2 * k != len(wset) + n - odd:
             raise RejectError("duality count does not match claimed size")
-        for key in _keys_within(outside, n):
-            int_1.add_right(key)
-        for blk in blocks:
-            for key in _keys_within(blk, n):
-                int_2.add_right(key)
+        int_1.add_right(_keys_within(outside, n))
+        int_2.add_right(np.concatenate(
+            [_keys_within(blk, n) for blk in blocks]
+            + [np.zeros(0, dtype=np.int64)]))
 
         sub_m.finish(reader, "matching_subset", "matching containment")
         sub_f.finish(reader, "forest_subset", "forest containment")
@@ -738,33 +726,30 @@ class MaximalIndependentSet(_SplitScheme):
         meter.alloc("subset_lines", sub.cells)
         meter.alloc("partner_lines", inter.cells)
         meter.alloc("registers", 8)
-        for (u, v, delta) in _edge_tokens(inst):
-            sketch.add_sym(u, v, delta)
-            sub.add_right(undirected_key(u, v, n), delta)
+        u, v, delta, _ = inst.edge_stream()
+        sketch.add_sym(u, v, delta)
+        sub.add_right(undirected_key(u, v, n), delta)
 
         fp_part = Fingerprint(gamma, p)
         fp_all = Fingerprint(gamma, p)
-        for v in range(1, n + 1):
-            fp_all.add(v)
-        members = reader.vertices("independent_set").tolist()
-        for v in members:
-            if not 1 <= v <= n:
-                raise RejectError("set member out of range")
-            fp_part.add(v)
-            l1.add(v)
-            l2.add(v)
+        fp_all.add(np.arange(1, n + 1))
+        members = reader.vertices("independent_set")
+        if not _in_range(members, n):
+            raise RejectError("set member out of range")
+        fp_part.add(members)
+        l1.add(members)
+        l2.add(members)
         acc = sketch.bilinear(l1.arr, l2.arr)
-        ptr = reader.vertices("pointers").tolist()
-        if len(ptr) != 2 * (n - len(members)):
+        ptr = reader.vertices("pointers")
+        if ptr.size != 2 * (n - members.size):
             raise RejectError("pointer list has wrong length")
-        for i in range(len(ptr) // 2):
-            v, u = ptr[2 * i], ptr[2 * i + 1]
-            if not (1 <= v <= n and 1 <= u <= n) or v == u:
-                raise RejectError("bad pointer pair")
-            fp_part.add(v)
-            sub.add_left(undirected_key(v, u, n))
-            inter.add_left(u)
-            inter.add_right(v)
+        sources, partners = ptr[0::2], ptr[1::2]
+        if not _in_range(ptr, n) or (sources == partners).any():
+            raise RejectError("bad pointer pair")
+        fp_part.add(sources)
+        sub.add_left(undirected_key(sources, partners, n))
+        inter.add_left(partners)
+        inter.add_right(sources)
         if fp_part.value != fp_all.value:
             raise RejectError("set and pointer sources do not partition V")
 
@@ -774,7 +759,7 @@ class MaximalIndependentSet(_SplitScheme):
         sub.finish(reader, "pointer_subset", "pointer containment")
         if inter.finish(reader, "partner_inter", "partner overlap") != 0:
             raise RejectError("a pointer partner lies outside the set")
-        return tuple(members)
+        return tuple(members.tolist())
 
     def mutate_vertices(self, inst, transcript, p, rng):
         members = list(self._greedy(inst))
@@ -874,32 +859,30 @@ class TopoSort(_SplitScheme):
         meter.alloc("pair_sketch", sketch.cells)
         meter.alloc("prefix_line", pre1.cells)
         meter.alloc("registers", 8)
-        m = 0
-        for (u, v, delta) in _edge_tokens(inst, models=("vanilla",)):
-            sketch.add(u, v, delta)
-            m += delta
+        u, v, delta, _ = inst.edge_stream(models=("vanilla",))
+        sketch.add(u, v, delta)
+        m = int(delta.sum())
         fp_all = Fingerprint(gamma, p)
-        for v in range(1, n + 1):
-            fp_all.add(v)
+        fp_all.add(np.arange(1, n + 1))
         fp_ord = Fingerprint(gamma, p)
-        order = reader.vertices("order", n).tolist()
-        acc = 0
-        for i, v in enumerate(order):
-            if not 1 <= v <= n:
-                raise RejectError("order entry out of range")
-            fp_ord.add(v)
-            xv, yv = self.isc.shape(v)
-            if i > 0:
-                col = sketch.table[:, yv - 1]
-                hit = int((pre1.arr * col % p).sum() % p)
-                acc = (acc + hit * sketch.i2[xv - 1]) % p
-            pre1.add(v)
+        order = reader.vertices("order", n)
+        if not _in_range(order, n):
+            raise RejectError("order entry out of range")
+        fp_ord.add(order)
+        # entry i meets the prefix line pre1 as it stood after entries < i:
+        # those lines are the running sum of one cell per entry
+        xs, ys = self.isc.shape(order)
+        cells = np.zeros((n, pre1.cells), dtype=np.int64)
+        cells[np.arange(n), ys - 1] = pre1.imp[xs - 1]
+        before = np.cumsum(cells[:-1], axis=0) % p
+        hits = dot_mod(before, sketch.table[:, ys[1:] - 1].T, p)
+        acc = int((hits * sketch.i2[xs[1:] - 1] % p).sum() % p)
         if fp_ord.value != fp_all.value:
             raise RejectError("order is not a permutation of V")
         if self._pair_claim(reader, "forward_pairs", (r1, r2), acc, p,
                             "forward-pair polynomial") != m % p:
             raise RejectError("an edge points backward in the order")
-        return tuple(order)
+        return tuple(order.tolist())
 
     def _violating_order(self, inst, rng):
         order = list(self._kahn(inst))
@@ -1022,24 +1005,21 @@ class Acyclicity(_SplitScheme):
         sub = LineCheck(self.edge_dims, rho, p, "subset")
         meter.alloc("subset_lines", sub.cells)
         meter.alloc("registers", 6)
-        for (u, v, delta) in _edge_tokens(inst, models=("vanilla",)):
-            sub.add_right(directed_key(u, v, n), delta)
-        cyc = reader.vertices("cycle").tolist()
-        if len(cyc) < 2:
+        u, v, delta, _ = inst.edge_stream(models=("vanilla",))
+        sub.add_right(directed_key(u, v, n), delta)
+        cyc = reader.vertices("cycle")
+        if cyc.size < 2:
             raise RejectError("cycle too short")
+        if not _in_range(cyc, n):
+            raise RejectError("cycle vertex out of range")
         fp_c = Fingerprint(gamma, p)
-        for i, v in enumerate(cyc):
-            if not 1 <= v <= n:
-                raise RejectError("cycle vertex out of range")
-            fp_c.add(v)
-            sub.add_left(directed_key(v, cyc[(i + 1) % len(cyc)], n))
+        fp_c.add(cyc)
+        sub.add_left(directed_key(cyc, np.roll(cyc, -1), n))
         fp_s = Fingerprint(gamma, p)
-        prev = 0
-        for v in reader.vertices("cycle_sorted", len(cyc)).tolist():
-            if not prev < v <= n:
-                raise RejectError("cycle list not strictly increasing")
-            prev = v
-            fp_s.add(v)
+        ordered = reader.vertices("cycle_sorted", cyc.size)
+        if not _increasing(ordered, n):
+            raise RejectError("cycle list not strictly increasing")
+        fp_s.add(ordered)
         if fp_s.value != fp_c.value:
             raise RejectError("sorted copy does not match the cycle")
         sub.finish(reader, "cycle_subset", "cycle containment")
@@ -1168,34 +1148,27 @@ class Components(_SplitScheme):
         meter.alloc("subset_lines", sub.cells)
         meter.alloc("block_lines", b1.cells + b2.cells)
         meter.alloc("registers", 12)
-        m_total = 0
-        for (u, v, delta) in _edge_tokens(inst):
-            sketch.add_sym(u, v, delta)
-            sub.add_right(undirected_key(u, v, n), delta)
-            m_total += delta
+        u, v, delta, _ = inst.edge_stream()
+        sketch.add_sym(u, v, delta)
+        sub.add_right(undirected_key(u, v, n), delta)
+        m_total = int(delta.sum())
 
         c = reader.scalar("component_count")
         if not 1 <= c <= n:
             raise RejectError("component count out of range")
         fp_part = Fingerprint(gamma, p)
         fp_all = Fingerprint(gamma, p)
-        for v in range(1, n + 1):
-            fp_all.add(v)
+        fp_all.add(np.arange(1, n + 1))
         supply = 0
         refer = 0
-        acc_blocks = 0
+        blocks, children, parents = [], [], []
         for bi in range(1, c + 1):
             vals = reader.scalars("tree_block").tolist()
             if len(vals) < 2 or (len(vals) - 2) % 4:
                 raise RejectError("malformed tree block")
-            b1.arr[:] = 0
-            b2.arr[:] = 0
             root, kroot = vals[0], vals[1]
             if not 1 <= root <= n or not 0 <= kroot <= n:
                 raise RejectError("bad root record")
-            fp_part.add(root)
-            b1.add(root)
-            b2.add(root)
             supply = (supply + kroot
                       * monomial((g1, g2, g3), (root, 0, bi), p)) % p
             pos = 0
@@ -1208,15 +1181,18 @@ class Components(_SplitScheme):
                     raise RejectError("bad child count")
                 if not 0 <= pidx < pos:
                     raise RejectError("tree reference points forward")
-                fp_part.add(v)
-                b1.add(v)
-                b2.add(v)
                 supply = (supply + kv
                           * monomial((g1, g2, g3), (v, pos, bi), p)) % p
                 refer = (refer
                          + monomial((g1, g2, g3), (par, pidx, bi), p)) % p
-                sub.add_left(undirected_key(v, par, n))
-            acc_blocks = (acc_blocks + sketch.bilinear(b1.arr, b2.arr)) % p
+            blocks.append([root] + vals[2::4])
+            children.extend(vals[2::4])
+            parents.extend(vals[4::4])
+        members = np.concatenate(blocks)
+        fp_part.add(members)
+        sub.add_left(undirected_key(np.array(children, dtype=np.int64),
+                                    np.array(parents, dtype=np.int64), n))
+        acc_blocks = sketch.bilinear(b1.rows(blocks), b2.rows(blocks))
         if supply != refer:
             raise RejectError("tree references do not match child counts")
         if fp_part.value != fp_all.value:

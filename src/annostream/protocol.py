@@ -273,6 +273,39 @@ MUTATIONS = {
 # --- runners ----------------------------------------------------------------
 
 
+def check_domain(scheme, inst: GraphInstance):
+    """Refuses, with ValueError naming the first such edge, an input whose
+    final multiplicities fall outside the scheme's domain (see
+    `Scheme.simple_graph` and `Scheme.weight_bounded`)."""
+    if scheme.simple_graph:
+        top, need = 1, "0 or 1"
+    elif scheme.weight_bounded:
+        top, need = inst.W, f"0 to W={inst.W}"
+    else:
+        top, need = None, "at least 0"
+    edges = inst.final_edges()
+    bad = [e for e, c in edges.items()
+           if c < 0 or (top is not None and c > top)]
+    if bad:
+        u, v = min(bad)
+        raise ValueError(f"edge {u} {v} has final multiplicity "
+                         f"{edges[u, v]}; {scheme.name} needs {need}")
+
+
+def checked_field(scheme, inst: GraphInstance,
+                  p: Optional[int] = None) -> FieldConfig:
+    """The scheme's field; ValueError for an input outside its domain or
+    a modulus that its true count could reach."""
+    check_domain(scheme, inst)
+    cfg = scheme.field_config(inst, p)
+    top, bound = scheme.count_ceiling(inst)
+    if top >= cfg.p:
+        raise ValueError(f"{scheme.name} counts up to {bound} = {top} on "
+                         f"these multiplicities, not below p={cfg.p}; the "
+                         "count would wrap mod p")
+    return cfg
+
+
 def _verify(scheme, inst, transcript, p, seed) -> RunResult:
     meter = SpaceMeter()
     rng = make_rng(seed, f"verifier/{scheme.name}")
@@ -291,7 +324,9 @@ def _verify(scheme, inst, transcript, p, seed) -> RunResult:
 
 def run_honest(scheme, inst: GraphInstance, seed: int = 0,
                p: Optional[int] = None) -> RunResult:
-    cfg = scheme.field_config(inst, p)
+    """Prove and verify; ValueError for an input outside the scheme's
+    domain or a modulus its count could reach, as for every runner."""
+    cfg = checked_field(scheme, inst, p)
     transcript = scheme.prove(inst, cfg.p)
     return _verify(scheme, inst, transcript, cfg.p, seed)
 
@@ -299,7 +334,7 @@ def run_honest(scheme, inst: GraphInstance, seed: int = 0,
 def run_with_transcript(scheme, inst: GraphInstance,
                         transcript: ProofTranscript, seed: int = 0,
                         p: Optional[int] = None) -> RunResult:
-    cfg = scheme.field_config(inst, p)
+    cfg = checked_field(scheme, inst, p)
     return _verify(scheme, inst, transcript, cfg.p, seed)
 
 
@@ -316,7 +351,7 @@ def run_adversarial(scheme, inst: GraphInstance, policy: str,
         raise KeyError(f"unknown mutation policy {policy!r}")
     if policy not in scheme.mutations:
         raise ValueError(f"policy {policy} not applicable to {scheme.name}")
-    cfg = scheme.field_config(inst, p)
+    cfg = checked_field(scheme, inst, p)
     if honest is None:
         honest = scheme.prove(inst, cfg.p)
     mutate = MUTATIONS[policy]
@@ -345,7 +380,7 @@ def sweep_costs(name: str, inst: GraphInstance, shapes,
     rows = []
     for t, s in shapes:
         scheme = get_scheme(name).configure(inst, t=t, s=s)
-        cfg = scheme.field_config(inst, p)
+        cfg = checked_field(scheme, inst, p)
         res = run_honest(scheme, inst, seed=seed, p=cfg.p)
         if not res.accepted:
             raise RuntimeError(f"honest run rejected during sweep: "

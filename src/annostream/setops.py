@@ -22,6 +22,8 @@ when only a zero test is needed).
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from .extension import (ShapeConfig, coeffs_from_values_1d, extend_rows,
@@ -29,18 +31,25 @@ from .extension import (ShapeConfig, coeffs_from_values_1d, extend_rows,
 from .stream import RejectError
 
 
-def undirected_key(u: int, v: int, n: int) -> int:
-    a, b = (u, v) if u < v else (v, u)
-    return (a - 1) * n + b
+def undirected_key(u, v, n: int):
+    """Key of the edge {u, v} in [n^2]; ints or int64 columns alike."""
+    lo, hi = _ordered(u, v)
+    return (lo - 1) * n + hi
 
 
-def directed_key(u: int, v: int, n: int) -> int:
+def directed_key(u, v, n: int):
     return (u - 1) * n + v
 
 
-def weighted_key(u: int, v: int, w: int, n: int, W: int) -> int:
-    a, b = (u, v) if u < v else (v, u)
-    return ((a - 1) * n + (b - 1)) * W + w
+def weighted_key(u, v, w, n: int, W: int):
+    lo, hi = _ordered(u, v)
+    return ((lo - 1) * n + (hi - 1)) * W + w
+
+
+def _ordered(u, v) -> tuple:
+    """(min, max) of ints or, entrywise, of int64 columns."""
+    total, gap = u + v, abs(u - v)
+    return (total - gap) // 2, (total + gap) // 2
 
 
 def monomial(bases, exps, p: int) -> int:
@@ -48,6 +57,18 @@ def monomial(bases, exps, p: int) -> int:
     for b, e in zip(bases, exps):
         out = out * pow(b, e, p) % p
     return out
+
+
+def add_to_line(arr, sc: ShapeConfig, imp, keys, mult, p: int):
+    """arr[y] += mult * imp[x] mod p at the grid cell (x, y) of each key.
+
+    keys and mult are scalars or equal-length int64 columns. mult is
+    reduced mod p before its one product with a residue of imp, and the
+    int64 scatter adds residues below 2^25, exact for 2^38 of them.
+    """
+    x, y = sc.grid_index(keys)
+    np.add.at(arr, y, mult % p * imp[x] % p)
+    arr %= p
 
 
 class Fingerprint:
@@ -60,8 +81,13 @@ class Fingerprint:
         self.gamma = gamma % p
         self.value = 0
 
-    def add(self, key: int, mult: int = 1):
-        self.value = (self.value + mult * pow(self.gamma, key, self.p)) % self.p
+    def add(self, key, mult=1):
+        """Add mult * gamma^key for a key or for each entry of a column."""
+        keys = np.asarray(key).ravel().tolist()
+        powers = np.fromiter(map(pow, repeat(self.gamma), keys,
+                                 repeat(self.p)), np.int64, len(keys))
+        terms = mult % self.p * powers % self.p
+        self.value = (self.value + int(terms.sum())) % self.p
 
 
 def check_grid_claim(reader, label: str, grid, point, expected: int, p: int,
@@ -94,7 +120,8 @@ class LineCheck:
         self.mode = mode
         self.rho = rho % p
         self._sc = ShapeConfig(self.H * self.V, self.H, self.V)
-        self._imp = impulse_table(self.rho, self.H, p)
+        self._imp = np.array(impulse_table(self.rho, self.H, p),
+                             dtype=np.int64)
         self.left = np.zeros(self.V, dtype=np.int64)
         self.right = np.zeros(self.V, dtype=np.int64)
 
@@ -102,15 +129,11 @@ class LineCheck:
     def cells(self) -> int:
         return 2 * self.V
 
-    def add_left(self, key: int, mult: int = 1):
-        x, y = self._sc.shape(key)
-        self.left[y - 1] = (self.left[y - 1]
-                            + mult * self._imp[x - 1]) % self.p
+    def add_left(self, key, mult=1):
+        add_to_line(self.left, self._sc, self._imp, key, mult, self.p)
 
-    def add_right(self, key: int, mult: int = 1):
-        x, y = self._sc.shape(key)
-        self.right[y - 1] = (self.right[y - 1]
-                             + mult * self._imp[x - 1]) % self.p
+    def add_right(self, key, mult=1):
+        add_to_line(self.right, self._sc, self._imp, key, mult, self.p)
 
     def point_value(self) -> int:
         if self.mode == "subset":
@@ -139,12 +162,11 @@ def line_check_dims(universe: int, width: int) -> tuple:
 def dense_indicator(items, dims) -> np.ndarray:
     """Grid array from (key, mult) pairs; prover-side helper."""
     H, V = dims
-    sc = ShapeConfig(H * V, H, V)
-    arr = np.zeros((H, V), dtype=np.int64)
-    for key, mult in items:
-        x, y = sc.shape(key)
-        arr[x - 1, y - 1] += mult
-    return arr
+    keys, mults = np.asarray(items, dtype=np.int64).reshape(-1, 2).T
+    ShapeConfig(H * V, H, V).grid_index(keys)  # refuses keys off the grid
+    arr = np.zeros(H * V, dtype=np.int64)
+    np.add.at(arr, keys - 1, mults)
+    return arr.reshape(H, V)
 
 
 def line_check_help(dense_left: np.ndarray, dense_right: np.ndarray,

@@ -32,22 +32,12 @@ from .extension import (_check_numpy_modulus, coeffs_from_values_1d,
                         coeffs_from_values_nd, dot_mod, extend_rows,
                         impulse_block, impulse_table, nd_eval, power_sums)
 from .field import FieldConfig, fe_random
-from .graphapps import _cached, _edge_tokens
+from .graphapps import _cached
 from .oracle import oracle_bfs, oracle_dijkstra
 from .protocol import Scheme, register, _clone_transcript
 from .setops import (LineCheck, dense_indicator, line_check_help,
                      undirected_key, weighted_key)
-from .stream import EdgeToken, ProofTranscript, RejectError
-
-
-def _weighted_tokens(inst):
-    if inst.model != "weighted":
-        raise ValueError(f"scheme cannot run on {inst.model} input")
-    for tok in inst.tokens:
-        if isinstance(tok, EdgeToken):
-            yield tok.u, tok.v, tok.w
-        else:
-            raise ValueError("unexpected query-set tokens in input")
+from .stream import ProofTranscript, RejectError
 
 
 def _require_source(inst):
@@ -104,10 +94,11 @@ class _BallAudit:
         beta = fe_random(rng, p)
         b0 = fe_random(rng, p)
         b1 = fe_random(rng, p)
-        impn = impulse_table(self.r2, n, p)
+        impn = np.array(impulse_table(self.r2, n, p), dtype=np.int64)
         self.b0pow = b0pow = np.array([pow(b0, v, p) for v in range(1, n + 1)],
                                       dtype=np.int64)
         self.b1pow = [pow(b1, v, p) for v in range(1, n + 1)]
+        self.b1col = np.array(self.b1pow, dtype=np.int64)
         self.betapow = betapow = np.array(
             [pow(beta, v, p) for v in range(1, n + 1)], dtype=np.int64)
         self.asketch = asketch = LineArray(self.sc, self.r1, p)
@@ -115,16 +106,13 @@ class _BallAudit:
         meter.alloc("adjacency_line", asketch.cells)
         meter.alloc("ball_line", self.ball.cells)
         meter.alloc("registers", 16)
-        g0 = 0
-        for (u, v, delta) in _edge_tokens(inst):
-            d_ = delta % p
-            asketch.add(u, d_ * impn[v - 1] % p)
-            asketch.add(v, d_ * impn[u - 1] % p)
-            if u == src:
-                g0 = (g0 + d_ * int(b0pow[v - 1])) % p
-            if v == src:
-                g0 = (g0 + d_ * int(b0pow[u - 1])) % p
-        self.g0 = g0
+        u, v, delta, _ = inst.edge_stream()
+        d_ = delta % p
+        asketch.add(u, d_ * impn[v - 1] % p)
+        asketch.add(v, d_ * impn[u - 1] % p)
+        # the source row, fingerprinted at b0
+        self.g0 = int((d_[u == src] * b0pow[v[u == src] - 1] % p).sum()
+                      + (d_[v == src] * b0pow[u[v == src] - 1] % p).sum()) % p
         self.psi_prev = self.psi_cur = self.b1pow[src - 1]
         self.S_X = power_sums(t, 2 * t - 1, p)
         tau = np.zeros(n, dtype=np.int64)
@@ -137,14 +125,12 @@ class _BallAudit:
 
     def _next_ball(self, q):
         """Ball line and fingerprint of {source} plus the support of q."""
-        p, ball = self.p, self.ball
+        ball = self.ball
+        members = np.flatnonzero(q) + 1
+        members = np.concatenate([[self.src], members[members != self.src]])
         ball.arr[:] = 0
-        ball.add(self.src)
-        psi = self.b1pow[self.src - 1]
-        for u in range(1, self.n + 1):
-            if u != self.src and q[u - 1]:
-                ball.add(u)
-                psi = (psi + self.b1pow[u - 1]) % p
+        ball.add(members)
+        psi = int(self.b1col[members - 1].sum()) % self.p
         self.psi_prev, self.psi_cur = self.psi_cur, psi
 
     def source_round(self, reader):
@@ -435,20 +421,21 @@ class _WeightedScheme(Scheme):
             return Wmat
         return _cached(inst, key, build)
 
-    def _crossing_keys(self, reached):
+    def _crossing_keys(self, reached) -> np.ndarray:
         """Keys of the vertex pairs with exactly one end in `reached`."""
         n = self.n
-        for u in range(1, n + 1):
-            for v in range(u + 1, n + 1):
-                if (u in reached) != (v in reached):
-                    yield undirected_key(u, v, n)
+        inside = np.zeros(n + 1, dtype=bool)
+        inside[list(reached)] = True
+        u, v = np.triu_indices(n, 1)
+        cross = inside[u + 1] != inside[v + 1]
+        return undirected_key(u[cross] + 1, v[cross] + 1, n)
 
     def _frontier_help(self, edges, reached, p) -> np.ndarray:
         """Intersection help for the (u, v, count) edges against the
         pairs that cross out of `reached`."""
         n = self.n
         items = [(undirected_key(u, v, n), c) for (u, v, c) in edges]
-        crossing = [(key, 1) for key in self._crossing_keys(reached)]
+        crossing = [(key, 1) for key in self._crossing_keys(reached).tolist()]
         return line_check_help(dense_indicator(items, (n, n)),
                                dense_indicator(crossing, (n, n)), p,
                                "intersect")
@@ -456,8 +443,7 @@ class _WeightedScheme(Scheme):
     def _check_frontier(self, inter, reader, reached, reason):
         """Finish the edge-side intersection `inter` against the pairs
         crossing out of `reached`; rejects with `reason` unless empty."""
-        for key in self._crossing_keys(reached):
-            inter.add_right(key)
+        inter.add_right(self._crossing_keys(reached))
         if inter.finish(reader, "frontier_inter", "frontier") != 0:
             raise RejectError(reason)
 
@@ -543,15 +529,14 @@ class SsspWeightedTurnstile(_WeightedScheme):
         meter.alloc("source_row", n)
         meter.alloc("frontier_lines", inter.cells)
         meter.alloc("registers", 16)
-        for (u, v, delta) in _edge_tokens(inst, models=("turnstile",)):
-            d_ = delta % p
-            row[u - 1] = (row[u - 1] + d_ * impn[v - 1]) % p
-            row[v - 1] = (row[v - 1] + d_ * impn[u - 1]) % p
-            if u == src:
-                wrow[v - 1] += delta
-            if v == src:
-                wrow[u - 1] += delta
-            inter.add_left(undirected_key(u, v, n), delta)
+        u, v, delta, _ = inst.edge_stream(models=("turnstile",))
+        d_ = delta % p
+        np.add.at(row, u - 1, d_ * impn[v - 1] % p)
+        np.add.at(row, v - 1, d_ * impn[u - 1] % p)
+        row %= p
+        np.add.at(wrow, v[u == src] - 1, delta[u == src])
+        np.add.at(wrow, u[v == src] - 1, delta[v == src])
+        inter.add_left(undirected_key(u, v, n), delta)
 
         Dhat = reader.scalar("horizon")
         if not 0 <= Dhat <= W * (n - 1):
@@ -727,11 +712,12 @@ class SsspWeightedVanilla(_WeightedScheme):
         meter.alloc("tree_lines", sub.cells)
         meter.alloc("frontier_lines", inter.cells)
         meter.alloc("registers", 16)
-        for (u, v, w) in _weighted_tokens(inst):
-            F[u - 1, w - 1] = (F[u - 1, w - 1] + impn[v - 1]) % p
-            F[v - 1, w - 1] = (F[v - 1, w - 1] + impn[u - 1]) % p
-            sub.add_right(weighted_key(u, v, w, n, W))
-            inter.add_left(undirected_key(u, v, n))
+        u, v, _, w = inst.edge_stream(models=("weighted",))
+        np.add.at(F, (u - 1, w - 1), impn[v - 1])
+        np.add.at(F, (v - 1, w - 1), impn[u - 1])
+        F %= p
+        sub.add_right(weighted_key(u, v, w, n, W))
+        inter.add_left(undirected_key(u, v, n))
 
         SENT = W * (n - 1) + 1
         labs = reader.scalars("distance_labels", n)
@@ -743,6 +729,7 @@ class SsspWeightedVanilla(_WeightedScheme):
                 raise RejectError("distance label out of range")
             if (lab[v] == 0) != (v == src):
                 raise RejectError("label zero must mark the source alone")
+        tree: list = []
         for v in range(1, n + 1):
             pv = int(prevs[v - 1])
             if v == src or lab[v] == SENT:
@@ -755,7 +742,8 @@ class SsspWeightedVanilla(_WeightedScheme):
             w = lab[v] - lab[pv]
             if not 1 <= w <= W:
                 raise RejectError("implied tree weight out of range")
-            sub.add_left(weighted_key(pv, v, w, n, W))
+            tree.append(weighted_key(pv, v, w, n, W))
+        sub.add_left(np.array(tree, dtype=np.int64))
 
         Dhat = max((lab[v] for v in range(1, n + 1) if lab[v] < SENT),
                    default=0)

@@ -13,9 +13,17 @@ Input grammar (text, `#` comments allowed):
     #   U+W: v1 v2 | w1 w2 ...
 
 Vertices are 1-based. Edges never repeat in vanilla/weighted/adjlist
-bodies and self-loops are rejected everywhere; turnstile deltas are
-unrestricted (deletions allowed). Set lines accumulate: each line extends
-the running set(s) and ends with a query marker.
+bodies and self-loops are rejected everywhere. Turnstile deltas may be
+negative (deletions), and their absolute values must sum to less than
+DELTA_BOUND = 2^62, so every partial sum and final multiplicity fits
+int64 exactly. Set lines accumulate: each line extends the running set(s)
+and ends with a query marker.
+
+A parsed GraphInstance is columnar: the body is parsed in chunks of
+lines into int64 columns (u, v, delta, w), one row per edge token or
+adjacency item, and the query-set tail stays a short token list.
+Verifiers feed each column to a linear sketch in one call; `final_edges()`
+is built once per instance; `tokens` builds the token list only on demand.
 
 A ProofTranscript is an ordered list of labeled blocks, each either a
 coefficient block (serialized in graded lexicographic monomial order,
@@ -27,8 +35,11 @@ block boundaries are free framing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from collections.abc import Mapping, MutableSequence
+from dataclasses import dataclass
+from itertools import chain
+from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -74,43 +85,245 @@ class SetQuery:
     pass
 
 
-@dataclass
+# A turnstile body's sum of |delta| stays below this, so every partial sum
+# and final multiplicity of the int64 delta column is exact.
+DELTA_BOUND = 1 << 62
+# Text parsed per step, cut after a line end: only one chunk's lines and
+# field strings are alive at once.
+_CHUNK_CHARS = 1 << 16
+_SET_LINE = ("U:", "U+W:")
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
+
+def _check_delta_total(total: int):
+    if total >= DELTA_BOUND:
+        raise ParseError(f"sum of |delta| reaches 2^62 = {DELTA_BOUND}; "
+                         "the stream must stay below it")
+
+
+class _Columns(NamedTuple):
+    edges: tuple   # (u, v, delta, w), one entry per edge token
+    queries: list  # SetMember / SetQuery tail
+
+
+def _columns_of(tokens, model: str) -> _Columns:
+    """Columns of a token list; edges must precede the query sets."""
+    item = AdjItem if model == "adjlist" else EdgeToken
+    rows: list = []
+    queries: list = []
+    for tok in tokens:
+        if isinstance(tok, (SetMember, SetQuery)):
+            queries.append(tok)
+        elif queries:
+            raise ValueError("edges after query sets")
+        elif not isinstance(tok, item):
+            raise ValueError(f"{model} stream holds {tok!r}")
+        elif item is AdjItem:  # one update of {v, u}, at its first listing
+            rows.append((tok.v, tok.u, int(tok.u > tok.v), 0))
+        else:
+            rows.append((tok.u, tok.v, tok.delta, tok.w))
+    _check_delta_total(sum(abs(row[2]) for row in rows))
+    try:
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    except OverflowError:
+        raise ValueError("token field outside int64") from None
+    return _frozen(tuple(np.array(c) for c in cols), queries)
+
+
+def _frozen(edges, queries) -> _Columns:
+    for col in edges:
+        col.flags.writeable = False
+    return _Columns(edges, list(queries))
+
+
+def _final_multiset(edges) -> dict:
+    """Net multiplicity of each undirected edge, in order of first
+    appearance, without the edges that cancel to zero."""
+    u, v, delta, _ = edges
+    if not u.size:
+        return {}
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))  # stable: each run starts at its first
+    lo, hi = lo[order], hi[order]
+    head = np.ones(lo.size, dtype=bool)
+    head[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    starts = np.flatnonzero(head)
+    count = np.add.reduceat(delta[order], starts)
+    keep = np.flatnonzero(count)
+    keep = keep[np.argsort(order[starts][keep], kind="stable")]
+    keys = zip(lo[starts][keep].tolist(), hi[starts][keep].tolist())
+    return dict(zip(keys, count[keep].tolist()))
+
+
+class TokenList(MutableSequence):
+    """`GraphInstance.tokens`: the stream as one list of tokens.
+
+    The list is built from the instance's columns on first use; its length
+    is known without building it. A change made through this view drops
+    the instance's columns, final edges and prover cache, which are then
+    derived again from the list.
+    """
+
+    __slots__ = ("_inst",)
+
+    def __init__(self, inst):
+        self._inst = inst
+
+    def __len__(self):
+        return self._inst._token_count()
+
+    def __getitem__(self, i):
+        return self._inst._token_list()[i]
+
+    def __iter__(self):
+        return iter(self._inst._token_list())
+
+    def __setitem__(self, i, tok):
+        self._inst._token_list()[i] = tok
+        self._inst._body_changed()
+
+    def __delitem__(self, i):
+        del self._inst._token_list()[i]
+        self._inst._body_changed()
+
+    def insert(self, i, tok):
+        self._inst._token_list().insert(i, tok)
+        self._inst._body_changed()
+
+    def __eq__(self, other):
+        if isinstance(other, (TokenList, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return repr(self._inst._token_list())
+
+
 class GraphInstance:
-    n: int
-    model: str
-    W: int = 1
-    source: Optional[int] = None
-    target: Optional[int] = None
-    tokens: list = field(default_factory=list)
-    # prover-side results derived from the tokens, keyed by name
-    prover_cache: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    """A stream: its header fields and its body as int64 columns.
 
-    def final_edges(self) -> dict:
-        """Multiset of undirected edges after all updates.
+    `edges` holds the body in stream order as columns (u, v, delta, w):
+    one row per edge token, or, on an adjacency stream, one row
+    (v, u, 1 or 0, 0) per item "u in row v", whose delta is 1 where the
+    edge {v, u} is listed first (u > v). `queries` is the query-set tail,
+    a short list of SetMember and SetQuery tokens that follows every edge.
+    `final_edges()` is built once from the columns. An instance made from
+    a token list derives its columns from the list when they are first
+    read; see `tokens`.
+    """
 
-        Key is the ordered pair (min, max); adjacency rows count each edge
-        once even though both endpoints list it.
+    def __init__(self, n: int, model: str, W: int = 1,
+                 source: Optional[int] = None, target: Optional[int] = None,
+                 tokens=()):
+        self.n = n
+        self.model = model
+        self.W = W
+        self.source = source
+        self.target = target
+        # prover-side results derived from the stream, keyed by name
+        self.prover_cache: dict = {}
+        self._tokens: Optional[list] = list(tokens)
+        self._columns: Optional[_Columns] = None
+        self._final = None
+
+    @classmethod
+    def from_columns(cls, n, model, W=1, source=None, target=None,
+                     edges=None, queries=()):
+        inst = cls(n, model, W, source, target)
+        inst._tokens = None
+        inst._columns = _frozen(edges or (_EMPTY,) * 4, queries)
+        return inst
+
+    def _cols(self) -> _Columns:
+        if self._columns is None:
+            self._columns = _columns_of(self._tokens, self.model)
+        return self._columns
+
+    @property
+    def edges(self) -> tuple:
+        return self._cols().edges
+
+    @property
+    def queries(self) -> list:
+        return self._cols().queries
+
+    @property
+    def tokens(self) -> TokenList:
+        return TokenList(self)
+
+    @tokens.setter
+    def tokens(self, tokens):
+        self._tokens = list(tokens)
+        self._body_changed()
+
+    def _token_list(self) -> list:
+        if self._tokens is None:
+            u, v, delta, w = (c.tolist() for c in self._columns.edges)
+            items = (map(AdjItem, u, v) if self.model == "adjlist"
+                     else map(EdgeToken, u, v, delta, w))
+            self._tokens = list(items) + self._columns.queries
+        return self._tokens
+
+    def _token_count(self) -> int:
+        if self._tokens is not None:
+            return len(self._tokens)
+        edges, queries = self._columns
+        return edges[0].size + len(queries)
+
+    def _body_changed(self):
+        self._columns = None
+        self._final = None
+        self.prover_cache.clear()
+
+    def __eq__(self, other):
+        if not isinstance(other, GraphInstance):
+            return NotImplemented
+        return (self.n, self.model, self.W, self.source, self.target,
+                self.tokens) == (other.n, other.model, other.W,
+                                 other.source, other.target, other.tokens)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"GraphInstance(n={self.n}, model={self.model!r}, "
+                f"W={self.W}, source={self.source}, target={self.target}, "
+                f"tokens=<{self._token_count()}>)")
+
+    def edge_stream(self, models=("turnstile", "vanilla")) -> tuple:
+        """The columns (u, v, delta, w) of an edge stream without query
+        sets; ValueError for any other input."""
+        if self.model not in models:
+            raise ValueError(f"scheme cannot run on {self.model} input")
+        edges, queries = self._cols()
+        if queries:
+            raise ValueError("unexpected query-set tokens in input")
+        return edges
+
+    def final_edges(self) -> Mapping:
+        """Multiset of undirected edges after all updates, built once.
+
+        Key is the ordered pair (min, max), in order of first appearance;
+        adjacency rows count each edge once even though both endpoints
+        list it. The mapping is read-only.
         """
-        mult: dict = {}
-        for tok in self.tokens:
-            if isinstance(tok, EdgeToken):
-                key = (min(tok.u, tok.v), max(tok.u, tok.v))
-                mult[key] = mult.get(key, 0) + tok.delta
-            elif isinstance(tok, AdjItem):
-                if tok.u > tok.v:
-                    key = (tok.v, tok.u)
-                    mult[key] = mult.get(key, 0) + 1
-        return {k: c for k, c in mult.items() if c != 0}
+        if self._final is None:
+            self._final = MappingProxyType(_final_multiset(self.edges))
+        return self._final
 
     def directed_edges(self) -> list:
         """Edge tokens read as ordered pairs (vanilla model)."""
-        return [(tok.u, tok.v) for tok in self.tokens
-                if isinstance(tok, EdgeToken)]
+        u, v = self.edges[:2]
+        return list(zip(u.tolist(), v.tolist()))
 
     def weighted_edges(self) -> list:
-        return [(min(tok.u, tok.v), max(tok.u, tok.v), tok.w)
-                for tok in self.tokens if isinstance(tok, EdgeToken)]
+        u, v, _, w = self.edges
+        return list(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist(),
+                        w.tolist()))
+
+
+def _body(raw: str) -> str:
+    return raw.partition("#")[0].strip()
 
 
 def _parse_header(line: str) -> dict:
@@ -142,16 +355,27 @@ def _vertex(tokstr: str, n: int) -> int:
     return v
 
 
+def _line_chunks(text: str):
+    """text.splitlines() in pieces, one per slice of about _CHUNK_CHARS
+    that ends just after a newline."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS)
+        end = len(text) if end < 0 else end + 1
+        yield text[start:end].splitlines()
+        start = end
+
+
 def parse_stream(text: str) -> GraphInstance:
-    lines = []
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append(body)
-    if not lines:
+    chunks = _line_chunks(text)
+    for lines in chunks:
+        top = next((i for i, raw in enumerate(lines) if _body(raw)), None)
+        if top is not None:
+            break
+    else:
         raise ParseError("empty stream")
 
-    hdr = _parse_header(lines[0])
+    hdr = _parse_header(_body(lines[top]))
     if "n" not in hdr or "model" not in hdr:
         raise ParseError("header must set n= and model=")
     n = _header_int(hdr, "n")
@@ -171,103 +395,193 @@ def parse_stream(text: str) -> GraphInstance:
         if val is not None and not 1 <= val <= n:
             raise ParseError(f"{label} {val} outside [1, {n}]")
 
-    inst = GraphInstance(n=n, model=model, W=W, source=source, target=target)
-    seen_pairs = set()
-    seen_set_line = False
-    adj_row = 0
-    adj_rows: dict = {}
+    body = _BodyParser(n, model, W)
+    body.feed(lines[top + 1:])
+    for lines in chunks:
+        body.feed(lines)
+    return body.instance(source, target)
 
-    for line in lines[1:]:
-        if line.startswith(("U:", "U+W:")):
-            if model not in ("turnstile", "vanilla"):
+
+_LAYOUT = {"turnstile": "u v delta", "vanilla": "u v", "weighted": "u v w"}
+
+
+class _BodyParser:
+    """Parses a stream body chunk by chunk into int64 columns."""
+
+    def __init__(self, n: int, model: str, W: int):
+        self.n, self.model, self.W = n, model, W
+        self.width = 2 if model == "vanilla" else 3
+        self.edges: list = []
+        self.queries: list = []
+        self.in_queries = False
+        self.delta_total = 0
+        self.adj_row = 0
+
+    def feed(self, lines: list):
+        if self.in_queries:
+            self._query_lines(lines)
+        elif self.model == "adjlist":
+            self._adjacency_rows(lines)
+        else:
+            rows = [raw.partition("#")[0].split() for raw in lines]
+            for j, row in enumerate(rows):
+                if row and row[0].startswith(_SET_LINE):
+                    self._edge_rows(rows[:j])
+                    self._query_lines(lines[j:])
+                    return
+            self._edge_rows(rows)
+
+    def _ints(self, fields, count: int, check_row) -> np.ndarray:
+        """fields as int64; on a bad field, check_row names the culprit."""
+        try:
+            return np.fromiter(map(int, fields), dtype=np.int64, count=count)
+        except (ValueError, OverflowError):
+            check_row()
+            raise ParseError("stream value outside int64") from None
+
+    def _vertex_range(self, ids):
+        n = self.n
+        if ids.size and (ids.min() < 1 or ids.max() > n):
+            bad = ids[(ids < 1) | (ids > n)].flat[0]
+            raise ParseError(f"vertex {bad} outside [1, {n}]")
+
+    def _edge_rows(self, rows: list):
+        rows = [row for row in rows if row]
+        if not rows:
+            return
+        model, width, n = self.model, self.width, self.n
+        for row in rows:
+            if len(row) != width:
+                raise ParseError(f"{model} line needs '{_LAYOUT[model]}': "
+                                 f"{' '.join(row)!r}")
+
+        def check_row():
+            for row in rows:
+                _vertex(row[0], n)
+                _vertex(row[1], n)
+                if width == 3:
+                    what = "delta" if model == "turnstile" else "weight"
+                    try:
+                        third = int(row[2])
+                    except ValueError:
+                        raise ParseError(f"bad {what} {row[2]!r}") from None
+                    if model == "turnstile":
+                        _check_delta_total(abs(third))
+
+        vals = self._ints(chain.from_iterable(rows), width * len(rows),
+                          check_row).reshape(-1, width)
+        u, v = vals[:, 0], vals[:, 1]
+        self._vertex_range(vals[:, :2])
+        if (u == v).any():
+            raise ParseError(f"self-loop at {u[u == v][0]}")
+        ones = np.ones(len(rows), dtype=np.int64)
+        if model == "turnstile":
+            delta, w = vals[:, 2], np.zeros_like(ones)
+            self.delta_total += sum(map(abs, delta.tolist()))
+            _check_delta_total(self.delta_total)
+        elif model == "weighted":
+            delta, w = ones, vals[:, 2]
+            bad = np.flatnonzero((w < 1) | (w > self.W))
+            if bad.size:
+                raise ParseError(f"weight {w[bad[0]]} outside [1, {self.W}]")
+        else:
+            delta, w = ones, np.zeros_like(ones)
+        self.edges.append((u, v, delta, w))
+
+    def _adjacency_rows(self, lines: list):
+        n = self.n
+        heads, sizes, fields = [], [], []
+        for raw in lines:
+            line = _body(raw)
+            if not line:
+                continue
+            if line.startswith(_SET_LINE):
                 raise ParseError("query sets only valid for edge streams")
-            seen_set_line = True
+            head, colon, rest = line.partition(":")
+            if not colon:
+                raise ParseError(f"adjacency row missing ':': {line!r}")
+            v = _vertex(head.strip(), n)
+            self.adj_row += 1
+            if v != self.adj_row:
+                raise ParseError(
+                    f"adjacency rows must cover 1..n in order, got {v}")
+            neigh = rest.split()
+            heads.append(v)
+            sizes.append(len(neigh))
+            fields.extend(neigh)
+
+        def check_row():
+            for tok in fields:
+                _vertex(tok, n)
+
+        u = self._ints(fields, len(fields), check_row)
+        self._vertex_range(u)
+        v = np.repeat(np.array(heads, dtype=np.int64), sizes)
+        if (u == v).any():
+            raise ParseError(f"self-loop at {v[u == v][0]}")
+        self.edges.append((v, u, (u > v).astype(np.int64), np.zeros_like(u)))
+
+    def _query_lines(self, lines: list):
+        self.in_queries = True
+        n, queries = self.n, self.queries
+        for raw in lines:
+            line = _body(raw)
+            if not line:
+                continue
+            if not line.startswith(_SET_LINE):
+                raise ParseError("edges after query sets")
+            if self.model not in ("turnstile", "vanilla"):
+                raise ParseError("query sets only valid for edge streams")
             if line.startswith("U+W:"):
                 rest = line[len("U+W:"):]
                 if "|" not in rest:
                     raise ParseError("U+W line needs a | divider")
                 left, right = rest.split("|", 1)
-                for tok in left.split():
-                    inst.tokens.append(SetMember(0, _vertex(tok, n)))
-                for tok in right.split():
-                    inst.tokens.append(SetMember(1, _vertex(tok, n)))
+                queries.extend(SetMember(0, _vertex(tok, n))
+                               for tok in left.split())
+                queries.extend(SetMember(1, _vertex(tok, n))
+                               for tok in right.split())
             else:
-                for tok in line[len("U:"):].split():
-                    inst.tokens.append(SetMember(0, _vertex(tok, n)))
-            inst.tokens.append(SetQuery())
-            continue
-        if seen_set_line:
-            raise ParseError("edges after query sets")
+                queries.extend(SetMember(0, _vertex(tok, n))
+                               for tok in line[len("U:"):].split())
+            queries.append(SetQuery())
 
-        if model == "adjlist":
-            if ":" not in line:
-                raise ParseError(f"adjacency row missing ':': {line!r}")
-            head, rest = line.split(":", 1)
-            v = _vertex(head.strip(), n)
-            adj_row += 1
-            if v != adj_row:
-                raise ParseError(
-                    f"adjacency rows must cover 1..n in order, got {v}")
-            neigh = [_vertex(tok, n) for tok in rest.split()]
-            if len(set(neigh)) != len(neigh):
-                raise ParseError(f"duplicate neighbor in row {v}")
-            if v in neigh:
-                raise ParseError(f"self-loop at {v}")
-            adj_rows[v] = set(neigh)
-            for u in neigh:
-                inst.tokens.append(AdjItem(v, u))
-            continue
+    def instance(self, source, target) -> GraphInstance:
+        edges = tuple(np.concatenate(c) for c in zip(*self.edges)) \
+            if self.edges else None
+        if self.model in ("vanilla", "weighted") and edges:
+            lo, hi = np.minimum(*edges[:2]), np.maximum(*edges[:2])
+            order = np.lexsort((hi, lo))
+            lo, hi = lo[order], hi[order]
+            same = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
+            if same.size:
+                i = same[0]
+                raise ParseError(f"duplicate edge {(int(lo[i]), int(hi[i]))}")
+        if self.model == "adjlist":
+            self._check_adjacency(edges)
+        return GraphInstance.from_columns(
+            self.n, self.model, self.W, source, target, edges=edges,
+            queries=self.queries)
 
-        parts = line.split()
-        if model == "turnstile":
-            if len(parts) != 3:
-                raise ParseError(f"turnstile line needs 'u v delta': {line!r}")
-            u, v = _vertex(parts[0], n), _vertex(parts[1], n)
-            try:
-                delta = int(parts[2])
-            except ValueError:
-                raise ParseError(f"bad delta {parts[2]!r}") from None
-            if u == v:
-                raise ParseError(f"self-loop at {u}")
-            inst.tokens.append(EdgeToken(u, v, delta))
-        elif model == "vanilla":
-            if len(parts) != 2:
-                raise ParseError(f"vanilla line needs 'u v': {line!r}")
-            u, v = _vertex(parts[0], n), _vertex(parts[1], n)
-            if u == v:
-                raise ParseError(f"self-loop at {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen_pairs:
-                raise ParseError(f"duplicate edge {key}")
-            seen_pairs.add(key)
-            inst.tokens.append(EdgeToken(u, v, 1))
-        elif model == "weighted":
-            if len(parts) != 3:
-                raise ParseError(f"weighted line needs 'u v w': {line!r}")
-            u, v = _vertex(parts[0], n), _vertex(parts[1], n)
-            try:
-                w = int(parts[2])
-            except ValueError:
-                raise ParseError(f"bad weight {parts[2]!r}") from None
-            if u == v:
-                raise ParseError(f"self-loop at {u}")
-            if not 1 <= w <= W:
-                raise ParseError(f"weight {w} outside [1, {W}]")
-            key = (min(u, v), max(u, v))
-            if key in seen_pairs:
-                raise ParseError(f"duplicate edge {key}")
-            seen_pairs.add(key)
-            inst.tokens.append(EdgeToken(u, v, 1, w))
-
-    if model == "adjlist":
-        if adj_row != n:
-            raise ParseError(f"adjacency stream has {adj_row} of {n} rows")
-        for v, neigh in adj_rows.items():
-            for u in neigh:
-                if v not in adj_rows[u]:
-                    raise ParseError(
-                        f"asymmetric adjacency: {u} in row {v} only")
-    return inst
+    def _check_adjacency(self, edges):
+        n = self.n
+        if self.adj_row != n:
+            raise ParseError(f"adjacency stream has {self.adj_row} of {n} "
+                             "rows")
+        if edges is None:
+            return
+        v, u = edges[:2]
+        listed = v * (n + 1) + u
+        ranked = np.sort(listed)
+        twice = np.flatnonzero(ranked[1:] == ranked[:-1])
+        if twice.size:
+            raise ParseError("duplicate neighbor in row "
+                             f"{ranked[twice[0]] // (n + 1)}")
+        lone = np.flatnonzero(~np.isin(u * (n + 1) + v, listed))
+        if lone.size:
+            i = lone[0]
+            raise ParseError(f"asymmetric adjacency: {u[i]} in row {v[i]} "
+                             "only")
 
 
 def serialize_stream(inst: GraphInstance) -> str:
@@ -281,24 +595,23 @@ def serialize_stream(inst: GraphInstance) -> str:
     out = [hdr]
     if inst.model == "adjlist":
         rows: dict = {v: [] for v in range(1, inst.n + 1)}
-        for tok in inst.tokens:
-            rows[tok.v].append(tok.u)
+        for v, u in zip(*(c.tolist() for c in inst.edges[:2])):
+            rows[v].append(u)
         for v in range(1, inst.n + 1):
             out.append(f"{v}: " + " ".join(map(str, rows[v])))
     else:
+        u, v, delta, w = (c.tolist() for c in inst.edges)
+        if inst.model == "vanilla":
+            out.extend(f"{a} {b}" for a, b in zip(u, v))
+        else:
+            third = w if inst.model == "weighted" else delta
+            out.extend(f"{a} {b} {c}" for a, b, c in zip(u, v, third))
         pending_u: list = []
         pending_w: list = []
-        for tok in inst.tokens:
-            if isinstance(tok, EdgeToken):
-                if inst.model == "turnstile":
-                    out.append(f"{tok.u} {tok.v} {tok.delta}")
-                elif inst.model == "weighted":
-                    out.append(f"{tok.u} {tok.v} {tok.w}")
-                else:
-                    out.append(f"{tok.u} {tok.v}")
-            elif isinstance(tok, SetMember):
+        for tok in inst.queries:
+            if isinstance(tok, SetMember):
                 (pending_u if tok.side == 0 else pending_w).append(tok.v)
-            elif isinstance(tok, SetQuery):
+            else:
                 if pending_w:
                     out.append("U+W: " + " ".join(map(str, pending_u))
                                + " | " + " ".join(map(str, pending_w)))

@@ -34,11 +34,19 @@ from .edgecount import (LineArray, PairSketch, degree_grid, line_rows,
 from .extension import (coeffs_from_values_1d, coeffs_from_values_nd,
                         dot_mod, exact_chunk, impulse_block, impulse_table)
 from .field import fe_random
-from .graphapps import _edge_tokens
 from .oracle import oracle_triangles
 from .protocol import Scheme, bump_grid_total, register, _clone_transcript
 from .setops import Fingerprint, check_grid_claim, directed_key
-from .stream import AdjItem, ProofTranscript, RejectError
+from .stream import ProofTranscript, RejectError
+
+
+def _shaped_tokens(inst, sc):
+    """(a, b, delta, xa, ya, xb, yb) per edge token, in stream order, for
+    the charges that depend on it."""
+    a, b, delta, _ = inst.edge_stream()
+    xa, ya = sc.shape(a)
+    xb, yb = sc.shape(b)
+    return zip(*(c.tolist() for c in (a, b, delta, xa, ya, xb, yb)))
 
 
 class _TriangleBase(Scheme):
@@ -88,11 +96,9 @@ class TrianglesLaconic(_TriangleBase):
         D = impulse_block(np.arange(1, 2 * t), t, p)  # (2t-1, t)
         table = np.zeros((2 * t - 1, n, s), dtype=np.int64)
         acc = np.zeros(2 * t - 1, dtype=np.int64)
-        for (a, b, delta) in _edge_tokens(inst):
+        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc):
             prod = table[:, a - 1, :] * table[:, b - 1, :] % p
             acc = (acc + delta * prod.sum(axis=1)) % p
-            xa, ya = sc.shape(a)
-            xb, yb = sc.shape(b)
             table[:, a - 1, yb - 1] = (table[:, a - 1, yb - 1]
                                        + delta * D[:, xb - 1]) % p
             table[:, b - 1, ya - 1] = (table[:, b - 1, ya - 1]
@@ -109,11 +115,9 @@ class TrianglesLaconic(_TriangleBase):
         meter.alloc("registers", 2)
         table = np.zeros((n, s), dtype=np.int64)
         acc = 0
-        for (a, b, delta) in _edge_tokens(inst):
+        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc):
             prod = table[a - 1] * table[b - 1] % p
             acc = (acc + delta * int(prod.sum() % p)) % p
-            xa, ya = sc.shape(a)
-            xb, yb = sc.shape(b)
             table[a - 1, yb - 1] = (table[a - 1, yb - 1]
                                     + delta * imp[xb - 1]) % p
             table[b - 1, ya - 1] = (table[b - 1, ya - 1]
@@ -156,9 +160,7 @@ class TrianglesFrugal(_TriangleBase):
             bufa.clear()
             bufb.clear()
 
-        for (a, b, delta) in _edge_tokens(inst):
-            xa, ya = sc.shape(a)
-            xb, yb = sc.shape(b)
+        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc):
             bufa.append(delta * Dt[:, xa - 1, None] % p
                         * B[:, ya - 1, :] % p)
             bufb.append(Dt[:, xb - 1, None] * B[:, yb - 1, :] % p)
@@ -184,9 +186,7 @@ class TrianglesFrugal(_TriangleBase):
         row1 = [0] * s
         row2 = [0] * s
         acc = 0
-        for (a, b, delta) in _edge_tokens(inst):
-            xa, ya = sc.shape(a)
-            xb, yb = sc.shape(b)
+        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc):
             acc = (acc + delta * i1[xa - 1] * row1[ya - 1] % p
                    * i2[xb - 1] % p * row2[yb - 1]) % p
             for (x, y, other) in ((xa, ya, b), (xb, yb, a)):
@@ -251,22 +251,20 @@ class TrianglesSparse(_TriangleBase):
         meter.alloc("registers", 5)
         fp_in = Fingerprint(gamma, p)
         fp_replay = Fingerprint(gamma, p)
-        for (a, b, delta) in _edge_tokens(inst):
-            sketch.add_sym(a, b, delta)
-            fp_in.add(directed_key(a, b, n), delta)
-            fp_in.add(directed_key(b, a, n), delta)
-        acc = 0
+        a, b, delta, _ = inst.edge_stream()
+        sketch.add_sym(a, b, delta)
+        fp_in.add(directed_key(a, b, n), delta)
+        fp_in.add(directed_key(b, a, n), delta)
+        lists, replayed = [], []
         for v in range(1, n + 1):
             members = reader.vertices("nbrs")
-            b1.arr[:] = 0
-            b2.arr[:] = 0
-            for u in members.tolist():
-                if not 1 <= u <= n:
-                    raise RejectError(f"replayed neighbor {u} out of range")
-                b1.add(u)
-                b2.add(u)
-                fp_replay.add(directed_key(v, u, n))
-            acc = (acc + sketch.bilinear(b1.arr, b2.arr)) % p
+            if members.size and (members.min() < 1 or members.max() > n):
+                bad = members[(members < 1) | (members > n)][0]
+                raise RejectError(f"replayed neighbor {bad} out of range")
+            lists.append(members)
+            replayed.append(directed_key(v, members, n))
+        fp_replay.add(np.concatenate(replayed))
+        acc = sketch.bilinear(b1.rows(lists), b2.rows(lists))
         if fp_replay.value != fp_in.value:
             raise RejectError("replayed neighborhoods do not match stream")
         total = check_grid_claim(reader, "charge_poly", (t, t), (r1, r2),
@@ -310,8 +308,8 @@ class TrianglesAdjList(_TriangleBase):
         n, sc = self.n, self.sc
         Dt = degree_grid(self.t, p)
         rows: list = [[] for _ in range(n)]
-        for tok in inst.tokens:
-            rows[tok.v - 1].append(tok.u)
+        for v, u in zip(*(c.tolist() for c in inst.edges[:2])):
+            rows[v - 1].append(u)
         # A^ of the edges revealed through row v is half + half^T, where
         # half is Dt[., x_v0] (x) line_rows(new_v0) at y1 = y_v0 summed
         # over the rows v0 <= v; the charge of row v is then q + q^T with
@@ -342,28 +340,21 @@ class TrianglesAdjList(_TriangleBase):
         meter.alloc("pair_sketch", sketch.cells)
         meter.alloc("line_rows", b1.cells + b2.cells)
         meter.alloc("registers", 4)
+        if inst.queries:
+            raise ValueError("unexpected token in adjacency input")
+        v, u, first, _ = inst.edges
         acc = 0
-        row = 0
-
-        def close_row():
-            nonlocal acc
-            acc = (acc + sketch.bilinear(b1.arr, b2.arr)) % p
-
-        for tok in inst.tokens:
-            if not isinstance(tok, AdjItem):
-                raise ValueError("unexpected token in adjacency input")
-            if tok.v != row:
-                if row:
-                    close_row()
-                row = tok.v
-                b1.arr[:] = 0
-                b2.arr[:] = 0
-            b1.add(tok.u)
-            b2.add(tok.u)
-            if tok.u > tok.v:  # first reveal of this edge
-                sketch.add_sym(tok.v, tok.u)
-        if row:
-            close_row()
+        # one row per run of equal v: the edges it lists first join the
+        # sketch, then the row is charged
+        cuts = np.flatnonzero(v[1:] != v[:-1]) + 1
+        bounds = [0, *cuts.tolist(), v.size] if v.size else []
+        rows = [u[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        lines1, lines2 = b1.rows(rows), b2.rows(rows)
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            new = first[lo:hi] == 1
+            if new.any():
+                sketch.add_sym(v[lo:hi][new], u[lo:hi][new])
+            acc = (acc + sketch.bilinear(lines1[k], lines2[k])) % p
         total = check_grid_claim(reader, "charge_poly", (t, t), (r1, r2),
                                  acc, p, "charge polynomial")
         if total % 4 != 0:

@@ -375,3 +375,13 @@ def test_counts_below_the_modulus_still_run(tmp_path, capsys):
     assert cli.main(["run", "--scheme", "edgecount-induced",
                      "--input", str(path)]) == 0
     assert "output=500000" in capsys.readouterr().out.splitlines()
+
+
+def test_delta_past_the_stream_bound_exits_two(tmp_path, capsys):
+    from annostream import cli
+    path = tmp_path / "g.stream"
+    path.write_text(f"n=3 model=turnstile\n1 2 {2 ** 62}\n2 3 1\n")
+    assert cli.main(["run", "--scheme", "tri-laconic",
+                     "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "2^62" in err and "Traceback" not in err

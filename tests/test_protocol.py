@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import annostream  # registers schemes
+from annostream.extension import resolve_shape
 from annostream.generators import clique_edges, gnp_edges, vanilla_instance
 from annostream.protocol import (MUTATIONS, SCHEMES, SpaceMeter, TrialStats,
                                  get_scheme, run_adversarial, run_honest,
                                  run_with_transcript, sweep_costs)
+from annostream.stream import ProofTranscript, parse_stream
 
 
 def test_registry_holds_all_schemes():
@@ -112,3 +114,28 @@ def test_sweep_costs_rows():
                           "vcost_elems", "hbits", "vbits", "product_bits"}
         assert r["hcost_elems"] == 2 * r["t"] - 1
         assert r["product_bits"] == r["hbits"] * r["vbits"]
+
+
+# the CLI's refusal repros (tests/test_cli.py), now refused by every runner
+NEGATIVE = "n=4 model=turnstile\n1 2 1\n2 3 1\n1 3 -1\n3 4 1\n"
+HEAVY = "n=4 model=turnstile W=2 source=1\n1 2 5\n2 3 1\n3 4 2\n"
+WRAP = "n=3 model=turnstile\n1 2 5000000\n2 3 5000000\n1 3 5000000\n"
+
+
+@pytest.mark.parametrize("text,name,reason", [
+    (NEGATIVE, "tri-laconic", "edge 1 3 has final multiplicity -1"),
+    (NEGATIVE, "mis", "edge 1 3 has final multiplicity -1"),
+    (HEAVY, "sssp-wturnstile", "edge 1 2 has final multiplicity 5"),
+    (WRAP, "tri-laconic", "the count would wrap mod p"),
+], ids=["negative", "negative-simple", "above-w", "wrap"])
+def test_runners_refuse_inputs_outside_the_domain(text, name, reason):
+    inst = parse_stream(text)
+    scheme = get_scheme(name).configure(inst)
+    with pytest.raises(ValueError, match=reason):
+        run_honest(scheme, inst)
+    with pytest.raises(ValueError, match=reason):
+        run_with_transcript(scheme, inst, ProofTranscript())
+    with pytest.raises(ValueError, match=reason):
+        run_adversarial(scheme, inst, "coefficient_flip", 1)
+    with pytest.raises(ValueError, match=reason):
+        sweep_costs(name, inst, [resolve_shape(inst.n, 2, None)])

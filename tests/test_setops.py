@@ -4,12 +4,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from annostream.edgecount import LineArray, PairSketch
+from annostream.extension import ShapeConfig
 from annostream.field import fe_random_nonzero
 from annostream.setops import (Fingerprint, LineCheck, dense_indicator,
                                directed_key, line_check_dims, line_check_help,
                                undirected_key, weighted_key)
-from annostream.stream import ProofTranscript, RejectError
+from annostream.stream import DELTA_BOUND, ProofTranscript, RejectError
 
 P = 1048583
 
@@ -199,3 +203,136 @@ def test_line_check_wrong_length_rejected():
 def test_line_check_state_is_two_lines():
     lc = LineCheck((6, 4), 17, P, "subset")
     assert lc.cells == 8
+
+
+# --- column updates against a Python-int reference ---------------------------
+
+
+def _impulse(r, size, p):
+    """delta_u(r) for u = 1..size by the Lagrange product, in Python ints."""
+    out = []
+    for u in range(1, size + 1):
+        num = den = 1
+        for w in range(1, size + 1):
+            if w != u:
+                num, den = num * (r - w) % p, den * (u - w) % p
+        out.append(num * pow(den, -1, p) % p)
+    return out
+
+
+def _cell(v, s):
+    return (v - 1) // s, (v - 1) % s
+
+
+@st.composite
+def _updates(draw):
+    """A (possibly padded) grid, a point, and a column of updates with
+    repeated cells, negative deltas and deltas up to the stream bound."""
+    p = draw(st.sampled_from([97, 1048583, 33554393]))
+    n = draw(st.integers(1, 12))
+    t = draw(st.integers(1, n))
+    s = draw(st.integers(-(-n // t), -(-n // t) + 2))
+    k = draw(st.integers(0, 16))
+    col = st.lists(st.integers(1, n), min_size=k, max_size=k)
+    delta = st.lists(st.one_of(
+        st.integers(-3, 3),
+        st.integers(-DELTA_BOUND + 1, DELTA_BOUND - 1)), min_size=k,
+        max_size=k)
+    point = st.integers(0, p - 1)
+    return (p, ShapeConfig(n, t, s), draw(col), draw(col), draw(delta),
+            draw(point), draw(point), draw(st.integers(0, k)))
+
+
+def _ints(xs):
+    return np.array(xs, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_updates())
+def test_pair_sketch_columns_match_python_ints(case):
+    p, sc, a, b, d, r1, r2, cut = case
+    i1, i2 = _impulse(r1, sc.t, p), _impulse(r2, sc.t, p)
+    want = [[0] * sc.s for _ in range(sc.s)]
+    for x, y, c in zip(a, b, d):
+        (xa, ya), (xb, yb) = _cell(x, sc.s), _cell(y, sc.s)
+        want[ya][yb] = (want[ya][yb] + c * i1[xa] * i2[xb]) % p
+    sketch = PairSketch(sc, r1, r2, p)
+    sketch.add(_ints(a[:cut]), _ints(b[:cut]), _ints(d[:cut]))
+    for x, y, c in zip(a[cut:], b[cut:], d[cut:]):
+        sketch.add(x, y, c)
+    assert sketch.table.tolist() == want
+    sym = PairSketch(sc, r1, r2, p)
+    sym.add_sym(_ints(a), _ints(b), _ints(d))
+    twice = PairSketch(sc, r1, r2, p)
+    twice.add(_ints(a + b), _ints(b + a), _ints(d + d))
+    assert sym.table.tolist() == twice.table.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_updates())
+def test_line_array_columns_match_python_ints(case):
+    p, sc, a, b, d, r, _, cut = case
+    imp = _impulse(r, sc.t, p)
+    want = [0] * sc.s
+    for v, c in zip(a, d):
+        x, y = _cell(v, sc.s)
+        want[y] = (want[y] + c * imp[x]) % p
+    line = LineArray(sc, r, p)
+    line.add(_ints(a[:cut]), _ints(d[:cut]))
+    for v, c in zip(a[cut:], d[cut:]):
+        line.add(v, c)
+    assert line.arr.tolist() == want
+    lists = [a[:cut], a[cut:], [], b]
+    rows = line.rows([_ints(m) for m in lists]).tolist()
+    for members, row in zip(lists, rows):
+        alone = LineArray(sc, r, p)
+        alone.add(_ints(members))
+        assert row == alone.arr.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_updates())
+def test_line_check_columns_match_python_ints(case):
+    p, sc, a, b, d, rho, _, cut = case
+    dims = (sc.t, sc.s)  # keys 1..n on the grid, padded or not
+    imp = _impulse(rho, sc.t, p)
+    chk = LineCheck(dims, rho, p, "intersect")
+    chk.add_left(_ints(a[:cut]), _ints(d[:cut]))
+    chk.add_right(_ints(b))
+    for v, c in zip(a[cut:], d[cut:]):
+        chk.add_left(v, c)
+    left, right = [0] * sc.s, [0] * sc.s
+    for v, c in zip(a, d):
+        x, y = _cell(v, sc.s)
+        left[y] = (left[y] + c * imp[x]) % p
+    for v in b:
+        x, y = _cell(v, sc.s)
+        right[y] = (right[y] + imp[x]) % p
+    assert chk.left.tolist() == left and chk.right.tolist() == right
+
+
+@settings(max_examples=200, deadline=None)
+@given(_updates())
+def test_fingerprint_columns_match_python_ints(case):
+    p, sc, a, b, d, gamma, _, cut = case
+    keys = [directed_key(x, y, sc.n) for x, y in zip(a, b)]
+    fp = Fingerprint(gamma, p)
+    fp.add(_ints(keys[:cut]), _ints(d[:cut]))
+    for key, c in zip(keys[cut:], d[cut:]):
+        fp.add(key, c)
+    assert fp.value == sum(c * pow(gamma, key, p)
+                           for key, c in zip(keys, d)) % p
+
+
+def test_columns_refuse_vertices_off_the_grid():
+    p, sc = 97, ShapeConfig(5, 2, 3)  # padded: cell 6 holds no vertex
+    for bad in ([1, 6], [0, 2], [-1]):
+        with pytest.raises(ValueError):
+            PairSketch(sc, 3, 4, p).add(_ints(bad), _ints([1] * len(bad)))
+        with pytest.raises(ValueError):
+            LineArray(sc, 3, p).add(_ints(bad))
+    for bad in ([1, 7], [0, 2], [-1]):  # keys of a 2 x 3 line check
+        with pytest.raises(ValueError):
+            LineCheck((2, 3), 3, p, "subset").add_left(_ints(bad))
+    with pytest.raises(ValueError):
+        sc.shape(6)
