@@ -36,7 +36,7 @@ from .field import fe_random
 from .oracle import oracle_cross_edges, oracle_induced_edges
 from .protocol import Scheme, bump_grid_total, register, _clone_transcript
 from .setops import add_to_line, check_grid_claim
-from .stream import ProofTranscript, RejectError, SetMember, SetQuery
+from .stream import ProofTranscript, RejectError
 
 
 class PairSketch:
@@ -191,28 +191,23 @@ class _EdgeCountBase(Scheme):
         # an ordered pair count is at most twice the edge multiset's size
         return 2 * sum(abs(c) for c in inst.final_edges().values()), "2 sum c"
 
-    @staticmethod
-    def _query_count(inst) -> int:
-        return sum(1 for tok in inst.queries if isinstance(tok, SetQuery))
-
     def hcost_bound(self, inst) -> int:
-        return self._query_count(inst) * (2 * self.t - 1) ** 2
+        return len(inst.queries) * (2 * self.t - 1) ** 2
 
     def vcost_bound(self, inst) -> int:
-        return self.s * self.s + 2 * self.s + self._query_count(inst) + 8
+        return self.s * self.s + 2 * self.s + len(inst.queries) + 8
 
     def oracle_value(self, inst):
         us: set = set()
         ws: set = set()
         out = []
-        for tok in inst.queries:
-            if isinstance(tok, SetMember):
-                (us if tok.side == 0 else ws).add(tok.v)
-            elif isinstance(tok, SetQuery):
-                if self.cross:
-                    out.append(oracle_cross_edges(inst, us, ws))
-                else:
-                    out.append(oracle_induced_edges(inst, us))
+        for left, right in inst.queries:
+            us.update(left.tolist())
+            ws.update(right.tolist())
+            if self.cross:
+                out.append(oracle_cross_edges(inst, us, ws))
+            else:
+                out.append(oracle_induced_edges(inst, us))
         return tuple(out)
 
     def prove(self, inst, p: int) -> ProofTranscript:
@@ -222,14 +217,13 @@ class _EdgeCountBase(Scheme):
         tr = ProofTranscript()
         us: list = []
         ws: list = []
-        for tok in inst.queries:
-            if isinstance(tok, SetMember):
-                (us if tok.side == 0 else ws).append(tok.v)
-            elif isinstance(tok, SetQuery):
-                left = line_rows([us], sc, Dt, p)
-                right = line_rows([ws], sc, Dt, p) if self.cross else left
-                tr.add_coeffs("pair_poly", coeffs_from_values_nd(
-                    pair_charge(left, right, adj_hat, p), p))
+        for new_us, new_ws in inst.queries:
+            us += new_us.tolist()
+            ws += new_ws.tolist()
+            left = line_rows([us], sc, Dt, p)
+            right = line_rows([ws], sc, Dt, p) if self.cross else left
+            tr.add_coeffs("pair_poly", coeffs_from_values_nd(
+                pair_charge(left, right, adj_hat, p), p))
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):
@@ -244,22 +238,14 @@ class _EdgeCountBase(Scheme):
         u, v, delta, _ = inst.edges
         sketch.add_sym(u, v, delta)
         expected: list = []
-        saw_query = False
-        members: tuple = ([], [])
-        for tok in inst.queries:
-            if isinstance(tok, SetMember):
-                if tok.side and not self.cross:
-                    raise ValueError("induced count takes a single set")
-                members[tok.side].append(tok.v)
-            elif isinstance(tok, SetQuery):
-                saw_query = True
-                us, ws = (np.array(m, dtype=np.int64) for m in members)
-                left.add(us)
-                right.add(ws if self.cross else us)
-                members = ([], [])
-                expected.append(sketch.bilinear(left.arr, right.arr))
-                meter.grow("query_registers")
-        if not saw_query:
+        for us, ws in inst.queries:
+            if ws.size and not self.cross:
+                raise ValueError("induced count takes a single set")
+            left.add(us)
+            right.add(ws if self.cross else us)
+            expected.append(sketch.bilinear(left.arr, right.arr))
+            meter.grow("query_registers")
+        if not expected:
             raise ValueError("stream carries no query set")
         values = []
         for want in expected:

@@ -73,8 +73,10 @@ def _check_numpy_modulus(p: int):
 def _impulse_inv_denominators(size: int, p: int) -> tuple:
     """inv of den_u = prod_{x' != u} (u - x') for each u in [size].
 
-    den_u = (-1)^(size-u) * (u-1)! * (size-u)!.
+    den_u = (-1)^(size-u) * (u-1)! * (size-u)!, zero once size > p.
     """
+    if size > p:
+        raise ValueError(f"{size} nodes are not distinct mod {p}")
     fact = [1] * (size + 1)
     for i in range(1, size + 1):
         fact[i] = fact[i - 1] * i % p
@@ -160,6 +162,8 @@ class ShapeConfig:
 
 def resolve_shape(n: int, t=None, s=None) -> tuple:
     """Fill in missing grid dimensions; balanced split by default."""
+    if any(d is not None and d < 1 for d in (t, s)):
+        raise ValueError("shape dimensions must be positive")
     if t is None and s is None:
         t = int(np.ceil(np.sqrt(n)))
     if t is None:

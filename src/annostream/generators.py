@@ -7,7 +7,7 @@ so serialized streams are byte-identical across runs.
 from __future__ import annotations
 
 from .field import make_rng
-from .stream import AdjItem, EdgeToken, GraphInstance, SetMember, SetQuery
+from .stream import AdjItem, EdgeToken, GraphInstance
 
 
 def _pairs(n: int):
@@ -138,11 +138,7 @@ def star_edges(center: int, leaves) -> list:
 
 def with_query_set(inst: GraphInstance, members,
                    right=None) -> GraphInstance:
-    queries = list(inst.queries)
-    queries.extend(SetMember(0, v) for v in members)
-    if right is not None:
-        queries.extend(SetMember(1, v) for v in right)
-    queries.append(SetQuery())
+    line = (list(members), list(right or ()))
     return GraphInstance.from_columns(
         inst.n, inst.model, inst.W, inst.source, inst.target,
-        edges=inst.edges, queries=queries)
+        edges=inst.edges, queries=inst.queries + (line,))

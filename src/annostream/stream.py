@@ -19,11 +19,12 @@ DELTA_BOUND = 2^62, so every partial sum and final multiplicity fits
 int64 exactly. Set lines accumulate: each line extends the running set(s)
 and ends with a query marker.
 
-A parsed GraphInstance is columnar: the body is parsed in chunks of
-lines into int64 columns (u, v, delta, w), one row per edge token or
-adjacency item, and the query-set tail stays a short token list.
-Verifiers feed each column to a linear sketch in one call; `final_edges()`
-is built once per instance; `tokens` builds the token list only on demand.
+A GraphInstance is one fixed columnar value. The body is parsed in
+chunks of lines into read-only int64 columns (u, v, delta, w), one row
+per edge token or adjacency item, and each query-set line into one pair
+(U, W) of read-only vertex columns. Verifiers feed each column to a
+linear sketch in one call; `final_edges()` is built once per instance;
+`tokens` is a read-only token view, built only when it is walked.
 
 A ProofTranscript is an ordered list of labeled blocks, each either a
 coefficient block (serialized in graded lexicographic monomial order,
@@ -35,11 +36,11 @@ block boundaries are free framing.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, MutableSequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -102,20 +103,28 @@ def _check_delta_total(total: int):
                          "the stream must stay below it")
 
 
-class _Columns(NamedTuple):
-    edges: tuple   # (u, v, delta, w), one entry per edge token
-    queries: list  # SetMember / SetQuery tail
+def _read_only(cols) -> tuple:
+    """The columns as contiguous int64 arrays that cannot be written."""
+    cols = tuple(np.ascontiguousarray(c, dtype=np.int64) for c in cols)
+    for col in cols:
+        col.flags.writeable = False
+    return cols
 
 
-def _columns_of(tokens, model: str) -> _Columns:
-    """Columns of a token list; edges must precede the query sets."""
+def _columns_of(tokens, model: str) -> tuple:
+    """(edges, queries) of a token list; edges precede the query sets, and
+    every query set ends with a SetQuery."""
     item = AdjItem if model == "adjlist" else EdgeToken
     rows: list = []
     queries: list = []
+    line: tuple = ([], [])
     for tok in tokens:
-        if isinstance(tok, (SetMember, SetQuery)):
-            queries.append(tok)
-        elif queries:
+        if isinstance(tok, SetMember):
+            line[tok.side].append(tok.v)
+        elif isinstance(tok, SetQuery):
+            queries.append(line)
+            line = ([], [])
+        elif queries or any(line):
             raise ValueError("edges after query sets")
         elif not isinstance(tok, item):
             raise ValueError(f"{model} stream holds {tok!r}")
@@ -123,18 +132,14 @@ def _columns_of(tokens, model: str) -> _Columns:
             rows.append((tok.v, tok.u, int(tok.u > tok.v), 0))
         else:
             rows.append((tok.u, tok.v, tok.delta, tok.w))
+    if any(line):
+        raise ValueError("query set without a closing SetQuery")
     _check_delta_total(sum(abs(row[2]) for row in rows))
     try:
-        cols = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        edges = _read_only(np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+        return edges, tuple(map(_read_only, queries))
     except OverflowError:
         raise ValueError("token field outside int64") from None
-    return _frozen(tuple(np.array(c) for c in cols), queries)
-
-
-def _frozen(edges, queries) -> _Columns:
-    for col in edges:
-        col.flags.writeable = False
-    return _Columns(edges, list(queries))
 
 
 def _final_multiset(edges) -> dict:
@@ -156,14 +161,10 @@ def _final_multiset(edges) -> dict:
     return dict(zip(keys, count[keep].tolist()))
 
 
-class TokenList(MutableSequence):
-    """`GraphInstance.tokens`: the stream as one list of tokens.
-
-    The list is built from the instance's columns on first use; its length
-    is known without building it. A change made through this view drops
-    the instance's columns, final edges and prover cache, which are then
-    derived again from the list.
-    """
+class TokenList(Sequence):
+    """`GraphInstance.tokens`: a read-only view of the stream as one list
+    of tokens, built from the instance's columns on first use; its length
+    is known without building it."""
 
     __slots__ = ("_inst",)
 
@@ -171,25 +172,15 @@ class TokenList(MutableSequence):
         self._inst = inst
 
     def __len__(self):
-        return self._inst._token_count()
+        inst = self._inst
+        return inst.edges[0].size + sum(u.size + w.size + 1
+                                        for u, w in inst.queries)
 
     def __getitem__(self, i):
         return self._inst._token_list()[i]
 
     def __iter__(self):
         return iter(self._inst._token_list())
-
-    def __setitem__(self, i, tok):
-        self._inst._token_list()[i] = tok
-        self._inst._body_changed()
-
-    def __delitem__(self, i):
-        del self._inst._token_list()[i]
-        self._inst._body_changed()
-
-    def insert(self, i, tok):
-        self._inst._token_list().insert(i, tok)
-        self._inst._body_changed()
 
     def __eq__(self, other):
         if isinstance(other, (TokenList, list)):
@@ -201,16 +192,16 @@ class TokenList(MutableSequence):
 
 
 class GraphInstance:
-    """A stream: its header fields and its body as int64 columns.
+    """A stream: its header fields and its body as read-only int64 columns,
+    fixed when the instance is built.
 
     `edges` holds the body in stream order as columns (u, v, delta, w):
     one row per edge token, or, on an adjacency stream, one row
     (v, u, 1 or 0, 0) per item "u in row v", whose delta is 1 where the
-    edge {v, u} is listed first (u > v). `queries` is the query-set tail,
-    a short list of SetMember and SetQuery tokens that follows every edge.
-    `final_edges()` is built once from the columns. An instance made from
-    a token list derives its columns from the list when they are first
-    read; see `tokens`.
+    edge {v, u} is listed first (u > v). `queries` holds one pair (U, W)
+    of vertex columns per query-set line, in stream order; each line
+    extends the running sets. `final_edges()` is built once from the
+    columns, and `tokens` is a read-only token view of the whole stream.
     """
 
     def __init__(self, n: int, model: str, W: int = 1,
@@ -223,58 +214,33 @@ class GraphInstance:
         self.target = target
         # prover-side results derived from the stream, keyed by name
         self.prover_cache: dict = {}
-        self._tokens: Optional[list] = list(tokens)
-        self._columns: Optional[_Columns] = None
+        self.edges, self.queries = _columns_of(tokens, model)
+        self._tokens: Optional[list] = None
         self._final = None
 
     @classmethod
     def from_columns(cls, n, model, W=1, source=None, target=None,
                      edges=None, queries=()):
         inst = cls(n, model, W, source, target)
-        inst._tokens = None
-        inst._columns = _frozen(edges or (_EMPTY,) * 4, queries)
+        inst.edges = _read_only(edges or (_EMPTY,) * 4)
+        inst.queries = tuple(map(_read_only, queries))
         return inst
-
-    def _cols(self) -> _Columns:
-        if self._columns is None:
-            self._columns = _columns_of(self._tokens, self.model)
-        return self._columns
-
-    @property
-    def edges(self) -> tuple:
-        return self._cols().edges
-
-    @property
-    def queries(self) -> list:
-        return self._cols().queries
 
     @property
     def tokens(self) -> TokenList:
         return TokenList(self)
 
-    @tokens.setter
-    def tokens(self, tokens):
-        self._tokens = list(tokens)
-        self._body_changed()
-
     def _token_list(self) -> list:
         if self._tokens is None:
-            u, v, delta, w = (c.tolist() for c in self._columns.edges)
+            u, v, delta, w = (c.tolist() for c in self.edges)
             items = (map(AdjItem, u, v) if self.model == "adjlist"
                      else map(EdgeToken, u, v, delta, w))
-            self._tokens = list(items) + self._columns.queries
+            self._tokens = list(items)
+            for us, ws in self.queries:
+                self._tokens += [SetMember(0, x) for x in us.tolist()]
+                self._tokens += [SetMember(1, x) for x in ws.tolist()]
+                self._tokens.append(SetQuery())
         return self._tokens
-
-    def _token_count(self) -> int:
-        if self._tokens is not None:
-            return len(self._tokens)
-        edges, queries = self._columns
-        return edges[0].size + len(queries)
-
-    def _body_changed(self):
-        self._columns = None
-        self._final = None
-        self.prover_cache.clear()
 
     def __eq__(self, other):
         if not isinstance(other, GraphInstance):
@@ -288,17 +254,16 @@ class GraphInstance:
     def __repr__(self):
         return (f"GraphInstance(n={self.n}, model={self.model!r}, "
                 f"W={self.W}, source={self.source}, target={self.target}, "
-                f"tokens=<{self._token_count()}>)")
+                f"tokens=<{len(self.tokens)}>)")
 
     def edge_stream(self, models=("turnstile", "vanilla")) -> tuple:
         """The columns (u, v, delta, w) of an edge stream without query
         sets; ValueError for any other input."""
         if self.model not in models:
             raise ValueError(f"scheme cannot run on {self.model} input")
-        edges, queries = self._cols()
-        if queries:
+        if self.queries:
             raise ValueError("unexpected query-set tokens in input")
-        return edges
+        return self.edges
 
     def final_edges(self) -> Mapping:
         """Multiset of undirected edges after all updates, built once.
@@ -523,7 +488,7 @@ class _BodyParser:
 
     def _query_lines(self, lines: list):
         self.in_queries = True
-        n, queries = self.n, self.queries
+        n = self.n
         for raw in lines:
             line = _body(raw)
             if not line:
@@ -532,19 +497,13 @@ class _BodyParser:
                 raise ParseError("edges after query sets")
             if self.model not in ("turnstile", "vanilla"):
                 raise ParseError("query sets only valid for edge streams")
+            left, right = line[len("U:"):], ""
             if line.startswith("U+W:"):
-                rest = line[len("U+W:"):]
-                if "|" not in rest:
+                left, bar, right = line[len("U+W:"):].partition("|")
+                if not bar:
                     raise ParseError("U+W line needs a | divider")
-                left, right = rest.split("|", 1)
-                queries.extend(SetMember(0, _vertex(tok, n))
-                               for tok in left.split())
-                queries.extend(SetMember(1, _vertex(tok, n))
-                               for tok in right.split())
-            else:
-                queries.extend(SetMember(0, _vertex(tok, n))
-                               for tok in line[len("U:"):].split())
-            queries.append(SetQuery())
+            self.queries.append(([_vertex(tok, n) for tok in left.split()],
+                                 [_vertex(tok, n) for tok in right.split()]))
 
     def instance(self, source, target) -> GraphInstance:
         edges = tuple(np.concatenate(c) for c in zip(*self.edges)) \
@@ -606,18 +565,10 @@ def serialize_stream(inst: GraphInstance) -> str:
         else:
             third = w if inst.model == "weighted" else delta
             out.extend(f"{a} {b} {c}" for a, b, c in zip(u, v, third))
-        pending_u: list = []
-        pending_w: list = []
-        for tok in inst.queries:
-            if isinstance(tok, SetMember):
-                (pending_u if tok.side == 0 else pending_w).append(tok.v)
-            else:
-                if pending_w:
-                    out.append("U+W: " + " ".join(map(str, pending_u))
-                               + " | " + " ".join(map(str, pending_w)))
-                else:
-                    out.append("U: " + " ".join(map(str, pending_u)))
-                pending_u, pending_w = [], []
+        for us, ws in inst.queries:
+            left = " ".join(map(str, us.tolist()))
+            out.append(f"U+W: {left} | " + " ".join(map(str, ws.tolist()))
+                       if ws.size else f"U: {left}")
     return "\n".join(out) + "\n"
 
 

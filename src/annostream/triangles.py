@@ -40,13 +40,14 @@ from .setops import Fingerprint, check_grid_claim, directed_key
 from .stream import ProofTranscript, RejectError
 
 
-def _shaped_tokens(inst, sc):
-    """(a, b, delta, xa, ya, xb, yb) per edge token, in stream order, for
-    the charges that depend on it."""
+def _shaped_tokens(inst, sc, p):
+    """(a, b, delta mod p, xa, ya, xb, yb) per edge token, in stream order,
+    for the charges that depend on it. Every product the charges take is
+    then one of two reduced residues, below p^2 < 2^50."""
     a, b, delta, _ = inst.edge_stream()
     xa, ya = sc.shape(a)
     xb, yb = sc.shape(b)
-    return zip(*(c.tolist() for c in (a, b, delta, xa, ya, xb, yb)))
+    return zip(*(c.tolist() for c in (a, b, delta % p, xa, ya, xb, yb)))
 
 
 class _TriangleBase(Scheme):
@@ -96,9 +97,9 @@ class TrianglesLaconic(_TriangleBase):
         D = impulse_block(np.arange(1, 2 * t), t, p)  # (2t-1, t)
         table = np.zeros((2 * t - 1, n, s), dtype=np.int64)
         acc = np.zeros(2 * t - 1, dtype=np.int64)
-        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc):
+        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc, p):
             prod = table[:, a - 1, :] * table[:, b - 1, :] % p
-            acc = (acc + delta * prod.sum(axis=1)) % p
+            acc = (acc + delta * (prod.sum(axis=1) % p)) % p
             table[:, a - 1, yb - 1] = (table[:, a - 1, yb - 1]
                                        + delta * D[:, xb - 1]) % p
             table[:, b - 1, ya - 1] = (table[:, b - 1, ya - 1]
@@ -115,7 +116,7 @@ class TrianglesLaconic(_TriangleBase):
         meter.alloc("registers", 2)
         table = np.zeros((n, s), dtype=np.int64)
         acc = 0
-        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc):
+        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc, p):
             prod = table[a - 1] * table[b - 1] % p
             acc = (acc + delta * int(prod.sum() % p)) % p
             table[a - 1, yb - 1] = (table[a - 1, yb - 1]
@@ -160,16 +161,16 @@ class TrianglesFrugal(_TriangleBase):
             bufa.clear()
             bufb.clear()
 
-        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc):
+        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc, p):
             bufa.append(delta * Dt[:, xa - 1, None] % p
                         * B[:, ya - 1, :] % p)
             bufb.append(Dt[:, xb - 1, None] * B[:, yb - 1, :] % p)
             if len(bufa) >= chunk_cap:
                 flush()
-            B[:, ya - 1, :] = (B[:, ya - 1, :] + delta
-                               * np.outer(Dt[:, xa - 1], Dn[:, b - 1])) % p
-            B[:, yb - 1, :] = (B[:, yb - 1, :] + delta
-                               * np.outer(Dt[:, xb - 1], Dn[:, a - 1])) % p
+            B[:, ya - 1, :] = (B[:, ya - 1, :] + np.outer(
+                delta * Dt[:, xa - 1] % p, Dn[:, b - 1])) % p
+            B[:, yb - 1, :] = (B[:, yb - 1, :] + np.outer(
+                delta * Dt[:, xb - 1] % p, Dn[:, a - 1])) % p
         flush()
         tr = ProofTranscript()
         tr.add_coeffs("charge_poly", coeffs_from_values_nd(Q, p))
@@ -186,7 +187,7 @@ class TrianglesFrugal(_TriangleBase):
         row1 = [0] * s
         row2 = [0] * s
         acc = 0
-        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc):
+        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc, p):
             acc = (acc + delta * i1[xa - 1] * row1[ya - 1] % p
                    * i2[xb - 1] % p * row2[yb - 1]) % p
             for (x, y, other) in ((xa, ya, b), (xb, yb, a)):

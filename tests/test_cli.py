@@ -142,6 +142,14 @@ def test_run_missing_file_exits_two():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("cmd", [["run"], ["attack", "--trials", "1"]])
+@pytest.mark.parametrize("flag", ["--t", "--s"])
+def test_zero_grid_side_exits_two(k5, capsys, cmd, flag):
+    from annostream import cli
+    assert cli.main(cmd + ["--scheme", "mis", "--input", k5, flag, "0"]) == 2
+    assert "shape dimensions must be positive" in capsys.readouterr().err
+
+
 def test_bad_flags_exit_two(k5):
     assert run_cli("run", "--input", k5).returncode == 2
     assert run_cli("frobnicate").returncode == 2
@@ -385,3 +393,21 @@ def test_delta_past_the_stream_bound_exits_two(tmp_path, capsys):
                      "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert "2^62" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", ["2", "3", "5"])
+def test_small_explicit_modulus_is_refused_not_crashed(tmp_path, capsys,
+                                                       monkeypatch, p):
+    from annostream import SCHEMES, cli
+    from annostream.stream import serialize_stream
+    from test_transcripts import _cases  # one 9-vertex input per scheme
+    monkeypatch.setenv("ANNOSTREAM_MODULUS", p)
+    cases = {name: inst for name, inst in _cases().items() if name in SCHEMES}
+    assert len(cases) == len(SCHEMES)
+    for name, inst in cases.items():
+        path = tmp_path / f"{name}.stream"
+        path.write_text(serialize_stream(inst))
+        for cmd in (["run"], ["attack", "--trials", "2"]):
+            assert cli.main(cmd + ["--scheme", name,
+                                   "--input", str(path)]) in (0, 2), name
+            capsys.readouterr()

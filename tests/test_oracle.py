@@ -5,6 +5,7 @@ import random
 
 import networkx as nx
 
+from annostream import GraphInstance
 from annostream.generators import (clique_edges, cycle_edges, dag_instance,
                                    digraph_instance, gnp_edges, path_edges,
                                    star_edges, turnstile_instance,
@@ -29,8 +30,9 @@ def test_triangles_closed_forms():
 
 def test_triangles_counts_multiplicity_products():
     # doubling one edge of a triangle doubles the product count
-    inst = turnstile_instance(3, cycle_edges(3))
-    inst.tokens.append(type(inst.tokens[0])(1, 2, 1))
+    tokens = list(turnstile_instance(3, cycle_edges(3)).tokens)
+    inst = GraphInstance(n=3, model="turnstile",
+                         tokens=tokens + [type(tokens[0])(1, 2, 1)])
     assert oracle_triangles(inst) == 2
 
 
@@ -130,9 +132,9 @@ def test_toposort_predicate_and_acyclicity():
         assert oracle_is_toposort(inst, full)
     dag = dag_instance(12, 0.4, 6)
     assert oracle_acyclic(dag)
-    cyc = vanilla_instance(3, [])
-    cyc.tokens = [type(e)(u, v, 1) for (u, v) in ((1, 2), (2, 3), (3, 1))
-                  for e in [dag.tokens[0]]]
+    cyc = GraphInstance(n=3, model="vanilla", tokens=[
+        type(e)(u, v, 1) for (u, v) in ((1, 2), (2, 3), (3, 1))
+        for e in [dag.tokens[0]]])
     assert not oracle_acyclic(cyc)
     assert not oracle_is_toposort(dag, list(range(2, 13)))  # not a perm
 
@@ -182,7 +184,7 @@ def test_dijkstra_turnstile_multiplicity_is_weight():
 
 
 def test_dijkstra_two_vertex_hand_case():
-    inst = weighted_instance(2, 0.0, 3, seed=0, source=1)
-    inst.tokens = [type(t)(1, 2, 1, 3) for t in
-                   weighted_instance(3, 1.0, 3, seed=0).tokens[:1]]
+    inst = GraphInstance(n=2, model="weighted", W=3, source=1, tokens=[
+        type(t)(1, 2, 1, 3) for t in
+        weighted_instance(3, 1.0, 3, seed=0).tokens[:1]])
     assert oracle_dijkstra(inst) == [None, 0, 3]

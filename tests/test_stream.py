@@ -546,11 +546,16 @@ def test_final_edges_built_once_and_follow_the_tokens(monkeypatch):
     assert first == {(1, 2): 2, (3, 4): 2}
     with pytest.raises(TypeError):
         first[(1, 2)] = 5  # the cached multiset is read-only
-    inst.tokens = [EdgeToken(2, 3, 1), EdgeToken(3, 2, 4)]
-    assert inst.final_edges() == {(2, 3): 5} and len(built) == 2
-    inst.tokens.append(EdgeToken(1, 4, -1))
-    assert inst.final_edges() == {(2, 3): 5, (1, 4): -1}
-    assert len(inst.tokens) == 3 and inst.edges[2].tolist() == [1, 4, -1]
+    # the instance is one fixed value: no token edit can go stale
+    with pytest.raises(AttributeError):
+        inst.tokens = [EdgeToken(2, 3, 1), EdgeToken(3, 2, 4)]
+    with pytest.raises(AttributeError):
+        inst.tokens.append(EdgeToken(1, 4, -1))
+    for col in inst.edges:
+        with pytest.raises(ValueError):
+            col[0] = 3
+    assert inst.final_edges() is first and len(built) == 1
+    assert len(inst.tokens) == 3 and inst.edges[2].tolist() == [1, 2, 1]
 
 
 def test_tokens_are_built_only_on_demand():
@@ -561,10 +566,23 @@ def test_tokens_are_built_only_on_demand():
         EdgeToken(1, 2), EdgeToken(2, 3), SetMember(0, 1), SetMember(0, 2),
         SetQuery(), SetMember(0, 3), SetMember(1, 4), SetQuery()]
     made = GraphInstance(n=5, model="vanilla", tokens=list(inst.tokens))
-    assert made.edges[0].tolist() == [1, 2] and made.queries == inst.queries
+    assert made.edges[0].tolist() == [1, 2] and made.tokens == inst.tokens
     with pytest.raises(ValueError):
         GraphInstance(n=5, model="vanilla",
                       tokens=[SetQuery(), EdgeToken(1, 2)]).edges
+
+
+def test_query_sets_are_closed_read_only_vertex_columns():
+    with pytest.raises(ValueError, match="SetQuery"):
+        GraphInstance(n=5, model="vanilla",
+                      tokens=[EdgeToken(1, 2), SetMember(0, 1)])
+    inst = GraphInstance(n=5, model="vanilla", tokens=[
+        EdgeToken(1, 2), SetMember(0, 1), SetMember(1, 3), SetQuery(),
+        SetMember(0, 4), SetQuery()])
+    assert [(u.tolist(), w.tolist()) for u, w in inst.queries] == [
+        ([1], [3]), ([4], [])]
+    assert not any(c.flags.writeable for pair in inst.queries for c in pair)
+    assert serialize_stream(inst).splitlines()[2:] == ["U+W: 1 | 3", "U: 4"]
 
 
 def test_delta_bound():

@@ -115,3 +115,33 @@ def test_adversarial_catch_rate(name):
     for policy in scheme.mutations:
         st = run_adversarial(scheme, inst, policy, trials=60, seed=13)
         assert st.accepted_wrong == 0, (name, policy)
+
+
+# one triangle whose edge 1-2 nets +1 from two huge opposite deltas
+HUGE = ["n=3 model=turnstile", "1 2 {big}", "1 2 {drop}", "2 3 1", "1 3 1"]
+
+
+@pytest.mark.parametrize("big", [2 ** 40, 2 ** 50])
+def test_huge_turnstile_deltas_charge_exactly(big, tmp_path, capsys):
+    from annostream import cli
+    from annostream.stream import parse_stream
+    text = "\n".join(HUGE).format(big=big, drop=1 - big) + "\n"
+    inst = parse_stream(text)
+    path = tmp_path / "g.stream"
+    path.write_text(text)
+    for name in DENSE:
+        res = run_honest(get_scheme(name).configure(inst), inst)
+        assert res.accepted and res.value == 1, (name, res.reason)
+        assert cli.main(["run", "--scheme", name, "--input", str(path)]) == 0
+        assert "output=1" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("n,prob", [(130, 0.05), (300, 0.01)])
+def test_churned_turnstile_at_large_moduli(n, prob):
+    # p = 2197021 and 27000011: a deletion reduced to p - 1 times an
+    # unreduced product of two residues would pass 2^63
+    inst = turnstile_instance(n, gnp_edges(n, prob, 5), churn=60, seed=5)
+    want = oracle_triangles(inst)
+    for name in DENSE:
+        res = run_honest(get_scheme(name).configure(inst), inst)
+        assert res.accepted and res.value == want, (name, res.reason)
