@@ -27,9 +27,8 @@ from .generators import (adjlist_instance, clique_edges, cycle_edges,
                          turnstile_instance, vanilla_instance,
                          weighted_instance, weighted_turnstile_instance,
                          with_query_set)
-from .protocol import (MUTATIONS, SCHEMES, TrialStats, check_domain,
-                       checked_field, get_scheme, run_adversarial,
-                       run_with_transcript)
+from .protocol import (MUTATIONS, SCHEMES, TrialStats, checked_field,
+                       get_scheme, run_adversarial, run_with_transcript)
 from .protocol import sweep_costs as _sweep_costs
 from .stream import ParseError, ProofTranscript, parse_stream, serialize_stream
 
@@ -73,22 +72,18 @@ def _load_instance(path: str):
         raise ConfigError(f"{path}: {exc}")
 
 
-def _scheme_class(args, inst):
-    """The scheme named by --scheme; refuses an input outside its domain."""
+def _scheme_class(args):
+    """The scheme named by --scheme. Its input domain is checked with its
+    field (`checked_field`), before anything is proved."""
     try:
-        cls = get_scheme(args.scheme)
+        return get_scheme(args.scheme)
     except KeyError:
         raise ConfigError(f"unknown scheme {args.scheme!r}; known: "
                           + ", ".join(sorted(SCHEMES)))
-    try:
-        check_domain(cls, inst)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return cls
 
 
 def _configured_scheme(args, inst):
-    cls = _scheme_class(args, inst)
+    cls = _scheme_class(args)
     try:
         return cls.configure(inst, t=args.t, s=args.s)
     except ValueError as exc:
@@ -298,7 +293,7 @@ def _plot_svg(rows, path):
 def cmd_sweep(args) -> int:
     p = _modulus_override()
     inst = _load_instance(args.input)
-    cls = _scheme_class(args, inst)
+    cls = _scheme_class(args)
     try:
         checked_field(cls.configure(inst), inst, p)
         shapes = [resolve_shape(inst.n, t, s)

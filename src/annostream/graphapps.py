@@ -268,7 +268,6 @@ class MatchingFrugal(_SplitScheme):
     """
 
     name = "maxmatch-frugal"
-    model = "vanilla"
     simple_graph = True
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
                  "vertex_list_permutation_lie")
@@ -339,7 +338,7 @@ class MatchingFrugal(_SplitScheme):
         meter.alloc("subset_lines", sub.cells)
         meter.alloc("set_lines", out1.cells * 4)
         meter.alloc("registers", 12)
-        u, v, delta, _ = inst.edge_stream()
+        u, v, delta, _ = inst.edges
         sketch.add_sym(u, v, delta)
         sub.add_right(undirected_key(u, v, n), delta)
         everyone = np.arange(1, n + 1)
@@ -448,7 +447,6 @@ class MatchingLaconic(Scheme):
     """
 
     name = "maxmatch-laconic"
-    model = "vanilla"
     simple_graph = True
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
                  "vertex_list_permutation_lie")
@@ -533,7 +531,7 @@ class MatchingLaconic(Scheme):
                     sub_m.cells + sub_f.cells + int_1.cells + int_2.cells)
         meter.alloc("stored_certificate", 3 * n)
         meter.alloc("registers", 8)
-        u, v, delta, _ = inst.edge_stream()
+        u, v, delta, _ = inst.edges
         key = undirected_key(u, v, n)
         sub_m.add_right(key, delta)
         sub_f.add_right(key, delta)
@@ -635,7 +633,6 @@ class MaximalIndependentSet(_SplitScheme):
     """
 
     name = "mis"
-    model = "vanilla"
     simple_graph = True
     mutations = ("coefficient_flip", "block_truncation",
                  "vertex_list_permutation_lie")
@@ -726,7 +723,7 @@ class MaximalIndependentSet(_SplitScheme):
         meter.alloc("subset_lines", sub.cells)
         meter.alloc("partner_lines", inter.cells)
         meter.alloc("registers", 8)
-        u, v, delta, _ = inst.edge_stream()
+        u, v, delta, _ = inst.edges
         sketch.add_sym(u, v, delta)
         sub.add_right(undirected_key(u, v, n), delta)
 
@@ -783,7 +780,8 @@ class TopoSort(_SplitScheme):
     """
 
     name = "toposort"
-    model = "vanilla"
+    models = ("vanilla",)
+    acyclic = True
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
                  "vertex_list_permutation_lie")
 
@@ -845,10 +843,7 @@ class TopoSort(_SplitScheme):
         return self._bump_pairs(self._assemble(inst, order, p), gap, p)
 
     def prove(self, inst, p: int) -> ProofTranscript:
-        order = self._kahn(inst)
-        if len(order) != inst.n:
-            raise ValueError("input stream is not acyclic")
-        return self._assemble(inst, order, p)
+        return self._assemble(inst, self._kahn(inst), p)
 
     def run_verifier(self, inst, reader, p, rng, meter):
         n = self.n
@@ -859,7 +854,7 @@ class TopoSort(_SplitScheme):
         meter.alloc("pair_sketch", sketch.cells)
         meter.alloc("prefix_line", pre1.cells)
         meter.alloc("registers", 8)
-        u, v, delta, _ = inst.edge_stream(models=("vanilla",))
+        u, v, delta, _ = inst.edges
         sketch.add(u, v, delta)
         m = int(delta.sum())
         fp_all = Fingerprint(gamma, p)
@@ -909,7 +904,7 @@ class Acyclicity(_SplitScheme):
     checked edge-by-edge against the stream otherwise."""
 
     name = "acyclicity"
-    model = "vanilla"
+    models = ("vanilla",)
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
                  "vertex_list_permutation_lie")
 
@@ -1005,7 +1000,7 @@ class Acyclicity(_SplitScheme):
         sub = LineCheck(self.edge_dims, rho, p, "subset")
         meter.alloc("subset_lines", sub.cells)
         meter.alloc("registers", 6)
-        u, v, delta, _ = inst.edge_stream(models=("vanilla",))
+        u, v, delta, _ = inst.edges
         sub.add_right(directed_key(u, v, n), delta)
         cyc = reader.vertices("cycle")
         if cyc.size < 2:
@@ -1069,7 +1064,6 @@ class Components(_SplitScheme):
     """
 
     name = "components"
-    model = "turnstile"
     simple_graph = True
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
                  "vertex_list_permutation_lie")
@@ -1148,7 +1142,7 @@ class Components(_SplitScheme):
         meter.alloc("subset_lines", sub.cells)
         meter.alloc("block_lines", b1.cells + b2.cells)
         meter.alloc("registers", 12)
-        u, v, delta, _ = inst.edge_stream()
+        u, v, delta, _ = inst.edges
         sketch.add_sym(u, v, delta)
         sub.add_right(undirected_key(u, v, n), delta)
         m_total = int(delta.sum())

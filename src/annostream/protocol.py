@@ -23,6 +23,7 @@ import numpy as np
 
 from .extension import ShapeConfig, coeffs_to_serial, grid_bump, resolve_shape
 from .field import FieldConfig, make_rng
+from .oracle import oracle_acyclic
 from .stream import GraphInstance, ProofTranscript, RejectError
 
 
@@ -102,16 +103,29 @@ class Scheme:
     """
 
     name = ""
-    model = "turnstile"
     mutations: tuple = ("coefficient_flip", "block_truncation")
     # scalars blocks with these labels may be hit by qd_scalar_flip
     scalar_flip_labels: tuple = ()
     # "labels" marks per-vertex distance outputs; the CLI prints those as
     # one `v dist prev` line per vertex instead of a single value
     output_kind = "value"
-    # every scheme needs final edge multiplicities >= 0; a scheme that
-    # certifies a predicate of a simple graph needs them in {0, 1}, and
-    # one that reads them as edge weights needs them at most the header's W
+
+    # The input domain, read only by `check_domain`, which every runner
+    # calls before proving:
+    # - `models`: the stream models the scheme takes;
+    # - `query_arity`: 0 refuses query-set lines; 1 needs at least one and
+    #   takes `U:` lines only; 2 needs at least one and takes `U+W:` too;
+    # - `header_fields`: the header fields the scheme reads;
+    # - `acyclic`: the scheme orders the vertices, so the edge tokens, read
+    #   as arcs u -> v, must form no cycle;
+    # - every scheme needs final edge multiplicities >= 0; one that
+    #   certifies a predicate of a simple graph (`simple_graph`) needs them
+    #   in {0, 1}, and one that reads them as edge weights
+    #   (`weight_bounded`) needs them at most the header's W.
+    models: tuple = ("turnstile", "vanilla")
+    query_arity = 0
+    header_fields: tuple = ()
+    acyclic = False
     simple_graph = False
     weight_bounded = False
 
@@ -144,7 +158,8 @@ class Scheme:
 
     def run_verifier(self, inst: GraphInstance, reader, p: int, rng,
                      meter: SpaceMeter):
-        """Returns the output value; raises RejectError to reject."""
+        """Returns the output value; raises RejectError to reject. The
+        input is inside the scheme's domain (`check_domain`)."""
         raise NotImplementedError
 
     def oracle_value(self, inst: GraphInstance):
@@ -274,9 +289,25 @@ MUTATIONS = {
 
 
 def check_domain(scheme, inst: GraphInstance):
-    """Refuses, with ValueError naming the first such edge, an input whose
-    final multiplicities fall outside the scheme's domain (see
-    `Scheme.simple_graph` and `Scheme.weight_bounded`)."""
+    """Refuses, with ValueError naming the scheme and the model, query set,
+    header field, cycle or edge at fault, an input outside the scheme's
+    domain (see the domain attributes of `Scheme`)."""
+    name = scheme.name
+    if inst.model not in scheme.models:
+        raise ValueError(f"{name} takes {' or '.join(scheme.models)} "
+                         f"streams, not {inst.model}")
+    if inst.queries and not scheme.query_arity:
+        raise ValueError(f"{name} takes no query-set lines")
+    if scheme.query_arity and not inst.queries:
+        raise ValueError(f"{name} needs at least one query-set line")
+    if scheme.query_arity == 1 and any(w.size for _, w in inst.queries):
+        raise ValueError(f"{name} takes single-set U: lines, not U+W:")
+    for key in scheme.header_fields:
+        if getattr(inst, key) is None:
+            raise ValueError(f"{name} needs {key}= in the header")
+    if scheme.acyclic and not oracle_acyclic(inst):
+        raise ValueError(f"{name} needs an acyclic stream; this one has "
+                         "a cycle")
     if scheme.simple_graph:
         top, need = 1, "0 or 1"
     elif scheme.weight_bounded:
@@ -289,7 +320,7 @@ def check_domain(scheme, inst: GraphInstance):
     if bad:
         u, v = min(bad)
         raise ValueError(f"edge {u} {v} has final multiplicity "
-                         f"{edges[u, v]}; {scheme.name} needs {need}")
+                         f"{edges[u, v]}; {name} needs {need}")
 
 
 def checked_field(scheme, inst: GraphInstance,
@@ -380,12 +411,11 @@ def sweep_costs(name: str, inst: GraphInstance, shapes,
     rows = []
     for t, s in shapes:
         scheme = get_scheme(name).configure(inst, t=t, s=s)
-        cfg = checked_field(scheme, inst, p)
-        res = run_honest(scheme, inst, seed=seed, p=cfg.p)
+        res = run_honest(scheme, inst, seed=seed, p=p)
         if not res.accepted:
             raise RuntimeError(f"honest run rejected during sweep: "
                                f"{name} t={t} s={s}: {res.reason}")
-        bits = cfg.bits_per_element
+        bits = FieldConfig(res.p).bits_per_element
         rows.append({
             "scheme": name, "n": inst.n, "t": t, "s": s,
             "hcost_elems": res.hcost, "vcost_elems": res.vcost,

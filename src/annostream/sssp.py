@@ -40,12 +40,6 @@ from .setops import (LineCheck, dense_indicator, line_check_help,
 from .stream import ProofTranscript, RejectError
 
 
-def _require_source(inst):
-    if inst.source is None:
-        raise ValueError("scheme needs a source vertex in the header")
-    return inst.source
-
-
 def _eval_on_vertices(coeffs: np.ndarray, rho: int, n: int, p: int):
     """Horner pass giving the values on [n] plus the value at rho."""
     base = np.arange(1, n + 1, dtype=np.int64)
@@ -88,8 +82,7 @@ class _BallAudit:
     def __init__(self, scheme, inst, p, rng, meter):
         n, t = scheme.n, scheme.t
         self.n, self.sc, self.p = n, scheme.sc, p
-        self.src = src = _require_source(inst)
-        _check_numpy_modulus(p)
+        self.src = src = inst.source
         self.r1, self.r2 = fe_random(rng, p), fe_random(rng, p)
         beta = fe_random(rng, p)
         b0 = fe_random(rng, p)
@@ -106,7 +99,7 @@ class _BallAudit:
         meter.alloc("adjacency_line", asketch.cells)
         meter.alloc("ball_line", self.ball.cells)
         meter.alloc("registers", 16)
-        u, v, delta, _ = inst.edge_stream()
+        u, v, delta, _ = inst.edges
         d_ = delta % p
         asketch.add(u, d_ * impn[v - 1] % p)
         asketch.add(v, d_ * impn[u - 1] % p)
@@ -172,15 +165,18 @@ class SsspUnweighted(Scheme):
 
     name = "sssp-unweighted"
     output_kind = "labels"
-    model = "turnstile"
+    header_fields = ("source",)
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
                  "qd_scalar_flip")
     scalar_flip_labels = ("source_degrees", "round_degrees")
 
     def field_config(self, inst, p=None):
-        if p is not None:
-            return FieldConfig(p)
-        return FieldConfig.auto_from_n(inst.n, D=inst.n)
+        # the ball audit's int64 products need the vectorised modulus;
+        # refused here, before proving
+        cfg = FieldConfig(p) if p is not None else \
+            FieldConfig.auto_from_n(inst.n, D=inst.n)
+        _check_numpy_modulus(cfg.p)
+        return cfg
 
     def oracle_value(self, inst):
         return tuple(oracle_bfs(inst)[1:])
@@ -189,7 +185,7 @@ class SsspUnweighted(Scheme):
 
     def _distances(self, inst) -> list:
         def build():
-            src = _require_source(inst)
+            src = inst.source
             adj = [[] for _ in range(inst.n + 1)]
             for (u, v) in inst.final_edges():
                 adj[u].append(v)
@@ -207,8 +203,7 @@ class SsspUnweighted(Scheme):
         return _cached(inst, f"bfs:{inst.source}", build)
 
     def _assemble(self, inst, Dhat: int, labels, p: int) -> ProofTranscript:
-        n, t = self.n, self.t
-        src = _require_source(inst)
+        n, t, src = self.n, self.t, inst.source
         tr = ProofTranscript()
         tr.add_scalars("horizon", [Dhat])
         if labels is not None:
@@ -290,7 +285,7 @@ class SsspUnweighted(Scheme):
     # adversary ---------------------------------------------------------
 
     def mutate_output(self, inst, transcript, p, rng):
-        src = _require_source(inst)
+        src = inst.source
         out = _clone_transcript(transcript)
         Dhat = int(out.blocks[0].values[0])
         blk = out.blocks[1]
@@ -321,10 +316,9 @@ class StPath(SsspUnweighted):
 
     name = "stpath"
     output_kind = "value"
+    header_fields = ("source", "target")
 
     def oracle_value(self, inst):
-        if inst.target is None:
-            raise ValueError("scheme needs a target vertex in the header")
         return oracle_bfs(inst)[inst.target]
 
     def _claimed_horizon(self, inst) -> int:
@@ -337,8 +331,6 @@ class StPath(SsspUnweighted):
         return _horizon(dist)
 
     def prove(self, inst, p: int) -> ProofTranscript:
-        if inst.target is None:
-            raise ValueError("scheme needs a target vertex in the header")
         return self._assemble(inst, self._claimed_horizon(inst), None, p)
 
     def hcost_bound(self, inst) -> int:
@@ -348,8 +340,6 @@ class StPath(SsspUnweighted):
     def run_verifier(self, inst, reader, p, rng, meter):
         n = self.n
         vt = inst.target
-        if vt is None:
-            raise ValueError("scheme needs a target vertex in the header")
         audit = _BallAudit(self, inst, p, rng, meter)
 
         Dhat = reader.scalar("horizon")
@@ -391,7 +381,7 @@ class _WeightedScheme(Scheme):
     and the modulus must also exceed the largest relaxation round."""
 
     output_kind = "labels"
-    weight_bounded = True
+    header_fields = ("source",)
 
     def __init__(self, n: int, W: int):
         self.n = n
@@ -402,10 +392,12 @@ class _WeightedScheme(Scheme):
         return cls(inst.n, inst.W)
 
     def field_config(self, inst, p=None):
-        if p is not None:
-            return FieldConfig(p)
-        return FieldConfig.auto_from_n(inst.n, D=inst.W * (inst.n - 1),
-                                       W=inst.W)
+        # the verifiers' int64 products need the vectorised modulus;
+        # refused here, before proving
+        cfg = FieldConfig(p) if p is not None else FieldConfig.auto_from_n(
+            inst.n, D=inst.W * (inst.n - 1), W=inst.W)
+        _check_numpy_modulus(cfg.p)
+        return cfg
 
     def oracle_value(self, inst):
         return tuple(oracle_dijkstra(inst)[1:])
@@ -462,16 +454,16 @@ class SsspWeightedTurnstile(_WeightedScheme):
     """
 
     name = "sssp-wturnstile"
-    model = "turnstile"
+    models = ("turnstile",)
+    weight_bounded = True
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie")
 
     # prover ------------------------------------------------------------
 
     def _distances(self, inst) -> list:
         def build():
-            src = _require_source(inst)
             dmap = nx.single_source_dijkstra_path_length(
-                _mult_weighted_graph(inst), src)
+                _mult_weighted_graph(inst), inst.source)
             dist = [None] * (inst.n + 1)
             for v, d in dmap.items():
                 dist[v] = int(d)
@@ -515,9 +507,7 @@ class SsspWeightedTurnstile(_WeightedScheme):
     # verifier ----------------------------------------------------------
 
     def run_verifier(self, inst, reader, p, rng, meter):
-        n, W = self.n, self.W
-        src = _require_source(inst)
-        _check_numpy_modulus(p)
+        n, W, src = self.n, self.W, inst.source
         rho = fe_random(rng, p)
         rho_e = fe_random(rng, p)
         impn = np.array(impulse_table(rho, n, p), dtype=np.int64)
@@ -529,7 +519,7 @@ class SsspWeightedTurnstile(_WeightedScheme):
         meter.alloc("source_row", n)
         meter.alloc("frontier_lines", inter.cells)
         meter.alloc("registers", 16)
-        u, v, delta, _ = inst.edge_stream(models=("turnstile",))
+        u, v, delta, _ = inst.edges
         d_ = delta % p
         np.add.at(row, u - 1, d_ * impn[v - 1] % p)
         np.add.at(row, v - 1, d_ * impn[u - 1] % p)
@@ -579,8 +569,7 @@ class SsspWeightedTurnstile(_WeightedScheme):
     # adversary ---------------------------------------------------------
 
     def mutate_output(self, inst, transcript, p, rng):
-        n, W = self.n, self.W
-        src = _require_source(inst)
+        n, W, src = self.n, self.W, inst.source
         dist = self._distances(inst)
         Dhat = int(transcript.blocks[0].values[0])
         if Dhat < 2:
@@ -614,7 +603,7 @@ class SsspWeightedVanilla(_WeightedScheme):
     """
 
     name = "sssp-wvanilla"
-    model = "weighted"
+    models = ("weighted",)
     mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
                  "qd_scalar_flip")
     scalar_flip_labels = ("distance_labels", "parent_labels")
@@ -632,7 +621,7 @@ class SsspWeightedVanilla(_WeightedScheme):
 
     def _labels(self, inst):
         def build():
-            src = _require_source(inst)
+            src = inst.source
             preds, dmap = nx.dijkstra_predecessor_and_distance(
                 self._graph(inst), src)
             dist = [None] * (inst.n + 1)
@@ -646,8 +635,7 @@ class SsspWeightedVanilla(_WeightedScheme):
         return _cached(inst, f"wvlabels:{inst.source}", build)
 
     def _assemble(self, inst, dist, prev, p, zero_entry=None):
-        n, W = self.n, self.W
-        src = _require_source(inst)
+        n, W, src = self.n, self.W, inst.source
         SENT = W * (n - 1) + 1
         Dhat = _horizon(dist)
         tr = ProofTranscript()
@@ -697,9 +685,7 @@ class SsspWeightedVanilla(_WeightedScheme):
     # verifier ----------------------------------------------------------
 
     def run_verifier(self, inst, reader, p, rng, meter):
-        n, W = self.n, self.W
-        src = _require_source(inst)
-        _check_numpy_modulus(p)
+        n, W, src = self.n, self.W, inst.source
         rho = fe_random(rng, p)
         rho_w = fe_random(rng, p)
         rho_e = fe_random(rng, p)
@@ -712,7 +698,7 @@ class SsspWeightedVanilla(_WeightedScheme):
         meter.alloc("tree_lines", sub.cells)
         meter.alloc("frontier_lines", inter.cells)
         meter.alloc("registers", 16)
-        u, v, _, w = inst.edge_stream(models=("weighted",))
+        u, v, _, w = inst.edges
         np.add.at(F, (u - 1, w - 1), impn[v - 1])
         np.add.at(F, (v - 1, w - 1), impn[u - 1])
         F %= p
@@ -777,8 +763,7 @@ class SsspWeightedVanilla(_WeightedScheme):
     # adversary ---------------------------------------------------------
 
     def mutate_output(self, inst, transcript, p, rng):
-        n, W = self.n, self.W
-        src = _require_source(inst)
+        n, W, src = self.n, self.W, inst.source
         dist, prev = self._labels(inst)
         Wmat = self._weight_matrix(inst, inst.weighted_edges(), "wvmat")
         children = {prev[x] for x in range(1, n + 1)

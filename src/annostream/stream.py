@@ -207,6 +207,18 @@ class GraphInstance:
     def __init__(self, n: int, model: str, W: int = 1,
                  source: Optional[int] = None, target: Optional[int] = None,
                  tokens=()):
+        self._fill(n, model, W, source, target, *_columns_of(tokens, model))
+
+    @classmethod
+    def from_columns(cls, n, model, W=1, source=None, target=None,
+                     edges=None, queries=()):
+        inst = cls.__new__(cls)
+        inst._fill(n, model, W, source, target,
+                   _read_only(edges or (_EMPTY,) * 4),
+                   tuple(map(_read_only, queries)))
+        return inst
+
+    def _fill(self, n, model, W, source, target, edges, queries):
         self.n = n
         self.model = model
         self.W = W
@@ -214,17 +226,9 @@ class GraphInstance:
         self.target = target
         # prover-side results derived from the stream, keyed by name
         self.prover_cache: dict = {}
-        self.edges, self.queries = _columns_of(tokens, model)
+        self.edges, self.queries = edges, queries
         self._tokens: Optional[list] = None
         self._final = None
-
-    @classmethod
-    def from_columns(cls, n, model, W=1, source=None, target=None,
-                     edges=None, queries=()):
-        inst = cls(n, model, W, source, target)
-        inst.edges = _read_only(edges or (_EMPTY,) * 4)
-        inst.queries = tuple(map(_read_only, queries))
-        return inst
 
     @property
     def tokens(self) -> TokenList:
@@ -255,15 +259,6 @@ class GraphInstance:
         return (f"GraphInstance(n={self.n}, model={self.model!r}, "
                 f"W={self.W}, source={self.source}, target={self.target}, "
                 f"tokens=<{len(self.tokens)}>)")
-
-    def edge_stream(self, models=("turnstile", "vanilla")) -> tuple:
-        """The columns (u, v, delta, w) of an edge stream without query
-        sets; ValueError for any other input."""
-        if self.model not in models:
-            raise ValueError(f"scheme cannot run on {self.model} input")
-        if self.queries:
-            raise ValueError("unexpected query-set tokens in input")
-        return self.edges
 
     def final_edges(self) -> Mapping:
         """Multiset of undirected edges after all updates, built once.

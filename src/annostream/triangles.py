@@ -32,7 +32,7 @@ import numpy as np
 from .edgecount import (LineArray, PairSketch, degree_grid, line_rows,
                         member_pair_charge)
 from .extension import (coeffs_from_values_1d, coeffs_from_values_nd,
-                        dot_mod, exact_chunk, impulse_block, impulse_table)
+                        dot_mod, exact_chunk, impulse_table)
 from .field import fe_random
 from .oracle import oracle_triangles
 from .protocol import Scheme, bump_grid_total, register, _clone_transcript
@@ -44,7 +44,7 @@ def _shaped_tokens(inst, sc, p):
     """(a, b, delta mod p, xa, ya, xb, yb) per edge token, in stream order,
     for the charges that depend on it. Every product the charges take is
     then one of two reduced residues, below p^2 < 2^50."""
-    a, b, delta, _ = inst.edge_stream()
+    a, b, delta, _ = inst.edges
     xa, ya = sc.shape(a)
     xb, yb = sc.shape(b)
     return zip(*(c.tolist() for c in (a, b, delta % p, xa, ya, xb, yb)))
@@ -94,7 +94,7 @@ class TrianglesLaconic(_TriangleBase):
 
     def prove(self, inst, p: int) -> ProofTranscript:
         t, s, n, sc = self.t, self.s, self.n, self.sc
-        D = impulse_block(np.arange(1, 2 * t), t, p)  # (2t-1, t)
+        D = degree_grid(t, p)  # (2t-1, t)
         table = np.zeros((2 * t - 1, n, s), dtype=np.int64)
         acc = np.zeros(2 * t - 1, dtype=np.int64)
         for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc, p):
@@ -142,8 +142,8 @@ class TrianglesFrugal(_TriangleBase):
     def prove(self, inst, p: int) -> ProofTranscript:
         t, s, n, sc = self.t, self.s, self.n, self.sc
         wt, wn = 2 * t - 1, 2 * n - 1
-        Dt = impulse_block(np.arange(1, 2 * t), t, p)
-        Dn = impulse_block(np.arange(1, 2 * n), n, p)
+        Dt = degree_grid(t, p)
+        Dn = degree_grid(n, p)
         B = np.zeros((wt, s, wn), dtype=np.int64)
         Q = np.zeros((wt, wt, wn), dtype=np.int64)
         chunk_cap = min(256, exact_chunk((p - 1) ** 2))
@@ -252,7 +252,7 @@ class TrianglesSparse(_TriangleBase):
         meter.alloc("registers", 5)
         fp_in = Fingerprint(gamma, p)
         fp_replay = Fingerprint(gamma, p)
-        a, b, delta, _ = inst.edge_stream()
+        a, b, delta, _ = inst.edges
         sketch.add_sym(a, b, delta)
         fp_in.add(directed_key(a, b, n), delta)
         fp_in.add(directed_key(b, a, n), delta)
@@ -294,7 +294,7 @@ class TrianglesAdjList(_TriangleBase):
     edges among its neighbors, counting every triangle four times."""
 
     name = "tri-adj"
-    model = "adjlist"
+    models = ("adjlist",)
     _lie_step = 4
 
     def hcost_bound(self, inst) -> int:
@@ -304,8 +304,6 @@ class TrianglesAdjList(_TriangleBase):
         return self.s * self.s + 2 * self.s + 8
 
     def prove(self, inst, p: int) -> ProofTranscript:
-        if inst.model != "adjlist":
-            raise ValueError("tri-adj needs adjacency-list input")
         n, sc = self.n, self.sc
         Dt = degree_grid(self.t, p)
         rows: list = [[] for _ in range(n)]
@@ -331,8 +329,6 @@ class TrianglesAdjList(_TriangleBase):
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):
-        if inst.model != "adjlist":
-            raise ValueError("tri-adj needs adjacency-list input")
         t, sc = self.t, self.sc
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         sketch = PairSketch(sc, r1, r2, p)
@@ -341,8 +337,6 @@ class TrianglesAdjList(_TriangleBase):
         meter.alloc("pair_sketch", sketch.cells)
         meter.alloc("line_rows", b1.cells + b2.cells)
         meter.alloc("registers", 4)
-        if inst.queries:
-            raise ValueError("unexpected token in adjacency input")
         v, u, first, _ = inst.edges
         acc = 0
         # one row per run of equal v: the edges it lists first join the

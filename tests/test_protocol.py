@@ -1,15 +1,20 @@
-"""Runner plumbing: space meter, trial stats, mutation machinery."""
+"""Runner plumbing: space meter, trial stats, mutation machinery, the
+input domain."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import annostream  # registers schemes
+from annostream import cli
 from annostream.extension import resolve_shape
-from annostream.generators import clique_edges, gnp_edges, vanilla_instance
+from annostream.generators import (clique_edges, gnp_edges, vanilla_instance,
+                                   with_query_set)
 from annostream.protocol import (MUTATIONS, SCHEMES, SpaceMeter, TrialStats,
                                  get_scheme, run_adversarial, run_honest,
                                  run_with_transcript, sweep_costs)
-from annostream.stream import ProofTranscript, parse_stream
+from annostream.stream import ParseError, ProofTranscript, parse_stream
 
 
 def test_registry_holds_all_schemes():
@@ -120,6 +125,9 @@ def test_sweep_costs_rows():
 NEGATIVE = "n=4 model=turnstile\n1 2 1\n2 3 1\n1 3 -1\n3 4 1\n"
 HEAVY = "n=4 model=turnstile W=2 source=1\n1 2 5\n2 3 1\n3 4 2\n"
 WRAP = "n=3 model=turnstile\n1 2 5000000\n2 3 5000000\n1 3 5000000\n"
+CYCLIC = "n=3 model=turnstile\n1 2 1\n2 3 1\n3 1 1\n"
+CYCLIC_ARCS = "n=3 model=vanilla\n1 2\n2 3\n3 1\n"
+ADJ = "n=3 model=adjlist\n1: 2\n2: 1\n3:\n"
 
 
 @pytest.mark.parametrize("text,name,reason", [
@@ -127,7 +135,15 @@ WRAP = "n=3 model=turnstile\n1 2 5000000\n2 3 5000000\n1 3 5000000\n"
     (NEGATIVE, "mis", "edge 1 3 has final multiplicity -1"),
     (HEAVY, "sssp-wturnstile", "edge 1 2 has final multiplicity 5"),
     (WRAP, "tri-laconic", "the count would wrap mod p"),
-], ids=["negative", "negative-simple", "above-w", "wrap"])
+    (CYCLIC, "toposort", "toposort takes vanilla streams, not turnstile"),
+    (ADJ, "edgecount-cross",
+     "edgecount-cross takes turnstile or vanilla streams, not adjlist"),
+    (NEGATIVE, "edgecount-induced",
+     "edgecount-induced needs at least one query-set line"),
+    (NEGATIVE, "sssp-unweighted", "sssp-unweighted needs source= in the"),
+    (CYCLIC_ARCS, "toposort", "toposort needs an acyclic stream"),
+], ids=["negative", "negative-simple", "above-w", "wrap", "model-first",
+        "model", "no-query", "no-source", "cyclic"])
 def test_runners_refuse_inputs_outside_the_domain(text, name, reason):
     inst = parse_stream(text)
     scheme = get_scheme(name).configure(inst)
@@ -139,3 +155,140 @@ def test_runners_refuse_inputs_outside_the_domain(text, name, reason):
         run_adversarial(scheme, inst, "coefficient_flip", 1)
     with pytest.raises(ValueError, match=reason):
         sweep_costs(name, inst, [resolve_shape(inst.n, 2, None)])
+
+
+# --- the input domain of every scheme ---------------------------------------
+
+# one small graph in each model: the triangle 1 2 3 and the path 3 4 5,
+# acyclic with every edge u -> v for u < v; the turnstile body inserts
+# and deletes 2 5 on the way
+BODIES = {
+    "turnstile": "1 2 1\n2 3 1\n2 5 1\n1 3 1\n2 5 -1\n3 4 1\n4 5 1\n",
+    "vanilla": "1 2\n2 3\n1 3\n3 4\n4 5\n",
+    "weighted": "1 2 1\n2 3 2\n1 3 1\n3 4 2\n4 5 1\n",
+    "adjlist": "1: 2 3\n2: 1 3\n3: 1 2 4\n4: 3 5\n5: 4\n",
+}
+QUERIES = {"none": "", "U": "U: 1 2 3\n", "U+W": "U+W: 1 2 | 3 4\n"}
+HEADERS = {"none": "", "source": " source=1", "source+target":
+           " source=1 target=5"}
+
+PAIR_MODELS = ("turnstile", "vanilla")
+# what each scheme takes, written out here rather than read from the
+# declarations it tests: stream models, query lines, header fields
+DOMAIN = {
+    "tri-laconic": (PAIR_MODELS, ("none",), "none"),
+    "tri-frugal": (PAIR_MODELS, ("none",), "none"),
+    "tri-sparse": (PAIR_MODELS, ("none",), "none"),
+    "tri-adj": (("adjlist",), ("none",), "none"),
+    "edgecount-induced": (PAIR_MODELS, ("U",), "none"),
+    "edgecount-cross": (PAIR_MODELS, ("U", "U+W"), "none"),
+    "maxmatch-frugal": (PAIR_MODELS, ("none",), "none"),
+    "maxmatch-laconic": (PAIR_MODELS, ("none",), "none"),
+    "mis": (PAIR_MODELS, ("none",), "none"),
+    "toposort": (("vanilla",), ("none",), "none"),
+    "acyclicity": (("vanilla",), ("none",), "none"),
+    "components": (PAIR_MODELS, ("none",), "none"),
+    "sssp-unweighted": (PAIR_MODELS, ("none",), "source"),
+    "stpath": (PAIR_MODELS, ("none",), "source+target"),
+    "sssp-wturnstile": (("turnstile",), ("none",), "source"),
+    "sssp-wvanilla": (("weighted",), ("none",), "source"),
+}
+HEADER_RANK = ("none", "source", "source+target")
+
+
+def _domain_input(model, query, header):
+    """(stream text, instance); a query line on a weighted or adjacency
+    stream does not parse, so its instance gets the line from
+    `with_query_set`."""
+    W = " W=2" if model == "weighted" else ""
+    text = f"n=5 model={model}{W}{HEADERS[header]}\n{BODIES[model]}"
+    try:
+        return text + QUERIES[query], parse_stream(text + QUERIES[query])
+    except ParseError:
+        assert query != "none" and model in ("weighted", "adjlist")
+    inst = parse_stream(text)
+    left, _, right = QUERIES[query].partition(":")[2].partition("|")
+    return text + QUERIES[query], with_query_set(
+        inst, [int(x) for x in left.split()], [int(x) for x in right.split()])
+
+
+def _refused_before_proving(monkeypatch, cls):
+    def ran(*args, **kw):
+        raise AssertionError(f"{cls.name} ran on an input outside its domain")
+    monkeypatch.setattr(cls, "prove", ran)
+    monkeypatch.setattr(cls, "run_verifier", ran)
+
+
+def test_domain_table_covers_every_scheme():
+    assert set(DOMAIN) == set(SCHEMES)
+
+
+@pytest.mark.parametrize("model", tuple(BODIES))
+@pytest.mark.parametrize("name", sorted(DOMAIN))
+def test_every_runner_takes_exactly_the_domain(tmp_path, capsys, monkeypatch,
+                                               name, model):
+    models, queries, header_need = DOMAIN[name]
+    cls = get_scheme(name)
+    for query in QUERIES:
+        for header in HEADERS:
+            text, inst = _domain_input(model, query, header)
+            path = tmp_path / "g.stream"
+            path.write_text(text)
+            argv = ["run", "--scheme", name, "--input", str(path)]
+            scheme = cls.configure(inst)
+            shape = [resolve_shape(inst.n, None, None)]
+            case = f"{name} on {model}, query {query}, header {header}"
+            takes = (model in models and query in queries and
+                     HEADER_RANK.index(header)
+                     >= HEADER_RANK.index(header_need))
+            if takes:
+                res = run_honest(scheme, inst, seed=1)
+                assert res.accepted, (case, res.reason)
+                honest = scheme.prove(inst, res.p)
+                assert run_with_transcript(scheme, inst, honest,
+                                           seed=2).accepted, case
+                assert run_adversarial(scheme, inst, scheme.mutations[0],
+                                       1).trials == 1, case
+                assert len(sweep_costs(name, inst, shape)) == 1, case
+                assert cli.main(argv) == 0, case
+                capsys.readouterr()
+                continue
+            with monkeypatch.context() as mp:
+                _refused_before_proving(mp, cls)
+                for run in (lambda: run_honest(scheme, inst),
+                            lambda: run_with_transcript(scheme, inst,
+                                                        ProofTranscript()),
+                            lambda: run_adversarial(scheme, inst,
+                                                    scheme.mutations[0], 1),
+                            lambda: sweep_costs(name, inst, shape)):
+                    with pytest.raises(ValueError, match=name):
+                        run()
+                assert cli.main(argv) == 2, case
+                assert "error: " in capsys.readouterr().err, case
+
+
+def _readme_schemes() -> dict:
+    """The README's scheme table as {name: {column: cell}}."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = [line.strip().strip("|").split("|")
+            for line in text.split("## Schemes", 1)[1].splitlines()
+            if line.startswith("|")]
+    head = [cell.strip() for cell in rows[0]]
+    return {row[0].strip(): dict(zip(head, (c.strip() for c in row)))
+            for row in rows[2:]}
+
+
+def test_readme_scheme_table_lists_the_declared_domains():
+    table = _readme_schemes()
+    assert set(table) == set(SCHEMES)
+    for name, cls in SCHEMES.items():
+        row = table[name]
+        assert tuple(row["input model"].split(", ")) == cls.models, name
+        needs = row["needs"]
+        assert ("U:" in needs) == (cls.query_arity >= 1), name
+        assert ("U+W:" in needs) == (cls.query_arity == 2), name
+        for key in ("source", "target"):
+            assert (f"{key}=" in needs) == (key in cls.header_fields), name
+        assert ("DAG" in needs) == cls.acyclic, name
+        assert ("simple graph" in needs) == cls.simple_graph, name
+        assert ("≤ W" in needs) == cls.weight_bounded, name

@@ -104,8 +104,8 @@ def test_sparse_replay_checks_neighborhoods():
 def test_adjlist_scheme_requires_adjacency_model():
     inst = vanilla_instance(5, clique_edges(5))
     scheme = get_scheme("tri-adj").configure(inst)
-    with pytest.raises(ValueError):
-        scheme.prove(inst, 1048583)
+    with pytest.raises(ValueError, match="tri-adj takes adjlist streams"):
+        run_honest(scheme, inst)
 
 
 @pytest.mark.parametrize("name", ALL)
