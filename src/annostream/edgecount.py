@@ -25,6 +25,7 @@ triangle, predicate and shortest-path schemes build on them.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -165,9 +166,12 @@ def adjacency_matrix(inst, p, directed=False) -> np.ndarray:
     return adj % p
 
 
+@lru_cache(maxsize=None)
 def degree_grid(t: int, p: int) -> np.ndarray:
     """Dt[w, x] = delta_x(w): impulses of [t] on the nodes 1..2t-1."""
-    return impulse_block(np.arange(1, 2 * t), t, p)
+    out = impulse_block(np.arange(1, 2 * t), t, p)
+    out.setflags(write=False)  # cached: every caller shares this array
+    return out
 
 
 def member_pair_charge(inst, member_lists, sc: ShapeConfig, p) -> np.ndarray:

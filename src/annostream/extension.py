@@ -73,19 +73,23 @@ def _check_numpy_modulus(p: int):
 def _impulse_inv_denominators(size: int, p: int) -> tuple:
     """inv of den_u = prod_{x' != u} (u - x') for each u in [size].
 
-    den_u = (-1)^(size-u) * (u-1)! * (size-u)!, zero once size > p.
+    den_u = (-1)^(size-u) * (u-1)! * (size-u)!, zero once size > p. One
+    inversion, of (size-1)!, gives inv(k!) for every k < size, from
+    inv((k-1)!) = inv(k!) * k.
     """
     if size > p:
         raise ValueError(f"{size} nodes are not distinct mod {p}")
-    fact = [1] * (size + 1)
-    for i in range(1, size + 1):
-        fact[i] = fact[i - 1] * i % p
+    fact = 1
+    for k in range(2, size):
+        fact = fact * k % p
+    inv_fact = [1] * max(size, 1)  # inv(k!) for k < size
+    inv_fact[-1] = fe_inv(fact, p)
+    for k in range(size - 1, 1, -1):
+        inv_fact[k - 1] = inv_fact[k] * k % p
     out = []
     for u in range(1, size + 1):
-        den = fact[u - 1] * fact[size - u] % p
-        if (size - u) % 2 == 1:
-            den = p - den
-        out.append(fe_inv(den, p))
+        inv = inv_fact[u - 1] * inv_fact[size - u] % p
+        out.append(p - inv if (size - u) % 2 == 1 else inv)
     return tuple(out)
 
 
@@ -174,6 +178,7 @@ def resolve_shape(n: int, t=None, s=None) -> tuple:
     return t, s
 
 
+@lru_cache(maxsize=None)
 def grid_bump(g: int, p: int) -> np.ndarray:
     """Coefficients of the degree g-1 poly with grid sum 1 over [g].
 
@@ -182,7 +187,9 @@ def grid_bump(g: int, p: int) -> np.ndarray:
     """
     vals = np.zeros(g, dtype=np.int64)
     vals[0] = 1
-    return coeffs_from_values_1d(vals, p)
+    out = coeffs_from_values_1d(vals, p)
+    out.setflags(write=False)  # cached: every caller shares this array
+    return out
 
 
 class PointSketch:
@@ -439,7 +446,8 @@ def dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _inverse_table(m: int, p: int) -> list:
+@lru_cache(maxsize=None)
+def _inverse_table(m: int, p: int) -> np.ndarray:
     """[inv(k) for k in 0..m-1] (inv(0) read as 0) in O(m), for 2 <= m <= p.
 
     inv(k) = -(p // k) * inv(p mod k), since p = (p // k) k + p mod k.
@@ -447,7 +455,9 @@ def _inverse_table(m: int, p: int) -> list:
     inv = [0, 1]
     for k in range(2, m):
         inv.append(-(p // k) * inv[p % k] % p)
-    return inv
+    out = np.array(inv, dtype=np.int64)
+    out.setflags(write=False)  # cached: every caller shares this array
+    return out
 
 
 def extend_rows(values, p: int, count=None) -> np.ndarray:
@@ -477,9 +487,9 @@ def extend_rows(values, p: int, count=None) -> np.ndarray:
         for k in range(2, g + 1):
             P[0] = P[0] * k % p
         for x in range(g + 1, count):
-            P.append(P[-1] * x % p * inv[x - g] % p)
+            P.append(P[-1] * x % p * int(inv[x - g]) % p)
         xs = np.arange(g + 1, count + 1)
-        gather = np.array(inv, dtype=np.int64)[xs[:, None] - (support + 1)]
+        gather = inv[xs[:, None] - (support + 1)]
         tail = mat_mulmod(gather, flat[support] * inv_den[:, None] % p, p)
         out[g:] = np.array(P, dtype=np.int64)[:, None] * tail % p
     return out.reshape((count,) + vals.shape[1:])

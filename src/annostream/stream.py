@@ -20,22 +20,31 @@ int64 exactly. Set lines accumulate: each line extends the running set(s)
 and ends with a query marker.
 
 A GraphInstance is one fixed columnar value. The body is parsed in
-chunks of lines into read-only int64 columns (u, v, delta, w), one row
-per edge token or adjacency item, and each query-set line into one pair
-(U, W) of read-only vertex columns. Verifiers feed each column to a
-linear sketch in one call; `final_edges()` is built once per instance;
-`tokens` is a read-only token view, built only when it is walked.
+chunks of about 64 KiB of lines into read-only int64 columns
+(u, v, delta, w), one row per edge token or adjacency item, and each
+query-set line into one pair (U, W) of read-only vertex columns. An edge
+body chunk (turnstile, vanilla, weighted), cut before its first query-set
+line, is read into an (rows x width) int64 table by one numpy call; text
+that call refuses goes through Python's int() field by field instead,
+which names the field or line at fault and also reads the spellings
+int() takes and numpy does not (1_0, non-ASCII digits). Verifiers feed
+each column to a linear sketch in one call; `final_edges()` is built once
+per instance; `tokens` is a read-only token view, built only when it is
+walked.
 
 A ProofTranscript is an ordered list of labeled blocks, each either a
 coefficient block (serialized in graded lexicographic monomial order,
 lowest total degree first), a scalar list, or a vertex-id list. Help cost
 is the total number of field elements / ids across blocks; labels and
-block boundaries are free framing.
+block boundaries are free framing. `ProofTranscript.load` reads each
+block's values with one numpy call, and goes through int() value by
+value only where that call refuses the text.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -101,6 +110,28 @@ def _check_delta_total(total: int):
     if total >= DELTA_BOUND:
         raise ParseError(f"sum of |delta| reaches 2^62 = {DELTA_BOUND}; "
                          "the stream must stay below it")
+
+
+def _abs_total(col) -> int:
+    """Exact sum of |x| over an int64 column: no term or sum overflows."""
+    mag = np.abs(col).view(np.uint64)  # |-2^63| reads as 2^63
+    high = mag >> np.uint64(32)
+    low = mag & np.uint64(0xFFFFFFFF)
+    return (int(high.sum()) << 32) + int(low.sum())
+
+
+def _int_table(lines, comments) -> Optional[np.ndarray]:
+    """Whitespace-separated integer lines as one (rows x width) int64
+    table, read by numpy in C; None where numpy refuses the text (a bad
+    field, rows of unequal width, a value outside int64, no rows at all,
+    or any warning). The caller then reads the lines with int()."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, dtype=np.int64, comments=comments,
+                              ndmin=2)
+        except (ValueError, OverflowError, Warning):
+            return None
 
 
 def _read_only(cols) -> tuple:
@@ -316,19 +347,20 @@ def _vertex(tokstr: str, n: int) -> int:
 
 
 def _line_chunks(text: str):
-    """text.splitlines() in pieces, one per slice of about _CHUNK_CHARS
-    that ends just after a newline."""
+    """(chunk, chunk.splitlines()) for slices of text of about
+    _CHUNK_CHARS that end just after a newline."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS)
         end = len(text) if end < 0 else end + 1
-        yield text[start:end].splitlines()
+        chunk = text[start:end]
+        yield chunk, chunk.splitlines()
         start = end
 
 
 def parse_stream(text: str) -> GraphInstance:
     chunks = _line_chunks(text)
-    for lines in chunks:
+    for chunk, lines in chunks:
         top = next((i for i, raw in enumerate(lines) if _body(raw)), None)
         if top is not None:
             break
@@ -356,9 +388,9 @@ def parse_stream(text: str) -> GraphInstance:
             raise ParseError(f"{label} {val} outside [1, {n}]")
 
     body = _BodyParser(n, model, W)
-    body.feed(lines[top + 1:])
-    for lines in chunks:
-        body.feed(lines)
+    body.feed(lines[top + 1:], chunk)
+    for chunk, lines in chunks:
+        body.feed(lines, chunk)
     return body.instance(source, target)
 
 
@@ -377,19 +409,22 @@ class _BodyParser:
         self.delta_total = 0
         self.adj_row = 0
 
-    def feed(self, lines: list):
+    def feed(self, lines: list, chunk: str):
+        """Parse `lines`, the lines (or the last lines) of `chunk`."""
         if self.in_queries:
             self._query_lines(lines)
         elif self.model == "adjlist":
             self._adjacency_rows(lines)
         else:
-            rows = [raw.partition("#")[0].split() for raw in lines]
-            for j, row in enumerate(rows):
-                if row and row[0].startswith(_SET_LINE):
-                    self._edge_rows(rows[:j])
-                    self._query_lines(lines[j:])
-                    return
-            self._edge_rows(rows)
+            # the edges end at the first query-set line; a chunk without
+            # a "U" holds none
+            cut = len(lines)
+            if "U" in chunk:
+                cut = next((j for j, raw in enumerate(lines)
+                            if raw.lstrip().startswith(_SET_LINE)), cut)
+            self._edge_rows(lines[:cut])
+            if cut < len(lines):
+                self._query_lines(lines[cut:])
 
     def _ints(self, fields, count: int, check_row) -> np.ndarray:
         """fields as int64; on a bad field, check_row names the culprit."""
@@ -405,10 +440,11 @@ class _BodyParser:
             bad = ids[(ids < 1) | (ids > n)].flat[0]
             raise ParseError(f"vertex {bad} outside [1, {n}]")
 
-    def _edge_rows(self, rows: list):
-        rows = [row for row in rows if row]
-        if not rows:
-            return
+    def _edge_table(self, lines: list) -> np.ndarray:
+        """The lines as a (rows x width) table, field by field with int();
+        raises ParseError naming the first line or field at fault."""
+        rows = [row for row in (raw.partition("#")[0].split()
+                                for raw in lines) if row]
         model, width, n = self.model, self.width, self.n
         for row in rows:
             if len(row) != width:
@@ -428,18 +464,25 @@ class _BodyParser:
                     if model == "turnstile":
                         _check_delta_total(abs(third))
 
-        vals = self._ints(chain.from_iterable(rows), width * len(rows),
+        return self._ints(chain.from_iterable(rows), width * len(rows),
                           check_row).reshape(-1, width)
+
+    def _edge_rows(self, lines: list):
+        vals = _int_table(lines, "#")
+        if vals is None or vals.shape[1] != self.width:
+            vals = self._edge_table(lines)
+        if not vals.size:
+            return
         u, v = vals[:, 0], vals[:, 1]
         self._vertex_range(vals[:, :2])
         if (u == v).any():
             raise ParseError(f"self-loop at {u[u == v][0]}")
-        ones = np.ones(len(rows), dtype=np.int64)
-        if model == "turnstile":
+        ones = np.ones(len(vals), dtype=np.int64)
+        if self.model == "turnstile":
             delta, w = vals[:, 2], np.zeros_like(ones)
-            self.delta_total += sum(map(abs, delta.tolist()))
+            self.delta_total += _abs_total(delta)
             _check_delta_total(self.delta_total)
-        elif model == "weighted":
+        elif self.model == "weighted":
             delta, w = ones, vals[:, 2]
             bad = np.flatnonzero((w < 1) | (w > self.W))
             if bad.size:
@@ -637,21 +680,14 @@ class ProofTranscript:
             if cur is None:
                 return
             label, kind, count, shape = cur
-            if len(pending) != count:
-                raise ParseError(f"block {label}: {len(pending)} of "
-                                 f"{count} values")
-            try:
-                arr = np.array(pending, dtype=np.int64)
-            except OverflowError:
-                raise ParseError(f"block {label}: value outside int64") \
-                    from None
+            arr = _block_values(pending, label, count)
             t.blocks.append(Block(label, kind, arr, shape=shape))
 
         for raw in text.splitlines():
             line = raw.strip()
-            if not line or line.startswith("!"):
+            if not line or line[0] == "!":
                 continue
-            if line.startswith("@"):
+            if line[0] == "@":
                 flush()
                 parts = line[1:].split()
                 if not parts:
@@ -678,9 +714,23 @@ class ProofTranscript:
             else:
                 if cur is None:
                     raise ParseError("transcript values before any block")
-                pending.extend(_int_field(x, cur[0]) for x in line.split())
+                pending.append(line)
         flush()
         return t
+
+
+def _block_values(lines: list, label: str, count: int) -> np.ndarray:
+    """A block's value lines as int64: one numpy read of them joined into
+    one row, or int() value by value where numpy refuses the text."""
+    table = _int_table([" ".join(lines)], None)
+    vals = table[0] if table is not None else [
+        _int_field(x, label) for line in lines for x in line.split()]
+    if len(vals) != count:
+        raise ParseError(f"block {label}: {len(vals)} of {count} values")
+    try:
+        return np.asarray(vals, dtype=np.int64)
+    except OverflowError:
+        raise ParseError(f"block {label}: value outside int64") from None
 
 
 def _int_field(raw: str, label: str) -> int:

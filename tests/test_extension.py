@@ -14,7 +14,9 @@ from annostream.extension import (PointSketch, ShapeConfig, coeffs_from_serial,
                                   grid_bump, impulse_block, impulse_table,
                                   mat_mulmod, nd_eval, nd_grid_sum,
                                   power_sums, resolve_shape)
-from annostream.field import next_prime
+from annostream.edgecount import degree_grid
+from annostream.extension import _impulse_inv_denominators, _inverse_table
+from annostream.field import fe_inv, next_prime
 
 P = 1048583
 # the largest prime the vectorized path takes: (P_TOP - 1)^2 > 2^50, so an
@@ -323,6 +325,34 @@ def test_grid_bump_shifts_grid_total_by_one(g, p):
     assert [poly_eval(bump.tolist(), x, p) for x in range(1, g + 1)] == \
         [1] + [0] * (g - 1)
     assert nd_grid_sum(bump, (g,), p) == 1
+
+
+@pytest.mark.parametrize("size,p", [(1, 97), (2, 97), (7, 97), (96, 97),
+                                    (97, 97), (2, 2), (5, 5), (13, 13),
+                                    (40, P), (300, P_TOP)])
+def test_impulse_denominators_invert_factorials_once(size, p):
+    want = [fe_inv(math.prod(u - x for x in range(1, size + 1) if x != u), p)
+            for u in range(1, size + 1)]
+    assert list(_impulse_inv_denominators.__wrapped__(size, p)) == want
+    with pytest.raises(ValueError, match="not distinct mod 7"):
+        _impulse_inv_denominators.__wrapped__(8, 7)
+
+
+def test_constant_tables_are_cached_and_read_only():
+    tables = {
+        "grid_bump": (grid_bump, (6, P)),
+        "degree_grid": (degree_grid, (5, P)),
+        "inverse_table": (_inverse_table, (9, 97)),
+    }
+    for name, (make, args) in tables.items():
+        table = make(*args)
+        assert make(*args) is table, name
+        with pytest.raises(ValueError):
+            table[1] = 3
+    assert np.array_equal(degree_grid(5, P),
+                          impulse_block(np.arange(1, 10), 5, P))
+    inv = _inverse_table(9, 97)
+    assert inv[0] == 0 and all(k * inv[k] % 97 == 1 for k in range(1, 9))
 
 
 def test_shape_config_bijection():

@@ -1,8 +1,10 @@
 """Stream grammar, instance round trips, proof transcript encoding."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annostream import stream as stream_mod
@@ -609,3 +611,242 @@ def test_parse_body_spans_chunks():
     assert list(inst.tokens) == reference_parse(text)[1]
     with pytest.raises(ParseError):
         parse_stream(text + "\n1 1 1")
+
+
+# --- edge bodies past one chunk ---------------------------------------------
+
+
+def _long_body(model, rows):
+    """rows distinct edges of a model on n=200, about 8 characters a line."""
+    pairs = [(u, v) for u in range(1, 201) for v in range(u + 1, 201)]
+    out = []
+    for i, (u, v) in enumerate(pairs[:rows]):
+        line = f"{u} {v}" if i % 2 else f"{v} {u}"
+        if model == "turnstile":
+            line += f" {1 + i % 3}"
+        elif model == "weighted":
+            line += f" {1 + i % 4}"
+        out.append(line)
+    return out
+
+
+def _chunk_of(text, line_no):
+    """Index of the chunk of `text` that holds line `line_no`."""
+    seen = 0
+    for k, (_, lines) in enumerate(stream_mod._line_chunks(text)):
+        seen += len(lines)
+        if line_no < seen:
+            return k
+    raise IndexError(line_no)
+
+
+def _flawed(model, flaw, at):
+    """A header and a body of two chunks or more, with `flaw` written over
+    the body from its line `at` on; also the text's line numbers of the
+    flaw's first and last lines."""
+    head = "n=200 model=" + model + (" W=4" if model == "weighted" else "")
+    body = _long_body(model, stream_mod._CHUNK_CHARS // 5)
+    last = at
+    if flaw == "query":
+        body[at:] = ["U: 1 2 3", "U+W: 4 | 5 6", "", "# note", "U: 7"] * 300
+        last = len(body) - 1
+    elif flaw == "junk":
+        body[at] = "x " + body[at].split(" ", 1)[1]
+    elif flaw == "width":
+        body[at] += " 1"
+    elif flaw == "late edge":
+        body[at:at + 2] = ["U: 1", body[at]]
+        last = at + 1
+    elif flaw == "comments":
+        body[at:at + 40] = ["# a comment-only line", "", "   # indented"] * 40
+        last = at + 119
+    elif flaw == "comment chunk":
+        body[at:at] = ["# " + "c" * 60] * (stream_mod._CHUNK_CHARS // 50)
+        last = at + stream_mod._CHUNK_CHARS // 50 - 1
+    return "\n".join([head] + body) + "\n", at + 1, last + 1
+
+
+def _first_line_of_second_chunk(model):
+    """Body line number of the first line of a clean body's second chunk."""
+    text, _, _ = _flawed(model, None, 0)
+    return len(next(stream_mod._line_chunks(text))[1]) - 1
+
+
+@pytest.mark.parametrize("text,match", [
+    ("n=3 model=vanilla\n1 2 3\n2 3 1\n", "vanilla line needs 'u v'"),
+    ("n=3 model=turnstile\n1 2\n2 3\n", "turnstile line needs 'u v delta'"),
+    ("n=3 model=weighted W=2\n1 2 1 1\n", "weighted line needs 'u v w'"),
+])
+def test_a_body_all_of_one_wrong_width_is_refused(text, match):
+    with pytest.raises(ParseError, match=match):
+        parse_stream(text)
+
+
+_SPANNING = ("query", "comments", "comment chunk")
+
+
+@pytest.mark.parametrize("model,flaw,where", [
+    (model, flaw, where)
+    for model in ("turnstile", "vanilla", "weighted")
+    for flaw in _SPANNING + ("junk", "width", "late edge")
+    for where in ((-2, 0, 1, 500) if flaw in _SPANNING else (0, 1, 500))])
+def test_flaws_past_the_first_chunk_match_the_reference(model, flaw, where):
+    text, first, last = _flawed(model, flaw,
+                                _first_line_of_second_chunk(model) + where)
+    # the flaw starts in the second chunk or later, or spans the boundary
+    assert (_chunk_of(text, first) >= 1) == (where >= 0)
+    assert _chunk_of(text, last) >= 1
+    try:
+        want = reference_parse(text)
+    except ParseError as exc:
+        want = exc
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            inst = parse_stream(text)
+        except ParseError as exc:
+            assert isinstance(want, ParseError), str(exc)
+            assert str(exc) == str(want)
+            inst = None
+    assert not [str(w.message) for w in caught]
+    if inst is not None:
+        assert not isinstance(want, ParseError), str(want)
+        header, tokens = want
+        assert (inst.n, inst.model, inst.W, inst.source,
+                inst.target) == header
+        assert list(inst.tokens) == tokens
+        assert list(inst.final_edges().items()) == list(
+            reference_final_edges(tokens).items())
+
+
+# --- the line-by-line transcript loader this one replaced, kept as a
+# reference ------------------------------------------------------------------
+
+
+def _ref_int_field(raw, label):
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"block {label}: bad integer {raw!r}") from None
+
+
+def reference_load(text):
+    """[(label, kind, shape, values)] as the line-by-line loader read them."""
+    blocks = []
+    cur = None
+    pending = []
+
+    def flush():
+        if cur is None:
+            return
+        label, kind, count, shape = cur
+        if len(pending) != count:
+            raise ParseError(f"block {label}: {len(pending)} of "
+                             f"{count} values")
+        try:
+            arr = np.array(pending, dtype=np.int64)
+        except OverflowError:
+            raise ParseError(f"block {label}: value outside int64") from None
+        blocks.append((label, kind, shape, arr))
+
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("!"):
+            continue
+        if line.startswith("@"):
+            flush()
+            parts = line[1:].split()
+            if not parts:
+                raise ParseError("block header without a label")
+            label = parts[0]
+            fields = _ref_header(" ".join(parts[1:]))
+            kind = fields.get("kind")
+            if kind not in ("coeffs", "scalars", "vertices"):
+                raise ParseError(f"bad block kind {kind!r}")
+            need = ("count", "shape") if kind == "coeffs" else ("count",)
+            for key in need:
+                if key not in fields:
+                    raise ParseError(f"block {label}: header lacks {key}=")
+            count = _ref_int_field(fields["count"], label)
+            shape = None
+            if kind == "coeffs":
+                shape = tuple(_ref_int_field(x, label)
+                              for x in fields["shape"].split(","))
+                if min(shape) < 0 or np.prod(shape, dtype=object) != count:
+                    raise ParseError(f"block {label}: shape does not "
+                                     f"hold {count} values")
+            cur = (label, kind, count, shape)
+            pending = []
+        else:
+            if cur is None:
+                raise ParseError("transcript values before any block")
+            pending.extend(_ref_int_field(x, cur[0]) for x in line.split())
+    flush()
+    return blocks
+
+
+_EXTREME = st.sampled_from([2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1,
+                            2 ** 64])
+_BAD_VALUE = st.sampled_from(["x", "1.5", "#", "0x1", "1__0", "_1", "--1",
+                              "1e3", "+", "1,2"])
+
+
+@st.composite
+def _odd_transcript(draw):
+    """Blocks in odd spellings and line breaks; one in four has a flaw."""
+    lines = ["!transcript v=1"] if draw(st.booleans()) else []
+    for b in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["coeffs", "scalars", "vertices"]))
+        values = draw(st.lists(st.integers(-3, 2 ** 25), max_size=40))
+        flaw = draw(st.sampled_from([None] * 9 + ["count", "bad", "extreme"]))
+        if flaw == "extreme" and values:
+            values[draw(st.integers(0, len(values) - 1))] = draw(_EXTREME)
+        count = len(values)
+        if flaw == "count":
+            count += draw(st.sampled_from([-1, 1]))
+        head = f"@b{b} kind={kind} count={count}"
+        if kind == "coeffs":
+            head += f" shape=1,{count}"
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + head)
+        fields = [draw(_spelled(x)) for x in values]
+        if flaw == "bad" and fields:
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(_BAD_VALUE)
+        width = draw(st.integers(1, 16))
+        for i in range(0, len(fields), width):
+            lines.append(draw(_GAP).join(fields[i:i + width]))
+            if draw(st.integers(0, 5)) == 0:
+                lines.append(draw(st.sampled_from(["", "  ", "! a note"])))
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(0, draw(st.sampled_from(["1 2", "x"])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_odd_transcript())
+@example("@a kind=scalars count=3\n1 # 3\n")
+@example("@a kind=scalars count=1\n1.0\n")
+@example("@a kind=vertices count=3\n1_0 \u0663\n+007\n")
+@example("@a kind=coeffs count=2 shape=2\n9223372036854775808 1\n")
+@example("@a kind=scalars count=0\n\n! a note\n@b kind=scalars count=2\n"
+         "-9223372036854775808\n\n 9223372036854775807\n")
+def test_transcript_load_matches_the_line_by_line_reference(text):
+    try:
+        want = reference_load(text)
+    except ParseError as exc:
+        want = exc
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = ProofTranscript.load(text)
+        except ParseError as exc:
+            assert isinstance(want, ParseError), str(exc)
+            assert str(exc) == str(want)
+            got = None
+    assert not [str(w.message) for w in caught]
+    if got is not None:
+        assert not isinstance(want, ParseError), str(want)
+        assert [(b.label, b.kind, b.shape) for b in got.blocks] == [
+            blk[:3] for blk in want]
+        for b, blk in zip(got.blocks, want):
+            assert b.values.dtype == np.int64
+            assert b.values.tolist() == blk[3].tolist()
