@@ -16,6 +16,7 @@ automatic field modulus; it must parse as a prime.
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -91,21 +92,29 @@ def _configured_scheme(args, inst):
 
 
 def _write_text(path, text):
+    """Write text to path ("-": stdout); exit 2 if it cannot be written."""
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _csv_text(columns, rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([columns, *rows])
+    return buf.getvalue()
 
 
 # --- run ---------------------------------------------------------------
 
 
 def _print_labels(value, transcript, n):
-    prev = None
-    for b in transcript.blocks:
-        if b.label == "parent_labels":
-            prev = b.values.tolist()
+    prev = next((b.values.tolist() for b in transcript.blocks
+                 if b.label == "parent_labels"), None)
     print("output=labels")
     for v in range(1, n + 1):
         d = value[v - 1]
@@ -147,6 +156,8 @@ def cmd_run(args) -> int:
                                   seed=args.seed, p=cfg.p)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    if args.out and args.out != "-":  # a write that fails prints nothing
+        _write_text(args.out, transcript.dump())
     bits = cfg.bits_per_element
     print(f"scheme={scheme.name}")
     print(f"p={cfg.p}")
@@ -158,8 +169,8 @@ def cmd_run(args) -> int:
     print(f"hcost_bits={res.hcost * bits}")
     print(f"vcost_elems={res.vcost}")
     print(f"vcost_bits={res.vcost * bits}")
-    if args.out:
-        _write_text(args.out, transcript.dump())
+    if args.out == "-":
+        _write_text("-", transcript.dump())
     return 0 if res.accepted else 1
 
 
@@ -207,18 +218,10 @@ def cmd_attack(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    out = sys.stdout if not args.out or args.out == "-" \
-        else open(args.out, "w", newline="")
-    try:
-        w = csv.writer(out)
-        w.writerow(ATTACK_COLUMNS)
-        for st in results:
-            w.writerow([st.scheme, st.policy, st.trials, st.accepted,
-                        st.accepted_wrong, st.rejected,
-                        f"{st.wrong_rate:.6f}", f"{st.wilson_upper():.6f}"])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_text(args.out or "-", _csv_text(ATTACK_COLUMNS, (
+        [st.scheme, st.policy, st.trials, st.accepted, st.accepted_wrong,
+         st.rejected, f"{st.wrong_rate:.6f}", f"{st.wilson_upper():.6f}"]
+        for st in results)))
     return 0
 
 
@@ -301,29 +304,17 @@ def cmd_sweep(args) -> int:
         rows = _sweep_costs(args.scheme, inst, shapes, seed=args.seed, p=p)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    out = sys.stdout if not args.out or args.out == "-" \
-        else open(args.out, "w", newline="")
-    try:
-        w = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS)
-        w.writeheader()
-        for r in rows:
-            w.writerow(r)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.plot:
         if rows:
             _plot_svg(rows, args.plot)
         else:
             _write_text(args.plot, "")
+    _write_text(args.out or "-", _csv_text(
+        SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows)))
     return 0
 
 
 # --- gen ---------------------------------------------------------------
-
-
-GEN_KINDS = ("gnp", "path", "cycle", "clique", "dag", "weighted-gnp",
-             "adjlist")
 
 
 def _parse_vertices(raw, n):
@@ -338,53 +329,62 @@ def _parse_vertices(raw, n):
 
 def _generate(args):
     n, seed, prob = args.n, args.seed, args.prob
-    if n < 1:
-        raise ConfigError("n must be positive")
+    ends = {"source": args.source, "target": args.target}
+    turnstile = args.model == "turnstile" or args.churn
     if args.kind == "gnp":
         edges = gnp_edges(n, prob, seed)
-        if args.model == "turnstile" or args.churn:
+        spare = n * (n - 1) // 2 - len(edges)
+        if args.churn > spare:
+            raise ConfigError(f"--churn {args.churn}: only {spare} vertex "
+                              "pairs are not edges")
+        if turnstile:
             return turnstile_instance(n, edges, churn=args.churn, seed=seed,
-                                      source=args.source, target=args.target)
-        return vanilla_instance(n, edges, source=args.source,
-                                target=args.target)
-    if args.kind == "path":
-        return vanilla_instance(n, path_edges(n), source=args.source,
-                                target=args.target)
-    if args.kind == "cycle":
-        return vanilla_instance(n, cycle_edges(n), source=args.source,
-                                target=args.target)
-    if args.kind == "clique":
-        return vanilla_instance(n, clique_edges(n), source=args.source,
-                                target=args.target)
+                                      **ends)
+        return vanilla_instance(n, edges, **ends)
+    if args.kind == "weighted-gnp":
+        if turnstile:
+            return weighted_turnstile_instance(n, prob, args.w, seed,
+                                               churn=args.churn, **ends)
+        return weighted_instance(n, prob, args.w, seed, **ends)
     if args.kind == "dag":
         return dag_instance(n, prob, seed)
-    if args.kind == "weighted-gnp":
-        if args.model == "turnstile" or args.churn:
-            return weighted_turnstile_instance(n, prob, args.w, seed,
-                                               churn=args.churn,
-                                               source=args.source,
-                                               target=args.target)
-        return weighted_instance(n, prob, args.w, seed, source=args.source,
-                                 target=args.target)
     if args.kind == "adjlist":
         return adjlist_instance(n, gnp_edges(n, prob, seed))
-    raise ConfigError(f"unknown kind {args.kind!r}")
+    edges = {"path": path_edges, "cycle": cycle_edges,
+             "clique": clique_edges}[args.kind](n)
+    return vanilla_instance(n, edges, **ends)
 
 
 def cmd_gen(args) -> int:
-    inst = _generate(args)
+    if args.n < 1:
+        raise ConfigError("n must be positive")
+    if args.churn and args.kind not in ("gnp", "weighted-gnp"):
+        raise ConfigError(f"gen {args.kind} takes no --churn")
+    if args.churn < 0:
+        raise ConfigError("--churn must be at least 0")
+    if args.churn and args.n < 2:
+        raise ConfigError("--churn needs at least 2 vertices")
     if args.query_right and not args.query_left:
         raise ConfigError("--query-right needs --query-left")
+    inst = _generate(args)
     if args.query_left:
         left = _parse_vertices(args.query_left, inst.n)
         right = (_parse_vertices(args.query_right, inst.n)
-                 if args.query_right else None)
+                 if args.query_right else [])
+        if len(set(left + right)) < len(left + right):
+            raise ConfigError("a query set lists a vertex twice")
         inst = with_query_set(inst, left, right)
+    # gen writes only what it was asked for: the text must read back
     text = serialize_stream(inst)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    try:
+        back = parse_stream(text)
+    except ParseError as exc:
+        raise ConfigError(f"gen {args.kind} cannot write this: {exc}")
+    if back != inst or (back.source, back.target) != (args.source,
+                                                      args.target):
+        raise ConfigError(f"gen {args.kind} writes no query sets, source= "
+                          "or target= here")
+    _write_text(args.out or "-", text)
     return 0
 
 
@@ -440,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("gen", help="deterministic fixture streams")
-    sp.add_argument("kind", choices=GEN_KINDS)
+    sp.add_argument("kind", choices=("gnp", "path", "cycle", "clique", "dag",
+                                        "weighted-gnp", "adjlist"))
     sp.add_argument("n", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--prob", type=float, default=0.35,

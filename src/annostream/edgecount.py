@@ -8,8 +8,8 @@ bilinear form and whose grid total is the (ordered) pair count.
 
 edgecount-induced counts ordered pairs inside U, i.e. twice the induced
 edge count; edgecount-cross counts ordered pairs U x W, which equals the
-cross edge count when the two sets are disjoint (disjointness is an
-input promise, matching how the generator builds query lines).
+cross edge count because the two sets are disjoint: `check_domain`
+refuses a vertex listed twice among all the query-set members.
 
 Queries are cumulative: each query line extends the running set(s) and
 triggers one polynomial, so an extended set reuses all verifier state.

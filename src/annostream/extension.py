@@ -35,13 +35,16 @@ sum_u w_u * M(X) / (X - u), so
 
     [X^i] f~ = sum_k a_{i+k+1} * S_k,   where S_k = sum_u w_u * u^k.
 
-S is a transposed-Vandermonde product and the coefficients are a Hankel
-product against it: two mat_mulmod calls per axis, with power tables
-built by doubling instead of an m-step loop.
+S is power_moments, a transposed-Vandermonde product (eval_on_nodes is
+the same product untransposed), and the coefficients are a Hankel product
+against it: two mat_mulmod calls per axis, with power tables built by
+doubling instead of an m-step loop.
 
 mat_mulmod is the one modular matmul: float64 BLAS over chunks of the
 inner axis sized from the operands' largest entries, so that each dot
 product is exact; operands already in [0, p) are not reduced again.
+This module is the field arithmetic of every vectorised kernel, and
+check_vectorized_modulus is the one rule for which moduli they take.
 
 Vertex shaping packs [n] into [t] x [s] with t*s >= n, row-major:
 x = ceil(v/s), y = ((v-1) mod s) + 1.
@@ -50,7 +53,7 @@ x = ceil(v/s), y = ((v-1) mod s) + 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -64,9 +67,11 @@ _NUMPY_P_LIMIT = 1 << 25
 _INT64_TERMS = 1 << 13
 
 
-def _check_numpy_modulus(p: int):
+def check_vectorized_modulus(p: int):
+    """ValueError unless the kernels below stay exact mod p; every scheme's
+    `field_config` calls it, so a modulus is refused before proving."""
     if p >= _NUMPY_P_LIMIT:
-        raise ValueError(f"modulus {p} too large for vectorized path")
+        raise ValueError(f"modulus {p} too large for vectorized path (< 2^25)")
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +117,7 @@ def impulse_block(xs, size: int, p: int) -> np.ndarray:
     Sequential over the domain, vectorized over the points; used by provers
     that evaluate extensions on full degree grids.
     """
-    _check_numpy_modulus(p)
+    check_vectorized_modulus(p)
     xs = np.asarray(xs, dtype=np.int64) % p
     m = len(xs)
     prefix = np.ones((size + 1, m), dtype=np.int64)
@@ -262,7 +267,7 @@ def nd_eval(tensor: np.ndarray, point, p: int) -> int:
     One axis runs on Python ints, which beats numpy's per-step overhead
     on a single row.
     """
-    _check_numpy_modulus(p)
+    check_vectorized_modulus(p)
     acc = np.asarray(tensor, dtype=np.int64) % p
     if acc.ndim == 1:
         x, out = int(point[0]) % p, 0
@@ -277,22 +282,81 @@ def nd_eval(tensor: np.ndarray, point, p: int) -> int:
     return int(acc)
 
 
+# --- powers of the nodes --------------------------------------------------
+
+
+def power_table(x, count: int, p: int) -> np.ndarray:
+    """T[i, r] = x[i]^r mod p for r < count, doubling the filled columns."""
+    check_vectorized_modulus(p)
+    step = np.asarray(x, dtype=np.int64) % p  # step = x^have
+    out = np.ones((len(step), count), dtype=np.int64)
+    have = 1
+    while have < count:
+        take = min(have, count - have)
+        out[:, have:have + take] = out[:, :take] * step[:, None] % p
+        have += take
+        step = step * step % p
+    return out
+
+
+def _blocks(count: int, cols: int) -> tuple:
+    """(b, q): q blocks of b powers cover count, b about sqrt(count * cols)
+    so that no table of the powers of m nodes is m x count."""
+    b = min(count, isqrt(count * cols - 1) + 1)
+    return b, -(-count // b)
+
+
+def _node_powers(m: int, count: int, cols: int, p: int) -> tuple:
+    """(b, q, low, high) for the nodes u = 1..m in the blocks of _blocks:
+    low[u-1, r] = u^r for r < b and high[u-1, j] = u^(jb) for j < q."""
+    b, q = _blocks(count, cols)
+    nodes = np.arange(1, m + 1, dtype=np.int64) % p
+    low = power_table(nodes, b, p)
+    return b, q, low, power_table(low[:, -1] * nodes % p, q, p)
+
+
+def _unstack(blocks: np.ndarray, b: int, m: int) -> np.ndarray:
+    """Row q*b + r of the result from column block q, row r of a product."""
+    q = -(-m // b)
+    return blocks.reshape(b, q, -1).transpose(1, 0, 2).reshape(q * b, -1)[:m]
+
+
+def power_moments(weights, count: int, p: int) -> np.ndarray:
+    """S_k = sum_u w_u u^k mod p for k < count over the nodes u = 1..m,
+    along axis 0 of the (m, ...) weights: one mat_mulmod."""
+    w, _ = _residues(weights, p)
+    m, cols = len(w), prod(w.shape[1:])
+    if not (m and count and cols):
+        return np.zeros((count,) + w.shape[1:], dtype=np.int64)
+    b, q, low, high = _node_powers(m, count, cols, p)
+    stacked = w.reshape(m, 1, cols) * high[:, :, None] % p
+    S = mat_mulmod(low.T, stacked.reshape(m, q * cols), p)
+    return _unstack(S, b, count).reshape((count,) + w.shape[1:])
+
+
+def eval_on_nodes(coeffs, m: int, p: int) -> np.ndarray:
+    """[sum_k c_k u^k for u = 1..m] mod p for a coefficient vector c, lowest
+    first: power_moments transposed, sum_j u^(jb) sum_r u^r c_{jb+r}."""
+    c, _ = _residues(coeffs, p)
+    if not (m and c.size):
+        return np.zeros(m, dtype=np.int64)
+    b, q, low, high = _node_powers(m, c.size, 1, p)
+    blocks = np.zeros(q * b, dtype=np.int64)
+    blocks[:c.size] = c
+    return dot_mod(dot_mod(low[:, None, :], blocks.reshape(q, b), p), high, p)
+
+
 @lru_cache(maxsize=None)
 def power_sums(grid: int, count: int, p: int) -> np.ndarray:
     """S_i = sum_{x=1..grid} x^i mod p for i < count."""
-    xs = np.arange(1, grid + 1, dtype=np.int64) % p
-    powers = np.ones(grid, dtype=np.int64)
-    out = np.zeros(count, dtype=np.int64)
-    for i in range(count):
-        out[i] = powers.sum() % p
-        powers = powers * xs % p
+    out = power_moments(np.ones(grid, dtype=np.int64), count, p)
     out.setflags(write=False)  # cached: every caller shares this array
     return out
 
 
 def nd_grid_sum(tensor: np.ndarray, grid_sizes, p: int) -> int:
     """sum of the polynomial over [g_1] x ... x [g_k] via power sums."""
-    _check_numpy_modulus(p)
+    check_vectorized_modulus(p)
     acc = np.asarray(tensor, dtype=np.int64) % p
     for g in reversed(list(grid_sizes)):
         acc = (acc * power_sums(g, acc.shape[-1], p) % p).sum(axis=-1) % p
@@ -300,18 +364,6 @@ def nd_grid_sum(tensor: np.ndarray, grid_sizes, p: int) -> int:
 
 
 # --- interpolation from grid values ----------------------------------------
-
-
-def _power_table(x: np.ndarray, count: int, p: int) -> np.ndarray:
-    """T[i, r] = x[i]^r mod p for r < count, doubling the filled columns."""
-    out = np.ones((len(x), count), dtype=np.int64)
-    have, step = 1, x % p  # step = x^have
-    while have < count:
-        take = min(have, count - have)
-        out[:, have:have + take] = out[:, :take] * step[:, None] % p
-        have += take
-        step = step * step % p
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -326,22 +378,14 @@ def _node_poly(m: int, p: int) -> np.ndarray:
     return a
 
 
-def _unstack(blocks: np.ndarray, b: int, m: int) -> np.ndarray:
-    """Row q*b + r of the result from column block q, row r of a product."""
-    q = -(-m // b)
-    return blocks.reshape(b, q, -1).transpose(1, 0, 2).reshape(q * b, -1)[:m]
-
-
 def _interpolate_rows(values: np.ndarray, p: int) -> np.ndarray:
     """Coefficients along axis 0 of the interpolant of (m, cols) values.
 
-    Two mat_mulmod calls (see the module docstring): the powers u^r,
-    r < b, against the weights times u^(jb) for each block j, which gives
-    S, then the Hankel rows a_{r+1+k} against the block-shifted copies of
-    S. b is about sqrt(m * cols), at most m, so each operand holds about
-    m * b entries: a dense m x m table only where the input is as large.
+    Two mat_mulmod calls (see the module docstring): the moments S of the
+    weights w_u = f(u) * inv(den_u), then the Hankel rows a_{r+1+k}
+    against q block-shifted copies of S, in the blocks of power_moments.
     """
-    _check_numpy_modulus(p)
+    check_vectorized_modulus(p)
     flat, _ = _residues(values, p)
     m, cols = flat.shape
     if m >= p:
@@ -349,16 +393,10 @@ def _interpolate_rows(values: np.ndarray, p: int) -> np.ndarray:
     if not flat.size:
         return flat.copy()
     inv_den = np.array(_impulse_inv_denominators(m, p), dtype=np.int64)
-    w = flat * inv_den[:, None] % p
-    b = min(m, isqrt(m * cols - 1) + 1)
-    q = -(-m // b)
-    nodes = np.arange(1, m + 1, dtype=np.int64)
-    low = _power_table(nodes, b, p)  # u^r, r < b
-    high = _power_table(low[:, -1] * nodes % p, q, p)  # u^(jb), j < q
-    stacked = w[:, None, :] * high[:, :, None] % p
-    S = _unstack(mat_mulmod(low.T, stacked.reshape(m, q * cols), p), b, m)
+    S = power_moments(flat * inv_den[:, None] % p, m, p)
     # c_{jb+r} = sum_k a_{r+1+k} S_{k-jb}: one Hankel block against
     # q shifted copies of S, zero above the top
+    b, q = _blocks(m, cols)
     a = np.concatenate((_node_poly(m, p), np.zeros(b, dtype=np.int64)))
     hankel = a[np.arange(1, b + 1)[:, None] + np.arange(m)]
     shifted = np.concatenate((np.zeros(((q - 1) * b, cols), dtype=np.int64),
@@ -376,7 +414,7 @@ def coeffs_from_values_1d(values, p: int) -> np.ndarray:
 
 def coeffs_from_values_nd(tensor: np.ndarray, p: int) -> np.ndarray:
     """Interpolate along every axis; grid along axis i is 1..shape[i]."""
-    _check_numpy_modulus(p)
+    check_vectorized_modulus(p)
     out = np.asarray(tensor, dtype=np.int64) % p
     for axis in range(out.ndim):
         moved = np.moveaxis(out, axis, 0)
@@ -417,7 +455,7 @@ def mat_mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     every dot product is exact, sized from the operands' largest entries:
     a 0/1 adjacency against residues is a single call.
     """
-    _check_numpy_modulus(p)
+    check_vectorized_modulus(p)
     a, amax = _residues(a, p)
     b, bmax = _residues(b, p)
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -437,7 +475,7 @@ def mat_mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """sum(a * b, axis=-1) % p for residues, in int64 sums of at most
     _INT64_TERMS products; a and b broadcast, last axes of equal length."""
-    _check_numpy_modulus(p)
+    check_vectorized_modulus(p)
     out = 0
     for lo in range(0, max(a.shape[-1], 1), _INT64_TERMS):
         hi = lo + _INT64_TERMS
@@ -468,7 +506,7 @@ def extend_rows(values, p: int, count=None) -> np.ndarray:
     P(x) * sum_u inv(x-u) * inv(den_u) * f(u) over the rows u where f is
     not zero: one mat_mulmod of the Toeplitz gather inv(x-u) against them.
     """
-    _check_numpy_modulus(p)
+    check_vectorized_modulus(p)
     vals = np.asarray(values, dtype=np.int64)
     g = vals.shape[0]
     count = 2 * g - 1 if count is None else count

@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .extension import ShapeConfig, coeffs_to_serial, grid_bump, resolve_shape
+from .extension import (ShapeConfig, check_vectorized_modulus,
+                        coeffs_to_serial, grid_bump, resolve_shape)
 from .field import FieldConfig, make_rng
 from .oracle import oracle_acyclic
 from .stream import GraphInstance, ProofTranscript, RejectError
@@ -115,6 +116,7 @@ class Scheme:
     # - `models`: the stream models the scheme takes;
     # - `query_arity`: 0 refuses query-set lines; 1 needs at least one and
     #   takes `U:` lines only; 2 needs at least one and takes `U+W:` too;
+    #   no vertex may be listed twice among all the lines' members;
     # - `header_fields`: the header fields the scheme reads;
     # - `acyclic`: the scheme orders the vertices, so the edge tokens, read
     #   as arcs u -> v, must form no cycle;
@@ -142,11 +144,16 @@ class Scheme:
         t, s = resolve_shape(inst.n, t, s)
         return cls(inst.n, t, s)
 
+    def auto_field(self, inst: GraphInstance) -> FieldConfig:
+        """The automatic modulus: the smallest prime above n^3 and 2^20."""
+        return FieldConfig.auto_from_n(inst.n)
+
     def field_config(self, inst: GraphInstance,
                      p: Optional[int] = None) -> FieldConfig:
-        if p is not None:
-            return FieldConfig(p)
-        return FieldConfig.auto_from_n(inst.n)
+        """p or the automatic modulus, if the vectorised kernels take it."""
+        cfg = FieldConfig(p) if p is not None else self.auto_field(inst)
+        check_vectorized_modulus(cfg.p)
+        return cfg
 
     def count_ceiling(self, inst: GraphInstance) -> tuple:
         """(bound, formula) on the integer that a grid total of the help
@@ -302,6 +309,12 @@ def check_domain(scheme, inst: GraphInstance):
         raise ValueError(f"{name} needs at least one query-set line")
     if scheme.query_arity == 1 and any(w.size for _, w in inst.queries):
         raise ValueError(f"{name} takes single-set U: lines, not U+W:")
+    if inst.queries:
+        listed = np.sort(np.concatenate(sum(inst.queries, ())))
+        twice = listed[1:][listed[1:] == listed[:-1]]
+        if twice.size:
+            raise ValueError(f"{name} takes query sets: vertex {twice[0]} "
+                             "is listed twice among their members")
     for key in scheme.header_fields:
         if getattr(inst, key) is None:
             raise ValueError(f"{name} needs {key}= in the header")

@@ -63,8 +63,8 @@ def add_to_line(arr, sc: ShapeConfig, imp, keys, mult, p: int):
     """arr[y] += mult * imp[x] mod p at the grid cell (x, y) of each key.
 
     keys and mult are scalars or equal-length int64 columns. mult is
-    reduced mod p before its one product with a residue of imp, and the
-    int64 scatter adds residues below 2^25, exact for 2^38 of them.
+    reduced mod p before its one product with a residue of imp, and int64
+    adds 2^38 residues below the vectorised limit exactly.
     """
     x, y = sc.grid_index(keys)
     np.add.at(arr, y, mult % p * imp[x] % p)

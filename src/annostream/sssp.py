@@ -28,9 +28,10 @@ import numpy as np
 
 from .edgecount import (LineArray, adjacency_matrix, degree_grid, extend_x,
                         line_rows)
-from .extension import (_check_numpy_modulus, coeffs_from_values_1d,
-                        coeffs_from_values_nd, dot_mod, extend_rows,
-                        impulse_block, impulse_table, nd_eval, power_sums)
+from .extension import (coeffs_from_values_1d, coeffs_from_values_nd,
+                        dot_mod, eval_on_nodes, extend_rows, impulse_block,
+                        impulse_table, nd_eval, power_moments, power_sums,
+                        power_table)
 from .field import FieldConfig, fe_random
 from .graphapps import _cached
 from .oracle import oracle_bfs, oracle_dijkstra
@@ -38,18 +39,6 @@ from .protocol import Scheme, register, _clone_transcript
 from .setops import (LineCheck, dense_indicator, line_check_help,
                      undirected_key, weighted_key)
 from .stream import ProofTranscript, RejectError
-
-
-def _eval_on_vertices(coeffs: np.ndarray, rho: int, n: int, p: int):
-    """Horner pass giving the values on [n] plus the value at rho."""
-    base = np.arange(1, n + 1, dtype=np.int64)
-    grid = np.zeros(n, dtype=np.int64)
-    pt = 0
-    rho %= p
-    for c in coeffs[::-1].tolist():
-        grid = (grid * base + c) % p
-        pt = (pt * rho + c) % p
-    return grid, pt
 
 
 def _mult_weighted_graph(inst) -> nx.Graph:
@@ -88,12 +77,10 @@ class _BallAudit:
         b0 = fe_random(rng, p)
         b1 = fe_random(rng, p)
         impn = np.array(impulse_table(self.r2, n, p), dtype=np.int64)
-        self.b0pow = b0pow = np.array([pow(b0, v, p) for v in range(1, n + 1)],
-                                      dtype=np.int64)
-        self.b1pow = [pow(b1, v, p) for v in range(1, n + 1)]
-        self.b1col = np.array(self.b1pow, dtype=np.int64)
-        self.betapow = betapow = np.array(
-            [pow(beta, v, p) for v in range(1, n + 1)], dtype=np.int64)
+        # b0^v, b1^v and beta^v for v = 1..n
+        b0pow, self.b1col, self.betapow = power_table([b0, b1, beta], n + 1,
+                                                      p)[:, 1:]
+        self.b0pow, self.b1pow = b0pow, self.b1col.tolist()
         self.asketch = asketch = LineArray(self.sc, self.r1, p)
         self.ball = LineArray(self.sc, self.r1, p)
         meter.alloc("adjacency_line", asketch.cells)
@@ -108,13 +95,7 @@ class _BallAudit:
                       + (d_[v == src] * b0pow[u[v == src] - 1] % p).sum()) % p
         self.psi_prev = self.psi_cur = self.b1pow[src - 1]
         self.S_X = power_sums(t, 2 * t - 1, p)
-        tau = np.zeros(n, dtype=np.int64)
-        up = np.ones(n, dtype=np.int64)
-        base = np.arange(1, n + 1, dtype=np.int64) % p
-        for j in range(n):
-            tau[j] = int((up * betapow % p).sum() % p)
-            up = up * base % p
-        self.tau = tau
+        self.tau = power_moments(self.betapow, n, p)  # sum_v beta^v v^j
 
     def _next_ball(self, q):
         """Ball line and fingerprint of {source} plus the support of q."""
@@ -125,6 +106,13 @@ class _BallAudit:
         ball.add(members)
         psi = int(self.b1col[members - 1].sum()) % self.p
         self.psi_prev, self.psi_cur = self.psi_cur, psi
+
+    def horizon(self, reader) -> int:
+        """Read the claimed horizon, at most n - 1 rounds."""
+        Dhat = reader.scalar("horizon")
+        if not 0 <= Dhat <= max(self.n - 1, 0):
+            raise RejectError("distance horizon out of range")
+        return Dhat
 
     def source_round(self, reader):
         """Read the source degree row, check it and grow the first ball."""
@@ -170,14 +158,6 @@ class SsspUnweighted(Scheme):
                  "qd_scalar_flip")
     scalar_flip_labels = ("source_degrees", "round_degrees")
 
-    def field_config(self, inst, p=None):
-        # the ball audit's int64 products need the vectorised modulus;
-        # refused here, before proving
-        cfg = FieldConfig(p) if p is not None else \
-            FieldConfig.auto_from_n(inst.n, D=inst.n)
-        _check_numpy_modulus(cfg.p)
-        return cfg
-
     def oracle_value(self, inst):
         return tuple(oracle_bfs(inst)[1:])
 
@@ -215,15 +195,12 @@ class SsspUnweighted(Scheme):
         # the ball polynomial at (w, d) is sum_y chi_ball(w, y) E[w, y, d]
         ext = np.ascontiguousarray(
             extend_x(Amat, self.sc, p).transpose(0, 2, 1))  # (w, d, y)
-        ball = {src} | {int(u) + 1 for u in np.flatnonzero(q)
-                        if int(u) + 1 != src}
+        ball = {src} | {int(u) + 1 for u in np.flatnonzero(q)}
         for _ in range(Dhat):
             chi = line_rows([ball], self.sc, Dt, p)[0]
             tr.add_coeffs("ball_poly", coeffs_from_values_nd(
                 dot_mod(ext, chi[:, None, :], p), p))
-            ind = np.zeros(n, dtype=np.int64)
-            ind[[v - 1 for v in ball]] = 1
-            q = Amat @ ind % p
+            q = Amat[:, [v - 1 for v in ball]].sum(axis=1) % p
             tr.add_scalars("round_degrees", q.tolist())
             ball = {src} | {int(u) + 1 for u in np.flatnonzero(q)}
         return tr
@@ -250,10 +227,8 @@ class SsspUnweighted(Scheme):
         audit = _BallAudit(self, inst, p, rng, meter)
         b2 = fe_random(rng, p)
 
-        Dhat = reader.scalar("horizon")
-        if not 0 <= Dhat <= max(n - 1, 0):
-            raise RejectError("distance horizon out of range")
-        b2pow = [pow(b2, d, p) for d in range(Dhat + 2)]
+        Dhat = audit.horizon(reader)
+        b2pow = power_table([b2], Dhat + 2, p)[0].tolist()
         span = [0] * (Dhat + 2)
         for d in range(Dhat, 0, -1):
             span[d] = (span[d + 1] + b2pow[d]) % p
@@ -338,17 +313,12 @@ class StPath(SsspUnweighted):
         return 1 + n + self._claimed_horizon(inst) * (wt * n + n)
 
     def run_verifier(self, inst, reader, p, rng, meter):
-        n = self.n
         vt = inst.target
         audit = _BallAudit(self, inst, p, rng, meter)
 
-        Dhat = reader.scalar("horizon")
-        if not 0 <= Dhat <= max(n - 1, 0):
-            raise RejectError("distance horizon out of range")
+        Dhat = audit.horizon(reader)
         q0 = audit.source_round(reader)
-        hit = 0 if vt == audit.src else None
-        if hit is None and q0[vt - 1]:
-            hit = 1
+        hit = 0 if vt == audit.src else (1 if q0[vt - 1] else None)
         for d in range(1, Dhat + 1):
             qd = audit.round(reader, d)
             if hit is None and qd[vt - 1]:
@@ -391,13 +361,10 @@ class _WeightedScheme(Scheme):
     def configure(cls, inst, t=None, s=None, **kw):
         return cls(inst.n, inst.W)
 
-    def field_config(self, inst, p=None):
-        # the verifiers' int64 products need the vectorised modulus;
-        # refused here, before proving
-        cfg = FieldConfig(p) if p is not None else FieldConfig.auto_from_n(
-            inst.n, D=inst.W * (inst.n - 1), W=inst.W)
-        _check_numpy_modulus(cfg.p)
-        return cfg
+    def auto_field(self, inst):
+        # a relaxation round reaches W(n-1): max(n^3, W^2 (n-1) n^2)
+        return FieldConfig.auto_from_n(inst.n, D=inst.W * (inst.n - 1),
+                                       W=inst.W)
 
     def oracle_value(self, inst):
         return tuple(oracle_dijkstra(inst)[1:])
@@ -485,12 +452,9 @@ class SsspWeightedTurnstile(_WeightedScheme):
         sel = {v: impulse_block(Vals[:, v - 1] + 1, W + 1, p)
                for v in range(1, n + 1) if dist[v] is not None}
         for d in range(1, Dhat):
-            pv = np.zeros(M, dtype=np.int64)
-            for v, block in sel.items():
-                w = d + 1 - dist[v]
-                if 1 <= w <= W:
-                    pv = (pv + block[:, w]) % p
-            tr.add_coeffs("round_poly", coeffs_from_values_1d(pv, p))
+            pv = sum((block[:, d + 1 - dist[v]] for v, block in sel.items()
+                      if d - W < dist[v] <= d), np.zeros(M, dtype=np.int64))
+            tr.add_coeffs("round_poly", coeffs_from_values_1d(pv % p, p))
         tr.add_coeffs("frontier_inter",
                       self._frontier_help(edges, set(sel), p))
         return tr
@@ -542,16 +506,11 @@ class SsspWeightedTurnstile(_WeightedScheme):
         meter.alloc("round_values", n)
         for d in range(1, Dhat):
             C = reader.coeffs("round_poly", (M,))
-            grid, pt = _eval_on_vertices(C, rho, n, p)
-            rhs = 0
-            for v in range(1, n + 1):
-                dv = dist[v]
-                if dv is None or dv > d:
-                    continue
-                w = d + 1 - dv
-                if 1 <= w <= W:
-                    rhs = (rhs + impulse_table(int(row[v - 1]) + 1, W + 1,
-                                               p)[w]) % p
+            grid, pt = eval_on_nodes(C, n, p), nd_eval(C, (rho,), p)
+            # the selector of weight w = d + 1 - dist at each row sketch
+            rhs = sum(impulse_table(int(row[v - 1]) + 1, W + 1, p)[d + 1 - dv]
+                      for v, dv in enumerate(dist[1:], 1)
+                      if dv is not None and d - W < dv <= d) % p
             if pt != rhs:
                 raise RejectError(
                     f"round {d}: relaxation polynomial wrong at random point")
@@ -638,21 +597,15 @@ class SsspWeightedVanilla(_WeightedScheme):
         n, W, src = self.n, self.W, inst.source
         SENT = W * (n - 1) + 1
         Dhat = _horizon(dist)
+        labs = np.array([SENT if x is None else x for x in dist[1:]])
         tr = ProofTranscript()
-        tr.add_scalars("distance_labels",
-                       [dist[v] if dist[v] is not None else SENT
-                        for v in range(1, n + 1)])
+        tr.add_scalars("distance_labels", labs.tolist())
         tr.add_scalars("parent_labels", list(prev[1:]))
         Wmat = self._weight_matrix(inst, inst.weighted_edges(), "wvmat")
         for d in range(Dhat):
-            cv = np.zeros(n, dtype=np.int64)
-            for v in range(1, n + 1):
-                dv = dist[v]
-                if dv is None or dv > d:
-                    continue
-                w = d + 1 - dv
-                if 1 <= w <= W:
-                    cv += (Wmat[v - 1] == w).astype(np.int64)
+            # the neighbours of the vertices labelled d + 1 - w by weight w
+            near = np.flatnonzero((labs <= d) & (labs > d - W))
+            cv = (Wmat[near] == d + 1 - labs[near, None]).sum(axis=0)
             if zero_entry is not None and zero_entry[0] == d:
                 cv[zero_entry[1] - 1] = 0
             tr.add_coeffs("round_poly", coeffs_from_values_1d(cv % p, p))
@@ -731,26 +684,19 @@ class SsspWeightedVanilla(_WeightedScheme):
             tree.append(weighted_key(pv, v, w, n, W))
         sub.add_left(np.array(tree, dtype=np.int64))
 
-        Dhat = max((lab[v] for v in range(1, n + 1) if lab[v] < SENT),
-                   default=0)
+        labs = np.array(lab[1:], dtype=np.int64)
+        Dhat = int(labs[labs < SENT].max(initial=0))
         meter.alloc("round_values", n)
         for d in range(Dhat):
             C = reader.coeffs("round_poly", (n,))
-            grid, pt = _eval_on_vertices(C, rho, n, p)
-            rhs = 0
-            for v in range(1, n + 1):
-                if lab[v] == SENT or lab[v] > d:
-                    continue
-                w = d + 1 - lab[v]
-                if 1 <= w <= W:
-                    rhs = (rhs + int(F[v - 1, w - 1])) % p
-            if pt != rhs:
+            # round d counts the relaxations by weight w = d + 1 - label
+            near = np.flatnonzero((labs <= d) & (labs > d - W))
+            if nd_eval(C, (rho,), p) != int(F[near, d - labs[near]].sum()) % p:
                 raise RejectError(
                     f"round {d}: relaxation count wrong at sketch point")
-            for u in range(1, n + 1):
-                if grid[u - 1] and lab[u] > d + 1:
-                    raise RejectError(
-                        f"round {d}: a label exceeds its relaxation round")
+            if (eval_on_nodes(C, n, p).astype(bool) & (labs > d + 1)).any():
+                raise RejectError(
+                    f"round {d}: a label exceeds its relaxation round")
         meter.free("round_values")
 
         sub.finish(reader, "tree_subset", "parent edges")

@@ -411,3 +411,77 @@ def test_small_explicit_modulus_is_refused_not_crashed(tmp_path, capsys,
             assert cli.main(cmd + ["--scheme", name,
                                    "--input", str(path)]) in (0, 2), name
             capsys.readouterr()
+
+
+# --- every written file goes through one writer ------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scheme", "tri-laconic", "--out", "{bad}"],
+    ["attack", "--scheme", "tri-laconic", "--trials", "2", "--out", "{bad}"],
+    ["sweep", "--scheme", "tri-laconic", "--t-grid", "1,2", "--out",
+     "{bad}"],
+    ["sweep", "--scheme", "tri-laconic", "--t-grid", "1,2", "--plot",
+     "{bad}"],
+    ["gen", "gnp", "6", "--out", "{bad}"],
+], ids=["run", "attack", "sweep-out", "sweep-plot", "gen"])
+def test_an_unwritable_output_exits_two(k5, tmp_path, argv):
+    bad = str(tmp_path / "missing" / "out.txt")
+    args = [a.replace("{bad}", bad) for a in argv]
+    if args[0] != "gen":
+        args += ["--input", k5]
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: cannot write ") and bad in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+GEN_REFUSALS = [
+    (["path", "5", "--source", "9"], "source 9 outside [1, 5]"),
+    (["cycle", "5", "--target", "0"], "target 0 outside [1, 5]"),
+    (["weighted-gnp", "5", "--query-left", "1,2"],
+     "query sets only valid for edge streams"),
+    (["adjlist", "5", "--query-left", "1,2"], "gen adjlist writes no"),
+    (["adjlist", "5", "--source", "1"], "gen adjlist writes no"),
+    (["adjlist", "5", "--target", "2"], "gen adjlist writes no"),
+    (["dag", "5", "--source", "1"], "gen dag writes no"),
+    (["dag", "5", "--target", "2"], "gen dag writes no"),
+    (["cycle", "1"], "self-loop at 1"),
+    (["cycle", "2"], "duplicate edge (1, 2)"),
+    (["path", "5", "--churn", "2"], "gen path takes no --churn"),
+    (["weighted-gnp", "1", "--churn", "2"], "--churn needs at least 2"),
+    (["gnp", "1", "--churn", "2"], "--churn needs at least 2"),
+    (["gnp", "5", "--churn", "-1"], "--churn must be at least 0"),
+    (["gnp", "3", "--prob", "1", "--churn", "1"],
+     "only 0 vertex pairs are not edges"),
+    (["gnp", "5", "--query-left", "1,2", "--query-right", "2,3"],
+     "lists a vertex twice"),
+]
+
+
+@pytest.mark.parametrize("argv, says", GEN_REFUSALS,
+                         ids=["_".join(a) for a, _ in GEN_REFUSALS])
+def test_gen_refuses_what_it_cannot_write(tmp_path, argv, says):
+    out = tmp_path / "g.stream"
+    r = run_cli("gen", *argv, "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and says in r.stderr
+    assert not out.exists() and r.stdout == ""
+
+
+@pytest.mark.parametrize("kind", ["gnp", "path", "cycle", "clique", "dag",
+                                  "weighted-gnp", "adjlist"])
+def test_gen_writes_every_kind(kind):
+    for n in (1, 3, 7):
+        r = run_cli("gen", kind, str(n), "--seed", "2")
+        assert r.returncode == (2 if kind == "cycle" and n < 3 else 0)
+
+
+def test_gen_writes_the_flags_it_reads():
+    r = run_cli("gen", "weighted-gnp", "6", "--model", "turnstile", "--seed",
+                "2", "--source", "2", "--churn", "3", "--query-left", "1,2")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "n=6 model=turnstile W=4 source=2"
+    assert lines[-1] == "U: 1 2"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from annostream.extension import (PointSketch, ShapeConfig, coeffs_from_serial,
                                   coeffs_from_values_1d, coeffs_from_values_nd,
-                                  coeffs_to_serial, exact_chunk, extend_rows,
-                                  grid_bump, impulse_block, impulse_table,
-                                  mat_mulmod, nd_eval, nd_grid_sum,
-                                  power_sums, resolve_shape)
+                                  coeffs_to_serial, eval_on_nodes, exact_chunk,
+                                  extend_rows, grid_bump, impulse_block,
+                                  impulse_table, mat_mulmod, nd_eval,
+                                  nd_grid_sum, power_moments, power_sums,
+                                  power_table, resolve_shape)
 from annostream.edgecount import degree_grid
 from annostream.extension import _impulse_inv_denominators, _inverse_table
 from annostream.field import fe_inv, next_prime
@@ -204,6 +206,70 @@ def test_power_sums_small():
     assert ps.tolist() == [4, 10, 30]
     coeffs = np.array([2, 1], dtype=np.int64)  # 2 + x summed over 1..4
     assert nd_grid_sum(coeffs, (4,), P) == 8 + 10
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=st.integers(0, 40), count=st.integers(0, 70),
+       trailing=st.sampled_from([(), (1,), (3,), (2, 2)]),
+       p=st.sampled_from([2, 7, 101, P, P_TOP]), seed=st.integers(0, 2 ** 32))
+def test_power_moments_match_python_ints(m, count, trailing, p, seed):
+    # count runs past m, m runs past small p, and m = 0 is an empty weight
+    # vector: S_k = sum_u w_u u^k over the nodes u = 1..m
+    rng = np.random.default_rng(seed)
+    w = rng.integers(-3 * p, 3 * p, size=(m,) + trailing)
+    got = power_moments(w, count, p)
+    assert got.dtype == np.int64 and got.shape == (count,) + trailing
+    cols = math.prod(trailing)
+    flat = w.reshape(m, cols)
+    want = [[sum(int(flat[u - 1, c]) * pow(u, k, p) for u in range(1, m + 1))
+             % p for c in range(cols)] for k in range(count)]
+    assert got.reshape(count, cols).tolist() == want
+    if not trailing:
+        assert np.array_equal(power_sums(m, count, p),
+                              power_moments(np.ones(m, dtype=np.int64),
+                                            count, p))
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=st.integers(0, 40), M=st.integers(0, 90),
+       p=st.sampled_from([2, 7, 101, P, P_TOP]), seed=st.integers(0, 2 ** 32))
+def test_eval_on_nodes_matches_python_ints(m, M, p, seed):
+    c = np.random.default_rng(seed).integers(-3 * p, 3 * p, size=M)
+    got = eval_on_nodes(c, m, p)
+    assert got.dtype == np.int64 and got.shape == (m,)
+    assert got.tolist() == [poly_eval([int(x) % p for x in c], u, p)
+                            for u in range(1, m + 1)]
+
+
+@pytest.mark.parametrize("p", [2, 101, P_TOP])
+def test_power_table_matches_python_ints(p):
+    xs = [0, 1, 2, -1, p - 1, p, 3 * p + 5, -7 * p - 2]
+    for count in (0, 1, 2, 5, 8, 33):
+        got = power_table(xs, count, p)
+        assert got.shape == (len(xs), count)
+        assert got.tolist() == [[pow(x, r, p) for r in range(count)]
+                                for x in xs]
+    assert power_table([], 4, p).shape == (0, 4)
+    with pytest.raises(ValueError, match="too large for vectorized path"):
+        power_table([2], 3, 67108879)
+
+
+def test_node_sums_hold_no_dense_table():
+    # a dense m x M power table here is 64 MB; the blocked one about
+    # m * sqrt(M) entries, and the moments take the same two tables
+    m, M, p = 200, 40000, P_TOP
+    c = np.random.default_rng(3).integers(0, p, size=M)
+    tracemalloc.start()
+    try:
+        vals = eval_on_nodes(c, m, p)
+        S = power_moments(np.arange(m), M, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert vals[0] == int(c.sum()) % p
+    assert S[0] == m * (m - 1) // 2 % p and S[1] == sum(
+        u * (u - 1) for u in range(1, m + 1)) % p
 
 
 def test_serial_order_round_trip():

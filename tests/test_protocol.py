@@ -292,3 +292,77 @@ def test_readme_scheme_table_lists_the_declared_domains():
         assert ("DAG" in needs) == cls.acyclic, name
         assert ("simple graph" in needs) == cls.simple_graph, name
         assert ("≤ W" in needs) == cls.weight_bounded, name
+
+
+# --- the one modulus refusal ------------------------------------------------
+
+# the smallest prime above 2^25, the vectorised kernels' limit
+PAST_LIMIT = 33554467
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN))
+def test_every_scheme_refuses_a_modulus_past_the_limit(tmp_path, capsys,
+                                                       monkeypatch, name):
+    models, queries, header = DOMAIN[name]
+    text, inst = _domain_input(models[0], queries[0], header)
+    stream, proof = tmp_path / "g.stream", tmp_path / "g.proof"
+    stream.write_text(text)
+    cls = get_scheme(name)
+    scheme = cls.configure(inst)
+    proof.write_text(scheme.prove(inst, scheme.field_config(inst).p).dump())
+    shape = [resolve_shape(inst.n, None, None)]
+    monkeypatch.setenv("ANNOSTREAM_MODULUS", str(PAST_LIMIT))
+    with monkeypatch.context() as mp:
+        _refused_before_proving(mp, cls)
+        for run in (lambda: scheme.field_config(inst, PAST_LIMIT),
+                    lambda: run_honest(scheme, inst, p=PAST_LIMIT),
+                    lambda: run_with_transcript(scheme, inst,
+                                                ProofTranscript(),
+                                                p=PAST_LIMIT),
+                    lambda: run_adversarial(scheme, inst,
+                                            scheme.mutations[0], 1,
+                                            p=PAST_LIMIT),
+                    lambda: sweep_costs(name, inst, shape, p=PAST_LIMIT)):
+            with pytest.raises(ValueError,
+                               match="too large for vectorized path"):
+                run()
+        argv = ["run", "--scheme", name, "--input", str(stream)]
+        for extra in ([], ["--replay", str(proof)]):
+            assert cli.main(argv + extra) == 2, extra
+            out, err = capsys.readouterr()
+            assert not out and "too large for vectorized path" in err
+
+
+# --- query sets are sets ------------------------------------------------------
+
+TRIANGLE = "n=3 model=vanilla\n1 2\n2 3\n1 3\n"
+K4 = "n=4 model=vanilla\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+
+
+@pytest.mark.parametrize("name, text, twice", [
+    ("edgecount-induced", TRIANGLE + "U: 1 2\nU: 2 3\n", 2),
+    ("edgecount-induced", TRIANGLE + "U: 3 1 3\n", 3),
+    ("edgecount-cross", K4 + "U+W: 1 2 | 1 2\n", 1),
+    ("edgecount-cross", K4 + "U+W: 1 | 2\nU+W: 3 | 2\n", 2),
+    ("edgecount-cross", K4 + "U: 4\nU+W: 1 | 4\n", 4),
+    ("edgecount-cross", K4 + "U+W: 1 | 2 3 3\n", 3),
+], ids=["across-U-lines", "within-a-U-line", "U-and-W-of-one-line",
+        "W-across-lines", "U-line-then-W", "within-a-W-line"])
+def test_a_vertex_listed_twice_among_query_sets_is_refused(
+        tmp_path, capsys, monkeypatch, name, text, twice):
+    inst = parse_stream(text)
+    cls = get_scheme(name)
+    path = tmp_path / "q.stream"
+    path.write_text(text)
+    with monkeypatch.context() as mp:
+        _refused_before_proving(mp, cls)
+        with pytest.raises(ValueError, match=f"vertex {twice} is listed "
+                                             "twice"):
+            run_honest(cls.configure(inst), inst)
+        assert cli.main(["run", "--scheme", name, "--input", str(path)]) == 2
+        assert f"vertex {twice} is listed twice" in capsys.readouterr().err
+    # the same sets without the repeat are taken
+    once = text.replace("U: 1 2\nU: 2 3", "U: 1 2\nU: 3")
+    if once != text:
+        res = run_honest(cls.configure(parse_stream(once)), parse_stream(once))
+        assert res.accepted and res.value == (1, 3)
