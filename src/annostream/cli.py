@@ -128,6 +128,8 @@ def _print_labels(value, transcript, n):
 def _print_value(scheme, value, transcript, n):
     if scheme.output_kind == "labels":
         _print_labels(value, transcript, n)
+    elif value is None:
+        print("output=-")
     elif isinstance(value, bool):
         print(f"output={'true' if value else 'false'}")
     elif isinstance(value, (tuple, list)):
@@ -328,7 +330,9 @@ def _parse_vertices(raw, n):
 
 
 def _generate(args):
-    n, seed, prob = args.n, args.seed, args.prob
+    n, seed = args.n, args.seed
+    prob = 0.35 if args.prob is None else args.prob
+    w = 4 if args.w is None else args.w
     ends = {"source": args.source, "target": args.target}
     turnstile = args.model == "turnstile" or args.churn
     if args.kind == "gnp":
@@ -343,9 +347,9 @@ def _generate(args):
         return vanilla_instance(n, edges, **ends)
     if args.kind == "weighted-gnp":
         if turnstile:
-            return weighted_turnstile_instance(n, prob, args.w, seed,
+            return weighted_turnstile_instance(n, prob, w, seed,
                                                churn=args.churn, **ends)
-        return weighted_instance(n, prob, args.w, seed, **ends)
+        return weighted_instance(n, prob, w, seed, **ends)
     if args.kind == "dag":
         return dag_instance(n, prob, seed)
     if args.kind == "adjlist":
@@ -358,8 +362,20 @@ def _generate(args):
 def cmd_gen(args) -> int:
     if args.n < 1:
         raise ConfigError("n must be positive")
-    if args.churn and args.kind not in ("gnp", "weighted-gnp"):
-        raise ConfigError(f"gen {args.kind} takes no --churn")
+    # a flag the kind does not read is refused, not dropped
+    kind = args.kind
+    unread = {
+        "--churn": args.churn and kind not in ("gnp", "weighted-gnp"),
+        "--model": args.model is not None and kind == "adjlist",
+        "--model turnstile": (args.model == "turnstile"
+                              and kind in ("path", "cycle", "clique", "dag")),
+        "--w": args.w is not None and kind != "weighted-gnp",
+        "--prob": (args.prob is not None
+                   and kind in ("path", "cycle", "clique")),
+    }
+    for flag, given in unread.items():
+        if given:
+            raise ConfigError(f"gen {kind} takes no {flag}")
     if args.churn < 0:
         raise ConfigError("--churn must be at least 0")
     if args.churn and args.n < 2:
@@ -444,15 +460,16 @@ def build_parser() -> argparse.ArgumentParser:
                                         "weighted-gnp", "adjlist"))
     sp.add_argument("n", type=int)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--prob", type=float, default=0.35,
-                    help="edge probability for random kinds")
-    sp.add_argument("--w", type=int, default=4,
-                    help="max edge weight for weighted-gnp")
+    sp.add_argument("--prob", type=float, default=None,
+                    help="edge probability for random kinds (default 0.35)")
+    sp.add_argument("--w", type=int, default=None,
+                    help="max edge weight for weighted-gnp (default 4)")
     sp.add_argument("--churn", type=int, default=0,
                     help="extra insert+delete pairs (turnstile kinds)")
     sp.add_argument("--model", choices=("vanilla", "turnstile"),
-                    default="vanilla",
-                    help="stream model for gnp / weighted-gnp")
+                    default=None,
+                    help="stream model for gnp / weighted-gnp (default "
+                         "vanilla)")
     sp.add_argument("--source", type=int, default=None)
     sp.add_argument("--target", type=int, default=None)
     sp.add_argument("--query-left", default=None,

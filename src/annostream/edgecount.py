@@ -30,12 +30,11 @@ from itertools import chain
 
 import numpy as np
 
-from .extension import (ShapeConfig, coeffs_from_values_nd, dot_mod,
-                        extend_rows, impulse_block, impulse_table,
-                        mat_mulmod)
+from .extension import (ShapeConfig, dot_mod, extend_rows, impulse_block,
+                        impulse_table, mat_mulmod)
 from .field import fe_random
 from .oracle import oracle_cross_edges, oracle_induced_edges
-from .protocol import Scheme, bump_grid_total, register, _clone_transcript
+from .protocol import Scheme, register, _clone_transcript
 from .setops import add_to_line, check_grid_claim
 from .stream import ProofTranscript, RejectError
 
@@ -175,7 +174,7 @@ def degree_grid(t: int, p: int) -> np.ndarray:
 
 
 def member_pair_charge(inst, member_lists, sc: ShapeConfig, p) -> np.ndarray:
-    """Coefficients of the pair charge of S x S summed over the lists S.
+    """The pair charge of S x S summed over the lists S, on its nodes.
 
     Vertices sit on the grid `sc`; the charge counts ordered member pairs
     over the final edge multiset, on the (2t-1) x (2t-1) degree grid.
@@ -183,12 +182,10 @@ def member_pair_charge(inst, member_lists, sc: ShapeConfig, p) -> np.ndarray:
     Dt = degree_grid(sc.t, p)
     rows = line_rows(member_lists, sc, Dt, p)
     adj_hat = grid_adjacency(adjacency_matrix(inst, p), sc, p)
-    return coeffs_from_values_nd(pair_charge(rows, rows, adj_hat, p), p)
+    return pair_charge(rows, rows, adj_hat, p)
 
 
 class _EdgeCountBase(Scheme):
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie")
-
     def count_ceiling(self, inst) -> tuple:
         # an ordered pair count is at most twice the edge multiset's size
         return 2 * sum(abs(c) for c in inst.final_edges().values()), "2 sum c"
@@ -225,8 +222,8 @@ class _EdgeCountBase(Scheme):
             left = line_rows([us], sc, Dt, p)
             right = (line_rows([ws], sc, Dt, p) if self.query_arity == 2
                      else left)
-            tr.add_coeffs("pair_poly", coeffs_from_values_nd(
-                pair_charge(left, right, adj_hat, p), p))
+            tr.add_values("pair_poly",
+                          pair_charge(left, right, adj_hat, p), p)
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):
@@ -261,8 +258,7 @@ class _EdgeCountBase(Scheme):
         out = _clone_transcript(transcript)
         step = 1 if self.query_arity == 2 else 2
         shift = step * rng.randrange(1, max(2, inst.n))
-        bump_grid_total(out.blocks[rng.randrange(len(out.blocks))],
-                        (self.t, self.t), shift, p)
+        out.blocks[rng.randrange(len(out.blocks))].shift_total(shift, p)
         return out
 
 

@@ -1,4 +1,4 @@
-"""Low-degree extensions over F_p and the sketches built from them.
+"""Low-degree extensions over F_p and the field kernels behind them.
 
 An array f over a grid [s_1] x ... x [s_k] (coordinates are 1-based) has a
 unique extension polynomial with deg_{X_i} <= s_i - 1 agreeing with f on the
@@ -10,13 +10,8 @@ which is 1 at u and 0 elsewhere on the grid, so
 
     f~(X_1..X_k) = sum_grid f(u) * prod_i delta_{u_i}(X_i).
 
-A PointSketch maintains f~(r) for a fixed point r under pointwise updates
-f(u) += delta at O(k) field operations per update: the increment changes the
-extension by delta * prod_i delta_{u_i}(r_i). Impulse tables delta_u(r_i) for
-all u in the domain are precomputed once per (point, domain) and shared
-read-only; they are derived constants, not live verifier state.
-
-Provers need an extension on whole node ranges instead: a help polynomial
+A verifier needs f~ at one random point, from impulse tables at that
+point. Provers need it on whole node ranges instead: a help polynomial
 is a product of extensions, so it is known from its values on 1..2g-1.
 extend_rows gets those from the values on [g] in closed form. Off the
 grid, x > g, every impulse shares the factor P(x) = prod_{x'}(x - x'):
@@ -28,10 +23,10 @@ zero. The impulses' own den_u table and an O(g) table of inverses give
 every constant, and the sums are one mat_mulmod, so the cost follows the
 support of the input rather than a dense (2g-1) x g impulse block.
 
-Help polynomials travel as monomial coefficients, interpolated from the
-values on the nodes 1..m. With w_u = f(u) * inv(den_u) and
-M(X) = prod_{x<=m} (X - x) = sum_j a_j X^j, the extension is
-sum_u w_u * M(X) / (X - u), so
+Help polynomials travel as monomial coefficients, which the transcript
+writer (`stream`) interpolates from a prover's values on the nodes 1..m.
+With w_u = f(u) * inv(den_u) and M(X) = prod_{x<=m} (X - x) =
+sum_j a_j X^j, the extension is sum_u w_u * M(X) / (X - u), so
 
     [X^i] f~ = sum_k a_{i+k+1} * S_k,   where S_k = sum_u w_u * u^k.
 
@@ -195,33 +190,6 @@ def grid_bump(g: int, p: int) -> np.ndarray:
     out = coeffs_from_values_1d(vals, p)
     out.setflags(write=False)  # cached: every caller shares this array
     return out
-
-
-class PointSketch:
-    """f~(r) for a fixed point r, maintained under pointwise grid updates.
-
-    dims are the grid sizes, point the (same-length) evaluation point.
-    Each update costs k multiplications using the precomputed impulse
-    tables, one per dimension.
-    """
-
-    __slots__ = ("dims", "point", "p", "tables", "value")
-
-    def __init__(self, dims, point, p: int):
-        if len(dims) != len(point):
-            raise ValueError("point arity must match grid arity")
-        self.dims = tuple(dims)
-        self.point = tuple(x % p for x in point)
-        self.p = p
-        self.tables = [impulse_table(x, size, p)
-                       for x, size in zip(self.point, self.dims)]
-        self.value = 0
-
-    def update(self, coords, delta: int):
-        w = delta % self.p
-        for table, c in zip(self.tables, coords):
-            w = w * table[c - 1] % self.p
-        self.value = (self.value + w) % self.p
 
 
 # --- coefficient blocks ---------------------------------------------------
@@ -417,9 +385,9 @@ def coeffs_from_values_nd(tensor: np.ndarray, p: int) -> np.ndarray:
     check_vectorized_modulus(p)
     out = np.asarray(tensor, dtype=np.int64) % p
     for axis in range(out.ndim):
-        moved = np.moveaxis(out, axis, 0)
+        moved = out.swapaxes(0, axis)
         flat = _interpolate_rows(moved.reshape(moved.shape[0], -1), p)
-        out = np.moveaxis(flat.reshape(moved.shape), 0, axis)
+        out = flat.reshape(moved.shape).swapaxes(0, axis)
     return out
 
 

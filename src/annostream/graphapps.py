@@ -32,11 +32,11 @@ import numpy as np
 from .edgecount import (LineArray, PairSketch, adjacency_matrix, degree_grid,
                         grid_adjacency, line_rows, member_pair_charge,
                         pair_charge)
-from .extension import ShapeConfig, coeffs_from_values_nd, dot_mod
+from .extension import ShapeConfig, dot_mod
 from .field import fe_random
 from .oracle import (oracle_acyclic, oracle_components, oracle_is_mis,
                      oracle_is_toposort, oracle_max_matching)
-from .protocol import Scheme, bump_grid_total, register, _clone_transcript
+from .protocol import Scheme, register, _clone_transcript
 from .setops import (Fingerprint, LineCheck, check_grid_claim,
                      dense_indicator, directed_key, line_check_dims,
                      line_check_help, monomial, undirected_key)
@@ -244,11 +244,12 @@ class _SplitScheme(Scheme):
 
     def _bump_pairs(self, tr, shift, p):
         """Shift the grid total of the last block, a pair polynomial."""
-        bump_grid_total(tr.blocks[-1], (self.tp, self.tp), shift, p)
+        tr.blocks[-1].shift_total(shift, p)
         return tr
 
     def _charge_help(self, inst, member_lists, p):
-        """Summed pair polynomial over the given member lists."""
+        """Summed pair polynomial over the given member lists, on its
+        nodes."""
         return member_pair_charge(inst, member_lists, self.isc, p)
 
 
@@ -269,8 +270,6 @@ class MatchingFrugal(_SplitScheme):
 
     name = "maxmatch-frugal"
     simple_graph = True
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
-                 "vertex_list_permutation_lie")
 
     @staticmethod
     def _grid(n: int, t: int, s: int) -> tuple:
@@ -314,11 +313,12 @@ class MatchingFrugal(_SplitScheme):
         sub = dense_indicator([(undirected_key(a, b, n), 1)
                                for (a, b) in matching], self.edge_dims)
         sup = dense_indicator(_edge_key_items(inst, n), self.edge_dims)
-        tr.add_coeffs("matching_subset",
-                      line_check_help(sub, sup, p, "subset"))
+        tr.add_values("matching_subset",
+                      line_check_help(sub, sup, p, "subset"), p)
         outside = [v for v in range(1, n + 1) if v not in set(witness)]
-        tr.add_coeffs("inside_pairs", self._charge_help(inst, [outside], p))
-        tr.add_coeffs("block_pairs", self._charge_help(inst, blocks, p))
+        tr.add_values("inside_pairs",
+                      self._charge_help(inst, [outside], p), p)
+        tr.add_values("block_pairs", self._charge_help(inst, blocks, p), p)
         return tr
 
     # verifier ----------------------------------------------------------
@@ -448,8 +448,6 @@ class MatchingLaconic(Scheme):
 
     name = "maxmatch-laconic"
     simple_graph = True
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
-                 "vertex_list_permutation_lie")
 
     def __init__(self, n: int, s: int):
         self.n = n
@@ -503,21 +501,21 @@ class MatchingLaconic(Scheme):
         sup = dense_indicator(_edge_key_items(inst, n), self.edge_dims)
         sub_m = dense_indicator([(undirected_key(a, b, n), 1)
                                  for (a, b) in matching], self.edge_dims)
-        tr.add_coeffs("matching_subset",
-                      line_check_help(sub_m, sup, p, "subset"))
+        tr.add_values("matching_subset",
+                      line_check_help(sub_m, sup, p, "subset"), p)
         sub_f = dense_indicator([(undirected_key(a, b, n), 1)
                                  for (a, b) in forest], self.edge_dims)
-        tr.add_coeffs("forest_subset",
-                      line_check_help(sub_f, sup, p, "subset"))
+        tr.add_values("forest_subset",
+                      line_check_help(sub_f, sup, p, "subset"), p)
         outside = [v for v in range(1, n + 1) if v not in set(witness)]
         t1 = dense_indicator([(k, 1) for k in _keys_within(outside, n)],
                              self.edge_dims)
-        tr.add_coeffs("inside_inter",
-                      line_check_help(sup, t1, p, "intersect"))
+        tr.add_values("inside_inter",
+                      line_check_help(sup, t1, p, "intersect"), p)
         t2 = dense_indicator([(k, 1) for blk in _groups(outside, forest)
                               for k in _keys_within(blk, n)], self.edge_dims)
-        tr.add_coeffs("block_inter",
-                      line_check_help(sup, t2, p, "intersect"))
+        tr.add_values("block_inter",
+                      line_check_help(sup, t2, p, "intersect"), p)
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):
@@ -607,7 +605,7 @@ class MatchingLaconic(Scheme):
         forest = [e for e in forest if lone not in e]
         gap = sum(1 for u in G.neighbors(lone) if u in set(blk) and u != lone)
         tr = self._assemble(inst, matching[:-1], witness, forest, p)
-        bump_grid_total(tr.blocks[-1], self.edge_dims[:1], gap, p)
+        tr.blocks[-1].shift_total(gap, p)
         return tr
 
     def mutate_vertices(self, inst, transcript, p, rng):
@@ -634,8 +632,6 @@ class MaximalIndependentSet(_SplitScheme):
 
     name = "mis"
     simple_graph = True
-    mutations = ("coefficient_flip", "block_truncation",
-                 "vertex_list_permutation_lie")
 
     def __init__(self, n, t, s):
         super().__init__(n, t, s)
@@ -691,18 +687,19 @@ class MaximalIndependentSet(_SplitScheme):
         tr = ProofTranscript()
         tr.add_vertices("independent_set", members)
         tr.add_vertices("pointers", [x for pr in pointers for x in pr])
-        tr.add_coeffs("independent_pairs", self._charge_help(inst, [members], p))
+        tr.add_values("independent_pairs",
+                      self._charge_help(inst, [members], p), p)
         sup = dense_indicator(_edge_key_items(inst, n), self.edge_dims)
         sub = dense_indicator([(undirected_key(v, u, n), 1)
                                for (v, u) in pointers], self.edge_dims)
-        tr.add_coeffs("pointer_subset",
-                      line_check_help(sub, sup, p, "subset"))
+        tr.add_values("pointer_subset",
+                      line_check_help(sub, sup, p, "subset"), p)
         partners = dense_indicator([(u, 1) for (_, u) in pointers],
                                    self.vert_dims)
         sources = dense_indicator([(v, 1) for (v, _) in pointers],
                                   self.vert_dims)
-        tr.add_coeffs("partner_inter",
-                      line_check_help(partners, sources, p, "intersect"))
+        tr.add_values("partner_inter",
+                      line_check_help(partners, sources, p, "intersect"), p)
         return tr
 
     def prove(self, inst, p: int) -> ProofTranscript:
@@ -782,8 +779,6 @@ class TopoSort(_SplitScheme):
     name = "toposort"
     models = ("vanilla",)
     acyclic = True
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
-                 "vertex_list_permutation_lie")
 
     def oracle_value(self, inst):
         return tuple(self._kahn(inst))
@@ -819,19 +814,19 @@ class TopoSort(_SplitScheme):
         return self.s + 2 * self.sp + 16
 
     def _forward_help(self, inst, order, p) -> np.ndarray:
-        """Pair charge of each prefix of the order into its next vertex."""
+        """Pair charge of each prefix of the order into its next vertex, on
+        its nodes."""
         Dt = degree_grid(self.tp, p)
         single = line_rows([[v] for v in order], self.isc, Dt, p)
         prefix = np.cumsum(single[:-1], axis=0) % p
         adj_hat = grid_adjacency(adjacency_matrix(inst, p, directed=True),
                                  self.isc, p)
-        return coeffs_from_values_nd(
-            pair_charge(prefix, single[1:], adj_hat, p), p)
+        return pair_charge(prefix, single[1:], adj_hat, p)
 
     def _assemble(self, inst, order, p):
         tr = ProofTranscript()
         tr.add_vertices("order", order)
-        tr.add_coeffs("forward_pairs", self._forward_help(inst, order, p))
+        tr.add_values("forward_pairs", self._forward_help(inst, order, p), p)
         return tr
 
     def _forged(self, inst, order, p):
@@ -905,8 +900,6 @@ class Acyclicity(_SplitScheme):
 
     name = "acyclicity"
     models = ("vanilla",)
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
-                 "vertex_list_permutation_lie")
 
     def __init__(self, n, t, s):
         super().__init__(n, t, s)
@@ -984,7 +977,8 @@ class Acyclicity(_SplitScheme):
         sup = dense_indicator(
             [(directed_key(u, v, n), 1) for (u, v) in inst.directed_edges()],
             self.edge_dims)
-        tr.add_coeffs("cycle_subset", line_check_help(sub, sup, p, "subset"))
+        tr.add_values("cycle_subset",
+                      line_check_help(sub, sup, p, "subset"), p)
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):
@@ -1032,7 +1026,7 @@ class Acyclicity(_SplitScheme):
             if missing == 0:
                 return None
             tr = self._cycle_transcript(inst, cyc, p)
-            bump_grid_total(tr.blocks[-1], self.edge_dims[:1], -missing, p)
+            tr.blocks[-1].shift_total(-missing, p)
             return tr
         # claim acyclic with a forged forward count
         order = list(range(1, inst.n + 1))
@@ -1065,8 +1059,6 @@ class Components(_SplitScheme):
 
     name = "components"
     simple_graph = True
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
-                 "vertex_list_permutation_lie")
 
     def oracle_value(self, inst):
         return oracle_components(inst)
@@ -1120,9 +1112,10 @@ class Components(_SplitScheme):
         sup = dense_indicator(_edge_key_items(inst, n), self.edge_dims)
         sub = dense_indicator([(undirected_key(a, b, n), 1)
                                for (a, b) in tree_edges], self.edge_dims)
-        tr.add_coeffs("tree_subset", line_check_help(sub, sup, p, "subset"))
-        tr.add_coeffs("block_pairs",
-                      self._charge_help(inst, members_per_block, p))
+        tr.add_values("tree_subset",
+                      line_check_help(sub, sup, p, "subset"), p)
+        tr.add_values("block_pairs",
+                      self._charge_help(inst, members_per_block, p), p)
         return tr
 
     def prove(self, inst, p: int) -> ProofTranscript:

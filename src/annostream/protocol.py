@@ -21,8 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extension import (ShapeConfig, check_vectorized_modulus,
-                        coeffs_to_serial, grid_bump, resolve_shape)
+from .extension import ShapeConfig, check_vectorized_modulus, resolve_shape
 from .field import FieldConfig, make_rng
 from .oracle import oracle_acyclic
 from .stream import GraphInstance, ProofTranscript, RejectError
@@ -104,7 +103,6 @@ class Scheme:
     """
 
     name = ""
-    mutations: tuple = ("coefficient_flip", "block_truncation")
     # scalars blocks with these labels may be hit by qd_scalar_flip
     scalar_flip_labels: tuple = ()
     # "labels" marks per-vertex distance outputs; the CLI prints those as
@@ -181,7 +179,8 @@ class Scheme:
     def vcost_bound(self, inst: GraphInstance) -> int:
         raise NotImplementedError
 
-    # scheme-specific lies; return None when not applicable ----------------
+    # scheme-specific lies; `register` lists the policy of each one a scheme
+    # defines; return None when not applicable -----------------------------
 
     def mutate_output(self, inst, transcript, p, rng):
         return None
@@ -194,8 +193,18 @@ SCHEMES: dict = {}
 
 
 def register(cls):
+    """Adds a scheme and works out `mutations`, the policies that apply to
+    it in MUTATIONS order: the two generic ones, its own output and vertex
+    lies if it defines them, and the scalar flip if it names labels."""
     if cls.name in SCHEMES:
         raise ValueError(f"duplicate scheme name {cls.name}")
+    applies = {
+        "output_value_lie": cls.mutate_output is not Scheme.mutate_output,
+        "vertex_list_permutation_lie":
+            cls.mutate_vertices is not Scheme.mutate_vertices,
+        "qd_scalar_flip": bool(cls.scalar_flip_labels),
+    }
+    cls.mutations = tuple(m for m in MUTATIONS if applies.get(m, True))
     SCHEMES[cls.name] = cls
     return cls
 
@@ -213,20 +222,6 @@ def _clone_transcript(transcript: ProofTranscript) -> ProofTranscript:
     for b in transcript.blocks:
         out.blocks.append(type(b)(b.label, b.kind, b.values.copy(), b.shape))
     return out
-
-
-def bump_grid_total(block, grid, shift: int, p: int):
-    """Shift the grid total of a coefficient block by `shift`, in place.
-
-    Adds shift times the product of the axes' grid bumps to the low
-    corner of the block, so a forged claim keeps its degree bounds.
-    """
-    bump = np.full((), shift % p, dtype=np.int64)
-    for g in grid:
-        bump = np.multiply.outer(bump, grid_bump(g, p)) % p
-    tensor = np.zeros(block.shape, dtype=np.int64)
-    tensor[tuple(slice(g) for g in grid)] = bump
-    block.values = (block.values + coeffs_to_serial(tensor)) % p
 
 
 # --- mutation policies ------------------------------------------------------

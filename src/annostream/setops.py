@@ -26,8 +26,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .extension import (ShapeConfig, coeffs_from_values_1d, extend_rows,
-                        impulse_table, nd_eval, nd_grid_sum)
+from .extension import (ShapeConfig, extend_rows, impulse_table, nd_eval,
+                        nd_grid_sum)
 from .stream import RejectError
 
 
@@ -171,11 +171,10 @@ def dense_indicator(items, dims) -> np.ndarray:
 
 def line_check_help(dense_left: np.ndarray, dense_right: np.ndarray,
                     p: int, mode: str) -> np.ndarray:
-    """Honest coefficients of g for a containment/intersection instance."""
+    """Honest g for a containment/intersection instance, on its nodes
+    1..2H-1."""
     L = extend_rows(dense_left, p)
     R = extend_rows(dense_right, p)
     if mode == "subset":
-        vals = (L * ((1 - R) % p) % p).sum(axis=1) % p
-    else:
-        vals = (L * R % p).sum(axis=1) % p
-    return coeffs_from_values_1d(vals, p)
+        return (L * ((1 - R) % p) % p).sum(axis=1) % p
+    return (L * R % p).sum(axis=1) % p

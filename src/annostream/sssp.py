@@ -28,8 +28,7 @@ import numpy as np
 
 from .edgecount import (LineArray, adjacency_matrix, degree_grid, extend_x,
                         line_rows)
-from .extension import (coeffs_from_values_1d, coeffs_from_values_nd,
-                        dot_mod, eval_on_nodes, extend_rows, impulse_block,
+from .extension import (dot_mod, eval_on_nodes, extend_rows, impulse_block,
                         impulse_table, nd_eval, power_moments, power_sums,
                         power_table)
 from .field import FieldConfig, fe_random
@@ -154,8 +153,6 @@ class SsspUnweighted(Scheme):
     name = "sssp-unweighted"
     output_kind = "labels"
     header_fields = ("source",)
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
-                 "qd_scalar_flip")
     scalar_flip_labels = ("source_degrees", "round_degrees")
 
     def oracle_value(self, inst):
@@ -198,8 +195,7 @@ class SsspUnweighted(Scheme):
         ball = {src} | {int(u) + 1 for u in np.flatnonzero(q)}
         for _ in range(Dhat):
             chi = line_rows([ball], self.sc, Dt, p)[0]
-            tr.add_coeffs("ball_poly", coeffs_from_values_nd(
-                dot_mod(ext, chi[:, None, :], p), p))
+            tr.add_values("ball_poly", dot_mod(ext, chi[:, None, :], p), p)
             q = Amat[:, [v - 1 for v in ball]].sum(axis=1) % p
             tr.add_scalars("round_degrees", q.tolist())
             ball = {src} | {int(u) + 1 for u in np.flatnonzero(q)}
@@ -286,7 +282,9 @@ class StPath(SsspUnweighted):
     Same machinery as the full-labels scheme minus the label block: the
     answer is read off the first degree vector with a nonzero target
     entry. An unreachable target is only ever declared through the
-    stabilization check, and surfaces as a reject verdict.
+    stabilization check: a ball that stops growing before it meets the
+    target certifies the answer None, as it does for `sssp-unweighted`'s
+    unreached labels.
     """
 
     name = "stpath"
@@ -328,7 +326,7 @@ class StPath(SsspUnweighted):
             return int(hit)
         if audit.psi_cur != audit.psi_prev:
             raise RejectError("path status unresolved at the claimed horizon")
-        raise RejectError("unreachable: ball stabilized before the target")
+        return None
 
     def mutate_output(self, inst, transcript, p, rng):
         src, vt = inst.source, inst.target
@@ -390,8 +388,8 @@ class _WeightedScheme(Scheme):
         return undirected_key(u[cross] + 1, v[cross] + 1, n)
 
     def _frontier_help(self, edges, reached, p) -> np.ndarray:
-        """Intersection help for the (u, v, count) edges against the
-        pairs that cross out of `reached`."""
+        """Intersection help, on its nodes, for the (u, v, count) edges
+        against the pairs that cross out of `reached`."""
         n = self.n
         items = [(undirected_key(u, v, n), c) for (u, v, c) in edges]
         crossing = [(key, 1) for key in self._crossing_keys(reached).tolist()]
@@ -423,7 +421,6 @@ class SsspWeightedTurnstile(_WeightedScheme):
     name = "sssp-wturnstile"
     models = ("turnstile",)
     weight_bounded = True
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie")
 
     # prover ------------------------------------------------------------
 
@@ -454,9 +451,9 @@ class SsspWeightedTurnstile(_WeightedScheme):
         for d in range(1, Dhat):
             pv = sum((block[:, d + 1 - dist[v]] for v, block in sel.items()
                       if d - W < dist[v] <= d), np.zeros(M, dtype=np.int64))
-            tr.add_coeffs("round_poly", coeffs_from_values_1d(pv % p, p))
-        tr.add_coeffs("frontier_inter",
-                      self._frontier_help(edges, set(sel), p))
+            tr.add_values("round_poly", pv, p)
+        tr.add_values("frontier_inter",
+                      self._frontier_help(edges, set(sel), p), p)
         return tr
 
     def hcost_bound(self, inst) -> int:
@@ -528,7 +525,7 @@ class SsspWeightedTurnstile(_WeightedScheme):
     # adversary ---------------------------------------------------------
 
     def mutate_output(self, inst, transcript, p, rng):
-        n, W, src = self.n, self.W, inst.source
+        n, src = self.n, inst.source
         dist = self._distances(inst)
         Dhat = int(transcript.blocks[0].values[0])
         if Dhat < 2:
@@ -540,11 +537,9 @@ class SsspWeightedTurnstile(_WeightedScheme):
         u = cands[rng.randrange(len(cands))]
         out = _clone_transcript(transcript)
         blk = next(b for b in out.blocks if b.label == "round_poly")
-        M = W * (n - 1) + 1
-        vals = np.zeros(M, dtype=np.int64)
-        vals[u - 1] = 1
-        blk.values = (np.asarray(blk.values, dtype=np.int64)
-                      + coeffs_from_values_1d(vals, p)) % p
+        impulse = np.zeros(blk.shape, dtype=np.int64)
+        impulse[u - 1] = 1
+        blk.add_values(impulse, p)
         return out
 
 
@@ -563,8 +558,6 @@ class SsspWeightedVanilla(_WeightedScheme):
 
     name = "sssp-wvanilla"
     models = ("weighted",)
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
-                 "qd_scalar_flip")
     scalar_flip_labels = ("distance_labels", "parent_labels")
 
     # prover ------------------------------------------------------------
@@ -608,19 +601,20 @@ class SsspWeightedVanilla(_WeightedScheme):
             cv = (Wmat[near] == d + 1 - labs[near, None]).sum(axis=0)
             if zero_entry is not None and zero_entry[0] == d:
                 cv[zero_entry[1] - 1] = 0
-            tr.add_coeffs("round_poly", coeffs_from_values_1d(cv % p, p))
+            tr.add_values("round_poly", cv, p)
         tree = [(weighted_key(prev[v], v, dist[v] - dist[prev[v]], n, W), 1)
                 for v in range(1, n + 1)
                 if v != src and dist[v] is not None]
         edges = [(weighted_key(u, v, w, n, W), 1)
                  for (u, v, w) in inst.weighted_edges()]
         wdims = (n * W, n)
-        tr.add_coeffs("tree_subset", line_check_help(
+        tr.add_values("tree_subset", line_check_help(
             dense_indicator(tree, wdims),
-            dense_indicator(edges, wdims), p, "subset"))
+            dense_indicator(edges, wdims), p, "subset"), p)
         reached = {v for v in range(1, n + 1) if dist[v] is not None}
-        tr.add_coeffs("frontier_inter", self._frontier_help(
-            [(u, v, 1) for (u, v, w) in inst.weighted_edges()], reached, p))
+        tr.add_values("frontier_inter", self._frontier_help(
+            [(u, v, 1) for (u, v, w) in inst.weighted_edges()], reached, p),
+            p)
         return tr
 
     def prove(self, inst, p: int) -> ProofTranscript:

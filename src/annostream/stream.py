@@ -39,6 +39,13 @@ is the total number of field elements / ids across blocks; labels and
 block boundaries are free framing. `ProofTranscript.load` reads each
 block's values with one numpy call, and goes through int() value by
 value only where that call refuses the text.
+
+The coefficient form is this module's wire format, and no other module
+builds or edits it. A prover hands `add_values` a help polynomial's
+values on the nodes 1..m of each axis (1..2g-1 for a product of two
+extensions of the grid [g]), and the writer interpolates them. A lie
+edits a block through `Block.add_values` or `Block.shift_total`, which
+reads the grid off the block's own shape.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ from typing import Optional
 
 import numpy as np
 
-from .extension import coeffs_from_serial, coeffs_to_serial
+from .extension import (coeffs_from_serial, coeffs_from_values_nd,
+                        coeffs_to_serial, grid_bump)
 
 MODELS = ("turnstile", "vanilla", "weighted", "adjlist")
 
@@ -625,6 +633,28 @@ class Block:
     def element_count(self) -> int:
         return int(self.values.size)
 
+    def add_values(self, values, p: int):
+        """Add, in place, the polynomial taking `values` (shaped like the
+        block) on the nodes 1..m of each axis of length m."""
+        tensor = coeffs_from_values_nd(np.reshape(values, self.shape), p)
+        self.values = (self.values + coeffs_to_serial(tensor)) % p
+
+    def shift_total(self, shift: int, p: int):
+        """Shift the grid total of a help polynomial by `shift`, in place.
+
+        2g-1 coefficients on an axis mean the grid [g], as
+        `setops.check_grid_claim` reads them. Adds shift times the product
+        of the axes' grid bumps to the low corner of the block, so a
+        forged claim keeps its degree bounds.
+        """
+        grid = [(w + 1) // 2 for w in self.shape]
+        bump = np.full((), shift % p, dtype=np.int64)
+        for g in grid:
+            bump = np.multiply.outer(bump, grid_bump(g, p)) % p
+        tensor = np.zeros(self.shape, dtype=np.int64)
+        tensor[tuple(slice(g) for g in grid)] = bump
+        self.values = (self.values + coeffs_to_serial(tensor)) % p
+
 
 class ProofTranscript:
     """Ordered help blocks written by a prover, read once by a verifier."""
@@ -638,6 +668,11 @@ class ProofTranscript:
         tensor = np.asarray(tensor, dtype=np.int64)
         self.blocks.append(Block(label, "coeffs", coeffs_to_serial(tensor),
                                  shape=tensor.shape))
+
+    def add_values(self, label: str, values, p: int):
+        """A coefficient block for the polynomial taking `values` on the
+        nodes 1..m of each axis of length m."""
+        self.add_coeffs(label, coeffs_from_values_nd(values, p))
 
     def add_scalars(self, label: str, values):
         arr = np.atleast_1d(np.asarray(values, dtype=np.int64))

@@ -31,11 +31,10 @@ import numpy as np
 
 from .edgecount import (LineArray, PairSketch, degree_grid, line_rows,
                         member_pair_charge)
-from .extension import (coeffs_from_values_1d, coeffs_from_values_nd,
-                        dot_mod, exact_chunk, impulse_table)
+from .extension import dot_mod, exact_chunk, impulse_table
 from .field import fe_random
 from .oracle import oracle_triangles
-from .protocol import Scheme, bump_grid_total, register, _clone_transcript
+from .protocol import Scheme, register, _clone_transcript
 from .setops import Fingerprint, check_grid_claim, directed_key
 from .stream import ProofTranscript, RejectError
 
@@ -51,7 +50,6 @@ def _shaped_tokens(inst, sc, p):
 
 
 class _TriangleBase(Scheme):
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie")
     # lies shift the grid total by a multiple of this, the number of
     # times the charge counts each triangle; 0 allows any nonzero shift
     _lie_step = 0
@@ -75,8 +73,7 @@ class _TriangleBase(Scheme):
             shift = self._lie_step * rng.randrange(1, max(2, inst.n))
         else:
             shift = rng.randrange(1, p)
-        block = out.blocks[-1]
-        bump_grid_total(block, [(w + 1) // 2 for w in block.shape], shift, p)
+        out.blocks[-1].shift_total(shift, p)
         return out
 
 
@@ -105,7 +102,7 @@ class TrianglesLaconic(_TriangleBase):
             table[:, b - 1, ya - 1] = (table[:, b - 1, ya - 1]
                                        + delta * D[:, xa - 1]) % p
         tr = ProofTranscript()
-        tr.add_coeffs("charge_poly", coeffs_from_values_1d(acc, p))
+        tr.add_values("charge_poly", acc, p)
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):
@@ -173,7 +170,7 @@ class TrianglesFrugal(_TriangleBase):
                 delta * Dt[:, xb - 1] % p, Dn[:, a - 1])) % p
         flush()
         tr = ProofTranscript()
-        tr.add_coeffs("charge_poly", coeffs_from_values_nd(Q, p))
+        tr.add_values("charge_poly", Q, p)
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):
@@ -209,8 +206,6 @@ class TrianglesSparse(_TriangleBase):
     """
 
     name = "tri-sparse"
-    mutations = ("coefficient_flip", "block_truncation", "output_value_lie",
-                 "vertex_list_permutation_lie")
     _lie_step = 6
 
     def hcost_bound(self, inst) -> int:
@@ -236,8 +231,8 @@ class TrianglesSparse(_TriangleBase):
         tr = ProofTranscript()
         for lst in lists:
             tr.add_vertices("nbrs", lst)
-        tr.add_coeffs("charge_poly",
-                      member_pair_charge(inst, lists, self.sc, p))
+        tr.add_values("charge_poly",
+                      member_pair_charge(inst, lists, self.sc, p), p)
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):
@@ -325,7 +320,7 @@ class TrianglesAdjList(_TriangleBase):
             Q = (Q + dot_mod(a[:, None, :], b[None], p)) % p
         P = (Q + Q.T) % p
         tr = ProofTranscript()
-        tr.add_coeffs("charge_poly", coeffs_from_values_nd(P, p))
+        tr.add_values("charge_poly", P, p)
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):

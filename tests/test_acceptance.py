@@ -17,9 +17,9 @@ import time
 import networkx as nx
 import numpy as np
 
-from annostream.extension import (PointSketch, ShapeConfig,
-                                  coeffs_from_values_nd, impulse_table,
-                                  nd_eval, resolve_shape)
+from annostream.edgecount import LineArray
+from annostream.extension import (ShapeConfig, coeffs_from_values_nd,
+                                  impulse_table, nd_eval, resolve_shape)
 from annostream.field import fe_random_nonzero
 from annostream.generators import (adjlist_instance, dag_instance,
                                    digraph_instance, gnp_edges,
@@ -311,18 +311,20 @@ def test_micro_invariants():
             assert sum(impulse_table(r, t, p)) % p == 1
             checks += 1
 
-    # sketch at a random point equals dense interpolation there
+    # sketch at a random point equals dense interpolation there: the line
+    # at r, contracted with the impulses at r'
     dims = (4, 5)
     pt = (rng.randrange(p), rng.randrange(p))
-    sk = PointSketch(dims, pt, p)
+    line = LineArray(ShapeConfig(dims[0] * dims[1], *dims), pt[0], p)
     vals = np.zeros(dims, dtype=np.int64)
     for _ in range(40):
         x = rng.randrange(1, dims[0] + 1)
         y = rng.randrange(1, dims[1] + 1)
         d = rng.randrange(1, 6)
-        sk.update((x, y), d)
+        line.add((x - 1) * dims[1] + y, d)
         vals[x - 1, y - 1] = (vals[x - 1, y - 1] + d) % p
-    assert sk.value == nd_eval(coeffs_from_values_nd(vals, p), pt, p)
+    value = int(line.arr @ impulse_table(pt[1], dims[1], p)) % p
+    assert value == nd_eval(coeffs_from_values_nd(vals, p), pt, p)
     checks += 1
 
     # fingerprints ignore stream order

@@ -50,6 +50,14 @@ def test_run_writes_transcript_and_replays(k5, tmp_path):
     assert r2.returncode == 0 and "output=10" in r2.stdout
 
 
+def test_run_stpath_prints_an_unreachable_target(tmp_path):
+    stream = tmp_path / "cut.stream"
+    stream.write_text("n=4 model=vanilla source=1 target=4\n1 2\n2 3\n")
+    r = run_cli("run", "--scheme", "stpath", "--input", str(stream))
+    assert r.returncode == 0, r.stderr
+    assert "output=-" in r.stdout.splitlines()
+
+
 def test_run_mutated_replay_exits_one(k5, tmp_path):
     proof = tmp_path / "k5.proof"
     run_cli("run", "--scheme", "tri-laconic", "--t", "4", "--input", k5,
@@ -457,6 +465,17 @@ GEN_REFUSALS = [
      "only 0 vertex pairs are not edges"),
     (["gnp", "5", "--query-left", "1,2", "--query-right", "2,3"],
      "lists a vertex twice"),
+    *[([kind, "5", "--model", "turnstile"],
+       f"gen {kind} takes no --model turnstile")
+      for kind in ("path", "cycle", "clique", "dag")],
+    *[(["adjlist", "5", "--model", model], "gen adjlist takes no --model")
+      for model in ("vanilla", "turnstile")],
+    *[([kind, "5", "--w", "9"], f"gen {kind} takes no --w")
+      for kind in ("gnp", "path", "cycle", "clique", "dag", "adjlist")],
+    *[([kind, "5", "--prob", "0.9"], f"gen {kind} takes no --prob")
+      for kind in ("path", "cycle", "clique")],
+    (["path", "4", "--model", "turnstile", "--w", "9"], "takes no --model"),
+    (["adjlist", "4", "--w", "7", "--model", "turnstile"], "takes no --model"),
 ]
 
 

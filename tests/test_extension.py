@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annostream.extension import (PointSketch, ShapeConfig, coeffs_from_serial,
+from annostream.extension import (ShapeConfig, coeffs_from_serial,
                                   coeffs_from_values_1d, coeffs_from_values_nd,
                                   coeffs_to_serial, eval_on_nodes, exact_chunk,
                                   extend_rows, grid_bump, impulse_block,
                                   impulse_table, mat_mulmod, nd_eval,
                                   nd_grid_sum, power_moments, power_sums,
                                   power_table, resolve_shape)
-from annostream.edgecount import degree_grid
+from annostream.edgecount import LineArray, degree_grid
 from annostream.extension import _impulse_inv_denominators, _inverse_table
 from annostream.field import fe_inv, next_prime
 
@@ -449,19 +449,22 @@ def test_resolve_shape_defaults():
 
 
 def test_point_sketch_matches_direct_lde():
+    # f~ at a point (r, r') under pointwise updates: LineArray's line at r,
+    # contracted with the impulses at r'
     rng = random.Random(9)
     dims = (3, 4)
     pt = (rng.randrange(P), rng.randrange(P))
-    sk = PointSketch(dims, pt, P)
+    line = LineArray(ShapeConfig(dims[0] * dims[1], *dims), pt[0], P)
     vals = np.zeros(dims, dtype=np.int64)
     for _ in range(25):
         x = rng.randrange(1, dims[0] + 1)
         y = rng.randrange(1, dims[1] + 1)
         d = rng.randrange(1, 5)
-        sk.update((x, y), d)
+        line.add((x - 1) * dims[1] + y, d)
         vals[x - 1, y - 1] = (vals[x - 1, y - 1] + d) % P
+    value = int(line.arr @ impulse_table(pt[1], dims[1], P)) % P
     coeffs = coeffs_from_values_nd(vals, P)
-    assert sk.value == nd_eval(coeffs, pt, P)
+    assert value == nd_eval(coeffs, pt, P)
 
 
 _ENTRIES = (0, 1, -1, P - 1, P, P + 1, 2 * P + 3, -P, -5 * P - 2)

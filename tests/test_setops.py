@@ -18,10 +18,11 @@ from annostream.stream import DELTA_BOUND, ProofTranscript, RejectError
 P = 1048583
 
 
-def _help(coeffs):
-    """A reader positioned on one help block labelled "g"."""
+def _help(values):
+    """A reader positioned on one help block labelled "g", the polynomial
+    taking these values on its nodes."""
     tr = ProofTranscript()
-    tr.add_coeffs("g", coeffs)
+    tr.add_values("g", values, P)
     return tr.reader(P)
 
 

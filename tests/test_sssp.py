@@ -163,11 +163,13 @@ def test_stpath_hand_cases():
     assert res.accepted and res.value == 1
 
 
-def test_stpath_unreachable_rejects():
+def test_stpath_unreachable_accepts_none():
+    # a ball that stops growing before the target certifies "unreachable",
+    # the oracle's None
     inst = vanilla_instance(5, [(1, 2), (3, 4)], source=1, target=4)
     res = run_honest(get_scheme("stpath").configure(inst), inst)
-    assert not res.accepted
-    assert "unreachable" in res.reason
+    assert res.accepted and res.value is None
+    assert oracle_bfs(inst)[4] is None
 
 
 def test_stpath_random_vs_oracle():

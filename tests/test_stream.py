@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annostream import stream as stream_mod
+from annostream.extension import nd_eval
+from annostream.setops import check_grid_claim
 from annostream.stream import (DELTA_BOUND, MODELS, AdjItem, EdgeToken,
                                GraphInstance, ParseError, ProofTranscript,
                                SetMember, SetQuery, parse_stream,
@@ -164,6 +166,83 @@ def test_transcript_round_trip_and_count():
     assert np.array_equal(back.blocks[1].values, tr.blocks[1].values)
     assert back.blocks[1].shape == (3, 4)
     assert back.dump() == tr.dump()
+
+
+# --- the writer's node values and the lies' block edits ---------------------
+
+# small primes up to the largest the vectorised kernels take (below 2^25);
+# every one exceeds the 9 nodes an axis may have here
+_PRIMES = (11, 13, 101, 65537, 1048583, 33554393)
+
+
+def _on_nodes(coeffs, p) -> np.ndarray:
+    """Python-int values of a coefficient tensor on the nodes 1..m of each
+    axis: one Vandermonde contraction per axis."""
+    out = np.asarray(coeffs).astype(object)
+    for axis, m in enumerate(out.shape):
+        vander = np.array([[pow(x, e, p) for e in range(m)]
+                           for x in range(1, m + 1)], dtype=object)
+        out = np.moveaxis(np.tensordot(vander, out, axes=([1], [axis])),
+                          0, axis) % p
+    return out
+
+
+def _node_values(shape, p, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(-2 * p, 2 * p, size=shape, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       p=st.sampled_from(_PRIMES), seed=st.integers(0, 2 ** 32 - 1))
+def test_add_values_round_trips_every_node(shape, p, seed):
+    vals = _node_values(shape, p, seed)
+    tr = ProofTranscript()
+    tr.add_values("h", vals, p)
+    back = ProofTranscript.load(tr.dump())
+    assert back.blocks[0].shape == tuple(shape)
+    coeffs = back.reader(p).coeffs("h", tuple(shape))
+    assert (_on_nodes(coeffs, p) == vals % p).all()
+
+
+def _grid_total(tr, grid, p) -> int:
+    """check_grid_claim's total of block "h", claimed at a point it holds."""
+    shape = tuple(2 * g - 1 for g in grid)
+    point = tuple(range(p - 1, p - 1 - len(grid), -1))
+    at = nd_eval(tr.reader(p).coeffs("h", shape), point, p)
+    return check_grid_claim(tr.reader(p), "h", grid, point, at, p, "h")
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       p=st.sampled_from(_PRIMES), seed=st.integers(0, 2 ** 32 - 1),
+       shift=st.integers(-2 ** 40, 2 ** 40))
+def test_shift_total_moves_the_grid_total_by_the_shift(grid, p, seed, shift):
+    shape = tuple(2 * g - 1 for g in grid)
+    vals = _node_values(shape, p, seed)
+    tr = ProofTranscript()
+    tr.add_values("h", vals, p)
+    on_grid = vals[tuple(slice(g) for g in grid)]
+    assert _grid_total(tr, grid, p) == int(on_grid.sum()) % p
+    block = tr.blocks[0]
+    block.shift_total(shift, p)
+    assert block.shape == shape and block.values.size == vals.size
+    assert _grid_total(tr, grid, p) == (int(on_grid.sum()) + shift) % p
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       p=st.sampled_from(_PRIMES), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_add_values_equals_adding_on_the_nodes(shape, p, seed):
+    a = _node_values(shape, p, seed)
+    b = _node_values(shape, p, seed + 1)
+    tr = ProofTranscript()
+    tr.add_values("h", a, p)
+    loaded = ProofTranscript.load(tr.dump())
+    loaded.blocks[0].add_values(b, p)
+    both = ProofTranscript()
+    both.add_values("h", a + b, p)
+    assert loaded.dump() == both.dump()
 
 
 def test_transcript_reader_enforces_order_and_shape():
