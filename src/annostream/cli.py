@@ -28,8 +28,9 @@ from .generators import (adjlist_instance, clique_edges, cycle_edges,
                          turnstile_instance, vanilla_instance,
                          weighted_instance, weighted_turnstile_instance,
                          with_query_set)
-from .protocol import (MUTATIONS, SCHEMES, TrialStats, checked_field,
-                       get_scheme, run_adversarial, run_with_transcript)
+from .protocol import (MUTATIONS, SCHEMES, NoMutation, TrialStats,
+                       checked_field, get_scheme, run_adversarial,
+                       run_with_transcript)
 from .protocol import sweep_costs as _sweep_costs
 from .stream import ParseError, ProofTranscript, parse_stream, serialize_stream
 
@@ -207,16 +208,26 @@ def cmd_attack(args) -> int:
             raise ConfigError(f"policy {pol!r} does not apply to "
                               f"{scheme.name}")
 
-    # one honest proof per run; every policy mutates its own copies of it
+    # one honest proof per run; every policy mutates its own copies of it.
+    # The default list leaves out, and names on stderr, a policy that finds
+    # nothing to mutate on this instance; one asked for by name exits 2.
+    results = []
     try:
         p = checked_field(scheme, inst, p).p
         honest = scheme.prove(inst, p)
-        results = [
-            _honest_trials(scheme, inst, honest, args.trials, args.seed, p)
-            if pol == "honest" else
-            run_adversarial(scheme, inst, pol, args.trials, seed=args.seed,
-                            p=p, honest=honest)
-            for pol in policies]
+        for pol in policies:
+            if pol == "honest":
+                results.append(_honest_trials(scheme, inst, honest,
+                                              args.trials, args.seed, p))
+                continue
+            try:
+                results.append(run_adversarial(
+                    scheme, inst, pol, args.trials, seed=args.seed, p=p,
+                    honest=honest))
+            except NoMutation as exc:
+                if args.policy:
+                    raise
+                print(f"skipped: {exc}", file=sys.stderr)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -440,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=500)
     sp.add_argument("--policy", action="append", default=None,
                     help="mutation policy (repeatable; default: all that "
-                         "apply; 'honest' runs unmutated transcripts)")
+                         "apply and find something to mutate; 'honest' "
+                         "runs unmutated transcripts)")
     sp.add_argument("--out", default=None, help="CSV path (default stdout)")
     sp.set_defaults(func=cmd_attack)
 

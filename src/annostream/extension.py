@@ -37,7 +37,8 @@ doubling instead of an m-step loop.
 
 mat_mulmod is the one modular matmul: float64 BLAS over chunks of the
 inner axis sized from the operands' largest entries, so that each dot
-product is exact; operands already in [0, p) are not reduced again.
+product is exact; operands already in [0, p) are not reduced again, and
+leading batch axes run as in np.matmul.
 This module is the field arithmetic of every vectorised kernel, and
 check_vectorized_modulus is the one rule for which moduli they take.
 
@@ -60,6 +61,7 @@ from .field import fe_inv
 # exact_chunk((p - 1)^2) >= 8 and mat_mulmod stays exact.
 _NUMPY_P_LIMIT = 1 << 25
 _INT64_TERMS = 1 << 13
+_CHUNK_SUMS = 1 << 9
 
 
 def check_vectorized_modulus(p: int):
@@ -417,27 +419,35 @@ def exact_chunk(bound: int) -> int:
 
 
 def mat_mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) % p without overflow.
+    """(a @ b) % p without overflow, with np.matmul's leading batch axes.
 
     Runs float64 BLAS over chunks of the inner axis short enough that
     every dot product is exact, sized from the operands' largest entries:
-    a 0/1 adjacency against residues is a single call.
+    a 0/1 adjacency against residues is a single call. A chunk's product
+    is then an integer below 2^53 that float64 holds as it is, and int64
+    holds the sum of _CHUNK_SUMS of them on top of a residue.
     """
     check_vectorized_modulus(p)
     a, amax = _residues(a, p)
     b, bmax = _residues(b, p)
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
-    inner = a.shape[-1]
     chunk = exact_chunk(amax * bmax)
-    if inner <= chunk:
-        return np.rint(a @ b).astype(np.int64) % p
-    out = None
-    for lo in range(0, inner, chunk):
-        hi = min(inner, lo + chunk)
-        part = np.rint(a[..., lo:hi] @ b[lo:hi]).astype(np.int64) % p
-        out = part if out is None else (out + part) % p
-    return out
+    out = (a[..., :chunk] @ b[..., :chunk, :]).astype(np.int64)
+    for k, lo in enumerate(range(chunk, a.shape[-1], chunk), 1):
+        if k % _CHUNK_SUMS == 0:
+            reduce_mod(out, p)
+        out += (a[..., lo:lo + chunk] @ b[..., lo:lo + chunk, :]).astype(
+            np.int64)
+    return reduce_mod(out, p)
+
+
+def reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Reduce an int64 array mod p in place and return it: `a %= p`, but
+    numpy floor-divides by a scalar about twice as fast as it takes a
+    remainder."""
+    a -= a // p * p
+    return a
 
 
 def dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -466,13 +476,19 @@ def _inverse_table(m: int, p: int) -> np.ndarray:
     return out
 
 
+# extend_rows builds its Toeplitz gather inv(x - u) in blocks of rows x of
+# at most this many int64 bytes, so its peak follows its output
+_GATHER_BYTES = 1 << 22
+
+
 def extend_rows(values, p: int, count=None) -> np.ndarray:
     """Extend values on the nodes [g] along axis 0 to the nodes 1..count.
 
     count >= g defaults to 2g-1, the nodes a product of two extensions
     needs. Rows 1..g are the values themselves. Row x > g is
     P(x) * sum_u inv(x-u) * inv(den_u) * f(u) over the rows u where f is
-    not zero: one mat_mulmod of the Toeplitz gather inv(x-u) against them.
+    not zero: a mat_mulmod of the Toeplitz gather inv(x-u) against them,
+    one per block of _GATHER_BYTES of the gather.
     """
     check_vectorized_modulus(p)
     vals = np.asarray(values, dtype=np.int64)
@@ -494,8 +510,11 @@ def extend_rows(values, p: int, count=None) -> np.ndarray:
             P[0] = P[0] * k % p
         for x in range(g + 1, count):
             P.append(P[-1] * x % p * int(inv[x - g]) % p)
-        xs = np.arange(g + 1, count + 1)
-        gather = inv[xs[:, None] - (support + 1)]
-        tail = mat_mulmod(gather, flat[support] * inv_den[:, None] % p, p)
-        out[g:] = np.array(P, dtype=np.int64)[:, None] * tail % p
+        P = np.array(P, dtype=np.int64)[:, None]
+        weights = flat[support] * inv_den[:, None] % p
+        step = max(1, _GATHER_BYTES // (8 * support.size))
+        for lo in range(g, count, step):
+            xs = np.arange(lo + 1, min(count, lo + step) + 1)
+            tail = mat_mulmod(inv[xs[:, None] - (support + 1)], weights, p)
+            out[lo:lo + xs.size] = P[lo - g:lo - g + xs.size] * tail % p
     return out.reshape((count,) + vals.shape[1:])

@@ -377,6 +377,11 @@ def run_with_transcript(scheme, inst: GraphInstance,
     return _verify(scheme, inst, transcript, cfg.p, seed)
 
 
+class NoMutation(ValueError):
+    """A policy that applies to the scheme found nothing to mutate in the
+    honest transcript of this instance."""
+
+
 def run_adversarial(scheme, inst: GraphInstance, policy: str,
                     trials: int, seed: int = 0,
                     p: Optional[int] = None,
@@ -399,7 +404,7 @@ def run_adversarial(scheme, inst: GraphInstance, policy: str,
         arng = make_rng(seed, f"adversary/{scheme.name}/{policy}/{i}")
         mutated = mutate(scheme, inst, honest, cfg.p, arng)
         if mutated is None:
-            raise ValueError(f"policy {policy} produced no mutation for "
+            raise NoMutation(f"policy {policy} produced no mutation for "
                              f"{scheme.name} on this instance")
         res = _verify(scheme, inst, mutated, cfg.p,
                       seed=((seed << 16) ^ (i + 1)))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .edgecount import (LineArray, PairSketch, degree_grid, line_rows,
                         member_pair_charge)
-from .extension import dot_mod, exact_chunk, impulse_table
+from .extension import dot_mod, impulse_table, mat_mulmod, reduce_mod
 from .field import fe_random
 from .oracle import oracle_triangles
 from .protocol import Scheme, register, _clone_transcript
@@ -47,6 +47,10 @@ def _shaped_tokens(inst, sc, p):
     xa, ya = sc.shape(a)
     xb, yb = sc.shape(b)
     return zip(*(c.tolist() for c in (a, b, delta % p, xa, ya, xb, yb)))
+
+
+# tokens whose charge rows tri-frugal stages per batched product
+_STAGE = 32
 
 
 class _TriangleBase(Scheme):
@@ -137,41 +141,45 @@ class TrianglesFrugal(_TriangleBase):
         return 2 * self.s + 16
 
     def prove(self, inst, p: int) -> ProofTranscript:
+        tr = ProofTranscript()
+        tr.add_values("charge_poly", self.charge_block(inst, p), p)
+        return tr
+
+    def charge_block(self, inst, p: int) -> np.ndarray:
+        """Q[i, j, z]: the sum over tokens of the products of their two
+        charge rows at the nodes (i, z) and (j, z), shape (2t-1, 2t-1, 2n-1).
+
+        The rows are staged, node z first, in two fixed (2n-1, _STAGE,
+        2t-1) blocks, token k at [:, k], so a token writes 2n-1 contiguous
+        runs. A full block is one batched mat_mulmod into Q, and the
+        staging never holds more than _STAGE tokens.
+        """
         t, s, n, sc = self.t, self.s, self.n, self.sc
         wt, wn = 2 * t - 1, 2 * n - 1
         Dt = degree_grid(t, p)
         Dn = degree_grid(n, p)
-        B = np.zeros((wt, s, wn), dtype=np.int64)
-        Q = np.zeros((wt, wt, wn), dtype=np.int64)
-        chunk_cap = min(256, exact_chunk((p - 1) ** 2))
-        bufa: list = []
-        bufb: list = []
-
-        def flush():
-            nonlocal Q
-            if not bufa:
-                return
-            A = np.stack(bufa).astype(np.float64)  # (j, wt, wn)
-            Bm = np.stack(bufb).astype(np.float64)
-            prod = np.matmul(A.transpose(2, 1, 0), Bm.transpose(2, 0, 1))
-            Q = (Q + np.rint(prod).astype(np.int64).transpose(1, 2, 0)) % p
-            bufa.clear()
-            bufb.clear()
-
+        B = np.zeros((s, wn, wt), dtype=np.int64)  # row y is contiguous
+        Q = np.zeros((wn, wt, wt), dtype=np.int64)  # residues, summed
+        left = np.zeros((wn, _STAGE, wt), dtype=np.int64)
+        right = np.zeros_like(left)
+        k = 0
         for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc, p):
-            bufa.append(delta * Dt[:, xa - 1, None] % p
-                        * B[:, ya - 1, :] % p)
-            bufb.append(Dt[:, xb - 1, None] * B[:, yb - 1, :] % p)
-            if len(bufa) >= chunk_cap:
-                flush()
-            B[:, ya - 1, :] = (B[:, ya - 1, :] + np.outer(
-                delta * Dt[:, xa - 1] % p, Dn[:, b - 1])) % p
-            B[:, yb - 1, :] = (B[:, yb - 1, :] + np.outer(
-                delta * Dt[:, xb - 1] % p, Dn[:, a - 1])) % p
-        flush()
-        tr = ProofTranscript()
-        tr.add_values("charge_poly", Q, p)
-        return tr
+            ca = delta * Dt[:, xa - 1] % p
+            cb = delta * Dt[:, xb - 1] % p
+            reduce_mod(np.multiply(B[ya - 1], ca, out=left[:, k]), p)
+            reduce_mod(np.multiply(B[yb - 1], Dt[:, xb - 1],
+                                   out=right[:, k]), p)
+            k += 1
+            if k == _STAGE:
+                Q += mat_mulmod(left.transpose(0, 2, 1), right, p)
+                k = 0
+            B[ya - 1] += np.outer(Dn[:, b - 1], ca)
+            reduce_mod(B[ya - 1], p)
+            B[yb - 1] += np.outer(Dn[:, a - 1], cb)
+            reduce_mod(B[yb - 1], p)
+        if k:
+            Q += mat_mulmod(left[:, :k].transpose(0, 2, 1), right[:, :k], p)
+        return reduce_mod(Q, p).transpose(1, 2, 0)
 
     def run_verifier(self, inst, reader, p, rng, meter):
         t, s, n, sc = self.t, self.s, self.n, self.sc

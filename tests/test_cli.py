@@ -270,6 +270,34 @@ def test_attack_inapplicable_policy_exits_two(k5):
     assert r.returncode == 2
 
 
+# the source is isolated, so neither scheme sends a coefficient block
+@pytest.mark.parametrize("scheme,header,empty", [
+    ("sssp-unweighted", "n=4 model=vanilla source=1",
+     ["coefficient_flip", "output_value_lie"]),
+    ("stpath", "n=4 model=vanilla source=1 target=4", ["coefficient_flip"]),
+])
+def test_attack_default_skips_a_policy_with_nothing_to_mutate(
+        tmp_path, scheme, header, empty):
+    path = tmp_path / "isolated.stream"
+    path.write_text(f"{header}\n2 3\n3 4\n")
+    r = run_cli("attack", "--scheme", scheme, "--input", str(path),
+                "--trials", "5")
+    assert r.returncode == 0, r.stderr
+    rows = list(csv.reader(io.StringIO(r.stdout)))
+    assert rows[0] == ["scheme", "policy", "trials", "accepted",
+                       "accepted_wrong", "rejected", "wrong_rate",
+                       "wilson_upper"]
+    ran = [row[1] for row in rows[1:]]
+    assert ran and not set(ran) & set(empty)
+    assert all(row[0] == scheme and row[2] == "5" for row in rows[1:])
+    for policy in empty:
+        assert f"policy {policy} produced no mutation" in r.stderr
+        named = run_cli("attack", "--scheme", scheme, "--input", str(path),
+                        "--trials", "5", "--policy", policy)
+        assert named.returncode == 2
+        assert "produced no mutation" in named.stderr
+
+
 def test_sweep_csv_schema_and_empty_grid(k5, tmp_path):
     r = run_cli("sweep", "--scheme", "tri-laconic", "--input", k5,
                 "--t-grid", "1,2,4")

@@ -494,6 +494,24 @@ def test_extend_rows_matches_impulse_block(g, extra, support, trailing, seed):
     assert np.array_equal(got.reshape(len(nodes), -1), want.astype(np.int64))
 
 
+def test_extend_rows_gathers_in_row_blocks():
+    # a dense gather inv(x - u) here is 2999 x 3000 int64, 72 MB; built in
+    # row blocks, the peak follows the output. The values are those of
+    # u^2 + 3, so every extended row is x^2 + 3.
+    g, p = 3000, P_TOP
+    u = np.arange(1, g + 1, dtype=np.int64)
+    vals = np.stack([u * u + 3, 7 * u], axis=1)
+    tracemalloc.start()
+    try:
+        got = extend_rows(vals, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    x = np.arange(1, 2 * g, dtype=np.int64)
+    assert np.array_equal(got, np.stack([(x * x + 3) % p, 7 * x % p], axis=1))
+
+
 def test_extend_rows_keeps_its_input():
     vals = np.array([[3, -1], [0, 0], [P + 2, 5]], dtype=np.int64)
     before = vals.copy()

@@ -1,15 +1,21 @@
 """Triangle counting schemes across the four stream models."""
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from annostream.extension import impulse_table
+from annostream.field import next_prime
 from annostream.generators import (adjlist_instance, clique_edges,
                                    cycle_edges, gnp_edges, path_edges,
                                    turnstile_instance, vanilla_instance)
 from annostream.oracle import oracle_triangles
 from annostream.protocol import get_scheme, run_adversarial, run_honest
-from annostream.stream import ParseError
+from annostream.stream import EdgeToken, GraphInstance, ParseError
 
 DENSE = ("tri-laconic", "tri-frugal")
 ALL = ("tri-laconic", "tri-frugal", "tri-sparse", "tri-adj")
@@ -145,3 +151,81 @@ def test_churned_turnstile_at_large_moduli(n, prob):
     for name in DENSE:
         res = run_honest(get_scheme(name).configure(inst), inst)
         assert res.accepted and res.value == want, (name, res.reason)
+
+
+# the largest prime the vectorized kernels take: a float64 product there
+# holds 8 full-size terms, so each staged block of charge rows splits
+P_TOP = 33554393
+
+
+def _frugal_charge_reference(scheme, inst, p):
+    """tri-frugal's charge block by the per-token loop, in Python ints:
+    token (a, b, delta) adds the product of its two charge rows,
+    delta Dt[:, x_a] B[y_a] and Dt[:, x_b] B[y_b], then updates rows y_a
+    and y_b of B."""
+    t, s, n = scheme.t, scheme.s, scheme.n
+    Dt = np.array([impulse_table(x, t, p) for x in range(1, 2 * t)],
+                  dtype=object)
+    Dn = np.array([impulse_table(x, n, p) for x in range(1, 2 * n)],
+                  dtype=object)
+    B = np.zeros((s, 2 * t - 1, 2 * n - 1), dtype=object)
+    Q = np.zeros((2 * t - 1, 2 * t - 1, 2 * n - 1), dtype=object)
+    a, b, delta, _ = inst.edges
+    for u, v, d in zip(a.tolist(), b.tolist(), delta.tolist()):
+        (xu, yu), (xv, yv) = divmod(u - 1, s), divmod(v - 1, s)
+        left = d * Dt[:, xu, None] * B[yu]
+        right = Dt[:, xv, None] * B[yv]
+        Q = (Q + left[:, None, :] * right[None, :, :]) % p
+        B[yu] = (B[yu] + d * np.outer(Dt[:, xu], Dn[:, v - 1])) % p
+        B[yv] = (B[yv] + d * np.outer(Dt[:, xv], Dn[:, u - 1])) % p
+    return Q
+
+
+@st.composite
+def _strict_churned_streams(draw):
+    """A strict-turnstile stream on n <= 16: no multiplicity ever drops
+    below zero, and deletions undo earlier insertions."""
+    n = draw(st.integers(2, 16))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    size = draw(st.integers(0, 80))  # past two staged blocks
+    steps = draw(st.lists(st.tuples(st.sampled_from(pairs),
+                                    st.integers(1, 3), st.booleans(),
+                                    st.booleans()),
+                          min_size=size, max_size=size))
+    counts: dict = {}
+    tokens = []
+    for (u, v), d, delete, flip in steps:
+        have = counts.get((u, v), 0)
+        d = -min(d, have) if delete and have else d
+        counts[u, v] = have + d
+        tokens.append(EdgeToken(v, u, d) if flip else EdgeToken(u, v, d))
+    return GraphInstance(n=n, model="turnstile", tokens=tokens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=_strict_churned_streams(), data=st.data(),
+       p=st.one_of(st.just(P_TOP),
+                   st.integers(1 << 20, P_TOP - 1).map(next_prime)))
+def test_frugal_staged_charge_matches_per_token_loop(inst, data, p):
+    t = data.draw(st.integers(1, inst.n), label="t")
+    scheme = get_scheme("tri-frugal").configure(inst, t=t)
+    got = scheme.charge_block(inst, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _frugal_charge_reference(scheme, inst, p))
+
+
+def test_frugal_prove_memory_follows_its_output():
+    # the size of the benchmark's tri-frugal case: per-token staging lists
+    # and their stacked float64 copies peaked at 58.9 MiB here
+    n = 128
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    inst = turnstile_instance(n, random.Random(3).sample(pairs, 800))
+    scheme = get_scheme("tri-frugal").configure(inst)
+    p = scheme.field_config(inst, None).p
+    tracemalloc.start()
+    try:
+        scheme.prove(inst, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
