@@ -30,12 +30,12 @@ from itertools import chain
 
 import numpy as np
 
-from .extension import (ShapeConfig, dot_mod, extend_rows, impulse_block,
-                        impulse_table, mat_mulmod)
+from .extension import (ShapeConfig, dot_mod, extend_rows, impulse_table,
+                        mat_mulmod)
 from .field import fe_random
 from .oracle import oracle_cross_edges, oracle_induced_edges
 from .protocol import Scheme, register, _clone_transcript
-from .setops import add_to_line, check_grid_claim
+from .setops import add_to_line
 from .stream import ProofTranscript, RejectError
 
 
@@ -167,8 +167,8 @@ def adjacency_matrix(inst, p, directed=False) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def degree_grid(t: int, p: int) -> np.ndarray:
-    """Dt[w, x] = delta_x(w): impulses of [t] on the nodes 1..2t-1."""
-    out = impulse_block(np.arange(1, 2 * t), t, p)
+    """Dt[w, x] = delta_x(w): the identity on [t] extended to 1..2t-1."""
+    out = extend_rows(np.eye(t, dtype=np.int64), p)
     out.setflags(write=False)  # cached: every caller shares this array
     return out
 
@@ -245,8 +245,8 @@ class _EdgeCountBase(Scheme):
             meter.grow("query_registers")
         values = []
         for want in expected:
-            total = check_grid_claim(reader, "pair_poly", (t, t), (r1, r2),
-                                     want, p, "pair polynomial")
+            total = reader.grid_claim("pair_poly", (t, t), (r1, r2), want,
+                                      "pair polynomial")
             if not cross:
                 if total % 2:
                     raise RejectError("ordered pair total is odd")

@@ -325,11 +325,15 @@ def power_sums(grid: int, count: int, p: int) -> np.ndarray:
 
 
 def nd_grid_sum(tensor: np.ndarray, grid_sizes, p: int) -> int:
-    """sum of the polynomial over [g_1] x ... x [g_k] via power sums."""
+    """sum of the polynomial over [g_1] x ... x [g_k] via power sums; an
+    axis given as weights w sums sum_u w[u-1] f(.., u, ..) instead, via
+    power_moments."""
     check_vectorized_modulus(p)
     acc = np.asarray(tensor, dtype=np.int64) % p
     for g in reversed(list(grid_sizes)):
-        acc = (acc * power_sums(g, acc.shape[-1], p) % p).sum(axis=-1) % p
+        S = (power_sums(g, acc.shape[-1], p) if np.ndim(g) == 0
+             else power_moments(g, acc.shape[-1], p))
+        acc = (acc * S % p).sum(axis=-1) % p
     return int(acc)
 
 

@@ -37,9 +37,9 @@ from .field import fe_random
 from .oracle import (oracle_acyclic, oracle_components, oracle_is_mis,
                      oracle_is_toposort, oracle_max_matching)
 from .protocol import Scheme, register, _clone_transcript
-from .setops import (Fingerprint, LineCheck, check_grid_claim,
-                     dense_indicator, directed_key, line_check_dims,
-                     line_check_help, monomial, undirected_key)
+from .setops import (Fingerprint, LineCheck, dense_indicator, directed_key,
+                     line_check_dims, line_check_help, monomial,
+                     undirected_key)
 from .stream import ProofTranscript, RejectError
 
 
@@ -212,6 +212,19 @@ def _in_range(ids, n) -> bool:
     return not ids.size or bool((ids - 1).view(np.uint64).max() < n)
 
 
+def _replace_matched_vertex(scheme, inst, transcript, p, rng):
+    """Vertex lie of both matching schemes: one id of the `matching` block
+    replaced by another vertex."""
+    out = _clone_transcript(transcript)
+    blk = next(b for b in out.blocks if b.label == "matching")
+    if blk.values.size == 0:
+        return None
+    pos = rng.randrange(blk.values.size)
+    old = int(blk.values[pos])
+    blk.values[pos] = rng.choice([v for v in range(1, inst.n + 1) if v != old])
+    return out
+
+
 def _edge_key_items(inst, n):
     return [(undirected_key(u, v, n), c)
             for (u, v), c in inst.final_edges().items()]
@@ -237,20 +250,10 @@ class _SplitScheme(Scheme):
         """(tp, sp, line width) for the shape knob (t, s)."""
         return (*inner_split(n, s), s)
 
-    def _pair_claim(self, reader, label, point, expected, p, what) -> int:
-        """Grid total of a pair polynomial on the sketch's [tp] x [tp]."""
-        return check_grid_claim(reader, label, (self.tp, self.tp), point,
-                                expected, p, what)
-
     def _bump_pairs(self, tr, shift, p):
         """Shift the grid total of the last block, a pair polynomial."""
         tr.blocks[-1].shift_total(shift, p)
         return tr
-
-    def _charge_help(self, inst, member_lists, p):
-        """Summed pair polynomial over the given member lists, on its
-        nodes."""
-        return member_pair_charge(inst, member_lists, self.isc, p)
 
 
 @register
@@ -317,8 +320,9 @@ class MatchingFrugal(_SplitScheme):
                       line_check_help(sub, sup, p, "subset"), p)
         outside = [v for v in range(1, n + 1) if v not in set(witness)]
         tr.add_values("inside_pairs",
-                      self._charge_help(inst, [outside], p), p)
-        tr.add_values("block_pairs", self._charge_help(inst, blocks, p), p)
+                      member_pair_charge(inst, [outside], self.isc, p), p)
+        tr.add_values("block_pairs",
+                      member_pair_charge(inst, blocks, self.isc, p), p)
         return tr
 
     # verifier ----------------------------------------------------------
@@ -394,10 +398,11 @@ class MatchingFrugal(_SplitScheme):
             raise RejectError("duality count does not match claimed size")
 
         sub.finish(reader, "matching_subset", "matching containment")
-        total_in = self._pair_claim(reader, "inside_pairs", (r1, r2),
-                                    acc_inside, p, "outside-pair polynomial")
-        total_blk = self._pair_claim(reader, "block_pairs", (r1, r2),
-                                     acc_blocks, p, "block-pair polynomial")
+        grid = (self.tp, self.tp)
+        total_in = reader.grid_claim("inside_pairs", grid, (r1, r2),
+                                     acc_inside, "outside-pair polynomial")
+        total_blk = reader.grid_claim("block_pairs", grid, (r1, r2),
+                                      acc_blocks, "block-pair polynomial")
         if total_in != total_blk:
             raise RejectError("components leave cross edges unaccounted")
         return k
@@ -424,16 +429,7 @@ class MatchingFrugal(_SplitScheme):
         return self._bump_pairs(
             self._assemble(inst, matching, witness, blocks, p), gap, p)
 
-    def mutate_vertices(self, inst, transcript, p, rng):
-        out = _clone_transcript(transcript)
-        blk = out.blocks[1]  # the matching ids
-        if blk.values.size == 0:
-            return None
-        pos = rng.randrange(blk.values.size)
-        old = int(blk.values[pos])
-        repl = rng.choice([v for v in range(1, inst.n + 1) if v != old])
-        blk.values[pos] = repl
-        return out
+    mutate_vertices = _replace_matched_vertex
 
 
 @register
@@ -455,7 +451,7 @@ class MatchingLaconic(Scheme):
         self.edge_dims = line_check_dims(n * n, s)
 
     @classmethod
-    def configure(cls, inst, t=None, s=None, **kw):
+    def configure(cls, inst, t=None, s=None):
         if s is None:
             s = inst.n
         if s < 1:
@@ -608,16 +604,7 @@ class MatchingLaconic(Scheme):
         tr.blocks[-1].shift_total(gap, p)
         return tr
 
-    def mutate_vertices(self, inst, transcript, p, rng):
-        out = _clone_transcript(transcript)
-        blk = out.blocks[0]
-        if blk.values.size == 0:
-            return None
-        pos = rng.randrange(blk.values.size)
-        old = int(blk.values[pos])
-        blk.values[pos] = rng.choice([v for v in range(1, inst.n + 1)
-                                      if v != old])
-        return out
+    mutate_vertices = _replace_matched_vertex
 
 
 @register
@@ -688,7 +675,7 @@ class MaximalIndependentSet(_SplitScheme):
         tr.add_vertices("independent_set", members)
         tr.add_vertices("pointers", [x for pr in pointers for x in pr])
         tr.add_values("independent_pairs",
-                      self._charge_help(inst, [members], p), p)
+                      member_pair_charge(inst, [members], self.isc, p), p)
         sup = dense_indicator(_edge_key_items(inst, n), self.edge_dims)
         sub = dense_indicator([(undirected_key(v, u, n), 1)
                                for (v, u) in pointers], self.edge_dims)
@@ -747,8 +734,8 @@ class MaximalIndependentSet(_SplitScheme):
         if fp_part.value != fp_all.value:
             raise RejectError("set and pointer sources do not partition V")
 
-        if self._pair_claim(reader, "independent_pairs", (r1, r2), acc, p,
-                            "set-pair polynomial") != 0:
+        if reader.grid_claim("independent_pairs", (self.tp, self.tp),
+                             (r1, r2), acc, "set-pair polynomial") != 0:
             raise RejectError("claimed set is not independent")
         sub.finish(reader, "pointer_subset", "pointer containment")
         if inter.finish(reader, "partner_inter", "partner overlap") != 0:
@@ -869,8 +856,8 @@ class TopoSort(_SplitScheme):
         acc = int((hits * sketch.i2[xs[1:] - 1] % p).sum() % p)
         if fp_ord.value != fp_all.value:
             raise RejectError("order is not a permutation of V")
-        if self._pair_claim(reader, "forward_pairs", (r1, r2), acc, p,
-                            "forward-pair polynomial") != m % p:
+        if reader.grid_claim("forward_pairs", (self.tp, self.tp), (r1, r2),
+                             acc, "forward-pair polynomial") != m % p:
             raise RejectError("an edge points backward in the order")
         return tuple(order.tolist())
 
@@ -1099,7 +1086,7 @@ class Components(_SplitScheme):
         n = self.n
         tr = ProofTranscript()
         tr.add_scalars("component_count", [len(blocks)])
-        members_per_block = []
+        members = []
         tree_edges = []
         for block in blocks:
             tr.add_scalars("tree_block", block)
@@ -1108,14 +1095,14 @@ class Components(_SplitScheme):
                 v, _, par, _ = block[j:j + 4]
                 mem.append(v)
                 tree_edges.append((min(v, par), max(v, par)))
-            members_per_block.append(mem)
+            members.append(mem)
         sup = dense_indicator(_edge_key_items(inst, n), self.edge_dims)
         sub = dense_indicator([(undirected_key(a, b, n), 1)
                                for (a, b) in tree_edges], self.edge_dims)
         tr.add_values("tree_subset",
                       line_check_help(sub, sup, p, "subset"), p)
         tr.add_values("block_pairs",
-                      self._charge_help(inst, members_per_block, p), p)
+                      member_pair_charge(inst, members, self.isc, p), p)
         return tr
 
     def prove(self, inst, p: int) -> ProofTranscript:
@@ -1185,8 +1172,9 @@ class Components(_SplitScheme):
         if fp_part.value != fp_all.value:
             raise RejectError("blocks do not partition V")
         sub.finish(reader, "tree_subset", "tree containment")
-        if self._pair_claim(reader, "block_pairs", (r1, r2), acc_blocks, p,
-                            "block-pair polynomial") != (2 * m_total) % p:
+        if reader.grid_claim("block_pairs", (self.tp, self.tp), (r1, r2),
+                             acc_blocks, "block-pair polynomial"
+                             ) != (2 * m_total) % p:
             raise RejectError("blocks do not absorb every stream edge")
         return c
 

@@ -137,8 +137,8 @@ class Scheme:
 
     @classmethod
     def configure(cls, inst: GraphInstance,
-                  t: Optional[int] = None, s: Optional[int] = None,
-                  **kw) -> "Scheme":
+                  t: Optional[int] = None,
+                  s: Optional[int] = None) -> "Scheme":
         t, s = resolve_shape(inst.n, t, s)
         return cls(inst.n, t, s)
 
@@ -227,16 +227,21 @@ def _clone_transcript(transcript: ProofTranscript) -> ProofTranscript:
 # --- mutation policies ------------------------------------------------------
 
 
-def _flip_coefficient(scheme, inst, transcript, p, rng):
+def _flip_entry(transcript, picked, p, rng):
+    """Add a random nonzero residue to one entry of one nonempty block
+    that `picked` accepts; None when there is no such block."""
     out = _clone_transcript(transcript)
-    idxs = [i for i, b in enumerate(out.blocks) if b.kind == "coeffs"
-            and b.values.size]
+    idxs = [i for i, b in enumerate(out.blocks) if picked(b) and b.values.size]
     if not idxs:
         return None
     b = out.blocks[rng.choice(idxs)]
     pos = rng.randrange(b.values.size)
     b.values[pos] = (int(b.values[pos]) + rng.randrange(1, p)) % p
     return out
+
+
+def _flip_coefficient(scheme, inst, transcript, p, rng):
+    return _flip_entry(transcript, lambda b: b.kind == "coeffs", p, rng)
 
 
 def _truncate_block(scheme, inst, transcript, p, rng):
@@ -266,16 +271,8 @@ def _lie_vertices(scheme, inst, transcript, p, rng):
 
 
 def _flip_round_scalar(scheme, inst, transcript, p, rng):
-    out = _clone_transcript(transcript)
-    idxs = [i for i, b in enumerate(out.blocks)
-            if b.kind == "scalars" and b.label in scheme.scalar_flip_labels
-            and b.values.size]
-    if not idxs:
-        return None
-    b = out.blocks[rng.choice(idxs)]
-    pos = rng.randrange(b.values.size)
-    b.values[pos] = (int(b.values[pos]) + rng.randrange(1, p)) % p
-    return out
+    return _flip_entry(transcript, lambda b: b.kind == "scalars" and
+                       b.label in scheme.scalar_flip_labels, p, rng)
 
 
 MUTATIONS = {

@@ -14,10 +14,10 @@ the coefficients of
     g(X) = sum_y chi~_S(X, y) * (1 - chi~_T(X, y))  (containment)
 
 of degree <= 2H-2. The verifier evaluates g(rho) from its two line
-arrays, compares with the claimed polynomial at rho, and reads off
-sum_{x in [H]} g(x), which on the grid counts exactly the relevant
-key overlaps when T is 0/1-valued (S may carry positive multiplicities
-when only a zero test is needed).
+arrays, and the transcript reader (`grid_claim`) checks the claimed
+polynomial at rho and reads off sum_{x in [H]} g(x), which on the grid
+counts exactly the relevant key overlaps when T is 0/1-valued (S may
+carry positive multiplicities when only a zero test is needed).
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .extension import (ShapeConfig, extend_rows, impulse_table, nd_eval,
-                        nd_grid_sum)
+from .extension import ShapeConfig, extend_rows, impulse_table
 from .stream import RejectError
 
 
@@ -90,21 +89,6 @@ class Fingerprint:
         self.value = (self.value + int(terms.sum())) % self.p
 
 
-def check_grid_claim(reader, label: str, grid, point, expected: int, p: int,
-                     what: str) -> int:
-    """Read one claimed polynomial and return its total over the grid.
-
-    The block holds 2g-1 coefficients along each axis of the grid
-    [g_1] x ... x [g_k] (degree at most 2g-2, the degree of a product of
-    two grid extensions); it must agree with the verifier's own value
-    `expected` at its random point.
-    """
-    tensor = reader.coeffs(label, tuple(2 * g - 1 for g in grid))
-    if nd_eval(tensor, point, p) != expected % p:
-        raise RejectError(f"{what} disagrees at the random point")
-    return nd_grid_sum(tensor, grid, p)
-
-
 class LineCheck:
     """Verifier state for one containment or intersection instance.
 
@@ -144,9 +128,8 @@ class LineCheck:
 
     def finish(self, reader, label: str, what: str = "line check") -> int:
         """Read the help polynomial; returns its sum over the row grid."""
-        total = check_grid_claim(reader, label, (self.H,), (self.rho,),
-                                 self.point_value(), self.p,
-                                 f"{what} polynomial")
+        total = reader.grid_claim(label, (self.H,), (self.rho,),
+                                  self.point_value(), f"{what} polynomial")
         if self.mode == "subset" and total != 0:
             raise RejectError(f"{what}: containment violated")
         return total

@@ -28,8 +28,7 @@ import numpy as np
 
 from .edgecount import (LineArray, adjacency_matrix, degree_grid, extend_x,
                         line_rows)
-from .extension import (dot_mod, eval_on_nodes, extend_rows, impulse_block,
-                        impulse_table, nd_eval, power_moments, power_sums,
+from .extension import (dot_mod, extend_rows, impulse_block, impulse_table,
                         power_table)
 from .field import FieldConfig, fe_random
 from .graphapps import _cached
@@ -68,7 +67,7 @@ class _BallAudit:
     """
 
     def __init__(self, scheme, inst, p, rng, meter):
-        n, t = scheme.n, scheme.t
+        n = scheme.n
         self.n, self.sc, self.p = n, scheme.sc, p
         self.src = src = inst.source
         self.r1, self.r2 = fe_random(rng, p), fe_random(rng, p)
@@ -93,8 +92,6 @@ class _BallAudit:
         self.g0 = int((d_[u == src] * b0pow[v[u == src] - 1] % p).sum()
                       + (d_[v == src] * b0pow[u[v == src] - 1] % p).sum()) % p
         self.psi_prev = self.psi_cur = self.b1pow[src - 1]
-        self.S_X = power_sums(t, 2 * t - 1, p)
-        self.tau = power_moments(self.betapow, n, p)  # sum_v beta^v v^j
 
     def _next_ball(self, q):
         """Ball line and fingerprint of {source} plus the support of q."""
@@ -124,14 +121,13 @@ class _BallAudit:
 
     def round(self, reader, d):
         """Audit round d; returns its degree vector."""
-        p = self.p
-        C = reader.coeffs("ball_poly", (2 * self.sc.t - 1, self.n))
+        p, t = self.p, self.sc.t
         rhs = int((self.ball.arr * self.asketch.arr % p).sum() % p)
-        if nd_eval(C, (self.r1, self.r2), p) != rhs:
-            raise RejectError(
-                f"round {d}: ball polynomial wrong at random point")
-        rows = (self.S_X[:, None] * C % p) * self.tau[None, :] % p
-        link = int((rows.sum(axis=1) % p).sum() % p)
+        ball = reader.claim(
+            "ball_poly", (2 * t - 1, self.n), (self.r1, self.r2), rhs,
+            f"round {d}: ball polynomial wrong at random point")
+        # sum_{x in [t], v in [n]} beta^v ball(x, v): the degrees' fingerprint
+        link = ball.total((t, self.betapow))
         qd = reader.scalars("round_degrees", self.n) % p
         if int((qd * self.betapow % p).sum() % p) != link:
             raise RejectError(f"round {d}: degree fingerprints disagree")
@@ -356,7 +352,7 @@ class _WeightedScheme(Scheme):
         self.W = W
 
     @classmethod
-    def configure(cls, inst, t=None, s=None, **kw):
+    def configure(cls, inst, t=None, s=None):
         return cls(inst.n, inst.W)
 
     def auto_field(self, inst):
@@ -502,15 +498,14 @@ class SsspWeightedTurnstile(_WeightedScheme):
         M = W * (n - 1) + 1
         meter.alloc("round_values", n)
         for d in range(1, Dhat):
-            C = reader.coeffs("round_poly", (M,))
-            grid, pt = eval_on_nodes(C, n, p), nd_eval(C, (rho,), p)
             # the selector of weight w = d + 1 - dist at each row sketch
             rhs = sum(impulse_table(int(row[v - 1]) + 1, W + 1, p)[d + 1 - dv]
                       for v, dv in enumerate(dist[1:], 1)
-                      if dv is not None and d - W < dv <= d) % p
-            if pt != rhs:
-                raise RejectError(
-                    f"round {d}: relaxation polynomial wrong at random point")
+                      if dv is not None and d - W < dv <= d)
+            grid = reader.claim(
+                "round_poly", (M,), (rho,), rhs,
+                f"round {d}: relaxation polynomial wrong at random point"
+            ).on_nodes(n)
             for u in range(1, n + 1):
                 if dist[u] is None and grid[u - 1]:
                     dist[u] = d + 1
@@ -682,13 +677,12 @@ class SsspWeightedVanilla(_WeightedScheme):
         Dhat = int(labs[labs < SENT].max(initial=0))
         meter.alloc("round_values", n)
         for d in range(Dhat):
-            C = reader.coeffs("round_poly", (n,))
             # round d counts the relaxations by weight w = d + 1 - label
             near = np.flatnonzero((labs <= d) & (labs > d - W))
-            if nd_eval(C, (rho,), p) != int(F[near, d - labs[near]].sum()) % p:
-                raise RejectError(
-                    f"round {d}: relaxation count wrong at sketch point")
-            if (eval_on_nodes(C, n, p).astype(bool) & (labs > d + 1)).any():
+            counts = reader.claim(
+                "round_poly", (n,), (rho,), int(F[near, d - labs[near]].sum()),
+                f"round {d}: relaxation count wrong at sketch point")
+            if (counts.on_nodes(n).astype(bool) & (labs > d + 1)).any():
                 raise RejectError(
                     f"round {d}: a label exceeds its relaxation round")
         meter.free("round_values")

@@ -41,11 +41,14 @@ block's values with one numpy call, and goes through int() value by
 value only where that call refuses the text.
 
 The coefficient form is this module's wire format, and no other module
-builds or edits it. A prover hands `add_values` a help polynomial's
+builds, edits or reads it. A prover hands `add_values` a help polynomial's
 values on the nodes 1..m of each axis (1..2g-1 for a product of two
 extensions of the grid [g]), and the writer interpolates them. A lie
 edits a block through `Block.add_values` or `Block.shift_total`, which
-reads the grid off the block's own shape.
+reads the grid off the block's own shape. A verifier reads a block
+through `TranscriptReader.claim` (or `grid_claim`, by the same 2g-1 rule),
+which rejects unless it takes the verifier's own value at its random
+point and then gives back only grid totals or values on the nodes.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ from typing import Optional
 import numpy as np
 
 from .extension import (coeffs_from_serial, coeffs_from_values_nd,
-                        coeffs_to_serial, grid_bump)
+                        coeffs_to_serial, eval_on_nodes, grid_bump, nd_eval,
+                        nd_grid_sum)
 
 MODELS = ("turnstile", "vanilla", "weighted", "adjlist")
 
@@ -643,9 +647,9 @@ class Block:
         """Shift the grid total of a help polynomial by `shift`, in place.
 
         2g-1 coefficients on an axis mean the grid [g], as
-        `setops.check_grid_claim` reads them. Adds shift times the product
-        of the axes' grid bumps to the low corner of the block, so a
-        forged claim keeps its degree bounds.
+        `TranscriptReader.grid_claim` reads them. Adds shift times the
+        product of the axes' grid bumps to the low corner of the block, so
+        a forged claim keeps its degree bounds.
         """
         grid = [(w + 1) // 2 for w in self.shape]
         bump = np.full((), shift % p, dtype=np.int64)
@@ -786,7 +790,10 @@ class TranscriptReader:
     def at_end(self) -> bool:
         return self._pos >= len(self._blocks)
 
-    def _next(self, label: str, kind: str) -> Block:
+    def _next(self, label: str, kind: str, count: Optional[int] = None,
+              noun: str = "values") -> np.ndarray:
+        """Values of the next block, which must be the `kind` block `label`
+        and, when `count` is given, hold that many."""
         if self.at_end():
             raise RejectError(f"missing help block {label}")
         b = self._blocks[self._pos]
@@ -794,36 +801,62 @@ class TranscriptReader:
             raise RejectError(f"expected {kind} block {label}, "
                               f"got {b.kind} {b.label}")
         self._pos += 1
-        return b
-
-    def scalar(self, label: str) -> int:
-        b = self._next(label, "scalars")
-        if b.values.size != 1:
-            raise RejectError(f"block {label} should hold one value")
-        return int(b.values[0])
-
-    def scalars(self, label: str, count: Optional[int] = None) -> np.ndarray:
-        b = self._next(label, "scalars")
         if count is not None and b.values.size != count:
-            raise RejectError(f"block {label}: expected {count} values, "
+            raise RejectError(f"block {label}: expected {count} {noun}, "
                               f"got {b.values.size}")
         return b.values
+
+    def scalar(self, label: str) -> int:
+        vals = self._next(label, "scalars")
+        if vals.size != 1:
+            raise RejectError(f"block {label} should hold one value")
+        return int(vals[0])
+
+    def scalars(self, label: str, count: Optional[int] = None) -> np.ndarray:
+        return self._next(label, "scalars", count)
 
     def vertices(self, label: str,
                  count: Optional[int] = None) -> np.ndarray:
-        b = self._next(label, "vertices")
-        if count is not None and b.values.size != count:
-            raise RejectError(f"block {label}: expected {count} ids, "
-                              f"got {b.values.size}")
-        return b.values
+        return self._next(label, "vertices", count, "ids")
 
     def coeffs(self, label: str, shape: tuple) -> np.ndarray:
-        b = self._next(label, "coeffs")
-        expect = int(np.prod(shape))
-        if b.values.size != expect:
-            raise RejectError(f"block {label}: expected {expect} "
-                              f"coefficients, got {b.values.size}")
-        if b.values.size and not (0 <= b.values.min()
-                                  and b.values.max() < self.p):
+        vals = self._next(label, "coeffs", math.prod(shape), "coefficients")
+        if vals.size and not (0 <= vals.min() and vals.max() < self.p):
             raise RejectError(f"block {label}: coefficient outside [0, p)")
-        return coeffs_from_serial(b.values, tuple(shape))
+        return coeffs_from_serial(vals, tuple(shape))
+
+    def claim(self, label: str, shape: tuple, point, expected: int,
+              reason: str) -> "Claim":
+        """Read a coefficient block of `shape`; reject with `reason`
+        unless it equals the verifier's own value `expected` at `point`."""
+        tensor = self.coeffs(label, shape)
+        if nd_eval(tensor, point, self.p) != expected % self.p:
+            raise RejectError(reason)
+        return Claim(tensor, self.p)
+
+    def grid_claim(self, label: str, grid, point, expected: int,
+                   what: str) -> int:
+        """Read a product of two extensions of [g_1] x ... x [g_k], 2g-1
+        coefficients on each axis, checked as `claim` does; returns its
+        total over the grid."""
+        return self.claim(label, tuple(2 * g - 1 for g in grid), point,
+                          expected, f"{what} disagrees at the random point"
+                          ).total(grid)
+
+
+class Claim:
+    """A help polynomial that took the verifier's value at its random
+    point: what the verifier may read off it, not its coefficients."""
+
+    def __init__(self, tensor: np.ndarray, p: int):
+        self._tensor, self._p = tensor, p
+
+    def total(self, grid) -> int:
+        """Sum over [g_1] x ... x [g_k]. An axis given as weights w
+        instead sums w[u-1] times the value at u over the nodes
+        u = 1..len(w)."""
+        return nd_grid_sum(self._tensor, grid, self._p)
+
+    def on_nodes(self, m: int) -> np.ndarray:
+        """Values of a univariate claim on the nodes 1..m."""
+        return eval_on_nodes(self._tensor, m, self._p)

@@ -35,7 +35,7 @@ from .extension import dot_mod, impulse_table, mat_mulmod, reduce_mod
 from .field import fe_random
 from .oracle import oracle_triangles
 from .protocol import Scheme, register, _clone_transcript
-from .setops import Fingerprint, check_grid_claim, directed_key
+from .setops import Fingerprint, directed_key
 from .stream import ProofTranscript, RejectError
 
 
@@ -124,8 +124,8 @@ class TrianglesLaconic(_TriangleBase):
                                     + delta * imp[xb - 1]) % p
             table[b - 1, ya - 1] = (table[b - 1, ya - 1]
                                     + delta * imp[xa - 1]) % p
-        return check_grid_claim(reader, "charge_poly", (t,), (r,), acc, p,
-                                "charge polynomial")
+        return reader.grid_claim("charge_poly", (t,), (r,), acc,
+                                 "charge polynomial")
 
 
 @register
@@ -200,8 +200,8 @@ class TrianglesFrugal(_TriangleBase):
                                + delta * i1[x - 1] * i3[other - 1]) % p
                 row2[y - 1] = (row2[y - 1]
                                + delta * i2[x - 1] * i3[other - 1]) % p
-        return check_grid_claim(reader, "charge_poly", (t, t, n),
-                                (r1, r2, r3), acc, p, "charge polynomial")
+        return reader.grid_claim("charge_poly", (t, t, n), (r1, r2, r3),
+                                 acc, "charge polynomial")
 
 
 @register
@@ -271,8 +271,8 @@ class TrianglesSparse(_TriangleBase):
         acc = sketch.bilinear(b1.rows(lists), b2.rows(lists))
         if fp_replay.value != fp_in.value:
             raise RejectError("replayed neighborhoods do not match stream")
-        total = check_grid_claim(reader, "charge_poly", (t, t), (r1, r2),
-                                 acc, p, "charge polynomial")
+        total = reader.grid_claim("charge_poly", (t, t), (r1, r2), acc,
+                                  "charge polynomial")
         if total % 6 != 0:
             raise RejectError("pair total is not a multiple of six")
         return total // 6
@@ -353,8 +353,8 @@ class TrianglesAdjList(_TriangleBase):
             if new.any():
                 sketch.add_sym(v[lo:hi][new], u[lo:hi][new])
             acc = (acc + sketch.bilinear(lines1[k], lines2[k])) % p
-        total = check_grid_claim(reader, "charge_poly", (t, t), (r1, r2),
-                                 acc, p, "charge polynomial")
+        total = reader.grid_claim("charge_poly", (t, t), (r1, r2), acc,
+                                  "charge polynomial")
         if total % 4 != 0:
             raise RejectError("pair total is not a multiple of four")
         return total // 4

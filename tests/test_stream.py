@@ -1,6 +1,8 @@
 """Stream grammar, instance round trips, proof transcript encoding."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,9 @@ from hypothesis import strategies as st
 
 from annostream import stream as stream_mod
 from annostream.extension import nd_eval
-from annostream.setops import check_grid_claim
 from annostream.stream import (DELTA_BOUND, MODELS, AdjItem, EdgeToken,
                                GraphInstance, ParseError, ProofTranscript,
-                               SetMember, SetQuery, parse_stream,
+                               RejectError, SetMember, SetQuery, parse_stream,
                                serialize_stream)
 
 
@@ -206,11 +207,11 @@ def test_add_values_round_trips_every_node(shape, p, seed):
 
 
 def _grid_total(tr, grid, p) -> int:
-    """check_grid_claim's total of block "h", claimed at a point it holds."""
+    """The reader's grid total of block "h", claimed at a point it holds."""
     shape = tuple(2 * g - 1 for g in grid)
     point = tuple(range(p - 1, p - 1 - len(grid), -1))
     at = nd_eval(tr.reader(p).coeffs("h", shape), point, p)
-    return check_grid_claim(tr.reader(p), "h", grid, point, at, p, "h")
+    return tr.reader(p).grid_claim("h", grid, point, at, "h")
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,6 +244,81 @@ def test_block_add_values_equals_adding_on_the_nodes(shape, p, seed):
     both = ProofTranscript()
     both.add_values("h", a + b, p)
     assert loaded.dump() == both.dump()
+
+
+def _at(coeffs, point, p) -> int:
+    """Python-int value of a coefficient tensor at a point."""
+    return sum(int(c) * np.prod([pow(x, e, p) for x, e in zip(point, exps)],
+                                dtype=object)
+               for exps, c in np.ndenumerate(coeffs)) % p
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       p=st.sampled_from(_PRIMES), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_reader_claims_read_what_the_polynomial_gives(grid, p, seed, data):
+    shape = tuple(2 * g - 1 for g in grid)
+    tr = ProofTranscript()
+    tr.add_values("h", _node_values(shape, p, seed), p)
+    coeffs = tr.reader(p).coeffs("h", shape)
+    on = _on_nodes(coeffs, p)
+    point = tuple(data.draw(st.integers(0, p - 1)) for _ in grid)
+    at = _at(coeffs, point, p)
+
+    on_grid = on[tuple(slice(g) for g in grid)]
+    assert tr.reader(p).grid_claim("h", grid, point, at, "h") == \
+        on_grid.sum() % p
+    # each axis summed over a grid [g] or weighed by w[u-1] at u = 1..len(w)
+    axes = [data.draw(st.one_of(
+        st.integers(1, m),
+        st.lists(st.integers(0, p - 1), min_size=1, max_size=m)))
+        for m in shape]
+    want = on
+    for axis in reversed(axes):
+        w = [1] * axis if isinstance(axis, int) else axis
+        want = np.tensordot(want[..., :len(w)], np.array(w, dtype=object),
+                            axes=([-1], [0])) % p
+    claim = tr.reader(p).claim("h", shape, point, at, "r")
+    assert claim.total(axes) == want
+    if len(shape) == 1:
+        m = data.draw(st.integers(0, 12))
+        assert claim.on_nodes(m).tolist() == [
+            _at(coeffs, (u,), p) for u in range(1, m + 1)]
+
+    with pytest.raises(RejectError) as exc:
+        tr.reader(p).claim("h", shape, point, at + 1, "the reason given")
+    assert exc.value.reason == "the reason given"
+    with pytest.raises(RejectError) as exc:
+        tr.reader(p).grid_claim("h", grid, point, at + 1, "h")
+    assert exc.value.reason == "h disagrees at the random point"
+
+
+# what only `stream` and `extension` may name: the coefficient form, its
+# serial order, and the evaluations that read it
+_COEFFICIENT_FORM = {
+    "nd_eval", "nd_grid_sum", "eval_on_nodes", "power_sums", "power_moments",
+    "coeffs_from_serial", "coeffs_to_serial", "coeffs_from_values_1d",
+    "coeffs_from_values_nd", "graded_lex_perm", "grid_bump"}
+
+
+def test_only_stream_and_extension_touch_the_coefficient_form():
+    found = []
+    for path in sorted(Path(stream_mod.__file__).parent.glob("*.py")):
+        if path.stem in ("stream", "extension"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names} & _COEFFICIENT_FORM
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr} & _COEFFICIENT_FORM
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)):
+                names = {node.func.attr} & {"coeffs"}
+            else:
+                names = set()
+            found += [f"{path.name}:{node.lineno} {n}" for n in names]
+    assert not found
 
 
 def test_transcript_reader_enforces_order_and_shape():
