@@ -146,7 +146,8 @@ def pair_charge(left, right, adj_hat, p) -> np.ndarray:
 
 
 def adjacency_matrix(inst, p, directed=False) -> np.ndarray:
-    """Final edge multiplicities mod p as an n x n matrix.
+    """Final edge weights (`GraphInstance.weighted_edges`) mod p as an
+    n x n matrix.
 
     Symmetric by default; `directed` counts each edge token u -> v in
     row u only.
@@ -157,11 +158,9 @@ def adjacency_matrix(inst, p, directed=False) -> np.ndarray:
         u, v = inst.edges[:2]
         np.add.at(adj, (u - 1, v - 1), 1)
     elif inst.final_edges():
-        edges = inst.final_edges()
-        lo, hi = np.array(list(edges), dtype=np.int64).T - 1
-        c = np.array(list(edges.values()), dtype=np.int64) % p
-        adj[lo, hi] = c
-        adj[hi, lo] = c
+        lo, hi, c = np.array(inst.weighted_edges(), dtype=np.int64).T
+        adj[lo - 1, hi - 1] = c
+        adj[hi - 1, lo - 1] = c
     return adj % p
 
 

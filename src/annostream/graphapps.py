@@ -58,10 +58,12 @@ def _cached(inst, key: str, build):
 
 
 def _final_graph(inst) -> nx.Graph:
+    """The final edges on the vertices 1..n, each carrying its weight
+    (`GraphInstance.weighted_edges`) as "weight"."""
     def build():
         G = nx.Graph()
         G.add_nodes_from(range(1, inst.n + 1))
-        G.add_edges_from(inst.final_edges())
+        G.add_weighted_edges_from(inst.weighted_edges())
         return G
     return _cached(inst, "graph", build)
 
@@ -165,10 +167,8 @@ def _even_vertices(G, matching) -> set:
 
 
 def _components_outside(inst, witness) -> list:
-    G = _final_graph(inst)
-    H = G.subgraph([v for v in G if v not in set(witness)])
-    return sorted((sorted(c) for c in nx.connected_components(H)),
-                  key=lambda c: c[0])
+    outside = set(range(1, inst.n + 1)) - set(witness)
+    return _groups(outside, inst.final_edges())
 
 
 def _groups(vertices, edges) -> list:
@@ -1062,8 +1062,8 @@ class Components(_SplitScheme):
         def build():
             G = _final_graph(inst)
             blocks = []
-            for comp in sorted(nx.connected_components(G), key=min):
-                root = min(comp)
+            for comp in _groups(range(1, inst.n + 1), inst.final_edges()):
+                root = comp[0]
                 T = nx.bfs_tree(G.subgraph(comp), root)
                 order = list(T.nodes())
                 idx = {v: i for i, v in enumerate(order)}

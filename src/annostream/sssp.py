@@ -31,23 +31,12 @@ from .edgecount import (LineArray, adjacency_matrix, degree_grid, extend_x,
 from .extension import (dot_mod, extend_rows, impulse_block, impulse_table,
                         power_table)
 from .field import FieldConfig, fe_random
-from .graphapps import _cached
+from .graphapps import _cached, _edge_key_items, _final_graph
 from .oracle import oracle_bfs, oracle_dijkstra
 from .protocol import Scheme, register, _clone_transcript
 from .setops import (LineCheck, dense_indicator, line_check_help,
                      undirected_key, weighted_key)
 from .stream import ProofTranscript, RejectError
-
-
-def _mult_weighted_graph(inst) -> nx.Graph:
-    """Aggregated turnstile stream as a weighted graph."""
-    def build():
-        G = nx.Graph()
-        G.add_nodes_from(range(1, inst.n + 1))
-        for (u, v), c in inst.final_edges().items():
-            G.add_edge(u, v, weight=int(c))
-        return G
-    return _cached(inst, "wgraph", build)
 
 
 def _horizon(dist) -> int:
@@ -363,16 +352,20 @@ class _WeightedScheme(Scheme):
     def oracle_value(self, inst):
         return tuple(oracle_dijkstra(inst)[1:])
 
-    def _weight_matrix(self, inst, edges, key) -> np.ndarray:
-        """Symmetric n x n matrix of the (u, v, weight) edges, cached
-        under `key`."""
+    def _labels(self, inst):
+        """(dist, prev) over the final graph's edge weights: the distance
+        from the source (None where unreached) and the least predecessor
+        on a shortest path (0 at the source and where unreached)."""
         def build():
-            Wmat = np.zeros((self.n, self.n), dtype=np.int64)
-            for (u, v, w) in edges:
-                Wmat[u - 1, v - 1] = w
-                Wmat[v - 1, u - 1] = w
-            return Wmat
-        return _cached(inst, key, build)
+            preds, dmap = nx.dijkstra_predecessor_and_distance(
+                _final_graph(inst), inst.source)
+            dist = [None] * (inst.n + 1)
+            prev = [0] * (inst.n + 1)
+            for v, d in dmap.items():
+                dist[v] = int(d)
+                prev[v] = min(preds[v], default=0)
+            return dist, prev
+        return _cached(inst, f"wlabels:{inst.source}", build)
 
     def _crossing_keys(self, reached) -> np.ndarray:
         """Keys of the vertex pairs with exactly one end in `reached`."""
@@ -383,13 +376,13 @@ class _WeightedScheme(Scheme):
         cross = inside[u + 1] != inside[v + 1]
         return undirected_key(u[cross] + 1, v[cross] + 1, n)
 
-    def _frontier_help(self, edges, reached, p) -> np.ndarray:
-        """Intersection help, on its nodes, for the (u, v, count) edges
-        against the pairs that cross out of `reached`."""
+    def _frontier_help(self, inst, reached, p) -> np.ndarray:
+        """Intersection help, on its nodes, for the final edges against the
+        pairs that cross out of `reached`."""
         n = self.n
-        items = [(undirected_key(u, v, n), c) for (u, v, c) in edges]
         crossing = [(key, 1) for key in self._crossing_keys(reached).tolist()]
-        return line_check_help(dense_indicator(items, (n, n)),
+        return line_check_help(dense_indicator(_edge_key_items(inst, n),
+                                               (n, n)),
                                dense_indicator(crossing, (n, n)), p,
                                "intersect")
 
@@ -420,26 +413,14 @@ class SsspWeightedTurnstile(_WeightedScheme):
 
     # prover ------------------------------------------------------------
 
-    def _distances(self, inst) -> list:
-        def build():
-            dmap = nx.single_source_dijkstra_path_length(
-                _mult_weighted_graph(inst), inst.source)
-            dist = [None] * (inst.n + 1)
-            for v, d in dmap.items():
-                dist[v] = int(d)
-            return dist
-        return _cached(inst, f"wdist:{inst.source}", build)
-
     def prove(self, inst, p: int) -> ProofTranscript:
         n, W = self.n, self.W
-        dist = self._distances(inst)
+        dist = self._labels(inst)[0]
         Dhat = _horizon(dist)
         tr = ProofTranscript()
         tr.add_scalars("horizon", [Dhat])
         M = W * (n - 1) + 1
-        edges = [(u, v, c) for (u, v), c in inst.final_edges().items()]
-        Vals = extend_rows(self._weight_matrix(inst, edges, "wmat"), p,
-                           count=M)
+        Vals = extend_rows(adjacency_matrix(inst, p), p, count=M)
         # the weight-w selector over the nodes {0..W} is the impulse at
         # w+1 over [W+1]: column w of each reached vertex's block
         sel = {v: impulse_block(Vals[:, v - 1] + 1, W + 1, p)
@@ -449,13 +430,13 @@ class SsspWeightedTurnstile(_WeightedScheme):
                       if d - W < dist[v] <= d), np.zeros(M, dtype=np.int64))
             tr.add_values("round_poly", pv, p)
         tr.add_values("frontier_inter",
-                      self._frontier_help(edges, set(sel), p), p)
+                      self._frontier_help(inst, set(sel), p), p)
         return tr
 
     def hcost_bound(self, inst) -> int:
         n, W = self.n, self.W
         M = W * (n - 1) + 1
-        Dhat = _horizon(self._distances(inst))
+        Dhat = _horizon(self._labels(inst)[0])
         return 1 + max(Dhat - 1, 0) * M + (2 * n - 1)
 
     def vcost_bound(self, inst) -> int:
@@ -521,7 +502,7 @@ class SsspWeightedTurnstile(_WeightedScheme):
 
     def mutate_output(self, inst, transcript, p, rng):
         n, src = self.n, inst.source
-        dist = self._distances(inst)
+        dist = self._labels(inst)[0]
         Dhat = int(transcript.blocks[0].values[0])
         if Dhat < 2:
             return None
@@ -557,30 +538,6 @@ class SsspWeightedVanilla(_WeightedScheme):
 
     # prover ------------------------------------------------------------
 
-    def _graph(self, inst) -> nx.Graph:
-        def build():
-            G = nx.Graph()
-            G.add_nodes_from(range(1, inst.n + 1))
-            for (u, v, w) in inst.weighted_edges():
-                G.add_edge(u, v, weight=int(w))
-            return G
-        return _cached(inst, "wvgraph", build)
-
-    def _labels(self, inst):
-        def build():
-            src = inst.source
-            preds, dmap = nx.dijkstra_predecessor_and_distance(
-                self._graph(inst), src)
-            dist = [None] * (inst.n + 1)
-            prev = [0] * (inst.n + 1)
-            for v, d in dmap.items():
-                dist[v] = int(d)
-            for v in range(1, inst.n + 1):
-                if v != src and dist[v] is not None:
-                    prev[v] = min(preds[v])
-            return dist, prev
-        return _cached(inst, f"wvlabels:{inst.source}", build)
-
     def _assemble(self, inst, dist, prev, p, zero_entry=None):
         n, W, src = self.n, self.W, inst.source
         SENT = W * (n - 1) + 1
@@ -589,7 +546,7 @@ class SsspWeightedVanilla(_WeightedScheme):
         tr = ProofTranscript()
         tr.add_scalars("distance_labels", labs.tolist())
         tr.add_scalars("parent_labels", list(prev[1:]))
-        Wmat = self._weight_matrix(inst, inst.weighted_edges(), "wvmat")
+        Wmat = adjacency_matrix(inst, p)
         for d in range(Dhat):
             # the neighbours of the vertices labelled d + 1 - w by weight w
             near = np.flatnonzero((labs <= d) & (labs > d - W))
@@ -607,9 +564,8 @@ class SsspWeightedVanilla(_WeightedScheme):
             dense_indicator(tree, wdims),
             dense_indicator(edges, wdims), p, "subset"), p)
         reached = {v for v in range(1, n + 1) if dist[v] is not None}
-        tr.add_values("frontier_inter", self._frontier_help(
-            [(u, v, 1) for (u, v, w) in inst.weighted_edges()], reached, p),
-            p)
+        tr.add_values("frontier_inter",
+                      self._frontier_help(inst, reached, p), p)
         return tr
 
     def prove(self, inst, p: int) -> ProofTranscript:
@@ -699,7 +655,7 @@ class SsspWeightedVanilla(_WeightedScheme):
     def mutate_output(self, inst, transcript, p, rng):
         n, W, src = self.n, self.W, inst.source
         dist, prev = self._labels(inst)
-        Wmat = self._weight_matrix(inst, inst.weighted_edges(), "wvmat")
+        Wmat = adjacency_matrix(inst, p)
         children = {prev[x] for x in range(1, n + 1)
                     if x != src and dist[x] is not None}
         cands = []

@@ -24,13 +24,18 @@ chunks of about 64 KiB of lines into read-only int64 columns
 (u, v, delta, w), one row per edge token or adjacency item, and each
 query-set line into one pair (U, W) of read-only vertex columns. An edge
 body chunk (turnstile, vanilla, weighted), cut before its first query-set
-line, is read into an (rows x width) int64 table by one numpy call; text
-that call refuses goes through Python's int() field by field instead,
-which names the field or line at fault and also reads the spellings
-int() takes and numpy does not (1_0, non-ASCII digits). Verifiers feed
+line, is read into an (rows x width) int64 table by one numpy call if it
+is all ASCII; any other text, and text that call refuses, goes through
+Python's int() field by field instead, which names the field or line at
+fault and also reads the spellings int() takes and numpy does not (1_0,
+non-ASCII digits). int() is the one grammar for integers: numpy reads
+some code points that are not digits as numbers (numpy 2.4 reads U+0903
+as 2259), so it never sees text that is not ASCII. Verifiers feed
 each column to a linear sketch in one call; `final_edges()` is built once
 per instance; `tokens` is a read-only token view, built only when it is
-walked.
+walked. `weighted_edges()` states the one edge-weight rule: a final
+edge weighs its w on a weighted stream and its net multiplicity on any
+other.
 
 A ProofTranscript is an ordered list of labeled blocks, each either a
 coefficient block (serialized in graded lexicographic monomial order,
@@ -38,7 +43,7 @@ lowest total degree first), a scalar list, or a vertex-id list. Help cost
 is the total number of field elements / ids across blocks; labels and
 block boundaries are free framing. `ProofTranscript.load` reads each
 block's values with one numpy call, and goes through int() value by
-value only where that call refuses the text.
+value where the block is not ASCII or that call refuses the text.
 
 The coefficient form is this module's wire format, and no other module
 builds, edits or reads it. A prover hands `add_values` a help polynomial's
@@ -320,6 +325,10 @@ class GraphInstance:
         return list(zip(u.tolist(), v.tolist()))
 
     def weighted_edges(self) -> list:
+        """(min, max, weight) per final edge: its w on a weighted stream,
+        its net multiplicity on any other."""
+        if self.model != "weighted":
+            return [(u, v, c) for (u, v), c in self.final_edges().items()]
         u, v, _, w = self.edges
         return list(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist(),
                         w.tolist()))
@@ -434,7 +443,7 @@ class _BodyParser:
             if "U" in chunk:
                 cut = next((j for j, raw in enumerate(lines)
                             if raw.lstrip().startswith(_SET_LINE)), cut)
-            self._edge_rows(lines[:cut])
+            self._edge_rows(lines[:cut], chunk.isascii())
             if cut < len(lines):
                 self._query_lines(lines[cut:])
 
@@ -479,8 +488,8 @@ class _BodyParser:
         return self._ints(chain.from_iterable(rows), width * len(rows),
                           check_row).reshape(-1, width)
 
-    def _edge_rows(self, lines: list):
-        vals = _int_table(lines, "#")
+    def _edge_rows(self, lines: list, is_ascii: bool):
+        vals = _int_table(lines, "#") if is_ascii else None
         if vals is None or vals.shape[1] != self.width:
             vals = self._edge_table(lines)
         if not vals.size:
@@ -760,8 +769,10 @@ class ProofTranscript:
 
 def _block_values(lines: list, label: str, count: int) -> np.ndarray:
     """A block's value lines as int64: one numpy read of them joined into
-    one row, or int() value by value where numpy refuses the text."""
-    table = _int_table([" ".join(lines)], None)
+    one row, or int() value by value where the row is not ASCII or numpy
+    refuses it."""
+    row = " ".join(lines)
+    table = _int_table([row], None) if row.isascii() else None
     vals = table[0] if table is not None else [
         _int_field(x, label) for line in lines for x in line.split()]
     if len(vals) != count:

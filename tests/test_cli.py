@@ -129,6 +129,16 @@ def test_run_malformed_file_exits_two(tmp_path):
     assert r.stderr.strip()
 
 
+def test_run_non_ascii_delta_exits_two(tmp_path):
+    # numpy's loadtxt reads U+0903 as 2259; only int() reads stream text
+    bad = tmp_path / "bad.stream"
+    bad.write_text("n=3 model=turnstile\n1 2 \u0903\nU: 1 2\n",
+                   encoding="utf-8")
+    r = run_cli("run", "--scheme", "edgecount-induced", "--input", str(bad))
+    assert r.returncode == 2
+    assert "bad delta" in r.stderr
+
+
 @pytest.mark.parametrize("header", ["n=3 model=weighted W=x",
                                     "n=3 model=vanilla source=abc",
                                     "n=3 model=vanilla target=1.5"])

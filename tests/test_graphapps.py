@@ -1,12 +1,15 @@
 """Matching, MIS, topological order, acyclicity, component count."""
 
+import ast
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annostream import graphapps
 from annostream.graphapps import _deficiency_witness, _final_graph
 from annostream.generators import (clique_edges, cycle_edges, dag_instance,
                                    digraph_instance, gnp_edges, path_edges,
@@ -249,3 +252,27 @@ def test_adversarial_catch_rate(name, builder):
     for policy in scheme.mutations:
         st = run_adversarial(scheme, inst, policy, trials=60, seed=17)
         assert st.accepted_wrong == 0, (name, policy)
+
+
+def test_only_graphapps_builds_a_graph_and_none_calls_components():
+    """The provers share one final graph (`graphapps._final_graph`) and one
+    components routine (`graphapps._groups`)."""
+    found = []
+    for path in sorted(Path(graphapps.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name == "connected_components" or (
+                    name == "Graph" and path.stem != "graphapps"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found
+
+
+def test_final_graph_carries_the_edge_weights():
+    inst = GraphInstance(4, "turnstile", tokens=[
+        EdgeToken(1, 2, 1), EdgeToken(2, 3, 1), EdgeToken(2, 1, 1),
+        EdgeToken(3, 4, 1), EdgeToken(4, 3, -1)])
+    G = _final_graph(inst)
+    assert sorted(G.edges(data="weight")) == [(1, 2, 2), (2, 3, 1)]

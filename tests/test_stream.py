@@ -47,6 +47,14 @@ def test_parse_weighted_needs_w_and_checks_range():
     assert inst.weighted_edges() == [(1, 2, 3), (2, 3, 4)]
 
 
+def test_weighted_edges_weigh_other_streams_by_net_multiplicity():
+    inst = parse_stream("n=4 model=turnstile\n3 1 2\n2 4 1\n1 3 1\n"
+                        "1 2 1\n4 2 -1\n")
+    assert inst.weighted_edges() == [(1, 3, 3), (1, 2, 1)]
+    inst = parse_stream("n=3 model=vanilla\n2 1\n3 2\n")
+    assert inst.weighted_edges() == [(1, 2, 1), (2, 3, 1)]
+
+
 def test_parse_header_errors():
     for bad in ("", "n=5\n1 2 1", "model=turnstile\n", "n=0 model=vanilla\n",
                 "n=5 model=quantum\n", "n=5 model=vanilla source=9\n",
@@ -670,6 +678,7 @@ def _odd_stream(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_odd_stream())
+@example("n=3 model=turnstile\n1 2 \u0903\n")
 def test_parser_matches_the_line_by_line_reference(text):
     try:
         header, tokens = reference_parse(text)
@@ -943,7 +952,7 @@ def reference_load(text):
 _EXTREME = st.sampled_from([2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1,
                             2 ** 64])
 _BAD_VALUE = st.sampled_from(["x", "1.5", "#", "0x1", "1__0", "_1", "--1",
-                              "1e3", "+", "1,2"])
+                              "1e3", "+", "1,2", "\u0903", "\U0001b48a"])
 
 
 @st.composite
@@ -981,6 +990,7 @@ def _odd_transcript(draw):
 @example("@a kind=scalars count=3\n1 # 3\n")
 @example("@a kind=scalars count=1\n1.0\n")
 @example("@a kind=vertices count=3\n1_0 \u0663\n+007\n")
+@example("@a kind=scalars count=2\n\u0903 \U0001b48a\n")
 @example("@a kind=coeffs count=2 shape=2\n9223372036854775808 1\n")
 @example("@a kind=scalars count=0\n\n! a note\n@b kind=scalars count=2\n"
          "-9223372036854775808\n\n 9223372036854775807\n")
