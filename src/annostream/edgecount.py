@@ -34,7 +34,7 @@ from .extension import (ShapeConfig, dot_mod, extend_rows, impulse_table,
                         mat_mulmod)
 from .field import fe_random
 from .oracle import oracle_cross_edges, oracle_induced_edges
-from .protocol import Scheme, register, _clone_transcript
+from .protocol import Scheme, register
 from .setops import add_to_line
 from .stream import ProofTranscript, RejectError
 
@@ -164,6 +164,17 @@ def adjacency_matrix(inst, p, directed=False) -> np.ndarray:
     return adj % p
 
 
+def stream_adjacency(inst, sc: ShapeConfig, p, directed=False
+                     ) -> np.ndarray:
+    """`grid_adjacency` of `adjacency_matrix` on the grid sc, built once per
+    instance and read-only."""
+    def build():
+        out = grid_adjacency(adjacency_matrix(inst, p, directed), sc, p)
+        out.setflags(write=False)  # cached: every caller shares this array
+        return out
+    return inst.cached(("grid_adjacency", sc.t, sc.s, p, directed), build)
+
+
 @lru_cache(maxsize=None)
 def degree_grid(t: int, p: int) -> np.ndarray:
     """Dt[w, x] = delta_x(w): the identity on [t] extended to 1..2t-1."""
@@ -180,8 +191,7 @@ def member_pair_charge(inst, member_lists, sc: ShapeConfig, p) -> np.ndarray:
     """
     Dt = degree_grid(sc.t, p)
     rows = line_rows(member_lists, sc, Dt, p)
-    adj_hat = grid_adjacency(adjacency_matrix(inst, p), sc, p)
-    return pair_charge(rows, rows, adj_hat, p)
+    return pair_charge(rows, rows, stream_adjacency(inst, sc, p), p)
 
 
 class _EdgeCountBase(Scheme):
@@ -211,7 +221,7 @@ class _EdgeCountBase(Scheme):
     def prove(self, inst, p: int) -> ProofTranscript:
         sc = self.sc
         Dt = degree_grid(self.t, p)
-        adj_hat = grid_adjacency(adjacency_matrix(inst, p), sc, p)
+        adj_hat = stream_adjacency(inst, sc, p)
         tr = ProofTranscript()
         us: list = []
         ws: list = []
@@ -254,7 +264,7 @@ class _EdgeCountBase(Scheme):
         return tuple(values)
 
     def mutate_output(self, inst, transcript, p, rng):
-        out = _clone_transcript(transcript)
+        out = transcript.copy()
         step = 1 if self.query_arity == 2 else 2
         shift = step * rng.randrange(1, max(2, inst.n))
         out.blocks[rng.randrange(len(out.blocks))].shift_total(shift, p)

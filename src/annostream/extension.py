@@ -95,6 +95,14 @@ def _impulse_inv_denominators(size: int, p: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _inv_den_array(size: int, p: int) -> np.ndarray:
+    """_impulse_inv_denominators as a read-only int64 array."""
+    out = np.array(_impulse_inv_denominators(size, p), dtype=np.int64)
+    out.setflags(write=False)  # cached: every caller shares this array
+    return out
+
+
 def impulse_table(x: int, size: int, p: int) -> list:
     """[delta_u(x) for u in 1..size] in O(size) via prefix/suffix products."""
     prefix = [1] * (size + 1)
@@ -123,8 +131,7 @@ def impulse_block(xs, size: int, p: int) -> np.ndarray:
     suffix = np.ones((size + 2, m), dtype=np.int64)
     for u in range(size, 0, -1):
         suffix[u] = suffix[u + 1] * ((xs - u) % p) % p
-    inv_den = np.array(_impulse_inv_denominators(size, p), dtype=np.int64)
-    out = prefix[:-1].T * suffix[2:].T % p * inv_den[None, :] % p
+    out = prefix[:-1].T * suffix[2:].T % p * _inv_den_array(size, p) % p
     return out
 
 
@@ -366,8 +373,7 @@ def _interpolate_rows(values: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(f"{m} nodes are not distinct mod {p}")
     if not flat.size:
         return flat.copy()
-    inv_den = np.array(_impulse_inv_denominators(m, p), dtype=np.int64)
-    S = power_moments(flat * inv_den[:, None] % p, m, p)
+    S = power_moments(flat * _inv_den_array(m, p)[:, None] % p, m, p)
     # c_{jb+r} = sum_k a_{r+1+k} S_{k-jb}: one Hankel block against
     # q shifted copies of S, zero above the top
     b, q = _blocks(m, cols)
@@ -480,6 +486,21 @@ def _inverse_table(m: int, p: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _node_product(g: int, count: int, p: int) -> np.ndarray:
+    """P(x) = prod_{x' in [g]} (x - x') for x = g+1..count, as a read-only
+    column: P(g+1) = g!, and P(x+1) = P(x) * x * inv(x-g)."""
+    inv = _inverse_table(count, p)
+    P = [1]
+    for k in range(2, g + 1):
+        P[0] = P[0] * k % p
+    for x in range(g + 1, count):
+        P.append(P[-1] * x % p * int(inv[x - g]) % p)
+    out = np.array(P, dtype=np.int64)[:, None]
+    out.setflags(write=False)  # cached: every caller shares this array
+    return out
+
+
 # extend_rows builds its Toeplitz gather inv(x - u) in blocks of rows x of
 # at most this many int64 bytes, so its peak follows its output
 _GATHER_BYTES = 1 << 22
@@ -506,16 +527,8 @@ def extend_rows(values, p: int, count=None) -> np.ndarray:
     support = np.flatnonzero(flat.any(axis=1))
     if count > g and support.size:
         inv = _inverse_table(count, p)
-        inv_den = np.array(_impulse_inv_denominators(g, p),
-                           dtype=np.int64)[support]
-        # P(g+1) = g!, and P(x+1) = P(x) * x * inv(x-g)
-        P = [1]
-        for k in range(2, g + 1):
-            P[0] = P[0] * k % p
-        for x in range(g + 1, count):
-            P.append(P[-1] * x % p * int(inv[x - g]) % p)
-        P = np.array(P, dtype=np.int64)[:, None]
-        weights = flat[support] * inv_den[:, None] % p
+        P = _node_product(g, count, p)
+        weights = flat[support] * _inv_den_array(g, p)[support, None] % p
         step = max(1, _GATHER_BYTES // (8 * support.size))
         for lo in range(g, count, step):
             xs = np.arange(lo + 1, min(count, lo + step) + 1)

@@ -29,17 +29,16 @@ import math
 import networkx as nx
 import numpy as np
 
-from .edgecount import (LineArray, PairSketch, adjacency_matrix, degree_grid,
-                        grid_adjacency, line_rows, member_pair_charge,
-                        pair_charge)
-from .extension import ShapeConfig, dot_mod
+from .edgecount import (LineArray, PairSketch, degree_grid, line_rows,
+                        member_pair_charge, pair_charge, stream_adjacency)
+from .extension import ShapeConfig, dot_mod, extend_rows
 from .field import fe_random
 from .oracle import (oracle_acyclic, oracle_components, oracle_is_mis,
                      oracle_is_toposort, oracle_max_matching)
-from .protocol import Scheme, register, _clone_transcript
+from .protocol import Scheme, cached_build, register
 from .setops import (Fingerprint, LineCheck, dense_indicator, directed_key,
-                     line_check_dims, line_check_help, monomial,
-                     undirected_key)
+                     edge_extension, line_check_dims, line_check_help,
+                     monomial, undirected_key)
 from .stream import ProofTranscript, RejectError
 
 
@@ -50,13 +49,6 @@ def inner_split(n: int, s: int):
     return tp, sp
 
 
-def _cached(inst, key: str, build):
-    cache = inst.prover_cache
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
-
-
 def _final_graph(inst) -> nx.Graph:
     """The final edges on the vertices 1..n, each carrying its weight
     (`GraphInstance.weighted_edges`) as "weight"."""
@@ -65,7 +57,7 @@ def _final_graph(inst) -> nx.Graph:
         G.add_nodes_from(range(1, inst.n + 1))
         G.add_weighted_edges_from(inst.weighted_edges())
         return G
-    return _cached(inst, "graph", build)
+    return inst.cached("graph", build)
 
 
 def _maximum_matching(inst) -> list:
@@ -73,7 +65,7 @@ def _maximum_matching(inst) -> list:
     def build():
         m = nx.max_weight_matching(_final_graph(inst), maxcardinality=True)
         return sorted((min(a, b), max(a, b)) for a, b in m)
-    return _cached(inst, "matching", build)
+    return inst.cached("matching", build)
 
 
 def _deficiency_witness(inst) -> list:
@@ -94,7 +86,7 @@ def _deficiency_witness(inst) -> list:
         for v in dset:
             nbrs.update(G.neighbors(v))
         return sorted(nbrs - dset)
-    return _cached(inst, "witness", build)
+    return inst.cached("witness", build)
 
 
 def _even_vertices(G, matching) -> set:
@@ -215,7 +207,7 @@ def _in_range(ids, n) -> bool:
 def _replace_matched_vertex(scheme, inst, transcript, p, rng):
     """Vertex lie of both matching schemes: one id of the `matching` block
     replaced by another vertex."""
-    out = _clone_transcript(transcript)
+    out = transcript.copy()
     blk = next(b for b in out.blocks if b.label == "matching")
     if blk.values.size == 0:
         return None
@@ -223,11 +215,6 @@ def _replace_matched_vertex(scheme, inst, transcript, p, rng):
     old = int(blk.values[pos])
     blk.values[pos] = rng.choice([v for v in range(1, inst.n + 1) if v != old])
     return out
-
-
-def _edge_key_items(inst, n):
-    return [(undirected_key(u, v, n), c)
-            for (u, v), c in inst.final_edges().items()]
 
 
 class _SplitScheme(Scheme):
@@ -302,6 +289,7 @@ class MatchingFrugal(_SplitScheme):
         matching, witness, blocks = self._certificate(inst)
         return self._assemble(inst, matching, witness, blocks, p)
 
+    @cached_build
     def _assemble(self, inst, matching, witness, blocks, p) -> ProofTranscript:
         n = inst.n
         tr = ProofTranscript()
@@ -315,7 +303,7 @@ class MatchingFrugal(_SplitScheme):
             tr.add_vertices("component", blk)
         sub = dense_indicator([(undirected_key(a, b, n), 1)
                                for (a, b) in matching], self.edge_dims)
-        sup = dense_indicator(_edge_key_items(inst, n), self.edge_dims)
+        sup = edge_extension(inst, self.edge_dims, p)
         tr.add_values("matching_subset",
                       line_check_help(sub, sup, p, "subset"), p)
         outside = [v for v in range(1, n + 1) if v not in set(witness)]
@@ -470,7 +458,7 @@ class MatchingLaconic(Scheme):
                 T = nx.bfs_tree(G.subgraph(blk), blk[0])
                 edges.extend((min(a, b), max(a, b)) for a, b in T.edges())
             return sorted(edges)
-        return _cached(inst, "forest", build)
+        return inst.cached("forest", build)
 
     def hcost_bound(self, inst) -> int:
         k = oracle_max_matching(inst)
@@ -488,13 +476,14 @@ class MatchingLaconic(Scheme):
         forest = self._forest(inst, witness)
         return self._assemble(inst, matching, witness, forest, p)
 
+    @cached_build
     def _assemble(self, inst, matching, witness, forest, p) -> ProofTranscript:
         n = self.n
         tr = ProofTranscript()
         tr.add_vertices("matching", [v for e in matching for v in e])
         tr.add_vertices("witness", witness)
         tr.add_vertices("forest", [v for e in forest for v in e])
-        sup = dense_indicator(_edge_key_items(inst, n), self.edge_dims)
+        sup = edge_extension(inst, self.edge_dims, p)
         sub_m = dense_indicator([(undirected_key(a, b, n), 1)
                                  for (a, b) in matching], self.edge_dims)
         tr.add_values("matching_subset",
@@ -507,11 +496,11 @@ class MatchingLaconic(Scheme):
         t1 = dense_indicator([(k, 1) for k in _keys_within(outside, n)],
                              self.edge_dims)
         tr.add_values("inside_inter",
-                      line_check_help(sup, t1, p, "intersect"), p)
+                      line_check_help(t1, sup, p, "intersect"), p)
         t2 = dense_indicator([(k, 1) for blk in _groups(outside, forest)
                               for k in _keys_within(blk, n)], self.edge_dims)
         tr.add_values("block_inter",
-                      line_check_help(sup, t2, p, "intersect"), p)
+                      line_check_help(t2, sup, p, "intersect"), p)
         return tr
 
     def run_verifier(self, inst, reader, p, rng, meter):
@@ -641,7 +630,7 @@ class MaximalIndependentSet(_SplitScheme):
                     chosen.append(v)
                     taken.add(v)
             return chosen
-        return _cached(inst, "mis", build)
+        return inst.cached("mis", build)
 
     def hcost_bound(self, inst) -> int:
         u = len(self._greedy(inst))
@@ -668,6 +657,7 @@ class MaximalIndependentSet(_SplitScheme):
                 out.append((v, nb[0] if nb else v % inst.n + 1))
         return out
 
+    @cached_build
     def _assemble(self, inst, members, p) -> ProofTranscript:
         n = self.n
         pointers = self._pointers(inst, members)
@@ -676,9 +666,9 @@ class MaximalIndependentSet(_SplitScheme):
         tr.add_vertices("pointers", [x for pr in pointers for x in pr])
         tr.add_values("independent_pairs",
                       member_pair_charge(inst, [members], self.isc, p), p)
-        sup = dense_indicator(_edge_key_items(inst, n), self.edge_dims)
         sub = dense_indicator([(undirected_key(v, u, n), 1)
                                for (v, u) in pointers], self.edge_dims)
+        sup = edge_extension(inst, self.edge_dims, p)
         tr.add_values("pointer_subset",
                       line_check_help(sub, sup, p, "subset"), p)
         partners = dense_indicator([(u, 1) for (_, u) in pointers],
@@ -686,7 +676,8 @@ class MaximalIndependentSet(_SplitScheme):
         sources = dense_indicator([(v, 1) for (v, _) in pointers],
                                   self.vert_dims)
         tr.add_values("partner_inter",
-                      line_check_help(partners, sources, p, "intersect"), p)
+                      line_check_help(partners, extend_rows(sources, p), p,
+                                      "intersect"), p)
         return tr
 
     def prove(self, inst, p: int) -> ProofTranscript:
@@ -792,7 +783,7 @@ class TopoSort(_SplitScheme):
                     if indeg[w] == 0:
                         heapq.heappush(heap, w)
             return order
-        return _cached(inst, "toposort", build)
+        return inst.cached("toposort", build)
 
     def hcost_bound(self, inst) -> int:
         return inst.n + (2 * self.tp - 1) ** 2
@@ -806,10 +797,10 @@ class TopoSort(_SplitScheme):
         Dt = degree_grid(self.tp, p)
         single = line_rows([[v] for v in order], self.isc, Dt, p)
         prefix = np.cumsum(single[:-1], axis=0) % p
-        adj_hat = grid_adjacency(adjacency_matrix(inst, p, directed=True),
-                                 self.isc, p)
+        adj_hat = stream_adjacency(inst, self.isc, p, directed=True)
         return pair_charge(prefix, single[1:], adj_hat, p)
 
+    @cached_build
     def _assemble(self, inst, order, p):
         tr = ProofTranscript()
         tr.add_vertices("order", order)
@@ -938,7 +929,7 @@ class Acyclicity(_SplitScheme):
                     if got:
                         return got
             return []
-        return _cached(inst, "cycle", build)
+        return inst.cached("cycle", build)
 
     @staticmethod
     def _acyclic(order_transcript) -> ProofTranscript:
@@ -952,6 +943,7 @@ class Acyclicity(_SplitScheme):
             return self._acyclic(self._sorter().prove(inst, p))
         return self._cycle_transcript(inst, self._find_cycle(inst), p)
 
+    @cached_build
     def _cycle_transcript(self, inst, cyc, p):
         n = self.n
         tr = ProofTranscript()
@@ -961,9 +953,7 @@ class Acyclicity(_SplitScheme):
         keys = [directed_key(cyc[i], cyc[(i + 1) % len(cyc)], n)
                 for i in range(len(cyc))]
         sub = dense_indicator([(k, 1) for k in keys], self.edge_dims)
-        sup = dense_indicator(
-            [(directed_key(u, v, n), 1) for (u, v) in inst.directed_edges()],
-            self.edge_dims)
+        sup = edge_extension(inst, self.edge_dims, p, "directed")
         tr.add_values("cycle_subset",
                       line_check_help(sub, sup, p, "subset"), p)
         return tr
@@ -1020,7 +1010,7 @@ class Acyclicity(_SplitScheme):
         return self._acyclic(self._sorter()._forged(inst, order, p))
 
     def mutate_vertices(self, inst, transcript, p, rng):
-        out = _clone_transcript(transcript)
+        out = transcript.copy()
         lists = [b for b in out.blocks if b.kind == "vertices"
                  and b.values.size >= 2]
         if not lists:
@@ -1080,8 +1070,9 @@ class Components(_SplitScheme):
                     block.extend((v, kids[v], par, pidx))
                 blocks.append(block)
             return blocks
-        return _cached(inst, "comp_blocks", build)
+        return inst.cached("comp_blocks", build)
 
+    @cached_build
     def _assemble(self, inst, blocks, p):
         n = self.n
         tr = ProofTranscript()
@@ -1096,9 +1087,9 @@ class Components(_SplitScheme):
                 mem.append(v)
                 tree_edges.append((min(v, par), max(v, par)))
             members.append(mem)
-        sup = dense_indicator(_edge_key_items(inst, n), self.edge_dims)
         sub = dense_indicator([(undirected_key(a, b, n), 1)
                                for (a, b) in tree_edges], self.edge_dims)
+        sup = edge_extension(inst, self.edge_dims, p)
         tr.add_values("tree_subset",
                       line_check_help(sub, sup, p, "subset"), p)
         tr.add_values("block_pairs",
@@ -1217,7 +1208,7 @@ class Components(_SplitScheme):
         return self._bump_pairs(self._assemble(inst, blocks, p), gap, p)
 
     def mutate_vertices(self, inst, transcript, p, rng):
-        out = _clone_transcript(transcript)
+        out = transcript.copy()
         trees = [b for b in out.blocks if b.label == "tree_block"]
         donors = [b for b in trees if b.values.size > 2]
         if not donors:

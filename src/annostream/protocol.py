@@ -15,6 +15,7 @@ accepts AND the reported output is wrong for the instance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -121,7 +122,8 @@ class Scheme:
     # - every scheme needs final edge multiplicities >= 0; one that
     #   certifies a predicate of a simple graph (`simple_graph`) needs them
     #   in {0, 1}, and one that reads them as edge weights
-    #   (`weight_bounded`) needs them at most the header's W.
+    #   (`weight_bounded`) needs them at most the header's W;
+    # - a weighted stream lists each edge once, as the parser requires.
     models: tuple = ("turnstile", "vanilla")
     query_arity = 0
     header_fields: tuple = ()
@@ -217,11 +219,55 @@ def get_scheme(name: str):
                        + ", ".join(sorted(SCHEMES))) from None
 
 
-def _clone_transcript(transcript: ProofTranscript) -> ProofTranscript:
-    out = ProofTranscript()
-    for b in transcript.blocks:
-        out.blocks.append(type(b)(b.label, b.kind, b.values.copy(), b.shape))
-    return out
+# another name for the copy, for callers that import it from here
+_clone_transcript = ProofTranscript.copy
+
+
+# Help elements of assembled transcripts that `cached_build` keeps on one
+# instance: 4 MiB of int64, the size of extension._GATHER_BYTES. Past it, a
+# build is handed out without being kept.
+_BUILD_ELEMS = 1 << 19
+
+
+def _frozen(x):
+    """x with its lists, tuples and dicts (items in key order) turned into
+    tuples, so that it hashes; a list whose first entry is not one of those
+    holds none."""
+    if isinstance(x, dict):
+        return tuple((k, _frozen(v)) for k, v in sorted(x.items()))
+    if not isinstance(x, (list, tuple)):
+        return x
+    if x and isinstance(x[0], (list, tuple, dict)):
+        return tuple(map(_frozen, x))
+    return tuple(x)
+
+
+def cached_build(assemble):
+    """Decorates a prover's `assemble(scheme, inst, *args, **kw)`, whose
+    arguments are the modulus and a certificate, so that each transcript is
+    built once per instance.
+
+    The build is kept on `inst.prover_cache` under the scheme's name and
+    shape and the arguments as a hashable tuple, and every call hands out a
+    `copy()` of it, so a lie or a verifier that edits its copy never edits
+    the one kept. Lies that draw a certificate an earlier trial drew, the
+    honest prove and the prove at the start of `run_adversarial` then all
+    reuse one build.
+    """
+    @functools.wraps(assemble)
+    def build(scheme, inst, *args, **kw):
+        cache = inst.prover_cache
+        key = ("build", scheme.name, getattr(scheme, "t", None),
+               getattr(scheme, "s", None), _frozen(args), _frozen(kw))
+        kept = cache.get(key)
+        if kept is None:
+            kept = assemble(scheme, inst, *args, **kw)
+            held = cache.get("build_elems", 0) + kept.element_count()
+            if held > _BUILD_ELEMS:
+                return kept
+            cache[key], cache["build_elems"] = kept, held
+        return kept.copy()
+    return build
 
 
 # --- mutation policies ------------------------------------------------------
@@ -230,7 +276,7 @@ def _clone_transcript(transcript: ProofTranscript) -> ProofTranscript:
 def _flip_entry(transcript, picked, p, rng):
     """Add a random nonzero residue to one entry of one nonempty block
     that `picked` accepts; None when there is no such block."""
-    out = _clone_transcript(transcript)
+    out = transcript.copy()
     idxs = [i for i, b in enumerate(out.blocks) if picked(b) and b.values.size]
     if not idxs:
         return None
@@ -245,7 +291,7 @@ def _flip_coefficient(scheme, inst, transcript, p, rng):
 
 
 def _truncate_block(scheme, inst, transcript, p, rng):
-    out = _clone_transcript(transcript)
+    out = transcript.copy()
     if not out.blocks:
         return None
     if rng.random() < 0.5:
@@ -319,6 +365,14 @@ def check_domain(scheme, inst: GraphInstance):
         top, need = inst.W, f"0 to W={inst.W}"
     else:
         top, need = None, "at least 0"
+    if inst.model == "weighted":
+        u, v = inst.edges[:2]
+        keys = np.sort(np.minimum(u, v) * (inst.n + 1) + np.maximum(u, v))
+        twice = keys[1:][keys[1:] == keys[:-1]]
+        if twice.size:
+            u, v = divmod(int(twice[0]), inst.n + 1)
+            raise ValueError(f"edge {u} {v} is listed twice; {name} takes "
+                             "each weighted edge once")
     edges = inst.final_edges()
     bad = [e for e, c in edges.items()
            if c < 0 or (top is not None and c > top)]

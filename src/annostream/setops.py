@@ -152,12 +152,44 @@ def dense_indicator(items, dims) -> np.ndarray:
     return arr.reshape(H, V)
 
 
-def line_check_help(dense_left: np.ndarray, dense_right: np.ndarray,
+def line_check_help(dense_left: np.ndarray, right: np.ndarray,
                     p: int, mode: str) -> np.ndarray:
     """Honest g for a containment/intersection instance, on its nodes
-    1..2H-1."""
+    1..2H-1.
+
+    The left side is a grid array (`dense_indicator`); the right side comes
+    already extended to the nodes (`extend_rows`), since it is most often
+    the stream's side, which `edge_extension` builds once per instance.
+    """
     L = extend_rows(dense_left, p)
-    R = extend_rows(dense_right, p)
     if mode == "subset":
-        return (L * ((1 - R) % p) % p).sum(axis=1) % p
-    return (L * R % p).sum(axis=1) % p
+        return (L * ((1 - right) % p) % p).sum(axis=1) % p
+    return (L * right % p).sum(axis=1) % p
+
+
+def edge_extension(inst, dims, p: int, rule: str = "undirected"
+                   ) -> np.ndarray:
+    """The stream's side of a line check: the final edges' indicator on the
+    grid dims, extended to the nodes 1..2H-1; built once per instance and
+    read-only.
+
+    `rule` keys the edges: "undirected" (`undirected_key`, counted by final
+    multiplicity), "directed" (`directed_key` of each edge token) or
+    "weighted" (`weighted_key` of each final edge and its weight, with the
+    header's W).
+    """
+    def build():
+        n = inst.n
+        if rule == "directed":
+            items = [(directed_key(u, v, n), 1)
+                     for (u, v) in inst.directed_edges()]
+        elif rule == "weighted":
+            items = [(weighted_key(u, v, w, n, inst.W), 1)
+                     for (u, v, w) in inst.weighted_edges()]
+        else:
+            items = [(undirected_key(u, v, n), c)
+                     for (u, v), c in inst.final_edges().items()]
+        out = extend_rows(dense_indicator(items, dims), p)
+        out.setflags(write=False)  # cached: every caller shares this array
+        return out
+    return inst.cached(("edge_extension", rule, tuple(dims), p), build)

@@ -31,11 +31,11 @@ from .edgecount import (LineArray, adjacency_matrix, degree_grid, extend_x,
 from .extension import (dot_mod, extend_rows, impulse_block, impulse_table,
                         power_table)
 from .field import FieldConfig, fe_random
-from .graphapps import _cached, _edge_key_items, _final_graph
+from .graphapps import _final_graph
 from .oracle import oracle_bfs, oracle_dijkstra
-from .protocol import Scheme, register, _clone_transcript
-from .setops import (LineCheck, dense_indicator, line_check_help,
-                     undirected_key, weighted_key)
+from .protocol import Scheme, cached_build, register
+from .setops import (LineCheck, dense_indicator, edge_extension,
+                     line_check_help, undirected_key, weighted_key)
 from .stream import ProofTranscript, RejectError
 
 
@@ -162,7 +162,7 @@ class SsspUnweighted(Scheme):
                         dist[u] = dist[v] + 1
                         queue.append(u)
             return dist
-        return _cached(inst, f"bfs:{inst.source}", build)
+        return inst.cached(f"bfs:{inst.source}", build)
 
     def _assemble(self, inst, Dhat: int, labels, p: int) -> ProofTranscript:
         n, t, src = self.n, self.t, inst.source
@@ -242,7 +242,7 @@ class SsspUnweighted(Scheme):
 
     def mutate_output(self, inst, transcript, p, rng):
         src = inst.source
-        out = _clone_transcript(transcript)
+        out = transcript.copy()
         Dhat = int(out.blocks[0].values[0])
         blk = out.blocks[1]
         cands = []
@@ -317,7 +317,7 @@ class StPath(SsspUnweighted):
         src, vt = inst.source, inst.target
         if vt == src:
             return None
-        out = _clone_transcript(transcript)
+        out = transcript.copy()
         qblocks = [b for b in out.blocks
                    if b.label in ("source_degrees", "round_degrees")]
         K = self._distances(inst)[vt]
@@ -365,7 +365,7 @@ class _WeightedScheme(Scheme):
                 dist[v] = int(d)
                 prev[v] = min(preds[v], default=0)
             return dist, prev
-        return _cached(inst, f"wlabels:{inst.source}", build)
+        return inst.cached(f"wlabels:{inst.source}", build)
 
     def _crossing_keys(self, reached) -> np.ndarray:
         """Keys of the vertex pairs with exactly one end in `reached`."""
@@ -381,9 +381,8 @@ class _WeightedScheme(Scheme):
         pairs that cross out of `reached`."""
         n = self.n
         crossing = [(key, 1) for key in self._crossing_keys(reached).tolist()]
-        return line_check_help(dense_indicator(_edge_key_items(inst, n),
-                                               (n, n)),
-                               dense_indicator(crossing, (n, n)), p,
+        return line_check_help(dense_indicator(crossing, (n, n)),
+                               edge_extension(inst, (n, n), p), p,
                                "intersect")
 
     def _check_frontier(self, inter, reader, reached, reason):
@@ -511,7 +510,7 @@ class SsspWeightedTurnstile(_WeightedScheme):
         if not cands:
             return None
         u = cands[rng.randrange(len(cands))]
-        out = _clone_transcript(transcript)
+        out = transcript.copy()
         blk = next(b for b in out.blocks if b.label == "round_poly")
         impulse = np.zeros(blk.shape, dtype=np.int64)
         impulse[u - 1] = 1
@@ -538,6 +537,7 @@ class SsspWeightedVanilla(_WeightedScheme):
 
     # prover ------------------------------------------------------------
 
+    @cached_build
     def _assemble(self, inst, dist, prev, p, zero_entry=None):
         n, W, src = self.n, self.W, inst.source
         SENT = W * (n - 1) + 1
@@ -557,12 +557,10 @@ class SsspWeightedVanilla(_WeightedScheme):
         tree = [(weighted_key(prev[v], v, dist[v] - dist[prev[v]], n, W), 1)
                 for v in range(1, n + 1)
                 if v != src and dist[v] is not None]
-        edges = [(weighted_key(u, v, w, n, W), 1)
-                 for (u, v, w) in inst.weighted_edges()]
         wdims = (n * W, n)
         tr.add_values("tree_subset", line_check_help(
             dense_indicator(tree, wdims),
-            dense_indicator(edges, wdims), p, "subset"), p)
+            edge_extension(inst, wdims, p, "weighted"), p, "subset"), p)
         reached = {v for v in range(1, n + 1) if dist[v] is not None}
         tr.add_values("frontier_inter",
                       self._frontier_help(inst, reached, p), p)

@@ -272,7 +272,8 @@ class GraphInstance:
         self.W = W
         self.source = source
         self.target = target
-        # prover-side results derived from the stream, keyed by name
+        # prover-side results derived from the stream, keyed by name (see
+        # `cached`)
         self.prover_cache: dict = {}
         self.edges, self.queries = edges, queries
         self._tokens: Optional[list] = None
@@ -281,6 +282,13 @@ class GraphInstance:
     @property
     def tokens(self) -> TokenList:
         return TokenList(self)
+
+    def cached(self, key, build):
+        """The prover-side value kept under `key` in `prover_cache`, from
+        `build()` on first use."""
+        if key not in self.prover_cache:
+            self.prover_cache[key] = build()
+        return self.prover_cache[key]
 
     def _token_list(self) -> list:
         if self._tokens is None:
@@ -694,6 +702,14 @@ class ProofTranscript:
     def add_vertices(self, label: str, ids):
         arr = np.asarray(list(ids), dtype=np.int64)
         self.blocks.append(Block(label, "vertices", arr))
+
+    def copy(self) -> "ProofTranscript":
+        """A transcript of copied blocks: editing it leaves this one as it
+        is."""
+        out = ProofTranscript()
+        out.blocks = [Block(b.label, b.kind, b.values.copy(), b.shape)
+                      for b in self.blocks]
+        return out
 
     # accounting --------------------------------------------------------------
 

@@ -34,7 +34,7 @@ from .edgecount import (LineArray, PairSketch, degree_grid, line_rows,
 from .extension import dot_mod, impulse_table, mat_mulmod, reduce_mod
 from .field import fe_random
 from .oracle import oracle_triangles
-from .protocol import Scheme, register, _clone_transcript
+from .protocol import Scheme, cached_build, register
 from .setops import Fingerprint, directed_key
 from .stream import ProofTranscript, RejectError
 
@@ -72,7 +72,7 @@ class _TriangleBase(Scheme):
     def mutate_output(self, inst, transcript, p, rng):
         """Shift the total of the charge polynomial, the last block, by
         a multiple of `_lie_step` (any nonzero residue when it is 0)."""
-        out = _clone_transcript(transcript)
+        out = transcript.copy()
         if self._lie_step:
             shift = self._lie_step * rng.randrange(1, max(2, inst.n))
         else:
@@ -234,6 +234,7 @@ class TrianglesSparse(_TriangleBase):
     def prove(self, inst, p: int) -> ProofTranscript:
         return self._transcript_for(inst, self._neighborhoods(inst), p)
 
+    @cached_build
     def _transcript_for(self, inst, nbrs, p) -> ProofTranscript:
         lists = [nbrs.get(v, []) for v in range(1, self.n + 1)]
         tr = ProofTranscript()

@@ -1,20 +1,23 @@
 """Runner plumbing: space meter, trial stats, mutation machinery, the
 input domain."""
 
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import annostream  # registers schemes
-from annostream import cli
+from annostream import cli, graphapps, protocol
 from annostream.extension import resolve_shape
-from annostream.generators import (clique_edges, gnp_edges, vanilla_instance,
+from annostream.generators import (clique_edges, dag_instance, gnp_edges,
+                                   turnstile_instance, vanilla_instance,
                                    with_query_set)
 from annostream.protocol import (MUTATIONS, SCHEMES, SpaceMeter, TrialStats,
-                                 get_scheme, run_adversarial, run_honest,
-                                 run_with_transcript, sweep_costs)
-from annostream.stream import ParseError, ProofTranscript, parse_stream
+                                 check_domain, get_scheme, run_adversarial,
+                                 run_honest, run_with_transcript, sweep_costs)
+from annostream.stream import (EdgeToken, GraphInstance, ParseError,
+                               ProofTranscript, parse_stream)
 
 
 def test_registry_holds_all_schemes():
@@ -366,3 +369,88 @@ def test_a_vertex_listed_twice_among_query_sets_is_refused(
     if once != text:
         res = run_honest(cls.configure(parse_stream(once)), parse_stream(once))
         assert res.accepted and res.value == (1, 3)
+
+
+def test_a_weighted_edge_listed_twice_is_refused():
+    # the parser refuses such a stream (duplicate edge); an instance built
+    # in the library is refused by the domain check, before proving
+    inst = GraphInstance(3, "weighted", W=4, source=1, tokens=[
+        EdgeToken(1, 2, 1, 1), EdgeToken(2, 3, 1, 1), EdgeToken(2, 1, 1, 4)])
+    scheme = get_scheme("sssp-wvanilla").configure(inst)
+    with pytest.raises(ValueError, match="edge 1 2 is listed twice"):
+        check_domain(scheme, inst)
+    with pytest.raises(ValueError, match="edge 1 2 is listed twice"):
+        run_honest(scheme, inst)
+    with pytest.raises(ParseError, match="duplicate edge"):
+        parse_stream("n=3 model=weighted W=4 source=1\n1 2 1\n2 3 1\n2 1 4\n")
+    once = GraphInstance(3, "weighted", W=4, source=1, tokens=[
+        EdgeToken(1, 2, 1, 1), EdgeToken(2, 3, 1, 1)])
+    res = run_honest(get_scheme("sssp-wvanilla").configure(once), once)
+    assert res.accepted and res.value == (0, 1, 2)
+
+
+# --- the build cache --------------------------------------------------------
+
+
+def _matching_instance():
+    return turnstile_instance(9, gnp_edges(9, 0.5, 42), churn=3, seed=42)
+
+
+def test_a_lie_that_draws_nothing_is_assembled_once(monkeypatch):
+    builds = []
+    real = graphapps.line_check_help
+
+    def counting(*args):
+        builds.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(graphapps, "line_check_help", counting)
+    inst = _matching_instance()
+    scheme = get_scheme("maxmatch-laconic").configure(inst)
+    st = run_adversarial(scheme, inst, "output_value_lie", trials=48, seed=3)
+    assert st.trials == 48 and st.accepted_wrong == 0
+    # four line checks for the honest prove, four for the one forgery
+    assert len(builds) == 8
+    run_adversarial(scheme, inst, "output_value_lie", trials=48, seed=4)
+    assert len(builds) == 8
+
+
+def test_editing_a_handed_out_build_leaves_the_kept_one():
+    inst = _matching_instance()
+    scheme = get_scheme("maxmatch-laconic").configure(inst)
+    p = scheme.field_config(inst).p
+    honest = scheme.prove(inst, p)
+    first = scheme.mutate_output(inst, honest, p, random.Random(1))
+    text = first.dump()
+    first.blocks[-1].values[0] = (first.blocks[-1].values[0] + 1) % p
+    first.blocks[-1].shift_total(5, p)
+    del first.blocks[0]
+    second = scheme.mutate_output(inst, honest, p, random.Random(1))
+    assert second.dump() == text
+    honest.blocks[0].values[:] = 0
+    assert scheme.prove(inst, p).dump() != honest.dump()
+
+
+@pytest.mark.parametrize("name, inst", [
+    ("maxmatch-frugal", _matching_instance()),
+    ("mis", _matching_instance()),
+    ("toposort", dag_instance(9, 0.5, 42)),
+    ("tri-sparse", vanilla_instance(9, gnp_edges(9, 0.5, 42))),
+], ids=["maxmatch-frugal", "mis", "toposort", "tri-sparse"])
+def test_a_zero_budget_keeps_nothing_and_changes_no_trial(monkeypatch, name,
+                                                          inst):
+    def stats(fresh):
+        scheme = get_scheme(name).configure(fresh)
+        return [run_adversarial(scheme, fresh, policy, trials=24, seed=9)
+                for policy in scheme.mutations]
+
+    kept = stats(inst)
+    assert any(k[0] == "build" for k in inst.prover_cache
+               if isinstance(k, tuple))
+    monkeypatch.setattr(protocol, "_BUILD_ELEMS", 0)
+    fresh = GraphInstance.from_columns(inst.n, inst.model, inst.W,
+                                       inst.source, inst.target,
+                                       edges=inst.edges, queries=inst.queries)
+    assert stats(fresh) == kept
+    assert not any(k[0] == "build" for k in fresh.prover_cache
+                   if isinstance(k, tuple))

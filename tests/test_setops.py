@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annostream.edgecount import LineArray, PairSketch
-from annostream.extension import ShapeConfig
+from annostream.extension import ShapeConfig, extend_rows
 from annostream.field import fe_random_nonzero
 from annostream.setops import (Fingerprint, LineCheck, dense_indicator,
                                directed_key, line_check_dims, line_check_help,
@@ -118,7 +118,8 @@ def test_line_check_intersection_counts():
             lc.add_right(k)
         help_coeffs = line_check_help(
             dense_indicator([(k, 1) for k in a], dims),
-            dense_indicator([(k, 1) for k in b], dims), P, "intersect")
+            extend_rows(dense_indicator([(k, 1) for k in b], dims), P), P,
+            "intersect")
         assert lc.finish(_help(help_coeffs), "g") == len(a & b)
 
 
@@ -137,7 +138,8 @@ def test_line_check_subset_accepts_and_rejects():
             lc.add_right(k)
         coeffs = line_check_help(
             dense_indicator([(k, 1) for k in a], dims),
-            dense_indicator([(k, 1) for k in b], dims), P, "subset")
+            extend_rows(dense_indicator([(k, 1) for k in b], dims), P), P,
+            "subset")
         return lc.finish(_help(coeffs), "g")
 
     assert run(sub, sup, rng.randrange(P)) == 0
@@ -163,7 +165,8 @@ def test_line_check_catches_forged_polynomial():
     b = {2, 3}
     honest_for_legal = line_check_help(
         dense_indicator([(k, 1) for k in {2, 3}], dims),
-        dense_indicator([(k, 1) for k in b], dims), P, "subset")
+        extend_rows(dense_indicator([(k, 1) for k in b], dims), P), P,
+        "subset")
     caught = 0
     for _ in range(40):
         rho = rng.randrange(P)
@@ -189,7 +192,8 @@ def test_line_check_multiplicity_left():
     lc.add_right(5)
     lc.add_right(6)
     coeffs = line_check_help(dense_indicator([(5, 3), (7, 2)], dims),
-                             dense_indicator([(5, 1), (6, 1)], dims),
+                             extend_rows(dense_indicator([(5, 1), (6, 1)],
+                                                         dims), P),
                              P, "intersect")
     assert lc.finish(_help(coeffs), "g") == 3
 
