@@ -23,17 +23,22 @@ zero. The impulses' own den_u table and an O(g) table of inverses give
 every constant, and the sums are one mat_mulmod, so the cost follows the
 support of the input rather than a dense (2g-1) x g impulse block.
 
-Help polynomials travel as monomial coefficients, which the transcript
-writer (`stream`) interpolates from a prover's values on the nodes 1..m.
-With w_u = f(u) * inv(den_u) and M(X) = prod_{x<=m} (X - x) =
-sum_j a_j X^j, the extension is sum_u w_u * M(X) / (X - u), so
+Help polynomials travel as their values on the nodes 1..m of each axis
+(`stream`), so neither a prover nor a verifier interpolates: a verifier
+contracts the values with one impulse table per axis at its random point
+and sums the values on the grid. The interpolation below, from values on
+1..m to monomial coefficients, and the coefficient form's serial order
+and readers (coeffs_to_serial, coeffs_from_serial, nd_eval, nd_grid_sum)
+are on no prove or verify path: they give the v=1 transcript layout, in
+which help blocks were monomial coefficients. With w_u = f(u) * inv(den_u)
+and M(X) = prod_{x<=m} (X - x) = sum_j a_j X^j, the extension is
+sum_u w_u * M(X) / (X - u), so
 
     [X^i] f~ = sum_k a_{i+k+1} * S_k,   where S_k = sum_u w_u * u^k.
 
-S is power_moments, a transposed-Vandermonde product (eval_on_nodes is
-the same product untransposed), and the coefficients are a Hankel product
-against it: two mat_mulmod calls per axis, with power tables built by
-doubling instead of an m-step loop.
+S is power_moments, a transposed-Vandermonde product, and the
+coefficients are a Hankel product against it: two mat_mulmod calls per
+axis, with power tables built by doubling instead of an m-step loop.
 
 mat_mulmod is the one modular matmul: float64 BLAS over chunks of the
 inner axis sized from the operands' largest entries, so that each dot
@@ -189,14 +194,15 @@ def resolve_shape(n: int, t=None, s=None) -> tuple:
 
 @lru_cache(maxsize=None)
 def grid_bump(g: int, p: int) -> np.ndarray:
-    """Coefficients of the degree g-1 poly with grid sum 1 over [g].
+    """Values on the nodes 1..2g-1 of the degree g-1 poly with grid sum 1
+    over [g].
 
     It is the impulse at 1, so adding c times this to a help polynomial
     shifts the claimed grid total by exactly c.
     """
     vals = np.zeros(g, dtype=np.int64)
     vals[0] = 1
-    out = coeffs_from_values_1d(vals, p)
+    out = extend_rows(vals, p)
     out.setflags(write=False)  # cached: every caller shares this array
     return out
 
@@ -309,18 +315,6 @@ def power_moments(weights, count: int, p: int) -> np.ndarray:
     stacked = w.reshape(m, 1, cols) * high[:, :, None] % p
     S = mat_mulmod(low.T, stacked.reshape(m, q * cols), p)
     return _unstack(S, b, count).reshape((count,) + w.shape[1:])
-
-
-def eval_on_nodes(coeffs, m: int, p: int) -> np.ndarray:
-    """[sum_k c_k u^k for u = 1..m] mod p for a coefficient vector c, lowest
-    first: power_moments transposed, sum_j u^(jb) sum_r u^r c_{jb+r}."""
-    c, _ = _residues(coeffs, p)
-    if not (m and c.size):
-        return np.zeros(m, dtype=np.int64)
-    b, q, low, high = _node_powers(m, c.size, 1, p)
-    blocks = np.zeros(q * b, dtype=np.int64)
-    blocks[:c.size] = c
-    return dot_mod(dot_mod(low[:, None, :], blocks.reshape(q, b), p), high, p)
 
 
 @lru_cache(maxsize=None)

@@ -219,10 +219,6 @@ def get_scheme(name: str):
                        + ", ".join(sorted(SCHEMES))) from None
 
 
-# another name for the copy, for callers that import it from here
-_clone_transcript = ProofTranscript.copy
-
-
 # Help elements of assembled transcripts that `cached_build` keeps on one
 # instance: 4 MiB of int64, the size of extension._GATHER_BYTES. Past it, a
 # build is handed out without being kept.

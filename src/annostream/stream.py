@@ -38,22 +38,25 @@ edge weighs its w on a weighted stream and its net multiplicity on any
 other.
 
 A ProofTranscript is an ordered list of labeled blocks, each either a
-coefficient block (serialized in graded lexicographic monomial order,
-lowest total degree first), a scalar list, or a vertex-id list. Help cost
+help polynomial (kind `coeffs`: its values on the nodes 1..m of each axis
+of length m, in C order), a scalar list, or a vertex-id list. Help cost
 is the total number of field elements / ids across blocks; labels and
 block boundaries are free framing. `ProofTranscript.load` reads each
 block's values with one numpy call, and goes through int() value by
 value where the block is not ASCII or that call refuses the text.
 
-The coefficient form is this module's wire format, and no other module
+The help format is this module's wire format, and no other module
 builds, edits or reads it. A prover hands `add_values` a help polynomial's
 values on the nodes 1..m of each axis (1..2g-1 for a product of two
-extensions of the grid [g]), and the writer interpolates them. A lie
-edits a block through `Block.add_values` or `Block.shift_total`, which
-reads the grid off the block's own shape. A verifier reads a block
-through `TranscriptReader.claim` (or `grid_claim`, by the same 2g-1 rule),
-which rejects unless it takes the verifier's own value at its random
-point and then gives back only grid totals or values on the nodes.
+extensions of the grid [g]), and the writer stores them as they are,
+mod p: a polynomial of degree m-1 per axis is its values on m nodes, so
+the element count and the degree bound are those of its coefficients. A
+lie edits a block through `Block.add_values` or `Block.shift_total`,
+which reads the grid off the block's own shape. A verifier reads a block
+through `TranscriptReader.claim` (or `grid_claim`, by the same 2g-1
+rule), which rejects unless it takes the verifier's own value at its
+random point, a contraction of the values with one impulse table per
+axis, and then gives back only grid totals or values on the nodes.
 """
 
 from __future__ import annotations
@@ -68,9 +71,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extension import (coeffs_from_serial, coeffs_from_values_nd,
-                        coeffs_to_serial, eval_on_nodes, grid_bump, nd_eval,
-                        nd_grid_sum)
+from .extension import dot_mod, extend_rows, grid_bump, impulse_table
 
 MODELS = ("turnstile", "vanilla", "weighted", "adjlist")
 
@@ -642,6 +643,8 @@ def serialize_stream(inst: GraphInstance) -> str:
 # --- proof transcripts ------------------------------------------------------
 
 _BLOCK_KINDS = ("coeffs", "scalars", "vertices")
+# v=1 carried help polynomials as monomial coefficients, v=2 as node values
+TRANSCRIPT_VERSION = 2
 
 
 @dataclass
@@ -649,7 +652,7 @@ class Block:
     label: str
     kind: str
     values: np.ndarray
-    shape: Optional[tuple] = None  # degree-bound shape for coeff blocks
+    shape: Optional[tuple] = None  # nodes per axis of a coeffs block
 
     def element_count(self) -> int:
         return int(self.values.size)
@@ -657,24 +660,21 @@ class Block:
     def add_values(self, values, p: int):
         """Add, in place, the polynomial taking `values` (shaped like the
         block) on the nodes 1..m of each axis of length m."""
-        tensor = coeffs_from_values_nd(np.reshape(values, self.shape), p)
-        self.values = (self.values + coeffs_to_serial(tensor)) % p
+        vals = np.reshape(np.asarray(values, dtype=np.int64), self.shape)
+        self.values = (self.values + vals.ravel() % p) % p
 
     def shift_total(self, shift: int, p: int):
         """Shift the grid total of a help polynomial by `shift`, in place.
 
-        2g-1 coefficients on an axis mean the grid [g], as
+        Each axis holds 2g-1 nodes, the grid [g], as
         `TranscriptReader.grid_claim` reads them. Adds shift times the
-        product of the axes' grid bumps to the low corner of the block, so
-        a forged claim keeps its degree bounds.
+        product of the axes' grid bumps, each of degree g-1, so a forged
+        claim keeps its degree bounds.
         """
-        grid = [(w + 1) // 2 for w in self.shape]
         bump = np.full((), shift % p, dtype=np.int64)
-        for g in grid:
-            bump = np.multiply.outer(bump, grid_bump(g, p)) % p
-        tensor = np.zeros(self.shape, dtype=np.int64)
-        tensor[tuple(slice(g) for g in grid)] = bump
-        self.values = (self.values + coeffs_to_serial(tensor)) % p
+        for m in self.shape:
+            bump = np.multiply.outer(bump, grid_bump((m + 1) // 2, p)) % p
+        self.values = (self.values + bump.ravel()) % p
 
 
 class ProofTranscript:
@@ -685,15 +685,12 @@ class ProofTranscript:
 
     # writer side -----------------------------------------------------------
 
-    def add_coeffs(self, label: str, tensor: np.ndarray):
-        tensor = np.asarray(tensor, dtype=np.int64)
-        self.blocks.append(Block(label, "coeffs", coeffs_to_serial(tensor),
-                                 shape=tensor.shape))
-
     def add_values(self, label: str, values, p: int):
-        """A coefficient block for the polynomial taking `values` on the
-        nodes 1..m of each axis of length m."""
-        self.add_coeffs(label, coeffs_from_values_nd(values, p))
+        """A help block for the polynomial taking `values` on the nodes
+        1..m of each axis of length m: the values mod p, in C order."""
+        vals = np.asarray(values, dtype=np.int64) % p
+        self.blocks.append(Block(label, "coeffs", vals.ravel(),
+                                 shape=vals.shape))
 
     def add_scalars(self, label: str, values):
         arr = np.atleast_1d(np.asarray(values, dtype=np.int64))
@@ -722,7 +719,7 @@ class ProofTranscript:
     # text round-trip ----------------------------------------------------------
 
     def dump(self) -> str:
-        out = ["!transcript v=1"]
+        out = [f"!transcript v={TRANSCRIPT_VERSION}"]
         for b in self.blocks:
             head = f"@{b.label} kind={b.kind} count={b.values.size}"
             if b.kind == "coeffs":
@@ -735,7 +732,8 @@ class ProofTranscript:
 
     @classmethod
     def load(cls, text: str) -> "ProofTranscript":
-        """Parse `dump` output; any malformed text raises ParseError."""
+        """Parse `dump` output; any malformed text raises ParseError, and
+        so does a `!transcript` line of another version."""
         t = cls()
         cur = None
         pending: list = []
@@ -749,7 +747,10 @@ class ProofTranscript:
 
         for raw in text.splitlines():
             line = raw.strip()
-            if not line or line[0] == "!":
+            if not line:
+                continue
+            if line[0] == "!":
+                _check_version(line)
                 continue
             if line[0] == "@":
                 flush()
@@ -783,6 +784,18 @@ class ProofTranscript:
         return t
 
 
+def _check_version(line: str):
+    """ParseError on a `!transcript v=N` line with N other than
+    TRANSCRIPT_VERSION; any other `!` line is a note."""
+    parts = line[1:].split()
+    if parts[:1] != ["transcript"]:
+        return
+    version = _parse_header(" ".join(parts[1:])).get("v")
+    if version != str(TRANSCRIPT_VERSION):
+        raise ParseError(f"transcript version {version}: this reader takes "
+                         f"v={TRANSCRIPT_VERSION} (help as node values)")
+
+
 def _block_values(lines: list, label: str, count: int) -> np.ndarray:
     """A block's value lines as int64: one numpy read of them joined into
     one row, or int() value by value where the row is not ASCII or numpy
@@ -813,6 +826,9 @@ class TranscriptReader:
         self._blocks = transcript.blocks
         self._pos = 0
         self.p = p
+        # impulse tables by (point, nodes): a verifier claims its rounds'
+        # blocks at one point, so each table is built once per read
+        self._impulses: dict = {}
 
     def at_end(self) -> bool:
         return self._pos >= len(self._blocks)
@@ -846,44 +862,81 @@ class TranscriptReader:
                  count: Optional[int] = None) -> np.ndarray:
         return self._next(label, "vertices", count, "ids")
 
-    def coeffs(self, label: str, shape: tuple) -> np.ndarray:
+    def _help(self, label: str, shape: tuple) -> np.ndarray:
+        """The next help block's values as a tensor of `shape`, each one a
+        residue in [0, p)."""
         vals = self._next(label, "coeffs", math.prod(shape), "coefficients")
         if vals.size and not (0 <= vals.min() and vals.max() < self.p):
-            raise RejectError(f"block {label}: coefficient outside [0, p)")
-        return coeffs_from_serial(vals, tuple(shape))
+            raise RejectError(f"block {label}: value outside [0, p)")
+        return vals.reshape(shape)
+
+    # the benchmark's tracer wraps this name; verifiers read help through
+    # `claim`
+    coeffs = _help
+
+    def _impulse(self, x: int, m: int) -> np.ndarray:
+        """[delta_u(x) for u in 1..m] as int64, built once per reader."""
+        key = (x % self.p, m)
+        table = self._impulses.get(key)
+        if table is None:
+            table = np.array(impulse_table(key[0], m, self.p),
+                             dtype=np.int64)
+            self._impulses[key] = table
+        return table
 
     def claim(self, label: str, shape: tuple, point, expected: int,
               reason: str) -> "Claim":
-        """Read a coefficient block of `shape`; reject with `reason`
-        unless it equals the verifier's own value `expected` at `point`."""
-        tensor = self.coeffs(label, shape)
-        if nd_eval(tensor, point, self.p) != expected % self.p:
+        """Read a help block of `shape`; reject with `reason` unless it
+        equals the verifier's own value `expected` at `point`: the
+        contraction of its node values with the impulses at the point."""
+        vals = self._help(label, shape)
+        at = vals
+        for x, m in zip(reversed(point), reversed(shape)):
+            at = dot_mod(at, self._impulse(int(x), m), self.p)
+        if int(at) != expected % self.p:
             raise RejectError(reason)
-        return Claim(tensor, self.p)
+        return Claim(vals, self.p)
 
     def grid_claim(self, label: str, grid, point, expected: int,
                    what: str) -> int:
         """Read a product of two extensions of [g_1] x ... x [g_k], 2g-1
-        coefficients on each axis, checked as `claim` does; returns its
-        total over the grid."""
+        nodes on each axis, checked as `claim` does; returns its total
+        over the grid."""
         return self.claim(label, tuple(2 * g - 1 for g in grid), point,
                           expected, f"{what} disagrees at the random point"
                           ).total(grid)
 
 
+def _on_nodes(values: np.ndarray, m: int, p: int) -> np.ndarray:
+    """values along the last axis on the nodes 1..m: a slice, or extended
+    past the block's own nodes by extend_rows."""
+    size = values.shape[-1]
+    if m <= size:
+        return values[..., :m]
+    return np.moveaxis(extend_rows(np.moveaxis(values, -1, 0), p, count=m),
+                       0, -1)
+
+
 class Claim:
     """A help polynomial that took the verifier's value at its random
-    point: what the verifier may read off it, not its coefficients."""
+    point: what the verifier may read off it, not the block itself."""
 
-    def __init__(self, tensor: np.ndarray, p: int):
-        self._tensor, self._p = tensor, p
+    def __init__(self, values: np.ndarray, p: int):
+        self._values, self._p = values, p
 
     def total(self, grid) -> int:
-        """Sum over [g_1] x ... x [g_k]. An axis given as weights w
-        instead sums w[u-1] times the value at u over the nodes
-        u = 1..len(w)."""
-        return nd_grid_sum(self._tensor, grid, self._p)
+        """Sum over [g_1] x ... x [g_k]: the values on the first g_i nodes
+        of each axis. An axis given as weights w instead sums w[u-1] times
+        the value at u over the nodes u = 1..len(w)."""
+        p, acc = self._p, self._values
+        for g in reversed(list(grid)):
+            if np.ndim(g) == 0:
+                acc = _on_nodes(acc, g, p).sum(axis=-1) % p
+            else:
+                w = np.asarray(g, dtype=np.int64) % p
+                acc = dot_mod(_on_nodes(acc, w.size, p), w, p)
+        return int(acc)
 
     def on_nodes(self, m: int) -> np.ndarray:
         """Values of a univariate claim on the nodes 1..m."""
-        return eval_on_nodes(self._tensor, m, self._p)
+        return _on_nodes(self._values, m, self._p)

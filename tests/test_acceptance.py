@@ -28,9 +28,8 @@ from annostream.generators import (adjlist_instance, dag_instance,
                                    weighted_turnstile_instance,
                                    with_query_set)
 from annostream.oracle import oracle_bfs, oracle_max_matching
-from annostream.protocol import (SCHEMES, _clone_transcript, get_scheme,
-                                 run_adversarial, run_honest,
-                                 run_with_transcript)
+from annostream.protocol import (SCHEMES, get_scheme, run_adversarial,
+                                 run_honest, run_with_transcript)
 from annostream.setops import Fingerprint
 from annostream.stream import serialize_stream
 
@@ -388,7 +387,7 @@ def test_micro_invariants():
             for wrong in range(0, Dhat + 3):
                 if wrong == true[v]:
                     continue
-                forged = _clone_transcript(honest)
+                forged = honest.copy()
                 forged.blocks[1].values = np.array(
                     true[:v] + [wrong] + true[v + 1:], dtype=np.int64)
                 res = run_with_transcript(scheme, inst, forged,

@@ -117,8 +117,17 @@ def test_replay_non_canonical_coefficient_exits_one(k5, tmp_path):
     raised = _replay_edited(k5, tmp_path,
                             lambda text, p: _raise_first_value(text, p))
     assert raised.returncode == 1
-    assert "reject=block charge_poly: coefficient outside [0, p)" \
+    assert "reject=block charge_poly: value outside [0, p)" \
         in raised.stdout.splitlines()
+
+
+def test_replay_of_a_v1_transcript_exits_two(k5, tmp_path):
+    # v=1 carried coefficients; read as node values its blocks would be
+    # other polynomials, so the reader refuses the version
+    r = _replay_edited(k5, tmp_path, lambda text, p: text.replace(
+        "!transcript v=2", "!transcript v=1"))
+    assert r.returncode == 2
+    assert "transcript version 1" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_run_malformed_file_exits_two(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from annostream.extension import (ShapeConfig, coeffs_from_serial,
                                   coeffs_from_values_1d, coeffs_from_values_nd,
-                                  coeffs_to_serial, eval_on_nodes, exact_chunk,
+                                  coeffs_to_serial, exact_chunk,
                                   extend_rows, grid_bump, impulse_block,
                                   impulse_table, mat_mulmod, nd_eval,
                                   nd_grid_sum, power_moments, power_sums,
@@ -230,17 +230,6 @@ def test_power_moments_match_python_ints(m, count, trailing, p, seed):
                                             count, p))
 
 
-@settings(max_examples=120, deadline=None)
-@given(m=st.integers(0, 40), M=st.integers(0, 90),
-       p=st.sampled_from([2, 7, 101, P, P_TOP]), seed=st.integers(0, 2 ** 32))
-def test_eval_on_nodes_matches_python_ints(m, M, p, seed):
-    c = np.random.default_rng(seed).integers(-3 * p, 3 * p, size=M)
-    got = eval_on_nodes(c, m, p)
-    assert got.dtype == np.int64 and got.shape == (m,)
-    assert got.tolist() == [poly_eval([int(x) % p for x in c], u, p)
-                            for u in range(1, m + 1)]
-
-
 @pytest.mark.parametrize("p", [2, 101, P_TOP])
 def test_power_table_matches_python_ints(p):
     xs = [0, 1, 2, -1, p - 1, p, 3 * p + 5, -7 * p - 2]
@@ -256,18 +245,15 @@ def test_power_table_matches_python_ints(p):
 
 def test_node_sums_hold_no_dense_table():
     # a dense m x M power table here is 64 MB; the blocked one about
-    # m * sqrt(M) entries, and the moments take the same two tables
+    # m * sqrt(M) entries
     m, M, p = 200, 40000, P_TOP
-    c = np.random.default_rng(3).integers(0, p, size=M)
     tracemalloc.start()
     try:
-        vals = eval_on_nodes(c, m, p)
         S = power_moments(np.arange(m), M, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
-    assert vals[0] == int(c.sum()) % p
     assert S[0] == m * (m - 1) // 2 % p and S[1] == sum(
         u * (u - 1) for u in range(1, m + 1)) % p
 
@@ -283,10 +269,12 @@ def test_serial_order_round_trip():
 
 
 def test_grid_bump_shifts_total_by_one():
+    # the impulse at 1 on [g], on the nodes 1..2g-1
     g = 6
     bump = grid_bump(g, P)
-    vals = [poly_eval(bump.tolist(), x, P) for x in range(1, g + 1)]
-    assert vals == [1] + [0] * (g - 1)
+    assert bump.tolist() == [unit_impulse(1, x, g, P)
+                             for x in range(1, 2 * g)]
+    assert bump[:g].tolist() == [1] + [0] * (g - 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -384,13 +372,14 @@ def test_interpolation_refuses_nodes_past_p():
                                  7).tolist() == [1, 0, 0, 0, 0, 0]
 
 
-@pytest.mark.parametrize("g,p", [(1, 97), (6, P), (40, P_TOP), (96, 97)])
+# 2g-1 nodes must be distinct mod p: g = 48 is the largest grid for 97
+@pytest.mark.parametrize("g,p", [(1, 97), (6, P), (40, P_TOP), (48, 97)])
 def test_grid_bump_shifts_grid_total_by_one(g, p):
     bump = grid_bump(g, p)
-    assert bump.shape == (g,)
-    assert [poly_eval(bump.tolist(), x, p) for x in range(1, g + 1)] == \
-        [1] + [0] * (g - 1)
-    assert nd_grid_sum(bump, (g,), p) == 1
+    assert bump.shape == (2 * g - 1,)
+    assert bump.tolist() == [unit_impulse(1, x, g, p)
+                             for x in range(1, 2 * g)]
+    assert int(bump[:g].sum()) % p == 1
 
 
 @pytest.mark.parametrize("size,p", [(1, 97), (2, 97), (7, 97), (96, 97),

@@ -11,7 +11,7 @@ from annostream.generators import (gnp_edges, path_edges, star_edges,
                                    weighted_turnstile_instance)
 from annostream.oracle import oracle_bfs, oracle_dijkstra
 from annostream.protocol import (get_scheme, run_adversarial, run_honest,
-                                 run_with_transcript, _clone_transcript)
+                                 run_with_transcript)
 from annostream.stream import EdgeToken, GraphInstance
 
 
@@ -121,7 +121,7 @@ def test_label_perturbation_exhaustive():
             for wrong in range(0, Dhat + 3):
                 if wrong == true[v]:
                     continue
-                forged = _clone_transcript(honest)
+                forged = honest.copy()
                 forged.blocks[1].values = np.array(
                     true[:v] + [wrong] + true[v + 1:], dtype=np.int64)
                 res = run_with_transcript(scheme, inst, forged,
@@ -142,7 +142,7 @@ def test_false_zero_in_round_values_rejected():
         if block.label != "round_degrees":
             continue
         for pos in np.flatnonzero(block.values):
-            forged = _clone_transcript(honest)
+            forged = honest.copy()
             forged.blocks[bi].values = block.values.copy()
             forged.blocks[bi].values[pos] = 0
             res = run_with_transcript(scheme, inst, forged, seed=8, p=cfg.p)
@@ -280,7 +280,7 @@ def test_wvanilla_phantom_parent_rejected():
     assert res.accepted and res.value == (0, 1, 2, 3)
     # vertex 4's parent is 3; claim 2 instead with the same implied
     # weight budget: edge (2,4) of weight 2 does not exist
-    forged = _clone_transcript(honest)
+    forged = honest.copy()
     for b in forged.blocks:
         if b.label == "parent_labels":
             vals = b.values.copy()

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annostream import stream as stream_mod
-from annostream.extension import nd_eval
 from annostream.stream import (DELTA_BOUND, MODELS, AdjItem, EdgeToken,
                                GraphInstance, ParseError, ProofTranscript,
                                RejectError, SetMember, SetQuery, parse_stream,
@@ -100,7 +99,8 @@ _VALUES = st.lists(st.one_of(
     st.integers(min_value=-2 ** 70, max_value=2 ** 70).map(str),
     st.integers(-3, 12).map(str),
     st.text(max_size=4)), max_size=6).map(" ".join)
-_TRANSCRIPT = st.lists(st.one_of(_HEADER, _VALUES, st.just("!transcript v=1")),
+_TRANSCRIPT = st.lists(st.one_of(_HEADER, _VALUES, st.sampled_from(
+    ["!transcript v=1", "!transcript v=2"])),
                        max_size=8).map("\n".join)
 
 
@@ -166,7 +166,7 @@ def test_final_edges_drops_net_zero():
 def test_transcript_round_trip_and_count():
     tr = ProofTranscript()
     tr.add_scalars("labels", [3, 1, 4, 1, 5])
-    tr.add_coeffs("block", np.arange(12, dtype=np.int64).reshape(3, 4))
+    tr.add_values("block", np.arange(12, dtype=np.int64).reshape(3, 4), 97)
     tr.add_scalars("tail", [9])
     assert tr.element_count() == 5 + 12 + 1
     back = ProofTranscript.load(tr.dump())
@@ -175,6 +175,7 @@ def test_transcript_round_trip_and_count():
     assert np.array_equal(back.blocks[1].values, tr.blocks[1].values)
     assert back.blocks[1].shape == (3, 4)
     assert back.dump() == tr.dump()
+    assert tr.dump().startswith("!transcript v=2\n")
 
 
 # --- the writer's node values and the lies' block edits ---------------------
@@ -184,16 +185,35 @@ def test_transcript_round_trip_and_count():
 _PRIMES = (11, 13, 101, 65537, 1048583, 33554393)
 
 
-def _on_nodes(coeffs, p) -> np.ndarray:
-    """Python-int values of a coefficient tensor on the nodes 1..m of each
-    axis: one Vandermonde contraction per axis."""
-    out = np.asarray(coeffs).astype(object)
-    for axis, m in enumerate(out.shape):
-        vander = np.array([[pow(x, e, p) for e in range(m)]
-                           for x in range(1, m + 1)], dtype=object)
-        out = np.moveaxis(np.tensordot(vander, out, axes=([1], [axis])),
-                          0, axis) % p
+def _basis(x, m, p) -> list:
+    """[delta_u(x) for u in 1..m] by Lagrange's formula, on Python ints."""
+    out = []
+    for u in range(1, m + 1):
+        num = den = 1
+        for v in range(1, m + 1):
+            if v != u:
+                num, den = num * (x - v) % p, den * (u - v) % p
+        out.append(num * pow(den, -1, p) % p)
     return out
+
+
+def _lagrange(vals, point, p) -> int:
+    """Python-int value at `point` of the polynomial taking `vals` on the
+    nodes 1..m of each axis of length m."""
+    acc = np.asarray(vals).astype(object) % p
+    for x in reversed(point):
+        acc = (acc * np.array(_basis(x, acc.shape[-1], p), dtype=object)
+               ).sum(axis=-1) % p
+    return int(acc)
+
+
+def _extended(vals, count, p):
+    """The polynomial's Python-int values on the nodes 1..count of the
+    last axis, by Lagrange's formula."""
+    acc = np.asarray(vals).astype(object) % p
+    rows = np.array([_basis(x, acc.shape[-1], p)
+                     for x in range(1, count + 1)], dtype=object)
+    return np.tensordot(acc, rows.T, axes=([-1], [0])) % p
 
 
 def _node_values(shape, p, seed):
@@ -201,42 +221,66 @@ def _node_values(shape, p, seed):
     return rng.integers(-2 * p, 2 * p, size=shape, dtype=np.int64)
 
 
+def _points(data, shape, p) -> tuple:
+    """One coordinate per axis: 0, a node of the axis or any residue."""
+    return tuple(data.draw(st.one_of(st.just(0), st.integers(1, m),
+                                     st.integers(0, p - 1)))
+                 for m in shape)
+
+
 @settings(max_examples=150, deadline=None)
 @given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
-       p=st.sampled_from(_PRIMES), seed=st.integers(0, 2 ** 32 - 1))
-def test_add_values_round_trips_every_node(shape, p, seed):
+       p=st.sampled_from(_PRIMES), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_add_values_round_trips_every_node(shape, p, seed, data):
+    shape = tuple(shape)
     vals = _node_values(shape, p, seed)
     tr = ProofTranscript()
     tr.add_values("h", vals, p)
     back = ProofTranscript.load(tr.dump())
-    assert back.blocks[0].shape == tuple(shape)
-    coeffs = back.reader(p).coeffs("h", tuple(shape))
-    assert (_on_nodes(coeffs, p) == vals % p).all()
+    block = back.blocks[0]
+    assert block.shape == shape and block.kind == "coeffs"
+    assert block.values.tolist() == (vals % p).ravel().tolist()
+    # the block's polynomial takes each value on its node
+    node = tuple(data.draw(st.integers(1, m)) for m in shape)
+    at = int(vals[tuple(x - 1 for x in node)]) % p
+    assert _lagrange(vals, node, p) == at
+    back.reader(p).claim("h", shape, node, at, "r")
+    with pytest.raises(RejectError):
+        back.reader(p).claim("h", shape, node, at + 1, "r")
 
 
-def _grid_total(tr, grid, p) -> int:
-    """The reader's grid total of block "h", claimed at a point it holds."""
-    shape = tuple(2 * g - 1 for g in grid)
-    point = tuple(range(p - 1, p - 1 - len(grid), -1))
-    at = nd_eval(tr.reader(p).coeffs("h", shape), point, p)
+def _grid_total(tr, grid, point, p) -> int:
+    """The reader's grid total of block "h", claimed at `point` with the
+    value the oracle gives there."""
+    block = tr.blocks[0]
+    at = _lagrange(block.values.reshape(block.shape), point, p)
     return tr.reader(p).grid_claim("h", grid, point, at, "h")
 
 
 @settings(max_examples=150, deadline=None)
 @given(grid=st.lists(st.integers(1, 5), min_size=1, max_size=3),
        p=st.sampled_from(_PRIMES), seed=st.integers(0, 2 ** 32 - 1),
-       shift=st.integers(-2 ** 40, 2 ** 40))
-def test_shift_total_moves_the_grid_total_by_the_shift(grid, p, seed, shift):
+       shift=st.integers(-2 ** 40, 2 ** 40), data=st.data())
+def test_shift_total_moves_the_grid_total_by_the_shift(grid, p, seed, shift,
+                                                       data):
     shape = tuple(2 * g - 1 for g in grid)
     vals = _node_values(shape, p, seed)
     tr = ProofTranscript()
     tr.add_values("h", vals, p)
+    point = _points(data, shape, p)
     on_grid = vals[tuple(slice(g) for g in grid)]
-    assert _grid_total(tr, grid, p) == int(on_grid.sum()) % p
+    assert _grid_total(tr, grid, point, p) == int(on_grid.sum()) % p
     block = tr.blocks[0]
     block.shift_total(shift, p)
     assert block.shape == shape and block.values.size == vals.size
-    assert _grid_total(tr, grid, p) == (int(on_grid.sum()) + shift) % p
+    assert _grid_total(tr, grid, point, p) == (int(on_grid.sum()) + shift) % p
+    # the bump has degree g-1 on each axis: its values on the nodes past
+    # [g] are those of the polynomial through its first g values
+    bump = (block.values.reshape(shape) - vals) % p
+    for axis, g in enumerate(grid):
+        low = np.moveaxis(bump, axis, -1)
+        assert (_extended(low[..., :g], 2 * g - 1, p) == low).all()
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,45 +298,41 @@ def test_block_add_values_equals_adding_on_the_nodes(shape, p, seed):
     assert loaded.dump() == both.dump()
 
 
-def _at(coeffs, point, p) -> int:
-    """Python-int value of a coefficient tensor at a point."""
-    return sum(int(c) * np.prod([pow(x, e, p) for x, e in zip(point, exps)],
-                                dtype=object)
-               for exps, c in np.ndenumerate(coeffs)) % p
-
-
 @settings(max_examples=150, deadline=None)
 @given(grid=st.lists(st.integers(1, 5), min_size=1, max_size=3),
        p=st.sampled_from(_PRIMES), seed=st.integers(0, 2 ** 32 - 1),
        data=st.data())
 def test_reader_claims_read_what_the_polynomial_gives(grid, p, seed, data):
     shape = tuple(2 * g - 1 for g in grid)
+    vals = _node_values(shape, p, seed)
     tr = ProofTranscript()
-    tr.add_values("h", _node_values(shape, p, seed), p)
-    coeffs = tr.reader(p).coeffs("h", shape)
-    on = _on_nodes(coeffs, p)
-    point = tuple(data.draw(st.integers(0, p - 1)) for _ in grid)
-    at = _at(coeffs, point, p)
+    tr.add_values("h", vals, p)
+    point = _points(data, shape, p)
+    at = _lagrange(vals, point, p)
 
-    on_grid = on[tuple(slice(g) for g in grid)]
+    on_grid = vals[tuple(slice(g) for g in grid)]
     assert tr.reader(p).grid_claim("h", grid, point, at, "h") == \
-        on_grid.sum() % p
-    # each axis summed over a grid [g] or weighed by w[u-1] at u = 1..len(w)
+        int(on_grid.sum()) % p
+    # each axis summed over a grid [g] or weighed by w[u-1] at u = 1..len(w),
+    # len(w) below or past the axis's m nodes, and the nodes distinct mod p
     axes = [data.draw(st.one_of(
         st.integers(1, m),
-        st.lists(st.integers(0, p - 1), min_size=1, max_size=m)))
+        st.lists(st.integers(0, p - 1), min_size=1,
+                 max_size=min(m + 3, p - 1))))
         for m in shape]
-    want = on
+    want = vals.astype(object) % p
     for axis in reversed(axes):
         w = [1] * axis if isinstance(axis, int) else axis
+        if len(w) > want.shape[-1]:
+            want = _extended(want, len(w), p)
         want = np.tensordot(want[..., :len(w)], np.array(w, dtype=object),
                             axes=([-1], [0])) % p
     claim = tr.reader(p).claim("h", shape, point, at, "r")
     assert claim.total(axes) == want
-    if len(shape) == 1:
-        m = data.draw(st.integers(0, 12))
+    if len(shape) == 1:  # up to 12 nodes, past the block's, distinct mod p
+        m = data.draw(st.integers(0, min(12, p - 1)))
         assert claim.on_nodes(m).tolist() == [
-            _at(coeffs, (u,), p) for u in range(1, m + 1)]
+            _lagrange(vals, (u,), p) for u in range(1, m + 1)]
 
     with pytest.raises(RejectError) as exc:
         tr.reader(p).claim("h", shape, point, at + 1, "the reason given")
@@ -302,26 +342,32 @@ def test_reader_claims_read_what_the_polynomial_gives(grid, p, seed, data):
     assert exc.value.reason == "h disagrees at the random point"
 
 
-# what only `stream` and `extension` may name: the coefficient form, its
-# serial order, and the evaluations that read it
+# the coefficient form, its serial order and the evaluations that read it:
+# help travels as node values, so only `extension` names them
 _COEFFICIENT_FORM = {
-    "nd_eval", "nd_grid_sum", "eval_on_nodes", "power_sums", "power_moments",
+    "nd_eval", "nd_grid_sum", "power_sums", "power_moments",
     "coeffs_from_serial", "coeffs_to_serial", "coeffs_from_values_1d",
-    "coeffs_from_values_nd", "graded_lex_perm", "grid_bump"}
+    "coeffs_from_values_nd", "graded_lex_perm"}
+# what only `stream` names besides: the grid bump the lies shift by
+_HELP_FORM = {"grid_bump"}
 
 
 def test_only_stream_and_extension_touch_the_coefficient_form():
     found = []
     for path in sorted(Path(stream_mod.__file__).parent.glob("*.py")):
-        if path.stem in ("stream", "extension"):
+        if path.stem == "extension":
             continue
+        banned = _COEFFICIENT_FORM | (
+            set() if path.stem == "stream" else _HELP_FORM)
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
-                names = {a.name for a in node.names} & _COEFFICIENT_FORM
-            elif isinstance(node, ast.Attribute):
-                names = {node.attr} & _COEFFICIENT_FORM
+                names = {a.name for a in node.names} & banned
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                names = {getattr(node, "attr", getattr(node, "id", None))
+                         } & banned
             elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)):
+                  and isinstance(node.func, ast.Attribute)
+                  and path.stem != "stream"):
                 names = {node.func.attr} & {"coeffs"}
             else:
                 names = set()
@@ -332,15 +378,26 @@ def test_only_stream_and_extension_touch_the_coefficient_form():
 def test_transcript_reader_enforces_order_and_shape():
     tr = ProofTranscript()
     tr.add_scalars("a", [7])
-    tr.add_coeffs("b", np.ones((2, 2), dtype=np.int64))
+    tr.add_values("b", np.ones((2, 2), dtype=np.int64), 97)
     r = tr.reader(97)
     assert r.scalar("a") == 7
-    with pytest.raises(Exception):
-        r.coeffs("b", (3, 2))
+    with pytest.raises(RejectError, match="expected 6 coefficients, got 4"):
+        r.claim("b", (3, 2), (0, 0), 0, "r")
+
+
+def test_transcript_load_refuses_other_versions():
+    body = "@x kind=scalars count=2\n1 2\n"
+    for version in ("1", "3", ""):
+        with pytest.raises(ParseError, match=f"transcript version {version}"):
+            ProofTranscript.load(f"!transcript v={version}\n" + body)
+    # other notes are skipped, as is a transcript without the line
+    for head in ("!transcript v=2\n", "! a note\n", ""):
+        assert ProofTranscript.load(head + body).blocks[0].values.tolist() \
+            == [1, 2]
 
 
 def test_transcript_load_rejects_bad_counts():
-    text = "!transcript v=1\n@x kind=scalars count=3\n1 2\n"
+    text = "!transcript v=2\n@x kind=scalars count=3\n1 2\n"
     with pytest.raises(ParseError):
         ProofTranscript.load(text)
 
@@ -958,7 +1015,7 @@ _BAD_VALUE = st.sampled_from(["x", "1.5", "#", "0x1", "1__0", "_1", "--1",
 @st.composite
 def _odd_transcript(draw):
     """Blocks in odd spellings and line breaks; one in four has a flaw."""
-    lines = ["!transcript v=1"] if draw(st.booleans()) else []
+    lines = ["!transcript v=2"] if draw(st.booleans()) else []
     for b in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["coeffs", "scalars", "vertices"]))
         values = draw(st.lists(st.integers(-3, 2 ** 25), max_size=40))

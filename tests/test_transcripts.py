@@ -1,9 +1,12 @@
 """Pinned honest and forged transcripts, and the trailing-help check.
 
-The sha256 of every scheme's honest `dump()` on a small fixed input is
+The sha256 of every scheme's honest transcript on a small fixed input is
 pinned, and so is that of every mutation policy's forgeries of it at a
-fixed adversary seed, so a refactor of the provers, of the lies or of
-the transcript layout that changes a single help element shows up here.
+fixed adversary seed, so a refactor of the provers or of the lies that
+changes a single help element shows up here. Each transcript is hashed
+in the v=1 layout, which carried every help polynomial as its monomial
+coefficients in graded-lex order (`_v1_dump`): the pins then name the
+polynomials, whatever layout `dump()` writes.
 The verifier's verdict on each of those transcripts (status, reason,
 value and both costs) is pinned as well, so a rewrite of a verifier that
 changes what it accepts, why it rejects or what it charges shows up too.
@@ -12,6 +15,7 @@ the runner.
 """
 
 import hashlib
+import math
 
 import pytest
 
@@ -22,9 +26,10 @@ from annostream.generators import (adjlist_instance, dag_instance,
                                    weighted_instance,
                                    weighted_turnstile_instance,
                                    with_query_set)
+from annostream.extension import coeffs_from_values_nd, coeffs_to_serial
 from annostream.field import make_rng
-from annostream.protocol import (MUTATIONS, _clone_transcript, _verify,
-                                 get_scheme, run_with_transcript)
+from annostream.protocol import (MUTATIONS, _verify, get_scheme,
+                                 run_with_transcript)
 
 
 def _cases():
@@ -94,23 +99,23 @@ PINNED = {
 
 FORGED = {
     "acyclicity:coefficient_flip":
-        "0b38d446bb688d3b4ea4c5c8f3dfebdbdb459a9e448c53014d25593adc6c43b3",
+        "0f204ee87f25dfd22bb770aa3b973cff174ff8742246c07117b72e6d8d60fcd6",
     "acyclicity:block_truncation":
-        "fd21c2a79b91ec5171ce1d42212abc963565e7220b9cf286140adf4662b2d1a0",
+        "1f4464838cc69bc10f6e1f36760a5deab46af0f46a164ba6c557122237e96e3e",
     "acyclicity:output_value_lie":
         "8ccc988f7d80d003ee4bdc755f273147db61adccea35c2226bb689f4d19a284e",
     "acyclicity:vertex_list_permutation_lie":
         "0707d1cca7fc1e3e592be76cf194608f977e37f036aa7a282f758997ca6e9c1a",
     "acyclicity/cyclic:coefficient_flip":
-        "ae0566604aaacacd50b275f37645f93b98015c34175a76922f3456db3b4f98ff",
+        "2517350992b1695bb3b242ce854d889b27a81882b809552d2725a9e5518b5146",
     "acyclicity/cyclic:block_truncation":
-        "c163d3f4468f9e20a82fd93ac19649a7e1e92c0536d550e3cff381a734e95f3d",
+        "b04cd7d4b147411b52aa45b487c5a4fee20cac06d4b9dc092ddc971587de76f9",
     "acyclicity/cyclic:output_value_lie":
         "862ea372793a2d869c8c06ac05e03af7dbf494d2981a172d2eef002540169df9",
     "acyclicity/cyclic:vertex_list_permutation_lie":
         "972915c6b29dadc71c4c77451b9a8c50115d8471745454efbc2898e8c6877dbc",
     "components:coefficient_flip":
-        "711182ad6355303b0b6a1ec785fe38cc770661d92eea50aba9f76e4e3771bce8",
+        "b4d0b14c4ab2851ebd8dcb88ab8f3662140f322ad63af5f428e7ab1dd65b0030",
     "components:block_truncation":
         "cafaa3f9daa098e48fa818277b28f849cc2faae99127b74491f28c4d34409a64",
     "components:output_value_lie":
@@ -118,27 +123,27 @@ FORGED = {
     "components:vertex_list_permutation_lie":
         "aece2599992e816c3bb6153475620d897c6b67297fe619cd12ee2263556207c2",
     "edgecount-cross:coefficient_flip":
-        "256e3d18d9adac421c82cf5441452fa07801b7187b9f92faad5ed6d66188050c",
+        "d7ae407c12c7b0dd7ec8f9a626c4297463ec6164062982e6ac2a5dee40ea31df",
     "edgecount-cross:block_truncation":
-        "ba44ac8d1f70a926cff0d8b660d78468aa094ab88fc34b14c2a060514d0d00d3",
+        "e0e785fd226fd32ecc488968c8cd89192f46ca1f509751af7de9fac442c4e837",
     "edgecount-cross:output_value_lie":
         "3b823d1779ac2ea467625fdaae2a2baf9a7332911d9564e3366a22e2941dc1e9",
     "edgecount-induced:coefficient_flip":
-        "e426ff5431c12000bb394388e6e1e2d0fcfde734b0d17b8f562afc83e6b3fe5a",
+        "3c79aa787e30b5a0ac41f966f33fd2f2eff73fb35f898590f8043c159c19449d",
     "edgecount-induced:block_truncation":
-        "b457f95fad5b2237365790591767a9caeb4ddbc0492b1d918438224fa6f83a2e",
+        "18faee648f3a7b8dd8c73e58d97d09acc3cfdecb9a14eeaea25b2ae31a5836b7",
     "edgecount-induced:output_value_lie":
         "5abed1f8f3a5591ac75e0f98f6062b7ee023472589810e39d871c9a798988a78",
     "maxmatch-frugal:coefficient_flip":
-        "9ea62474c7b3f0d0e083f988e2c644e9fa50e8ae1b757a11108a0052c63e8996",
+        "d4ed03e723e27c11f1872b4570d4a4af9851261ec01df154d8342ce0a37c7e26",
     "maxmatch-frugal:block_truncation":
-        "1dec6a6a459f1870f41dabc9e23f8cbb226a31be66eb1e6bdeb1fa9c54f495b9",
+        "ff0937c57ac60cf92f734bfc65bfef0d80ad9d0874d07d3a6225a8748d3842ee",
     "maxmatch-frugal:output_value_lie":
         "cb84cd9c3f0a810b1a9ff1e800b130b22d1be10819e26eb5c9cae0335ab13b28",
     "maxmatch-frugal:vertex_list_permutation_lie":
         "a553ee815a3efc0b93d7848e2ff7f6c2898bdb6e907ae7b3b15dd7aedc1addd5",
     "maxmatch-laconic:coefficient_flip":
-        "28547903baae668ab5cd64df43624c15a216f33889ea3678fbf0b8ff14f9fbf7",
+        "e78bb99c8a6d6a885be530445d7678834c7b3e350497b37d8be647f9e5e70ff5",
     "maxmatch-laconic:block_truncation":
         "7bc051ab527b2f79041ded201382008269662a34b7663cb7549583c6833dda4b",
     "maxmatch-laconic:output_value_lie":
@@ -146,13 +151,13 @@ FORGED = {
     "maxmatch-laconic:vertex_list_permutation_lie":
         "8c96191f5339bd711614f3c8d00838e3d664720d2a8f223df7ea2f9c911182d4",
     "mis:coefficient_flip":
-        "fb0b65a480d833cf8daa3c0a61cd59fb1e3f12cbc497fe7377f282ae222395c4",
+        "8c351d80f1e3f37138bd9264d907e857c2cf7ef587dbb30bd6cc50c2336a4cc7",
     "mis:block_truncation":
-        "1989958c33a837d8476d37b3a59cf21d20f4b012a01af592b1ca92a48107720f",
+        "f00beb4ed5e3b21a411da00e57963b30eff705c1b2630ac750966164faae5b58",
     "mis:vertex_list_permutation_lie":
         "00a317a2e7d08c0b7dbdb5945afab06ba50ba80bd45b1d38646c45f98b340ab3",
     "sssp-unweighted:coefficient_flip":
-        "9eb086be5f7009117bd453d5b4024cfac8261f286b13b8473d44adaf1abd6cf0",
+        "608af8938252d44f6b376da33f0a652de3ad193eddec0a39a2629e496c14b7a0",
     "sssp-unweighted:block_truncation":
         "ec6e92f2a348ee1738ba7597bfa8cbedd0affd13a1abb512140b5b776fc53d5d",
     "sssp-unweighted:output_value_lie":
@@ -160,21 +165,21 @@ FORGED = {
     "sssp-unweighted:qd_scalar_flip":
         "5cb51989d4bf7b6aca802a0fa0242a61a2ddc957af90d9386d810259fbcdff38",
     "sssp-wturnstile:coefficient_flip":
-        "c542f016216b146097827f5dc846942a2c852806daa4f846354e055f6de31ae6",
+        "6de8bcd809c6fc4958a02adf1af20621040858ad137f5938948808d959b66098",
     "sssp-wturnstile:block_truncation":
-        "f32183b8447e662413dd3b16d609841000278dec23184ac346f846bd01638ede",
+        "74f2a97efdc9c477a40e5dad7e1361cf4c639ab0a1d8ede60879243ab0bb8e13",
     "sssp-wturnstile:output_value_lie":
         "75429b4e15cbe34ef9fe78860e89aff5748da1c26be9a88990a47bda6d5c4266",
     "sssp-wvanilla:coefficient_flip":
-        "aeb6fa6b274a51b2f4c1079f0921343092f306083abd3539af67950a7a127de3",
+        "e17baf33ca77373f9ca6d467a239ab3d8caec379789ddf30bf7dae9b58992a8c",
     "sssp-wvanilla:block_truncation":
-        "4f2105985caf411607a8366370b99f311f57ac6ef547929ab16e3a4458c5c316",
+        "7c3df751b4f48c9236d2e3d0a37e9aaffd37e9b153d054c9c49e874317c13670",
     "sssp-wvanilla:output_value_lie":
         "1c6b983e01f6b6fa6c1635e7605e1cc37ef8a1ebbced9c610cb1cc6a940098f0",
     "sssp-wvanilla:qd_scalar_flip":
         "5462c55207d8b64ef9c662b59c88c8b43b77be1bce33dca91faa980622363bbc",
     "stpath:coefficient_flip":
-        "96b883a55e7cd1909795da9a358ee988a09f897639de0be1359558a010c42710",
+        "4593395f88a64f9220bcd4587ed438ae20cd3c2d3365e4fa51866ae7c3b1ae89",
     "stpath:block_truncation":
         "0fea1c46f534438b7eb5a01ac45c27ca7802479ad0ea012a2abc8d7485561a04",
     "stpath:output_value_lie":
@@ -182,35 +187,35 @@ FORGED = {
     "stpath:qd_scalar_flip":
         "96e2d7f9fa3cfbde5610e780ba557897ee0089e507029f33924519dd905e46cb",
     "toposort:coefficient_flip":
-        "1f152dbfa0d88ccdff2e6145acb0f91ec27e03380b9d6ef3d0e01f64ea5db0d6",
+        "a259ea47acf0222686b77bf1ce43c5220853f36f690f5e83be2ebb540d4057dd",
     "toposort:block_truncation":
-        "d2249013b781366a5a43f687270b2ab351de089cf159c86bcbb479d8479cec3e",
+        "73a75f4f588496d5b63daa3c8f0479c606e2d4c5bc8cb0e17ebf045ee1caf5ee",
     "toposort:output_value_lie":
         "c43f489c0eca54c5aae34b40cf9baea6bfc5bb662cba3ee6fc3c827e7c489a08",
     "toposort:vertex_list_permutation_lie":
         "0153f1d1253f56077df3b79595dffb81c84d50e6a6a76ffbddf81e8fa94261a7",
     "tri-adj:coefficient_flip":
-        "e66dbc58a360cae08effc8b9700f760ddfa5dbf7df81b2ca41aa4be5b5b2a14e",
+        "4fbb1402e7bcf572e79cda524957affa6eb518fb979f1b277cf3f935c4d47ba7",
     "tri-adj:block_truncation":
-        "b9d3fadaa5c3a649c6062c72359eb37f22db2ed71c0bb98b1c07aa3837f2481b",
+        "e06a8339813b5377149babf0e2709dcba8dcbea1d02eb9377fd46930717d797a",
     "tri-adj:output_value_lie":
         "c2b82d401141720fd3cdeb0608c9a99e9c3890d0ae865d378463158d1d640fd1",
     "tri-frugal:coefficient_flip":
-        "a9c76363cb17fe3e6430518fc7bc21f4ccdfea86f97573dcd38472ae09b5c8a2",
+        "33e7eccdb0bf111c94de2e957a80f107b9e3f788655fa59b47c7084da85d6000",
     "tri-frugal:block_truncation":
-        "903589cf2be8ffd4c1be43b52cb4c7aa223f434539ae3e541b6693664ae355ec",
+        "90d7a09c0ee2dc1a8f17b31acdeec8209dfd26cd1e2ec790799ab7ad37cfd6cc",
     "tri-frugal:output_value_lie":
         "1e499048d1b6f32e95e2eb14224e370b452e01285f9a90e2203f314417f44335",
     "tri-laconic:coefficient_flip":
-        "d10fddb95d5bc09117f406687b35fa5bd2ce39306c6ac7b5b786754414dadcf9",
+        "477a34cd67d04661245ef719e3f8131fba79f17fd51e17330d75c3d1bc1b4e58",
     "tri-laconic:block_truncation":
-        "f8212101a12217248d5d83af94b546a6b4143b3e706325e9347199c3b93ce712",
+        "a3e037e288e4522fba34f031e664d5a7a07b1d3a0ae1916273d997db7110a2cc",
     "tri-laconic:output_value_lie":
         "fa45d8cab60d43acd5e276cab8083b1271f0d4a2412b5e140958ae3991d5f90e",
     "tri-sparse:coefficient_flip":
-        "8e02f87b0fc6df4858668ce4a5b2ce07332cad044b09e758fb8b04069580358c",
+        "92f7ffccc3f587dd477137e9dda2c9aee92bf72ceccfa2c786043d7f4bdf6cd3",
     "tri-sparse:block_truncation":
-        "a7689c18775acc3d9366309c138639391d92dee3a9c7d4b7306cbd876816ecae",
+        "ba6dc9230200d95145dcc2fb9f9d7f75e138aefa3f166dba67474e79e641446e",
     "tri-sparse:output_value_lie":
         "c8cca0466a75f8740b92891fc16bc3aeecc3554ec5f2287b4b99dc0b8d520688",
     "tri-sparse:vertex_list_permutation_lie":
@@ -222,6 +227,26 @@ FORGED_SEED = 7
 FORGED_TRIALS = 3
 
 
+def _v1_dump(tr, p) -> bytes:
+    """The transcript as the v=1 writer dumped it: each whole help block
+    interpolated to its coefficients. A block cut short by a lie holds no
+    polynomial, so its values are written as they are."""
+    out = ["!transcript v=1"]
+    for b in tr.blocks:
+        vals = b.values
+        head = f"@{b.label} kind={b.kind} count={vals.size}"
+        if b.kind == "coeffs":
+            head += " shape=" + ",".join(map(str, b.shape))
+            if vals.size == math.prod(b.shape):
+                vals = coeffs_to_serial(coeffs_from_values_nd(
+                    vals.reshape(b.shape), p))
+        out.append(head)
+        vals = vals.tolist()
+        for i in range(0, len(vals), 16):
+            out.append(" ".join(map(str, vals[i:i + 16])))
+    return ("\n".join(out) + "\n").encode()
+
+
 def _honest(key):
     inst = _cases()[key]
     scheme = get_scheme(key.split("/")[0]).configure(inst)
@@ -231,8 +256,8 @@ def _honest(key):
 
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_honest_transcript_is_pinned(key):
-    _, _, _, tr = _honest(key)
-    assert hashlib.sha256(tr.dump().encode()).hexdigest() == PINNED[key]
+    _, _, p, tr = _honest(key)
+    assert hashlib.sha256(_v1_dump(tr, p)).hexdigest() == PINNED[key]
 
 
 @pytest.mark.parametrize("key", sorted(PINNED))
@@ -246,7 +271,7 @@ def test_forged_transcripts_are_pinned(key):
             arng = make_rng(FORGED_SEED,
                             f"adversary/{scheme.name}/{policy}/{i}")
             forged = MUTATIONS[policy](scheme, inst, tr, p, arng)
-            h.update(b"none" if forged is None else forged.dump().encode())
+            h.update(b"none" if forged is None else _v1_dump(forged, p))
         got[f"{key}:{policy}"] = h.hexdigest()
     assert got == {k: v for k, v in FORGED.items()
                    if k.split(":")[0] == key}
@@ -320,7 +345,7 @@ def test_verdicts_are_pinned(key):
 def test_trailing_block_is_rejected(key):
     scheme, inst, p, tr = _honest(key)
     assert run_with_transcript(scheme, inst, tr, seed=3, p=p).accepted
-    padded = _clone_transcript(tr)
+    padded = tr.copy()
     padded.add_scalars("extra", [1])
     res = run_with_transcript(scheme, inst, padded, seed=3, p=p)
     assert not res.accepted
