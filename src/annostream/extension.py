@@ -40,10 +40,28 @@ S is power_moments, a transposed-Vandermonde product, and the
 coefficients are a Hankel product against it: two mat_mulmod calls per
 axis, with power tables built by doubling instead of an m-step loop.
 
-mat_mulmod is the one modular matmul: float64 BLAS over chunks of the
-inner axis sized from the operands' largest entries, so that each dot
-product is exact; operands already in [0, p) are not reduced again, and
-leading batch axes run as in np.matmul.
+mat_mulmod is the modular matmul of int64 operands: float64 BLAS over
+chunks of the inner axis sized from the operands' largest entries, so
+that each dot product is exact; operands already in [0, p) are not
+reduced again, and leading batch axes run as in np.matmul.
+
+Kernels that keep their residues in float64 between products reduce
+them in place with FloatResidues:
+
+    r = x - floor(x * fl(1/p)) * p,  then r -= p where r >= p,
+
+which is exact for integers 0 <= x < 2^51. fl(1/p) and the product
+each round once, by a relative 2^-53 at most, so the quotient is
+within (x/p)(2^-52 + 2^-106) < 1/(2p) of x/p. Write x/p = k + j/p
+with 0 <= j < p. For j >= 1, x/p is at least 1/p from both k and
+k + 1, so the floor is k. For j = 0, x = k p, the floor is k or one
+too low, and then r = p, which the correction maps to 0. floor(.) * p
+is an integer no larger than x, so it and the difference are exact.
+Below p < 2^25 a product of two residues plus a residue,
+(p-1)^2 + (p-1), is under 2^51. StagedProduct holds rows that a kernel
+stages this way and multiplies each block of them in one exact float64
+product: a block is never longer than an exact chunk.
+
 This module is the field arithmetic of every vectorised kernel, and
 check_vectorized_modulus is the one rule for which moduli they take.
 
@@ -454,6 +472,81 @@ def reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
+class FloatResidues:
+    """In-place reduction mod p of float64 arrays of integers, with its
+    own scratch of `size` entries, so that a kernel's inner loop allocates
+    nothing (see the module docstring for why it is exact)."""
+
+    def __init__(self, p: int, size: int):
+        check_vectorized_modulus(p)
+        self.p = float(p)
+        self._inv = 1.0 / p
+        self._q = np.empty(size)
+        self._ge = np.empty(size, dtype=bool)
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """x mod p in place, for integers 0 <= x < 2^51; returns x."""
+        q = self._q[:x.size].reshape(x.shape)
+        np.multiply(x, self._inv, out=q)
+        np.floor(q, out=q)
+        q *= self.p
+        x -= q
+        return self.fold(x)
+
+    def fold(self, x: np.ndarray) -> np.ndarray:
+        """x mod p in place, for integers 0 <= x < 2p; returns x."""
+        ge = self._ge[:x.size].reshape(x.shape)
+        np.greater_equal(x, self.p, out=ge)
+        np.subtract(x, self.p, out=x, where=ge)
+        return x
+
+
+class StagedProduct:
+    """S[z] = sum_k left[z, k]^T right[z, k] mod p, shape (batch, width,
+    width), over rows that a kernel writes in place into `left` and
+    `right`, each (batch, block, width) in float64.
+
+    A staged row holds integers below 2^51, such as products of two
+    residues. `add(k)` reduces the first k staged rows of each side once,
+    multiplies them in one np.matmul into a preallocated buffer and adds
+    the product into int64 sums. A block is at most `most` rows and never
+    longer than one exact chunk of residue products, so each product is
+    exact, and the int64 sums take _CHUNK_SUMS of them between
+    reductions.
+    """
+
+    def __init__(self, batch: int, width: int, p: int, most: int):
+        self.block = min(most, exact_chunk((p - 1) ** 2))
+        self.left = np.zeros((batch, self.block, width))
+        self.right = np.zeros_like(self.left)
+        self.mod = FloatResidues(p, self.left.size)
+        self._prod = np.empty((batch, width, width))
+        self._sums = np.zeros((batch, width, width), dtype=np.int64)
+        self._adds = 0
+        self._p = p
+
+    def add(self, k: int):
+        """Add the products of the first k staged rows into the sums."""
+        left = self.mod.reduce(self.left[:, :k])
+        right = self.mod.reduce(self.right[:, :k])
+        np.matmul(left.transpose(0, 2, 1), right, out=self._prod)
+        np.add(self._sums, self._prod, out=self._sums, casting="unsafe",
+               dtype=np.int64)
+        self._adds += 1
+        if self._adds % _CHUNK_SUMS == 0:
+            reduce_mod(self._sums, self._p)
+
+    def total(self) -> np.ndarray:
+        """The sums as int64 residues."""
+        return reduce_mod(self._sums, self._p)
+
+
+def int64_sums_exact(terms: int) -> bool:
+    """Whether int64 holds an unreduced sum of `terms` products of two
+    residues, as dot_mod sums at most _INT64_TERMS of them."""
+    return terms <= _INT64_TERMS
+
+
 def dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """sum(a * b, axis=-1) % p for residues, in int64 sums of at most
     _INT64_TERMS products; a and b broadcast, last axes of equal length."""
@@ -495,9 +588,16 @@ def _node_product(g: int, count: int, p: int) -> np.ndarray:
     return out
 
 
-# extend_rows builds its Toeplitz gather inv(x - u) in blocks of rows x of
-# at most this many int64 bytes, so its peak follows its output
+# blocked kernels (extend_rows' Toeplitz gather inv(x - u), tri-adj's
+# row products) hold at most this many bytes of a block's rows at once, so
+# their peak follows their output
 _GATHER_BYTES = 1 << 22
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows of `row_bytes` each in one block of a blocked kernel: as many
+    as _GATHER_BYTES holds, and at least one."""
+    return max(1, _GATHER_BYTES // row_bytes)
 
 
 def extend_rows(values, p: int, count=None) -> np.ndarray:
@@ -523,7 +623,7 @@ def extend_rows(values, p: int, count=None) -> np.ndarray:
         inv = _inverse_table(count, p)
         P = _node_product(g, count, p)
         weights = flat[support] * _inv_den_array(g, p)[support, None] % p
-        step = max(1, _GATHER_BYTES // (8 * support.size))
+        step = block_rows(8 * support.size)
         for lo in range(g, count, step):
             xs = np.arange(lo + 1, min(count, lo + step) + 1)
             tail = mat_mulmod(inv[xs[:, None] - (support + 1)], weights, p)

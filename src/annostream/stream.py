@@ -719,16 +719,20 @@ class ProofTranscript:
     # text round-trip ----------------------------------------------------------
 
     def dump(self) -> str:
-        out = [f"!transcript v={TRANSCRIPT_VERSION}"]
+        """The transcript as text: a version line, then per block a header
+        line and its values in decimal, 16 to a line, as str() writes
+        them. All values of the transcript go through one %-format whose
+        layout the block sizes give: one pass in C, whatever the number
+        of blocks, and no str() call per value or join per line."""
+        layout = [f"!transcript v={TRANSCRIPT_VERSION}\n"]
         for b in self.blocks:
             head = f"@{b.label} kind={b.kind} count={b.values.size}"
             if b.kind == "coeffs":
                 head += " shape=" + ",".join(map(str, b.shape))
-            out.append(head)
-            vals = b.values.tolist()
-            for i in range(0, len(vals), 16):
-                out.append(" ".join(map(str, vals[i:i + 16])))
-        return "\n".join(out) + "\n"
+            layout.append(head.replace("%", "%%") + "\n")
+            layout.append(_value_lines(b.values.size))
+        values = np.concatenate([b.values for b in self.blocks] or [[]])
+        return "".join(layout) % tuple(values.tolist())
 
     @classmethod
     def load(cls, text: str) -> "ProofTranscript":
@@ -784,6 +788,18 @@ class ProofTranscript:
         return t
 
 
+# one full line of transcript values as a %-format
+_VALUE_LINE = " ".join(["%d"] * 16) + "\n"
+
+
+def _value_lines(count: int) -> str:
+    """The %-format of a block of `count` values: 16 to a line, joined by
+    spaces, each line ending in a newline."""
+    full, rest = divmod(count, 16)
+    tail = " ".join(["%d"] * rest) + "\n" if rest else ""
+    return _VALUE_LINE * full + tail
+
+
 def _check_version(line: str):
     """ParseError on a `!transcript v=N` line with N other than
     TRANSCRIPT_VERSION; any other `!` line is a note."""
@@ -797,13 +813,27 @@ def _check_version(line: str):
 
 
 def _block_values(lines: list, label: str, count: int) -> np.ndarray:
-    """A block's value lines as int64: one numpy read of them joined into
-    one row, or int() value by value where the row is not ASCII or numpy
-    refuses it."""
+    """A block's value lines as int64, read by numpy where the text is
+    ASCII. In `dump`'s layout, lines of 16 values and a last line of at
+    most 16, two or more lines are one (lines x 16) table, the last line
+    padded with zeros that are then dropped: numpy reads short rows
+    faster than one long one. One line, or any other layout, is read as
+    one row of the lines joined, and where numpy refuses that, int()
+    reads it value by value."""
+    vals = None
     row = " ".join(lines)
-    table = _int_table([row], None) if row.isascii() else None
-    vals = table[0] if table is not None else [
-        _int_field(x, label) for line in lines for x in line.split()]
+    if row.isascii():
+        tail = len(lines[-1].split()) if len(lines) > 1 else 0
+        if 0 < tail <= 16:
+            table = _int_table(lines[:-1] + [lines[-1] + " 0" * (16 - tail)],
+                               None)
+            if table is not None and table.shape[1] == 16:
+                vals = table.ravel()[:table.size - 16 + tail]
+        if vals is None:
+            table = _int_table([row], None)
+            vals = table[0] if table is not None else None
+    if vals is None:
+        vals = [_int_field(x, label) for line in lines for x in line.split()]
     if len(vals) != count:
         raise ParseError(f"block {label}: {len(vals)} of {count} values")
     try:

@@ -25,13 +25,15 @@ Tradeoffs (help elements, verifier cells), grid [t] x [s] with ts >= n:
 
 from __future__ import annotations
 
+from functools import partial
 from math import isqrt
 
 import numpy as np
 
 from .edgecount import (LineArray, PairSketch, degree_grid, line_rows,
                         member_pair_charge)
-from .extension import dot_mod, impulse_table, mat_mulmod, reduce_mod
+from .extension import (StagedProduct, block_rows, dot_mod, impulse_table,
+                        int64_sums_exact, mat_mulmod, reduce_mod)
 from .field import fe_random
 from .oracle import oracle_triangles
 from .protocol import Scheme, cached_build, register
@@ -49,7 +51,7 @@ def _shaped_tokens(inst, sc, p):
     return zip(*(c.tolist() for c in (a, b, delta % p, xa, ya, xb, yb)))
 
 
-# tokens whose charge rows tri-frugal stages per batched product
+# tokens whose charge rows tri-frugal stages at most per batched product
 _STAGE = 32
 
 
@@ -94,17 +96,45 @@ class TrianglesLaconic(_TriangleBase):
         return self.n * self.s + 8
 
     def prove(self, inst, p: int) -> ProofTranscript:
+        """acc[w] = sum over tokens of delta <T_a, T_b>[w], where T_v[y, w]
+        is vertex v's row of the table at node w (contiguous per vertex).
+
+        Each token's inner product, one einsum of s products of two
+        residues, goes into a row of a staged block (dot_mod where int64
+        cannot hold s of them); the block is reduced once and weighted by
+        the deltas in one dot_mod. A column update adds a reduced
+        delta Dt[., x] and subtracts p where the sum reaches it.
+        """
         t, s, n, sc = self.t, self.s, self.n, self.sc
-        D = degree_grid(t, p)  # (2t-1, t)
-        table = np.zeros((2 * t - 1, n, s), dtype=np.int64)
-        acc = np.zeros(2 * t - 1, dtype=np.int64)
-        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc, p):
-            prod = table[:, a - 1, :] * table[:, b - 1, :] % p
-            acc = (acc + delta * (prod.sum(axis=1) % p)) % p
-            table[:, a - 1, yb - 1] = (table[:, a - 1, yb - 1]
-                                       + delta * D[:, xb - 1]) % p
-            table[:, b - 1, ya - 1] = (table[:, b - 1, ya - 1]
-                                       + delta * D[:, xa - 1]) % p
+        wt = 2 * t - 1
+        Dt = np.ascontiguousarray(degree_grid(t, p).T)  # row x is contiguous
+        table = np.zeros((n, s, wt), dtype=np.int64)
+        acc = np.zeros(wt, dtype=np.int64)
+        a, b, delta, _ = inst.edges
+        xa, ya = sc.grid_index(a)
+        xb, yb = sc.grid_index(b)
+        delta = delta % p
+        over = np.empty(wt, dtype=bool)
+        exact = int64_sums_exact(s)
+        step = block_rows(3 * 8 * wt)  # inner products and both columns
+        for lo in range(0, a.size, step):
+            block = slice(lo, lo + step)
+            ca = reduce_mod(delta[block, None] * Dt[xa[block]], p)
+            cb = reduce_mod(delta[block, None] * Dt[xb[block]], p)
+            inner = np.empty_like(ca)
+            cols = (c[block].tolist() for c in (a, b, ya, yb))
+            for k, (u, v, yu, yv) in enumerate(zip(*cols)):
+                tu, tv = table[u - 1], table[v - 1]
+                if exact:
+                    np.einsum("yw,yw->w", tu, tv, out=inner[k])
+                else:
+                    inner[k] = dot_mod(tu.T, tv.T, p)
+                for col, c in ((tu[yv], cb[k]), (tv[yu], ca[k])):
+                    col += c
+                    np.greater_equal(col, p, out=over)
+                    np.subtract(col, p, out=col, where=over)
+            reduce_mod(inner, p)
+            acc = (acc + dot_mod(inner.T, delta[block], p)) % p
         tr = ProofTranscript()
         tr.add_values("charge_poly", acc, p)
         return tr
@@ -116,10 +146,10 @@ class TrianglesLaconic(_TriangleBase):
         meter.alloc("adjacency_rows", n * s)
         meter.alloc("registers", 2)
         table = np.zeros((n, s), dtype=np.int64)
+        row_dot = np.dot if int64_sums_exact(s) else partial(dot_mod, p=p)
         acc = 0
         for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc, p):
-            prod = table[a - 1] * table[b - 1] % p
-            acc = (acc + delta * int(prod.sum() % p)) % p
+            acc = (acc + delta * int(row_dot(table[a - 1], table[b - 1]))) % p
             table[a - 1, yb - 1] = (table[a - 1, yb - 1]
                                     + delta * imp[xb - 1]) % p
             table[b - 1, ya - 1] = (table[b - 1, ya - 1]
@@ -149,37 +179,43 @@ class TrianglesFrugal(_TriangleBase):
         """Q[i, j, z]: the sum over tokens of the products of their two
         charge rows at the nodes (i, z) and (j, z), shape (2t-1, 2t-1, 2n-1).
 
-        The rows are staged, node z first, in two fixed (2n-1, _STAGE,
-        2t-1) blocks, token k at [:, k], so a token writes 2n-1 contiguous
-        runs. A full block is one batched mat_mulmod into Q, and the
-        staging never holds more than _STAGE tokens.
+        B and the staged rows are float64 residues. The rows are staged,
+        node z first, in a StagedProduct of two (2n-1, block, 2t-1)
+        buffers, token k at [:, k], so a token writes 2n-1 contiguous runs
+        and a block of tokens is one float64 product. Rows 1..n of
+        degree_grid(n) are the identity, so a token changes one of B's
+        first n rows and its n-1 extrapolated rows.
         """
         t, s, n, sc = self.t, self.s, self.n, self.sc
         wt, wn = 2 * t - 1, 2 * n - 1
-        Dt = degree_grid(t, p)
-        Dn = degree_grid(n, p)
-        B = np.zeros((s, wn, wt), dtype=np.int64)  # row y is contiguous
-        Q = np.zeros((wn, wt, wt), dtype=np.int64)  # residues, summed
-        left = np.zeros((wn, _STAGE, wt), dtype=np.int64)
-        right = np.zeros_like(left)
-        k = 0
-        for (a, b, delta, xa, ya, xb, yb) in _shaped_tokens(inst, sc, p):
-            ca = delta * Dt[:, xa - 1] % p
-            cb = delta * Dt[:, xb - 1] % p
-            reduce_mod(np.multiply(B[ya - 1], ca, out=left[:, k]), p)
-            reduce_mod(np.multiply(B[yb - 1], Dt[:, xb - 1],
-                                   out=right[:, k]), p)
-            k += 1
-            if k == _STAGE:
-                Q += mat_mulmod(left.transpose(0, 2, 1), right, p)
-                k = 0
-            B[ya - 1] += np.outer(Dn[:, b - 1], ca)
-            reduce_mod(B[ya - 1], p)
-            B[yb - 1] += np.outer(Dn[:, a - 1], cb)
-            reduce_mod(B[yb - 1], p)
-        if k:
-            Q += mat_mulmod(left[:, :k].transpose(0, 2, 1), right[:, :k], p)
-        return reduce_mod(Q, p).transpose(1, 2, 0)
+        Dt = degree_grid(t, p).T.astype(np.float64)  # row x is contiguous
+        ext = degree_grid(n, p)[n:].T.astype(np.float64)  # (n, n-1)
+        B = np.zeros((s, wn, wt))  # row y is contiguous
+        staged = StagedProduct(wn, wt, p, _STAGE)
+        left, right, mod = staged.left, staged.right, staged.mod
+        tmp = np.empty((n - 1, wt))
+        a, b, delta, _ = inst.edges
+        xa, ya = sc.grid_index(a)
+        xb, yb = sc.grid_index(b)
+        delta = (delta % p).astype(np.float64)[:, None]
+        for lo in range(0, a.size, staged.block):
+            block = slice(lo, lo + staged.block)
+            ca = mod.reduce(delta[block] * Dt[xa[block]])
+            cb = mod.reduce(delta[block] * Dt[xb[block]])
+            cols = (c[block].tolist() for c in (a, b, ya, xb, yb))
+            for k, (u, v, yu, xv, yv) in enumerate(zip(*cols)):
+                np.multiply(B[yu], ca[k], out=left[:, k])
+                np.multiply(B[yv], Dt[xv], out=right[:, k])
+                for y, other, c in ((yu, v, ca[k]), (yv, u, cb[k])):
+                    row = B[y, other - 1]
+                    row += c
+                    mod.fold(row)
+                    np.multiply(ext[other - 1, :, None], c, out=tmp)
+                    top = B[y, n:]
+                    top += tmp
+                    mod.reduce(top)
+            staged.add(k + 1)
+        return staged.total().transpose(1, 2, 0)
 
     def run_verifier(self, inst, reader, p, rng, meter):
         t, s, n, sc = self.t, self.s, self.n, self.sc
@@ -316,17 +352,27 @@ class TrianglesAdjList(_TriangleBase):
         # A^ of the edges revealed through row v is half + half^T, where
         # half is Dt[., x_v0] (x) line_rows(new_v0) at y1 = y_v0 summed
         # over the rows v0 <= v; the charge of row v is then q + q^T with
-        # q = sum_{v0 <= v} (Dt[., x_v0] chi_v[., y_v0]) (x) <chi_v, new_v0>
-        chi = line_rows(rows, sc, Dt, p)
+        # q = sum_{v0 <= v} (Dt[., x_v0] chi_v[., y_v0]) (x) <chi_v, new_v0>.
+        # A block of rows takes one mat_mulmod for the inner products and
+        # one, batched over its rows, for their q terms.
+        chi = line_rows(rows, sc, Dt, p)  # (v, w1, y1)
         new = line_rows([[u for u in lst if u > v]
                          for v, lst in enumerate(rows, 1)], sc, Dt, p)
         new = np.ascontiguousarray(new.transpose(1, 0, 2))  # (w2, v0, y2)
         xs, ys = np.divmod(np.arange(n), sc.s)
-        Q = np.zeros((Dt.shape[0],) * 2, dtype=np.int64)
-        for v in np.flatnonzero([len(lst) for lst in rows]):
-            a = chi[v][:, ys[:v + 1]] * Dt[:, xs[:v + 1]] % p
-            b = dot_mod(new[:, :v + 1], chi[v][:, None, :], p)
-            Q = (Q + dot_mod(a[:, None, :], b[None], p)) % p
+        wt = Dt.shape[0]
+        Q = np.zeros((wt, wt), dtype=np.int64)
+        live = np.flatnonzero([len(lst) for lst in rows])
+        # a and b of a row, in int64 and in mat_mulmod's float64 copies
+        step = block_rows(4 * 8 * wt * n)
+        for lo in range(0, live.size, step):
+            vs = live[lo:lo + step]
+            top = vs[-1] + 1
+            block = chi[vs]  # (k, w1, y1) for row v = vs[k]
+            b = mat_mulmod(new[:, :top], block.transpose(1, 2, 0), p)
+            a = reduce_mod(block[:, :, ys[:top]] * Dt[:, xs[:top]], p)
+            a *= np.arange(top) <= vs[:, None, None]  # (k, w1, v0 <= v)
+            Q += mat_mulmod(a, b.transpose(2, 1, 0), p).sum(axis=0)
         P = (Q + Q.T) % p
         tr = ProofTranscript()
         tr.add_values("charge_poly", P, p)

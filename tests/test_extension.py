@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annostream.extension import (ShapeConfig, coeffs_from_serial,
+from annostream.extension import (FloatResidues, ShapeConfig, StagedProduct,
+                                  coeffs_from_serial,
                                   coeffs_from_values_1d, coeffs_from_values_nd,
                                   coeffs_to_serial, exact_chunk,
                                   extend_rows, grid_bump, impulse_block,
@@ -564,3 +565,47 @@ def test_modulus_guard_refuses_overflow_primes():
         nd_eval(np.ones((2, 2), dtype=np.int64), (3, 4), big)
     # scalar path carries no overflow risk and stays usable
     assert impulse_table(2, 3, big)[1] == 1
+
+
+# --- float64 residues --------------------------------------------------------
+
+
+# a prime near 2^20 whose fl(1/p) falls short of 1/p by 0.94 of a rounding
+# step: p * fl(1/p) rounds below 1, so at x = p and at many other x = kp
+# the floor of the quotient is one short of k
+P_SHORT = 1045663
+
+
+@pytest.mark.parametrize("p", [3, 97, P_SHORT, P_TOP])
+def test_float_reduction_at_multiples_of_p(p):
+    # x = kp - 1, kp and kp + 1 up to the largest k below 2^51; where the
+    # floor falls one short at x = kp, the remainder first comes out as p
+    top = ((1 << 51) - 2) // p
+    ks = {1, 2, p - 1, p, p + 1, top // 2, top - 1, top}
+    ks |= set(random.Random(p).sample(range(1, top + 1), 400))
+    xs = [0, (p - 1) ** 2 + (p - 1)]
+    xs += [k * p + d for k in sorted(ks) for d in (-1, 0, 1)]
+    arr = np.array(xs, dtype=np.float64)
+    assert arr.tolist() == xs  # each is exact in float64
+    out = FloatResidues(p, arr.size).reduce(arr)
+    assert out is arr
+    assert arr.tolist() == [x % p for x in xs]
+
+
+@pytest.mark.parametrize("p,block", [(P, 32), (16777259, 31), (P_TOP, 8)])
+def test_staged_product_stages_whole_exact_chunks(p, block):
+    # a block is one exact float64 product: 32 rows, or fewer where
+    # (p - 1)^2 allows fewer; just above 2^24 that is 31, not 31 + 1
+    staged = StagedProduct(3, 2, p, 32)
+    assert staged.block == block == min(32, exact_chunk((p - 1) ** 2))
+    rng = np.random.default_rng(p)
+    left = rng.integers(0, p, size=(3, 70, 2))
+    right = rng.integers(0, p, size=(3, 70, 2))
+    for lo in range(0, 70, block):
+        k = min(block, 70 - lo)
+        staged.left[:, :k] = left[:, lo:lo + k] * (p - 1)  # below 2^51
+        staged.right[:, :k] = right[:, lo:lo + k]
+        staged.add(k)
+    want = np.einsum("zki,zkj->zij", (left * (p - 1) % p).astype(object),
+                     right.astype(object)) % p
+    assert staged.total().tolist() == want.tolist()

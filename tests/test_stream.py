@@ -1072,3 +1072,47 @@ def test_transcript_load_matches_the_line_by_line_reference(text):
         for b, blk in zip(got.blocks, want):
             assert b.values.dtype == np.int64
             assert b.values.tolist() == blk[3].tolist()
+
+
+# --- the per-line transcript writer this one replaced, kept as a
+# reference ------------------------------------------------------------------
+
+
+def reference_dump(tr):
+    out = ["!transcript v=2"]
+    for b in tr.blocks:
+        head = f"@{b.label} kind={b.kind} count={b.values.size}"
+        if b.kind == "coeffs":
+            head += " shape=" + ",".join(map(str, b.shape))
+        out.append(head)
+        vals = b.values.tolist()
+        for i in range(0, len(vals), 16):
+            out.append(" ".join(map(str, vals[i:i + 16])))
+    return "\n".join(out) + "\n"
+
+
+_INT64 = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                   st.sampled_from([0, -1, 9, 10, -10, 99, 10 ** 9,
+                                    2 ** 32, -2 ** 63, 2 ** 63 - 1]),
+                   st.integers(0, 2 ** 25))
+
+
+@st.composite
+def _written_transcript(draw):
+    """Blocks of any int64 values, of any size, with empty ones."""
+    tr = ProofTranscript()
+    for b in range(draw(st.integers(0, 4))):
+        values = np.array(draw(st.lists(_INT64, max_size=70)),
+                          dtype=np.int64)
+        kind = draw(st.sampled_from(["coeffs", "scalars", "vertices"]))
+        shape = (1, values.size) if kind == "coeffs" else None
+        tr.blocks.append(stream_mod.Block(f"b{b}", kind, values, shape))
+    return tr
+
+
+@settings(max_examples=300, deadline=None)
+@given(_written_transcript())
+def test_transcript_dump_matches_the_per_line_writer(tr):
+    text = tr.dump()
+    assert text == reference_dump(tr)
+    assert ProofTranscript.load(text).dump() == text

@@ -229,3 +229,100 @@ def test_frugal_prove_memory_follows_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 24 << 20
+
+
+def _laconic_charge_reference(scheme, inst, p):
+    """tri-laconic's charge polynomial by the per-token loop, in Python
+    ints: token (a, b, delta) adds delta sum_y T_a[w, y] T_b[w, y] at each
+    node w, then adds delta Dt[w, x_b] to T_a[w, y_b] and delta Dt[w, x_a]
+    to T_b[w, y_a]."""
+    t, s, n = scheme.t, scheme.s, scheme.n
+    Dt = np.array([impulse_table(x, t, p) for x in range(1, 2 * t)],
+                  dtype=object)
+    T = np.zeros((n, s, 2 * t - 1), dtype=object)
+    acc = np.zeros(2 * t - 1, dtype=object)
+    a, b, delta, _ = inst.edges
+    for u, v, d in zip(a.tolist(), b.tolist(), delta.tolist()):
+        (xu, yu), (xv, yv) = divmod(u - 1, s), divmod(v - 1, s)
+        acc = (acc + d * (T[u - 1] * T[v - 1]).sum(axis=0)) % p
+        T[u - 1, yv] = (T[u - 1, yv] + d * Dt[:, xv]) % p
+        T[v - 1, yu] = (T[v - 1, yu] + d * Dt[:, xu]) % p
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=_strict_churned_streams(), data=st.data(),
+       p=st.one_of(st.just(P_TOP),
+                   st.integers(1 << 20, P_TOP - 1).map(next_prime)))
+def test_laconic_charge_matches_per_token_loop(inst, data, p):
+    t = data.draw(st.integers(1, inst.n), label="t")
+    scheme = get_scheme("tri-laconic").configure(inst, t=t)
+    got = scheme.prove(inst, p).blocks[-1].values
+    assert got.dtype == np.int64
+    assert got.tolist() == _laconic_charge_reference(scheme, inst, p).tolist()
+
+
+def _adj_charge_reference(scheme, inst, p):
+    """tri-adj's charge block row by row, in Python ints: row v first adds
+    the edges it lists first to the revealed adjacency R (both ways), then
+    adds sum_{c, c'} R[c, c'] L_v(w1, c) L_v(w2, c'), where
+    L_v(w, c) = Dt[w, x_c] * sum over the u of row v with y_u = y_c of
+    Dt[w, x_u]."""
+    t, s, n = scheme.t, scheme.s, scheme.n
+    Dt = np.array([impulse_table(x, t, p) for x in range(1, 2 * t)],
+                  dtype=object)
+    R = np.zeros((n, n), dtype=object)
+    P = np.zeros((2 * t - 1, 2 * t - 1), dtype=object)
+    rows: dict = {}
+    for v, u, first in zip(*(c.tolist() for c in inst.edges[:3])):
+        rows.setdefault(v, []).append((u, first))
+    for v, items in rows.items():
+        for u, first in items:
+            if first:
+                R[v - 1, u - 1] += 1
+                R[u - 1, v - 1] += 1
+        line = np.zeros((2 * t - 1, s), dtype=object)
+        for u, _ in items:
+            line[:, (u - 1) % s] += Dt[:, (u - 1) // s]
+        L = np.array([Dt[:, c // s] * line[:, c % s] for c in range(n)],
+                     dtype=object).T
+        P = (P + L.dot(R).dot(L.T)) % p
+    return P
+
+
+@st.composite
+def _adjacency_lists(draw):
+    """An adjacency-list stream of a simple graph on n <= 10."""
+    n = draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    return adjlist_instance(n, draw(st.lists(st.sampled_from(pairs),
+                                             unique=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=_adjacency_lists(), data=st.data(),
+       p=st.one_of(st.just(P_TOP),
+                   st.integers(1 << 20, P_TOP - 1).map(next_prime)))
+def test_adj_charge_matches_row_by_row_loop(inst, data, p):
+    t = data.draw(st.integers(1, inst.n), label="t")
+    scheme = get_scheme("tri-adj").configure(inst, t=t)
+    got = scheme.prove(inst, p).blocks[-1].values
+    assert got.dtype == np.int64
+    assert got.tolist() == _adj_charge_reference(scheme, inst, p).ravel(
+        ).tolist()
+
+
+def test_laconic_sums_rows_in_bounded_chunks(monkeypatch):
+    # past 2^13 products of two residues an int64 sum can wrap; with the
+    # limit lowered to 2, rows of s = 3..4 take the chunked dot_mod path
+    from annostream import extension
+    monkeypatch.setattr(extension, "_INT64_TERMS", 2)
+    p = P_TOP
+    for n, t in ((9, 3), (8, 2)):
+        inst = turnstile_instance(n, gnp_edges(n, 0.7, n), churn=3, seed=n)
+        scheme = get_scheme("tri-laconic").configure(inst, t=t)
+        got = scheme.prove(inst, p).blocks[-1].values
+        assert got.tolist() == _laconic_charge_reference(scheme, inst,
+                                                         p).tolist()
+        res = run_honest(scheme, inst, seed=3)
+        assert res.accepted and res.value == oracle_triangles(inst)
