@@ -28,9 +28,8 @@ from .generators import (adjlist_instance, clique_edges, cycle_edges,
                          turnstile_instance, vanilla_instance,
                          weighted_instance, weighted_turnstile_instance,
                          with_query_set)
-from .protocol import (MUTATIONS, SCHEMES, NoMutation, TrialStats,
-                       checked_field, get_scheme, run_adversarial,
-                       run_with_transcript)
+from .protocol import (MUTATIONS, NoMutation, TrialStats, checked_field,
+                       get_scheme, run_adversarial, run_with_transcript)
 from .protocol import sweep_costs as _sweep_costs
 from .stream import ParseError, ProofTranscript, parse_stream, serialize_stream
 
@@ -74,20 +73,14 @@ def _load_instance(path: str):
         raise ConfigError(f"{path}: {exc}")
 
 
-def _scheme_class(args):
-    """The scheme named by --scheme. Its input domain is checked with its
-    field (`checked_field`), before anything is proved."""
+def _configured_scheme(args, inst, t=None, s=None):
+    """The scheme named by --scheme, configured on inst with the shape
+    (t, s). Its input domain is checked with its field (`checked_field`),
+    before anything is proved."""
     try:
-        return get_scheme(args.scheme)
-    except KeyError:
-        raise ConfigError(f"unknown scheme {args.scheme!r}; known: "
-                          + ", ".join(sorted(SCHEMES)))
-
-
-def _configured_scheme(args, inst):
-    cls = _scheme_class(args)
-    try:
-        return cls.configure(inst, t=args.t, s=args.s)
+        return get_scheme(args.scheme).configure(inst, t=t, s=s)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0])
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -142,7 +135,7 @@ def _print_value(scheme, value, transcript, n):
 def cmd_run(args) -> int:
     p = _modulus_override()
     inst = _load_instance(args.input)
-    scheme = _configured_scheme(args, inst)
+    scheme = _configured_scheme(args, inst, args.t, args.s)
     try:
         cfg = checked_field(scheme, inst, p)
         if args.replay:
@@ -198,7 +191,7 @@ def cmd_attack(args) -> int:
         raise ConfigError("--trials must be at least 1")
     p = _modulus_override()
     inst = _load_instance(args.input)
-    scheme = _configured_scheme(args, inst)
+    scheme = _configured_scheme(args, inst, args.t, args.s)
     policies = args.policy or sorted(scheme.mutations)
     for pol in policies:
         if pol != "honest" and pol not in MUTATIONS:
@@ -309,9 +302,9 @@ def _plot_svg(rows, path):
 def cmd_sweep(args) -> int:
     p = _modulus_override()
     inst = _load_instance(args.input)
-    cls = _scheme_class(args)
+    scheme = _configured_scheme(args, inst)
     try:
-        checked_field(cls.configure(inst), inst, p)
+        checked_field(scheme, inst, p)
         shapes = [resolve_shape(inst.n, t, s)
                   for (t, s) in _sweep_shapes(args)]
         rows = _sweep_costs(args.scheme, inst, shapes, seed=args.seed, p=p)

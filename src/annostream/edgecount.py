@@ -30,12 +30,11 @@ from itertools import chain
 
 import numpy as np
 
-from .extension import (ShapeConfig, dot_mod, extend_rows, impulse_table,
+from .extension import (ShapeConfig, dot_mod, extend_rows, impulse_array,
                         mat_mulmod)
 from .field import fe_random
 from .oracle import oracle_cross_edges, oracle_induced_edges
 from .protocol import Scheme, register
-from .setops import add_to_line
 from .stream import ProofTranscript, RejectError
 
 
@@ -45,8 +44,8 @@ class PairSketch:
     def __init__(self, sc: ShapeConfig, r1: int, r2: int, p: int):
         self.sc = sc
         self.p = p
-        self.i1 = np.array(impulse_table(r1, sc.t, p), dtype=np.int64)
-        self.i2 = np.array(impulse_table(r2, sc.t, p), dtype=np.int64)
+        self.i1 = impulse_array(r1, sc.t, p)
+        self.i2 = impulse_array(r2, sc.t, p)
         self.table = np.zeros((sc.s, sc.s), dtype=np.int64)
 
     @property
@@ -77,12 +76,13 @@ class PairSketch:
 
 
 class LineArray:
-    """chi~_S(r, y) for y in [s]; one cell touched per insert."""
+    """chi~_S(r, y) for y in [s]; one cell touched per insert. The one
+    place a vertex, or a key of a `setops.LineCheck`, lands on a line."""
 
     def __init__(self, sc: ShapeConfig, r: int, p: int):
         self.sc = sc
         self.p = p
-        self.imp = np.array(impulse_table(r, sc.t, p), dtype=np.int64)
+        self.imp = impulse_array(r, sc.t, p)
         self.arr = np.zeros(sc.s, dtype=np.int64)
 
     @property
@@ -90,8 +90,12 @@ class LineArray:
         return self.sc.s
 
     def add(self, v, mult=1):
-        """Insert vertex v, or each vertex of a column, mult times."""
-        add_to_line(self.arr, self.sc, self.imp, v, mult, self.p)
+        """Insert vertex v, or each vertex of a column, mult times. mult is
+        reduced mod p before its one product with a residue, so int64 adds
+        2^38 residues below the vectorised limit exactly."""
+        x, y = self.sc.grid_index(v)
+        np.add.at(self.arr, y, mult % self.p * self.imp[x] % self.p)
+        self.arr %= self.p
 
     def rows(self, member_lists) -> np.ndarray:
         """The line after inserting each list alone, one row per list:

@@ -11,9 +11,10 @@ which is 1 at u and 0 elsewhere on the grid, so
     f~(X_1..X_k) = sum_grid f(u) * prod_i delta_{u_i}(X_i).
 
 A verifier needs f~ at one random point, from impulse tables at that
-point. Provers need it on whole node ranges instead: a help polynomial
-is a product of extensions, so it is known from its values on 1..2g-1.
-extend_rows gets those from the values on [g] in closed form. Off the
+point (impulse_array: one table per point, shared by the sketches and
+the claims at it). Provers need it on whole node ranges instead: a help
+polynomial is a product of extensions, so it is known from its values on
+1..2g-1. extend_rows gets those from the values on [g] in closed form. Off the
 grid, x > g, every impulse shares the factor P(x) = prod_{x'}(x - x'):
 
     delta_u(x) = P(x) * inv(x - u) * inv(den_u),
@@ -137,6 +138,16 @@ def impulse_table(x: int, size: int, p: int) -> list:
     inv_den = _impulse_inv_denominators(size, p)
     return [prefix[u - 1] * suffix[u + 1] % p * inv_den[u - 1] % p
             for u in range(1, size + 1)]
+
+
+# a verification holds tables at a few points, sssp-wturnstile one per vertex
+@lru_cache(maxsize=256)
+def impulse_array(x: int, size: int, p: int) -> np.ndarray:
+    """impulse_table as a read-only int64 array, kept for the last 256
+    (x, size, p) used: the sketches and the claims at one point share it."""
+    out = np.fromiter(impulse_table(x, size, p), np.int64, size)
+    out.setflags(write=False)  # cached: every caller shares this array
+    return out
 
 
 def impulse_block(xs, size: int, p: int) -> np.ndarray:

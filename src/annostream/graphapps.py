@@ -38,7 +38,7 @@ from .oracle import (oracle_acyclic, oracle_components, oracle_is_mis,
 from .protocol import Scheme, cached_build, register
 from .setops import (Fingerprint, LineCheck, dense_indicator, directed_key,
                      edge_extension, line_check_dims, line_check_help,
-                     monomial, undirected_key)
+                     monomial, stream_keys, undirected_key)
 from .stream import ProofTranscript, RejectError
 
 
@@ -237,11 +237,6 @@ class _SplitScheme(Scheme):
         """(tp, sp, line width) for the shape knob (t, s)."""
         return (*inner_split(n, s), s)
 
-    def _bump_pairs(self, tr, shift, p):
-        """Shift the grid total of the last block, a pair polynomial."""
-        tr.blocks[-1].shift_total(shift, p)
-        return tr
-
 
 @register
 class MatchingFrugal(_SplitScheme):
@@ -306,7 +301,8 @@ class MatchingFrugal(_SplitScheme):
         sup = edge_extension(inst, self.edge_dims, p)
         tr.add_values("matching_subset",
                       line_check_help(sub, sup, p, "subset"), p)
-        outside = [v for v in range(1, n + 1) if v not in set(witness)]
+        wset = set(witness)
+        outside = [v for v in range(1, n + 1) if v not in wset]
         tr.add_values("inside_pairs",
                       member_pair_charge(inst, [outside], self.isc, p), p)
         tr.add_values("block_pairs",
@@ -332,7 +328,7 @@ class MatchingFrugal(_SplitScheme):
         meter.alloc("registers", 12)
         u, v, delta, _ = inst.edges
         sketch.add_sym(u, v, delta)
-        sub.add_right(undirected_key(u, v, n), delta)
+        sub.add_right(*stream_keys(inst, "undirected"))
         everyone = np.arange(1, n + 1)
         out1.add(everyone)
         out2.add(everyone)
@@ -412,10 +408,11 @@ class MatchingFrugal(_SplitScheme):
         tgt = blocks[rng.choice(evens)]
         lone = tgt.pop(rng.randrange(len(tgt)))
         blocks.append([lone])
-        G = _final_graph(inst)
-        gap = 2 * sum(1 for u in G.neighbors(lone) if u in set(tgt))
-        return self._bump_pairs(
-            self._assemble(inst, matching, witness, blocks, p), gap, p)
+        G, rest = _final_graph(inst), set(tgt)
+        gap = 2 * sum(1 for u in G.neighbors(lone) if u in rest)
+        tr = self._assemble(inst, matching, witness, blocks, p)
+        tr.blocks[-1].shift_total(gap, p)
+        return tr
 
     mutate_vertices = _replace_matched_vertex
 
@@ -492,7 +489,8 @@ class MatchingLaconic(Scheme):
                                  for (a, b) in forest], self.edge_dims)
         tr.add_values("forest_subset",
                       line_check_help(sub_f, sup, p, "subset"), p)
-        outside = [v for v in range(1, n + 1) if v not in set(witness)]
+        wset = set(witness)
+        outside = [v for v in range(1, n + 1) if v not in wset]
         t1 = dense_indicator([(k, 1) for k in _keys_within(outside, n)],
                              self.edge_dims)
         tr.add_values("inside_inter",
@@ -514,8 +512,7 @@ class MatchingLaconic(Scheme):
                     sub_m.cells + sub_f.cells + int_1.cells + int_2.cells)
         meter.alloc("stored_certificate", 3 * n)
         meter.alloc("registers", 8)
-        u, v, delta, _ = inst.edges
-        key = undirected_key(u, v, n)
+        key, delta = stream_keys(inst, "undirected")
         sub_m.add_right(key, delta)
         sub_f.add_right(key, delta)
         int_1.add_left(key, delta)
@@ -575,10 +572,10 @@ class MatchingLaconic(Scheme):
         evens = [b for b in blocks if len(b) >= 2 and len(b) % 2 == 0]
         if not evens:
             return None
-        blk = evens[0]
+        blk = set(evens[0])
         G = _final_graph(inst)
         # detach a leaf of the block's tree to fake an extra odd component
-        tree = [e for e in forest if e[0] in set(blk) or e[1] in set(blk)]
+        tree = [e for e in forest if e[0] in blk or e[1] in blk]
         degs: dict = {}
         for (a, b) in tree:
             degs[a] = degs.get(a, 0) + 1
@@ -588,7 +585,7 @@ class MatchingLaconic(Scheme):
             return None
         lone = leaves[0]
         forest = [e for e in forest if lone not in e]
-        gap = sum(1 for u in G.neighbors(lone) if u in set(blk) and u != lone)
+        gap = sum(1 for u in G.neighbors(lone) if u in blk and u != lone)
         tr = self._assemble(inst, matching[:-1], witness, forest, p)
         tr.blocks[-1].shift_total(gap, p)
         return tr
@@ -700,7 +697,7 @@ class MaximalIndependentSet(_SplitScheme):
         meter.alloc("registers", 8)
         u, v, delta, _ = inst.edges
         sketch.add_sym(u, v, delta)
-        sub.add_right(undirected_key(u, v, n), delta)
+        sub.add_right(*stream_keys(inst, "undirected"))
 
         fp_part = Fingerprint(gamma, p)
         fp_all = Fingerprint(gamma, p)
@@ -738,7 +735,8 @@ class MaximalIndependentSet(_SplitScheme):
         if rng.random() < 0.5 and members:
             members.remove(rng.choice(members))
         else:
-            extra = [v for v in range(1, inst.n + 1) if v not in set(members)]
+            taken = set(members)
+            extra = [v for v in range(1, inst.n + 1) if v not in taken]
             if not extra:
                 return None
             members = sorted(members + [rng.choice(extra)])
@@ -813,7 +811,9 @@ class TopoSort(_SplitScheme):
         pos = {v: i for i, v in enumerate(order)}
         edges = inst.directed_edges()
         gap = sum(1 for (a, b) in edges if pos[a] > pos[b])
-        return self._bump_pairs(self._assemble(inst, order, p), gap, p)
+        tr = self._assemble(inst, order, p)
+        tr.blocks[-1].shift_total(gap, p)
+        return tr
 
     def prove(self, inst, p: int) -> ProofTranscript:
         return self._assemble(inst, self._kahn(inst), p)
@@ -881,19 +881,14 @@ class Acyclicity(_SplitScheme):
 
     def __init__(self, n, t, s):
         super().__init__(n, t, s)
-        self._topo = None
-
-    def _sorter(self) -> TopoSort:
-        if self._topo is None:
-            self._topo = TopoSort(self.n, self.t, self.s)
-        return self._topo
+        self.sorter = TopoSort(n, t, s)
 
     def oracle_value(self, inst):
         return oracle_acyclic(inst)
 
     def hcost_bound(self, inst) -> int:
         if oracle_acyclic(inst):
-            return 1 + self._sorter().hcost_bound(inst)
+            return 1 + self.sorter.hcost_bound(inst)
         cyc = len(self._find_cycle(inst))
         return 1 + 2 * cyc + (2 * self.edge_dims[0] - 1)
 
@@ -940,7 +935,7 @@ class Acyclicity(_SplitScheme):
 
     def prove(self, inst, p: int) -> ProofTranscript:
         if oracle_acyclic(inst):
-            return self._acyclic(self._sorter().prove(inst, p))
+            return self._acyclic(self.sorter.prove(inst, p))
         return self._cycle_transcript(inst, self._find_cycle(inst), p)
 
     @cached_build
@@ -964,15 +959,14 @@ class Acyclicity(_SplitScheme):
         if verdict not in (0, 1):
             raise RejectError("verdict must be 0 or 1")
         if verdict == 1:
-            self._sorter().run_verifier(inst, reader, p, rng, meter)
+            self.sorter.run_verifier(inst, reader, p, rng, meter)
             return True
         rho = fe_random(rng, p)
         gamma = fe_random(rng, p)
         sub = LineCheck(self.edge_dims, rho, p, "subset")
         meter.alloc("subset_lines", sub.cells)
         meter.alloc("registers", 6)
-        u, v, delta, _ = inst.edges
-        sub.add_right(directed_key(u, v, n), delta)
+        sub.add_right(*stream_keys(inst, "directed"))
         cyc = reader.vertices("cycle")
         if cyc.size < 2:
             raise RejectError("cycle too short")
@@ -1007,7 +1001,7 @@ class Acyclicity(_SplitScheme):
             return tr
         # claim acyclic with a forged forward count
         order = list(range(1, inst.n + 1))
-        return self._acyclic(self._sorter()._forged(inst, order, p))
+        return self._acyclic(self.sorter._forged(inst, order, p))
 
     def mutate_vertices(self, inst, transcript, p, rng):
         out = transcript.copy()
@@ -1115,7 +1109,7 @@ class Components(_SplitScheme):
         meter.alloc("registers", 12)
         u, v, delta, _ = inst.edges
         sketch.add_sym(u, v, delta)
-        sub.add_right(undirected_key(u, v, n), delta)
+        sub.add_right(*stream_keys(inst, "undirected"))
         m_total = int(delta.sum())
 
         c = reader.scalar("component_count")
@@ -1205,7 +1199,9 @@ class Components(_SplitScheme):
         others = {v for v in
                   ([block[0]] + [r[0] for r in recs if r is not lone])}
         gap = 2 * sum(1 for u in G.neighbors(lone[0]) if u in others)
-        return self._bump_pairs(self._assemble(inst, blocks, p), gap, p)
+        tr = self._assemble(inst, blocks, p)
+        tr.blocks[-1].shift_total(gap, p)
+        return tr
 
     def mutate_vertices(self, inst, transcript, p, rng):
         out = transcript.copy()

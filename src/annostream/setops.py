@@ -7,8 +7,9 @@ equality of multisets that the verifier sees in different orders.
 Line checks: a set S over universe [N] is laid out on a grid [H] x [V]
 and the verifier keeps the restriction of its indicator extension to a
 random line, L_S[y] = chi~_S(rho, y) for y in [V], at O(1) field
-operations per insert: one cell of L_S changes. The prover then sends
-the coefficients of
+operations per insert: one cell of L_S changes (an `edgecount.LineArray`
+on the key grid). The prover then sends the values on the nodes 1..2H-1
+of
 
     g(X) = sum_y chi~_S(X, y) * chi~_T(X, y)        (intersection)
     g(X) = sum_y chi~_S(X, y) * (1 - chi~_T(X, y))  (containment)
@@ -18,6 +19,10 @@ arrays, and the transcript reader (`grid_claim`) checks the claimed
 polynomial at rho and reads off sum_{x in [H]} g(x), which on the grid
 counts exactly the relevant key overlaps when T is 0/1-valued (S may
 carry positive multiplicities when only a zero test is needed).
+
+`stream_keys` is the one rule that keys the stream's edges for a sketch:
+verifiers feed its columns to their sketches, and `edge_extension` builds
+the prover's side of a line check from them.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .extension import ShapeConfig, extend_rows, impulse_table
+from .edgecount import LineArray
+from .extension import ShapeConfig, extend_rows
 from .stream import RejectError
 
 
@@ -51,23 +57,31 @@ def _ordered(u, v) -> tuple:
     return (total - gap) // 2, (total + gap) // 2
 
 
+def stream_keys(inst, rule: str) -> tuple:
+    """The stream's (key, delta) columns, one row per edge token, keyed by
+    `rule`: "undirected" (`undirected_key`), "directed" (`directed_key` of
+    u -> v), "symmetric" (both ways: two rows per token) or "weighted"
+    (`weighted_key` of the token's w). Summed per key, the deltas are the
+    final edge multiset under the rule."""
+    u, v, delta, w = inst.edges
+    n = inst.n
+    if rule == "undirected":
+        return undirected_key(u, v, n), delta
+    if rule == "directed":
+        return directed_key(u, v, n), delta
+    if rule == "symmetric":
+        return (directed_key(np.concatenate([u, v]), np.concatenate([v, u]),
+                             n), np.concatenate([delta, delta]))
+    if rule == "weighted":
+        return weighted_key(u, v, w, n, inst.W), delta
+    raise ValueError(f"unknown edge-key rule {rule!r}")
+
+
 def monomial(bases, exps, p: int) -> int:
     out = 1
     for b, e in zip(bases, exps):
         out = out * pow(b, e, p) % p
     return out
-
-
-def add_to_line(arr, sc: ShapeConfig, imp, keys, mult, p: int):
-    """arr[y] += mult * imp[x] mod p at the grid cell (x, y) of each key.
-
-    keys and mult are scalars or equal-length int64 columns. mult is
-    reduced mod p before its one product with a residue of imp, and int64
-    adds 2^38 residues below the vectorised limit exactly.
-    """
-    x, y = sc.grid_index(keys)
-    np.add.at(arr, y, mult % p * imp[x] % p)
-    arr %= p
 
 
 class Fingerprint:
@@ -92,8 +106,9 @@ class Fingerprint:
 class LineCheck:
     """Verifier state for one containment or intersection instance.
 
-    dims = (H, V) with H*V >= universe size. Mutable state is the two
-    length-V line arrays; the impulse table for rho is shared read-only.
+    dims = (H, V) with H*V >= universe size. The state is two
+    `edgecount.LineArray`s, left and right, on the key grid [H] x [V] at
+    rho; they share one impulse table.
     """
 
     def __init__(self, dims, rho: int, p: int, mode: str):
@@ -103,28 +118,25 @@ class LineCheck:
         self.p = p
         self.mode = mode
         self.rho = rho % p
-        self._sc = ShapeConfig(self.H * self.V, self.H, self.V)
-        self._imp = np.array(impulse_table(self.rho, self.H, p),
-                             dtype=np.int64)
-        self.left = np.zeros(self.V, dtype=np.int64)
-        self.right = np.zeros(self.V, dtype=np.int64)
+        sc = ShapeConfig(self.H * self.V, self.H, self.V)
+        self.left = LineArray(sc, self.rho, p)
+        self.right = LineArray(sc, self.rho, p)
 
     @property
     def cells(self) -> int:
-        return 2 * self.V
+        return self.left.cells + self.right.cells
 
     def add_left(self, key, mult=1):
-        add_to_line(self.left, self._sc, self._imp, key, mult, self.p)
+        self.left.add(key, mult)
 
     def add_right(self, key, mult=1):
-        add_to_line(self.right, self._sc, self._imp, key, mult, self.p)
+        self.right.add(key, mult)
 
     def point_value(self) -> int:
+        p, left, right = self.p, self.left.arr, self.right.arr
         if self.mode == "subset":
-            prod = self.left * ((1 - self.right) % self.p) % self.p
-        else:
-            prod = self.left * self.right % self.p
-        return int(prod.sum() % self.p)
+            right = (1 - right) % p
+        return int((left * right % p).sum() % p)
 
     def finish(self, reader, label: str, what: str = "line check") -> int:
         """Read the help polynomial; returns its sum over the row grid."""
@@ -170,25 +182,11 @@ def line_check_help(dense_left: np.ndarray, right: np.ndarray,
 def edge_extension(inst, dims, p: int, rule: str = "undirected"
                    ) -> np.ndarray:
     """The stream's side of a line check: the final edges' indicator on the
-    grid dims, extended to the nodes 1..2H-1; built once per instance and
-    read-only.
-
-    `rule` keys the edges: "undirected" (`undirected_key`, counted by final
-    multiplicity), "directed" (`directed_key` of each edge token) or
-    "weighted" (`weighted_key` of each final edge and its weight, with the
-    header's W).
+    grid dims under the edge-key `rule` (`stream_keys`), extended to the
+    nodes 1..2H-1; built once per instance and read-only.
     """
     def build():
-        n = inst.n
-        if rule == "directed":
-            items = [(directed_key(u, v, n), 1)
-                     for (u, v) in inst.directed_edges()]
-        elif rule == "weighted":
-            items = [(weighted_key(u, v, w, n, inst.W), 1)
-                     for (u, v, w) in inst.weighted_edges()]
-        else:
-            items = [(undirected_key(u, v, n), c)
-                     for (u, v), c in inst.final_edges().items()]
+        items = np.transpose(stream_keys(inst, rule))
         out = extend_rows(dense_indicator(items, dims), p)
         out.setflags(write=False)  # cached: every caller shares this array
         return out

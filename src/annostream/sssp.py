@@ -28,14 +28,15 @@ import numpy as np
 
 from .edgecount import (LineArray, adjacency_matrix, degree_grid, extend_x,
                         line_rows)
-from .extension import (dot_mod, extend_rows, impulse_block, impulse_table,
+from .extension import (dot_mod, extend_rows, impulse_array, impulse_block,
                         power_table)
 from .field import FieldConfig, fe_random
 from .graphapps import _final_graph
 from .oracle import oracle_bfs, oracle_dijkstra
 from .protocol import Scheme, cached_build, register
 from .setops import (LineCheck, dense_indicator, edge_extension,
-                     line_check_help, undirected_key, weighted_key)
+                     line_check_help, stream_keys, undirected_key,
+                     weighted_key)
 from .stream import ProofTranscript, RejectError
 
 
@@ -63,7 +64,7 @@ class _BallAudit:
         beta = fe_random(rng, p)
         b0 = fe_random(rng, p)
         b1 = fe_random(rng, p)
-        impn = np.array(impulse_table(self.r2, n, p), dtype=np.int64)
+        impn = impulse_array(self.r2, n, p)
         # b0^v, b1^v and beta^v for v = 1..n
         b0pow, self.b1col, self.betapow = power_table([b0, b1, beta], n + 1,
                                                       p)[:, 1:]
@@ -447,7 +448,7 @@ class SsspWeightedTurnstile(_WeightedScheme):
         n, W, src = self.n, self.W, inst.source
         rho = fe_random(rng, p)
         rho_e = fe_random(rng, p)
-        impn = np.array(impulse_table(rho, n, p), dtype=np.int64)
+        impn = impulse_array(rho, n, p)
         row = np.zeros(n, dtype=np.int64)
         wrow = np.zeros(n, dtype=np.int64)
         inter = LineCheck((n, n), rho_e, p, "intersect")
@@ -463,7 +464,7 @@ class SsspWeightedTurnstile(_WeightedScheme):
         row %= p
         np.add.at(wrow, v[u == src] - 1, delta[u == src])
         np.add.at(wrow, u[v == src] - 1, delta[v == src])
-        inter.add_left(undirected_key(u, v, n), delta)
+        inter.add_left(*stream_keys(inst, "undirected"))
 
         Dhat = reader.scalar("horizon")
         if not 0 <= Dhat <= W * (n - 1):
@@ -479,7 +480,7 @@ class SsspWeightedTurnstile(_WeightedScheme):
         meter.alloc("round_values", n)
         for d in range(1, Dhat):
             # the selector of weight w = d + 1 - dist at each row sketch
-            rhs = sum(impulse_table(int(row[v - 1]) + 1, W + 1, p)[d + 1 - dv]
+            rhs = sum(impulse_array(row[v - 1] + 1, W + 1, p)[d + 1 - dv]
                       for v, dv in enumerate(dist[1:], 1)
                       if dv is not None and d - W < dv <= d)
             grid = reader.claim(
@@ -585,7 +586,7 @@ class SsspWeightedVanilla(_WeightedScheme):
         rho = fe_random(rng, p)
         rho_w = fe_random(rng, p)
         rho_e = fe_random(rng, p)
-        impn = np.array(impulse_table(rho, n, p), dtype=np.int64)
+        impn = impulse_array(rho, n, p)
         F = np.zeros((n, W), dtype=np.int64)
         sub = LineCheck((n * W, n), rho_w, p, "subset")
         inter = LineCheck((n, n), rho_e, p, "intersect")
@@ -598,8 +599,8 @@ class SsspWeightedVanilla(_WeightedScheme):
         np.add.at(F, (u - 1, w - 1), impn[v - 1])
         np.add.at(F, (v - 1, w - 1), impn[u - 1])
         F %= p
-        sub.add_right(weighted_key(u, v, w, n, W))
-        inter.add_left(undirected_key(u, v, n))
+        sub.add_right(*stream_keys(inst, "weighted"))
+        inter.add_left(*stream_keys(inst, "undirected"))
 
         SENT = W * (n - 1) + 1
         labs = reader.scalars("distance_labels", n)

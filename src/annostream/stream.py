@@ -56,7 +56,8 @@ which reads the grid off the block's own shape. A verifier reads a block
 through `TranscriptReader.claim` (or `grid_claim`, by the same 2g-1
 rule), which rejects unless it takes the verifier's own value at its
 random point, a contraction of the values with one impulse table per
-axis, and then gives back only grid totals or values on the nodes.
+axis (`extension.impulse_array`: one table per point, shared with the
+sketches), and then gives back only grid totals or values on the nodes.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extension import dot_mod, extend_rows, grid_bump, impulse_table
+from .extension import dot_mod, extend_rows, grid_bump, impulse_array
 
 MODELS = ("turnstile", "vanilla", "weighted", "adjlist")
 
@@ -856,9 +857,6 @@ class TranscriptReader:
         self._blocks = transcript.blocks
         self._pos = 0
         self.p = p
-        # impulse tables by (point, nodes): a verifier claims its rounds'
-        # blocks at one point, so each table is built once per read
-        self._impulses: dict = {}
 
     def at_end(self) -> bool:
         return self._pos >= len(self._blocks)
@@ -904,16 +902,6 @@ class TranscriptReader:
     # `claim`
     coeffs = _help
 
-    def _impulse(self, x: int, m: int) -> np.ndarray:
-        """[delta_u(x) for u in 1..m] as int64, built once per reader."""
-        key = (x % self.p, m)
-        table = self._impulses.get(key)
-        if table is None:
-            table = np.array(impulse_table(key[0], m, self.p),
-                             dtype=np.int64)
-            self._impulses[key] = table
-        return table
-
     def claim(self, label: str, shape: tuple, point, expected: int,
               reason: str) -> "Claim":
         """Read a help block of `shape`; reject with `reason` unless it
@@ -922,7 +910,8 @@ class TranscriptReader:
         vals = self._help(label, shape)
         at = vals
         for x, m in zip(reversed(point), reversed(shape)):
-            at = dot_mod(at, self._impulse(int(x), m), self.p)
+            at = dot_mod(at, impulse_array(int(x) % self.p, m, self.p),
+                         self.p)
         if int(at) != expected % self.p:
             raise RejectError(reason)
         return Claim(vals, self.p)

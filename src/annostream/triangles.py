@@ -32,12 +32,12 @@ import numpy as np
 
 from .edgecount import (LineArray, PairSketch, degree_grid, line_rows,
                         member_pair_charge)
-from .extension import (StagedProduct, block_rows, dot_mod, impulse_table,
+from .extension import (StagedProduct, block_rows, dot_mod, impulse_array,
                         int64_sums_exact, mat_mulmod, reduce_mod)
 from .field import fe_random
 from .oracle import oracle_triangles
 from .protocol import Scheme, cached_build, register
-from .setops import Fingerprint, directed_key
+from .setops import Fingerprint, directed_key, stream_keys
 from .stream import ProofTranscript, RejectError
 
 
@@ -142,7 +142,7 @@ class TrianglesLaconic(_TriangleBase):
     def run_verifier(self, inst, reader, p, rng, meter):
         t, s, n, sc = self.t, self.s, self.n, self.sc
         r = fe_random(rng, p)
-        imp = impulse_table(r, t, p)
+        imp = impulse_array(r, t, p).tolist()
         meter.alloc("adjacency_rows", n * s)
         meter.alloc("registers", 2)
         table = np.zeros((n, s), dtype=np.int64)
@@ -220,9 +220,9 @@ class TrianglesFrugal(_TriangleBase):
     def run_verifier(self, inst, reader, p, rng, meter):
         t, s, n, sc = self.t, self.s, self.n, self.sc
         r1, r2, r3 = (fe_random(rng, p) for _ in range(3))
-        i1 = impulse_table(r1, t, p)
-        i2 = impulse_table(r2, t, p)
-        i3 = impulse_table(r3, n, p)
+        i1 = impulse_array(r1, t, p).tolist()
+        i2 = impulse_array(r2, t, p).tolist()
+        i3 = impulse_array(r3, n, p).tolist()
         meter.alloc("line_rows", 2 * s)
         meter.alloc("registers", 4)
         row1 = [0] * s
@@ -294,8 +294,7 @@ class TrianglesSparse(_TriangleBase):
         fp_replay = Fingerprint(gamma, p)
         a, b, delta, _ = inst.edges
         sketch.add_sym(a, b, delta)
-        fp_in.add(directed_key(a, b, n), delta)
-        fp_in.add(directed_key(b, a, n), delta)
+        fp_in.add(*stream_keys(inst, "symmetric"))
         lists, replayed = [], []
         for v in range(1, n + 1):
             members = reader.vertices("nbrs")

@@ -13,10 +13,10 @@ from annostream.extension import (FloatResidues, ShapeConfig, StagedProduct,
                                   coeffs_from_serial,
                                   coeffs_from_values_1d, coeffs_from_values_nd,
                                   coeffs_to_serial, exact_chunk,
-                                  extend_rows, grid_bump, impulse_block,
-                                  impulse_table, mat_mulmod, nd_eval,
-                                  nd_grid_sum, power_moments, power_sums,
-                                  power_table, resolve_shape)
+                                  extend_rows, grid_bump, impulse_array,
+                                  impulse_block, impulse_table, mat_mulmod,
+                                  nd_eval, nd_grid_sum, power_moments,
+                                  power_sums, power_table, resolve_shape)
 from annostream.edgecount import LineArray, degree_grid
 from annostream.extension import _impulse_inv_denominators, _inverse_table
 from annostream.field import fe_inv, next_prime
@@ -120,6 +120,13 @@ def test_impulse_table_matches_pointwise():
         assert len(tab) == g
         for u in range(1, g + 1):
             assert tab[u - 1] == unit_impulse(u, x, g, P)
+
+
+def test_impulse_array_is_the_table_kept_read_only():
+    for x, g in ((0, 1), (5, 7), (P - 1, 12), (10 ** 9, 3)):
+        arr = impulse_array(x, g, P)
+        assert arr.dtype == np.int64 and arr.tolist() == impulse_table(x, g, P)
+        assert not arr.flags.writeable and impulse_array(x, g, P) is arr
 
 
 def test_impulse_partition_of_unity():

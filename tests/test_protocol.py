@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import annostream  # registers schemes
-from annostream import cli, graphapps, protocol
+from annostream import cli, extension, graphapps, protocol
 from annostream.extension import resolve_shape
 from annostream.generators import (clique_edges, dag_instance, gnp_edges,
                                    turnstile_instance, vanilla_instance,
@@ -268,6 +268,27 @@ def test_every_runner_takes_exactly_the_domain(tmp_path, capsys, monkeypatch,
                         run()
                 assert cli.main(argv) == 2, case
                 assert "error: " in capsys.readouterr().err, case
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN))
+def test_a_verification_builds_one_impulse_table_per_point(monkeypatch, name):
+    """The sketches and the claims at one random point share its table:
+    within one honest run no (point mod p, nodes) table is built twice."""
+    models, queries, header = DOMAIN[name]
+    inst = _domain_input(models[0], queries[0], header)[1]
+    scheme = get_scheme(name).configure(inst)
+    built = []
+    table = extension.impulse_table
+
+    def counting(x, size, p):
+        built.append((x % p, size))
+        return table(x, size, p)
+
+    monkeypatch.setattr(extension, "impulse_table", counting)
+    extension.impulse_array.cache_clear()
+    res = run_honest(scheme, inst, seed=3)
+    assert res.accepted, res.reason
+    assert built and len(built) == len(set(built)), sorted(built)
 
 
 def _readme_schemes() -> dict:

@@ -1,6 +1,7 @@
 """Fingerprints, key packings, and line-restricted set checks."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 from annostream.edgecount import LineArray, PairSketch
 from annostream.extension import ShapeConfig, extend_rows
 from annostream.field import fe_random_nonzero
+from annostream.generators import (digraph_instance, weighted_instance,
+                                   weighted_turnstile_instance)
 from annostream.setops import (Fingerprint, LineCheck, dense_indicator,
-                               directed_key, line_check_dims, line_check_help,
-                               undirected_key, weighted_key)
+                               directed_key, edge_extension, line_check_dims,
+                               line_check_help, stream_keys, undirected_key,
+                               weighted_key)
 from annostream.stream import DELTA_BOUND, ProofTranscript, RejectError
 
 P = 1048583
@@ -313,7 +317,7 @@ def test_line_check_columns_match_python_ints(case):
     for v in b:
         x, y = _cell(v, sc.s)
         right[y] = (right[y] + imp[x]) % p
-    assert chk.left.tolist() == left and chk.right.tolist() == right
+    assert chk.left.arr.tolist() == left and chk.right.arr.tolist() == right
 
 
 @settings(max_examples=200, deadline=None)
@@ -341,3 +345,54 @@ def test_columns_refuse_vertices_off_the_grid():
             LineCheck((2, 3), 3, p, "subset").add_left(_ints(bad))
     with pytest.raises(ValueError):
         sc.shape(6)
+
+
+# --- the stream's edge keys --------------------------------------------------
+
+# a turnstile stream with multiplicities up to 3 and churn that cancels, a
+# digraph read as arcs, and a weighted stream
+_TURNSTILE = weighted_turnstile_instance(9, 0.4, 3, seed=7, churn=8)
+_KEYED = {"undirected": _TURNSTILE, "symmetric": _TURNSTILE,
+          "directed": digraph_instance(9, 0.4, 7),
+          "weighted": weighted_instance(9, 0.4, 4, 7)}
+
+
+def _final_keys(inst, rule) -> Counter:
+    """The final edge multiset under `rule`, from the instance's own edge
+    views: final multiplicities, arcs or weighted edges."""
+    n, out = inst.n, Counter()
+    if rule == "directed":
+        out.update(directed_key(u, v, n) for u, v in inst.directed_edges())
+    elif rule == "weighted":
+        out.update(weighted_key(u, v, w, n, inst.W)
+                   for u, v, w in inst.weighted_edges())
+    for (u, v), c in inst.final_edges().items():
+        if rule == "undirected":
+            out[undirected_key(u, v, n)] += c
+        elif rule == "symmetric":
+            out[directed_key(u, v, n)] += c
+            out[directed_key(v, u, n)] += c
+    return out
+
+
+@pytest.mark.parametrize("rule", sorted(_KEYED))
+def test_stream_keys_sum_to_the_final_edge_indicator(rule):
+    inst = _KEYED[rule]
+    keys, delta = stream_keys(inst, rule)
+    sums = Counter()
+    for k, d in zip(keys.tolist(), delta.tolist()):
+        sums[k] += d
+    if inst.model == "turnstile":
+        assert 0 in sums.values() and max(sums.values()) > 1
+    want = _final_keys(inst, rule)
+    assert want and {k: c for k, c in sums.items() if c} == want
+    n, W = inst.n, inst.W
+    dims = (n * W, n) if rule == "weighted" else (n, n)
+    assert (edge_extension(inst, dims, P, rule)
+            == extend_rows(dense_indicator(list(want.items()), dims),
+                           P)).all()
+
+
+def test_stream_keys_refuse_an_unknown_rule():
+    with pytest.raises(ValueError, match="edge-key rule"):
+        stream_keys(_TURNSTILE, "bidirected")
