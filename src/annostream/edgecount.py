@@ -34,7 +34,7 @@ from .extension import (ShapeConfig, dot_mod, extend_rows, impulse_array,
                         mat_mulmod)
 from .field import fe_random
 from .oracle import oracle_cross_edges, oracle_induced_edges
-from .protocol import Scheme, register
+from .protocol import Scheme, StreamState, register, stream_pass
 from .stream import ProofTranscript, RejectError
 
 
@@ -96,6 +96,13 @@ class LineArray:
         x, y = self.sc.grid_index(v)
         np.add.at(self.arr, y, mult % self.p * self.imp[x] % self.p)
         self.arr %= self.p
+
+    def copy(self) -> "LineArray":
+        """The same line with cells of its own, writable."""
+        out = object.__new__(LineArray)
+        vars(out).update(vars(self))
+        out.arr = self.arr.copy()
+        return out
 
     def rows(self, member_lists) -> np.ndarray:
         """The line after inserting each list alone, one row per list:
@@ -239,8 +246,8 @@ class _EdgeCountBase(Scheme):
                           pair_charge(left, right, adj_hat, p), p)
         return tr
 
-    def run_verifier(self, inst, reader, p, rng, meter):
-        t, sc, cross = self.t, self.sc, self.query_arity == 2
+    def stream_side(self, inst, p, rng, meter):
+        sc, cross = self.sc, self.query_arity == 2
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         sketch = PairSketch(sc, r1, r2, p)
         left = LineArray(sc, r1, p)
@@ -256,11 +263,15 @@ class _EdgeCountBase(Scheme):
             right.add(ws if cross else us)
             expected.append(sketch.bilinear(left.arr, right.arr))
             meter.grow("query_registers")
+        return StreamState(point=(r1, r2), expected=tuple(expected))
+
+    def run_verifier(self, inst, reader, p, rng, meter):
+        st = stream_pass(self, inst, p, rng, meter)
         values = []
-        for want in expected:
-            total = reader.grid_claim("pair_poly", (t, t), (r1, r2), want,
-                                      "pair polynomial")
-            if not cross:
+        for want in st.expected:
+            total = reader.grid_claim("pair_poly", (self.t, self.t),
+                                      st.point, want, "pair polynomial")
+            if self.query_arity != 2:
                 if total % 2:
                     raise RejectError("ordered pair total is odd")
                 total //= 2

@@ -35,7 +35,8 @@ from .extension import ShapeConfig, dot_mod, extend_rows
 from .field import fe_random
 from .oracle import (oracle_acyclic, oracle_components, oracle_is_mis,
                      oracle_is_toposort, oracle_max_matching)
-from .protocol import Scheme, cached_build, register
+from .protocol import (Scheme, StreamState, cached_build, register,
+                       stream_pass)
 from .setops import (Fingerprint, LineCheck, dense_indicator, directed_key,
                      edge_extension, line_check_dims, line_check_help,
                      monomial, stream_keys, undirected_key)
@@ -204,6 +205,13 @@ def _in_range(ids, n) -> bool:
     return not ids.size or bool((ids - 1).view(np.uint64).max() < n)
 
 
+def _all_fingerprint(gamma, n, p) -> int:
+    """The fingerprint at gamma of the vertex set [n], each vertex once."""
+    fp = Fingerprint(gamma, p)
+    fp.add(np.arange(1, n + 1))
+    return fp.value
+
+
 def _replace_matched_vertex(scheme, inst, transcript, p, rng):
     """Vertex lie of both matching schemes: one id of the `matching` block
     replaced by another vertex."""
@@ -311,8 +319,7 @@ class MatchingFrugal(_SplitScheme):
 
     # verifier ----------------------------------------------------------
 
-    def run_verifier(self, inst, reader, p, rng, meter):
-        n = inst.n
+    def stream_side(self, inst, p, rng, meter):
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         rho = fe_random(rng, p)
         gamma = fe_random(rng, p)
@@ -329,10 +336,18 @@ class MatchingFrugal(_SplitScheme):
         u, v, delta, _ = inst.edges
         sketch.add_sym(u, v, delta)
         sub.add_right(*stream_keys(inst, "undirected"))
-        everyone = np.arange(1, n + 1)
+        everyone = np.arange(1, self.n + 1)
         out1.add(everyone)
         out2.add(everyone)
+        return StreamState(point=(r1, r2), gamma=gamma,
+                           fp_all=_all_fingerprint(gamma, self.n, p),
+                           sketch=sketch, sub=sub, out1=out1, out2=out2,
+                           blk1=blk1, blk2=blk2)
 
+    def run_verifier(self, inst, reader, p, rng, meter):
+        n, st = inst.n, stream_pass(self, inst, p, rng, meter)
+        sketch, gamma = st.sketch, st.gamma
+        sub, out1, out2 = st.sub.copy(), st.out1.copy(), st.out2.copy()
         k = reader.scalar("k")
         if not 0 <= k <= n // 2:
             raise RejectError("claimed matching size out of range")
@@ -352,8 +367,6 @@ class MatchingFrugal(_SplitScheme):
             raise RejectError("endpoint list does not match the matching")
 
         fp_part = Fingerprint(gamma, p)
-        fp_all = Fingerprint(gamma, p)
-        fp_all.add(everyone)
         witness = reader.vertices("witness")
         if not _in_range(witness, n):
             raise RejectError("witness vertex out of range")
@@ -375,17 +388,18 @@ class MatchingFrugal(_SplitScheme):
         odd = sum(len(members) % 2 for members in blocks)
         if blocks:
             fp_part.add(np.concatenate(blocks))
-        acc_blocks = sketch.bilinear(blk1.rows(blocks), blk2.rows(blocks))
-        if fp_part.value != fp_all.value:
+        acc_blocks = sketch.bilinear(st.blk1.rows(blocks),
+                                     st.blk2.rows(blocks))
+        if fp_part.value != st.fp_all:
             raise RejectError("witness and components do not partition V")
         if 2 * k != usize + n - odd:
             raise RejectError("duality count does not match claimed size")
 
         sub.finish(reader, "matching_subset", "matching containment")
         grid = (self.tp, self.tp)
-        total_in = reader.grid_claim("inside_pairs", grid, (r1, r2),
+        total_in = reader.grid_claim("inside_pairs", grid, st.point,
                                      acc_inside, "outside-pair polynomial")
-        total_blk = reader.grid_claim("block_pairs", grid, (r1, r2),
+        total_blk = reader.grid_claim("block_pairs", grid, st.point,
                                       acc_blocks, "block-pair polynomial")
         if total_in != total_blk:
             raise RejectError("components leave cross edges unaccounted")
@@ -501,8 +515,7 @@ class MatchingLaconic(Scheme):
                       line_check_help(t2, sup, p, "intersect"), p)
         return tr
 
-    def run_verifier(self, inst, reader, p, rng, meter):
-        n = self.n
+    def stream_side(self, inst, p, rng, meter):
         rho = fe_random(rng, p)
         sub_m = LineCheck(self.edge_dims, rho, p, "subset")
         sub_f = LineCheck(self.edge_dims, rho, p, "subset")
@@ -510,14 +523,18 @@ class MatchingLaconic(Scheme):
         int_2 = LineCheck(self.edge_dims, rho, p, "intersect")
         meter.alloc("line_instances",
                     sub_m.cells + sub_f.cells + int_1.cells + int_2.cells)
-        meter.alloc("stored_certificate", 3 * n)
+        meter.alloc("stored_certificate", 3 * self.n)
         meter.alloc("registers", 8)
         key, delta = stream_keys(inst, "undirected")
         sub_m.add_right(key, delta)
         sub_f.add_right(key, delta)
         int_1.add_left(key, delta)
         int_2.add_left(key, delta)
+        return StreamState(checks=(sub_m, sub_f, int_1, int_2))
 
+    def run_verifier(self, inst, reader, p, rng, meter):
+        n, st = self.n, stream_pass(self, inst, p, rng, meter)
+        sub_m, sub_f, int_1, int_2 = (c.copy() for c in st.checks)
         pairs = reader.vertices("matching")
         flat = pairs.tolist()
         if len(flat) % 2:
@@ -680,8 +697,7 @@ class MaximalIndependentSet(_SplitScheme):
     def prove(self, inst, p: int) -> ProofTranscript:
         return self._assemble(inst, self._greedy(inst), p)
 
-    def run_verifier(self, inst, reader, p, rng, meter):
-        n = self.n
+    def stream_side(self, inst, p, rng, meter):
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         rho, rho_v = fe_random(rng, p), fe_random(rng, p)
         gamma = fe_random(rng, p)
@@ -698,17 +714,22 @@ class MaximalIndependentSet(_SplitScheme):
         u, v, delta, _ = inst.edges
         sketch.add_sym(u, v, delta)
         sub.add_right(*stream_keys(inst, "undirected"))
+        return StreamState(point=(r1, r2), gamma=gamma,
+                           fp_all=_all_fingerprint(gamma, self.n, p),
+                           sketch=sketch, l1=l1, l2=l2, sub=sub, inter=inter)
 
-        fp_part = Fingerprint(gamma, p)
-        fp_all = Fingerprint(gamma, p)
-        fp_all.add(np.arange(1, n + 1))
+    def run_verifier(self, inst, reader, p, rng, meter):
+        n, st = self.n, stream_pass(self, inst, p, rng, meter)
+        l1, l2 = st.l1.copy(), st.l2.copy()
+        sub, inter = st.sub.copy(), st.inter.copy()
+        fp_part = Fingerprint(st.gamma, p)
         members = reader.vertices("independent_set")
         if not _in_range(members, n):
             raise RejectError("set member out of range")
         fp_part.add(members)
         l1.add(members)
         l2.add(members)
-        acc = sketch.bilinear(l1.arr, l2.arr)
+        acc = st.sketch.bilinear(l1.arr, l2.arr)
         ptr = reader.vertices("pointers")
         if ptr.size != 2 * (n - members.size):
             raise RejectError("pointer list has wrong length")
@@ -719,11 +740,11 @@ class MaximalIndependentSet(_SplitScheme):
         sub.add_left(undirected_key(sources, partners, n))
         inter.add_left(partners)
         inter.add_right(sources)
-        if fp_part.value != fp_all.value:
+        if fp_part.value != st.fp_all:
             raise RejectError("set and pointer sources do not partition V")
 
         if reader.grid_claim("independent_pairs", (self.tp, self.tp),
-                             (r1, r2), acc, "set-pair polynomial") != 0:
+                             st.point, acc, "set-pair polynomial") != 0:
             raise RejectError("claimed set is not independent")
         sub.finish(reader, "pointer_subset", "pointer containment")
         if inter.finish(reader, "partner_inter", "partner overlap") != 0:
@@ -818,8 +839,7 @@ class TopoSort(_SplitScheme):
     def prove(self, inst, p: int) -> ProofTranscript:
         return self._assemble(inst, self._kahn(inst), p)
 
-    def run_verifier(self, inst, reader, p, rng, meter):
-        n = self.n
+    def stream_side(self, inst, p, rng, meter):
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         gamma = fe_random(rng, p)
         sketch = PairSketch(self.isc, r1, r2, p)
@@ -829,10 +849,18 @@ class TopoSort(_SplitScheme):
         meter.alloc("registers", 8)
         u, v, delta, _ = inst.edges
         sketch.add(u, v, delta)
-        m = int(delta.sum())
-        fp_all = Fingerprint(gamma, p)
-        fp_all.add(np.arange(1, n + 1))
-        fp_ord = Fingerprint(gamma, p)
+        return StreamState(point=(r1, r2), gamma=gamma,
+                           fp_all=_all_fingerprint(gamma, self.n, p),
+                           sketch=sketch, pre1=pre1, m=int(delta.sum()))
+
+    def run_verifier(self, inst, reader, p, rng, meter):
+        return self.check_order(reader, p,
+                                stream_pass(self, inst, p, rng, meter))
+
+    def check_order(self, reader, p, st):
+        """The help side: the claimed order against the stream side `st`."""
+        n, sketch, pre1 = self.n, st.sketch, st.pre1
+        fp_ord = Fingerprint(st.gamma, p)
         order = reader.vertices("order", n)
         if not _in_range(order, n):
             raise RejectError("order entry out of range")
@@ -845,10 +873,10 @@ class TopoSort(_SplitScheme):
         before = np.cumsum(cells[:-1], axis=0) % p
         hits = dot_mod(before, sketch.table[:, ys[1:] - 1].T, p)
         acc = int((hits * sketch.i2[xs[1:] - 1] % p).sum() % p)
-        if fp_ord.value != fp_all.value:
+        if fp_ord.value != st.fp_all:
             raise RejectError("order is not a permutation of V")
-        if reader.grid_claim("forward_pairs", (self.tp, self.tp), (r1, r2),
-                             acc, "forward-pair polynomial") != m % p:
+        if reader.grid_claim("forward_pairs", (self.tp, self.tp), st.point,
+                             acc, "forward-pair polynomial") != st.m % p:
             raise RejectError("an edge points backward in the order")
         return tuple(order.tolist())
 
@@ -953,20 +981,29 @@ class Acyclicity(_SplitScheme):
                       line_check_help(sub, sup, p, "subset"), p)
         return tr
 
-    def run_verifier(self, inst, reader, p, rng, meter):
-        n = self.n
-        verdict = reader.scalar("verdict")
-        if verdict not in (0, 1):
-            raise RejectError("verdict must be 0 or 1")
-        if verdict == 1:
-            self.sorter.run_verifier(inst, reader, p, rng, meter)
-            return True
+    def stream_side(self, inst, p, rng, meter):
+        """The stream side of a cyclic verdict; an acyclic one takes the
+        sorter's."""
         rho = fe_random(rng, p)
         gamma = fe_random(rng, p)
         sub = LineCheck(self.edge_dims, rho, p, "subset")
         meter.alloc("subset_lines", sub.cells)
         meter.alloc("registers", 6)
         sub.add_right(*stream_keys(inst, "directed"))
+        return StreamState(gamma=gamma, sub=sub)
+
+    def run_verifier(self, inst, reader, p, rng, meter):
+        n = self.n
+        verdict = reader.scalar("verdict")
+        if verdict not in (0, 1):
+            raise RejectError("verdict must be 0 or 1")
+        if verdict == 1:
+            st = stream_pass(self, inst, p, rng, meter,
+                             side=self.sorter.stream_side, branch=1)
+            self.sorter.check_order(reader, p, st)
+            return True
+        st = stream_pass(self, inst, p, rng, meter, branch=0)
+        gamma, sub = st.gamma, st.sub.copy()
         cyc = reader.vertices("cycle")
         if cyc.size < 2:
             raise RejectError("cycle too short")
@@ -1093,11 +1130,10 @@ class Components(_SplitScheme):
     def prove(self, inst, p: int) -> ProofTranscript:
         return self._assemble(inst, self._blocks(inst), p)
 
-    def run_verifier(self, inst, reader, p, rng, meter):
-        n = self.n
+    def stream_side(self, inst, p, rng, meter):
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         rho = fe_random(rng, p)
-        g1, g2, g3 = (fe_random(rng, p) for _ in range(3))
+        g = tuple(fe_random(rng, p) for _ in range(3))
         gamma = fe_random(rng, p)
         sketch = PairSketch(self.isc, r1, r2, p)
         sub = LineCheck(self.edge_dims, rho, p, "subset")
@@ -1110,14 +1146,18 @@ class Components(_SplitScheme):
         u, v, delta, _ = inst.edges
         sketch.add_sym(u, v, delta)
         sub.add_right(*stream_keys(inst, "undirected"))
-        m_total = int(delta.sum())
+        return StreamState(point=(r1, r2), g=g, gamma=gamma,
+                           fp_all=_all_fingerprint(gamma, self.n, p),
+                           sketch=sketch, sub=sub, b1=b1, b2=b2,
+                           m_total=int(delta.sum()))
 
+    def run_verifier(self, inst, reader, p, rng, meter):
+        n, st = self.n, stream_pass(self, inst, p, rng, meter)
+        g, sub = st.g, st.sub.copy()
         c = reader.scalar("component_count")
         if not 1 <= c <= n:
             raise RejectError("component count out of range")
-        fp_part = Fingerprint(gamma, p)
-        fp_all = Fingerprint(gamma, p)
-        fp_all.add(np.arange(1, n + 1))
+        fp_part = Fingerprint(st.gamma, p)
         supply = 0
         refer = 0
         blocks, children, parents = [], [], []
@@ -1128,8 +1168,7 @@ class Components(_SplitScheme):
             root, kroot = vals[0], vals[1]
             if not 1 <= root <= n or not 0 <= kroot <= n:
                 raise RejectError("bad root record")
-            supply = (supply + kroot
-                      * monomial((g1, g2, g3), (root, 0, bi), p)) % p
+            supply = (supply + kroot * monomial(g, (root, 0, bi), p)) % p
             pos = 0
             for j in range(2, len(vals), 4):
                 v, kv, par, pidx = vals[j:j + 4]
@@ -1140,10 +1179,8 @@ class Components(_SplitScheme):
                     raise RejectError("bad child count")
                 if not 0 <= pidx < pos:
                     raise RejectError("tree reference points forward")
-                supply = (supply + kv
-                          * monomial((g1, g2, g3), (v, pos, bi), p)) % p
-                refer = (refer
-                         + monomial((g1, g2, g3), (par, pidx, bi), p)) % p
+                supply = (supply + kv * monomial(g, (v, pos, bi), p)) % p
+                refer = (refer + monomial(g, (par, pidx, bi), p)) % p
             blocks.append([root] + vals[2::4])
             children.extend(vals[2::4])
             parents.extend(vals[4::4])
@@ -1151,15 +1188,16 @@ class Components(_SplitScheme):
         fp_part.add(members)
         sub.add_left(undirected_key(np.array(children, dtype=np.int64),
                                     np.array(parents, dtype=np.int64), n))
-        acc_blocks = sketch.bilinear(b1.rows(blocks), b2.rows(blocks))
+        acc_blocks = st.sketch.bilinear(st.b1.rows(blocks),
+                                        st.b2.rows(blocks))
         if supply != refer:
             raise RejectError("tree references do not match child counts")
-        if fp_part.value != fp_all.value:
+        if fp_part.value != st.fp_all:
             raise RejectError("blocks do not partition V")
         sub.finish(reader, "tree_subset", "tree containment")
-        if reader.grid_claim("block_pairs", (self.tp, self.tp), (r1, r2),
+        if reader.grid_claim("block_pairs", (self.tp, self.tp), st.point,
                              acc_blocks, "block-pair polynomial"
-                             ) != (2 * m_total) % p:
+                             ) != (2 * st.m_total) % p:
             raise RejectError("blocks do not absorb every stream edge")
         return c
 

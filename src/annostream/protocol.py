@@ -8,9 +8,23 @@ SpaceMeter; immutable precomputed tables (impulse tables at the random
 point, power-sum constants) are derived from the coin flips alone and
 are not charged. Help cost is the transcript element count.
 
-Adversarial trials rerun the verifier with fresh coins against mutated
-transcripts. A trial counts against soundness only when the verifier
-accepts AND the reported output is wrong for the instance.
+A verifier runs in two sides. The stream side (`Scheme.stream_side`)
+draws every coin, builds its sketches and feeds them the stream's
+columns and query lines; it reads no help. The help side, the rest of
+`run_verifier`, reads the transcript against that state, copying any
+sketch it still fills, and draws no coin. In the annotated-stream model
+the stream side's state is a function of the stream and the coins
+alone, so `stream_pass` runs it once per instance and coin draw: the
+read-only state and the meter as the side left it are kept on the
+instance, under the scheme's name and shape, the modulus, the coins'
+seed and label and any help read before it (`acyclicity`'s verdict).
+The coins are seeded at their first draw, so a kept pass draws none.
+
+Adversarial trials rerun the verifier against mutated transcripts, trial
+i with the coins of seed `(seed << 16) ^ (i + 1)` under every policy, so
+the trials of one instance share their stream passes. A trial counts
+against soundness only when the verifier accepts AND the reported output
+is wrong for the instance.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -29,32 +44,38 @@ from .stream import GraphInstance, ProofTranscript, RejectError
 
 
 class SpaceMeter:
-    """Peak count of live registered verifier cells."""
+    """Peak count of live registered verifier cells; `current` is the
+    running total of the live groups."""
 
     def __init__(self):
         self._cells: dict = {}
+        self.current = 0
         self.peak = 0
 
-    @property
-    def current(self) -> int:
-        return sum(self._cells.values())
-
-    def _bump(self):
+    def _set(self, name: str, cells: int):
+        self.current += cells - self._cells.get(name, 0)
+        self._cells[name] = cells
         if self.current > self.peak:
             self.peak = self.current
 
     def alloc(self, name: str, cells: int):
         if name in self._cells:
             raise ValueError(f"meter group {name!r} already live")
-        self._cells[name] = int(cells)
-        self._bump()
+        self._set(name, int(cells))
 
     def grow(self, name: str, delta: int = 1):
-        self._cells[name] = self._cells.get(name, 0) + int(delta)
-        self._bump()
+        self._set(name, self._cells.get(name, 0) + int(delta))
 
     def free(self, name: str):
-        self._cells.pop(name, None)
+        self.current -= self._cells.pop(name, 0)
+
+    def snapshot(self) -> tuple:
+        """The live groups, total and peak, for `restore`."""
+        return tuple(self._cells.items()), self.current, self.peak
+
+    def restore(self, snap: tuple):
+        cells, self.current, self.peak = snap
+        self._cells = dict(cells)
 
 
 @dataclass
@@ -163,10 +184,18 @@ class Scheme:
     def prove(self, inst: GraphInstance, p: int) -> ProofTranscript:
         raise NotImplementedError
 
+    def stream_side(self, inst: GraphInstance, p: int, rng,
+                    meter: SpaceMeter):
+        """The verifier's state after its stream pass: every coin drawn
+        from rng, every sketch fed from the stream, the meter groups they
+        take. It reads no help; `stream_pass` keeps it read-only."""
+        raise NotImplementedError
+
     def run_verifier(self, inst: GraphInstance, reader, p: int, rng,
                      meter: SpaceMeter):
         """Returns the output value; raises RejectError to reject. The
-        input is inside the scheme's domain (`check_domain`)."""
+        input is inside the scheme's domain (`check_domain`). It takes its
+        stream side from `stream_pass` and draws no coin itself."""
         raise NotImplementedError
 
     def oracle_value(self, inst: GraphInstance):
@@ -219,10 +248,22 @@ def get_scheme(name: str):
                        + ", ".join(sorted(SCHEMES))) from None
 
 
-# Help elements of assembled transcripts that `cached_build` keeps on one
-# instance: 4 MiB of int64, the size of extension._GATHER_BYTES. Past it, a
-# build is handed out without being kept.
-_BUILD_ELEMS = 1 << 19
+# Elements that `cached_build` and `stream_pass` keep on one instance,
+# assembled transcripts and stream-side states together: 4 MiB of int64,
+# the size of extension._GATHER_BYTES. Past it, a build or a state is
+# handed out without being kept.
+_KEPT_ELEMS = 1 << 19
+
+
+def _keep(inst: GraphInstance, key, value, elems: int) -> bool:
+    """Keeps value on `inst.prover_cache` under key if its elements fit in
+    what is left of the instance's budget."""
+    cache = inst.prover_cache
+    held = cache.get("kept_elems", 0) + elems
+    if held > _KEPT_ELEMS:
+        return False
+    cache[key], cache["kept_elems"] = value, held
+    return True
 
 
 def _frozen(x):
@@ -252,18 +293,87 @@ def cached_build(assemble):
     """
     @functools.wraps(assemble)
     def build(scheme, inst, *args, **kw):
-        cache = inst.prover_cache
         key = ("build", scheme.name, getattr(scheme, "t", None),
                getattr(scheme, "s", None), _frozen(args), _frozen(kw))
-        kept = cache.get(key)
+        kept = inst.prover_cache.get(key)
         if kept is None:
             kept = assemble(scheme, inst, *args, **kw)
-            held = cache.get("build_elems", 0) + kept.element_count()
-            if held > _BUILD_ELEMS:
+            if not _keep(inst, key, kept, kept.element_count()):
                 return kept
-            cache[key], cache["build_elems"] = kept, held
         return kept.copy()
     return build
+
+
+class StreamState(SimpleNamespace):
+    """What a verifier's stream side hands its help side, by name: coins,
+    sketches, sums. Every array in it is read-only once `stream_pass`
+    hands it out; a help side that fills a sketch further fills a copy."""
+
+
+def _read_only(x) -> int:
+    """Marks every array that x holds (in its tuples, lists and object
+    attributes) read-only; returns the elements it holds, each scalar
+    counting one."""
+    if isinstance(x, np.ndarray):
+        x.setflags(write=False)
+        return x.size
+    if isinstance(x, (list, tuple)):
+        items = x
+    elif hasattr(x, "__dict__"):
+        items = vars(x).values()
+    else:
+        return 1
+    return sum(1 if type(y) is int else _read_only(y) for y in items)
+
+
+class Coins:
+    """The verifier's coins, `make_rng(seed, label)` seeded at the first
+    draw, so a stream pass that `stream_pass` finds kept pays no seeding.
+    Draws go to that `random.Random`; after `close` a draw raises."""
+
+    def __init__(self, seed: int, label: str):
+        self.seed, self.label = seed, label
+        self._rng = None
+        self._closed = False
+
+    def close(self):
+        self._closed = True
+
+    def __getattr__(self, name):
+        # reached only for names Coins lacks: the draws of random.Random
+        if name.startswith("_"):
+            raise AttributeError(name)
+        if self._closed:
+            raise RuntimeError(f"{self.label}: a coin drawn after the "
+                               "stream side")
+        if self._rng is None:
+            self._rng = make_rng(self.seed, self.label)
+        return getattr(self._rng, name)
+
+
+def stream_pass(scheme, inst: GraphInstance, p: int, rng: Coins,
+                meter: SpaceMeter, side=None, branch=None) -> StreamState:
+    """`scheme.stream_side` (or `side`, with the same arguments) once per
+    instance and coin draw.
+
+    The state is a function of the stream and the coins, so it is kept on
+    `inst.prover_cache` with the meter's snapshot under the scheme's name
+    and shape, p, the coins' seed and label, and `branch`, the help a
+    verifier read before its stream side. A repeat hands out the kept state
+    and restores the meter, and the coins stay unseeded. Either way the
+    coins are then closed: the help side draws none.
+    """
+    key = ("stream", scheme.name, getattr(scheme, "t", None),
+           getattr(scheme, "s", None), p, rng.seed, rng.label, branch)
+    kept = inst.prover_cache.get(key)
+    if kept is None:
+        state = (side or scheme.stream_side)(inst, p, rng, meter)
+        kept = state, meter.snapshot()
+        _keep(inst, key, kept, _read_only(state))
+    else:
+        meter.restore(kept[1])
+    rng.close()
+    return kept[0]
 
 
 # --- mutation policies ------------------------------------------------------
@@ -362,11 +472,12 @@ def check_domain(scheme, inst: GraphInstance):
     else:
         top, need = None, "at least 0"
     if inst.model == "weighted":
-        u, v = inst.edges[:2]
-        keys = np.sort(np.minimum(u, v) * (inst.n + 1) + np.maximum(u, v))
+        from .setops import stream_keys  # setops imports this module
+        keys = np.sort(stream_keys(inst, "undirected")[0])
         twice = keys[1:][keys[1:] == keys[:-1]]
         if twice.size:
-            u, v = divmod(int(twice[0]), inst.n + 1)
+            lo, hi = divmod(int(twice[0]) - 1, inst.n)
+            u, v = lo + 1, hi + 1
             raise ValueError(f"edge {u} {v} is listed twice; {name} takes "
                              "each weighted edge once")
     edges = inst.final_edges()
@@ -394,7 +505,7 @@ def checked_field(scheme, inst: GraphInstance,
 
 def _verify(scheme, inst, transcript, p, seed) -> RunResult:
     meter = SpaceMeter()
-    rng = make_rng(seed, f"verifier/{scheme.name}")
+    rng = Coins(seed, f"verifier/{scheme.name}")
     reader = transcript.reader(p)
     try:
         value = scheme.run_verifier(inst, reader, p, rng, meter)

@@ -126,6 +126,13 @@ class LineCheck:
     def cells(self) -> int:
         return self.left.cells + self.right.cells
 
+    def copy(self) -> "LineCheck":
+        """The same check with lines of its own, writable."""
+        out = object.__new__(LineCheck)
+        vars(out).update(vars(self))
+        out.left, out.right = self.left.copy(), self.right.copy()
+        return out
+
     def add_left(self, key, mult=1):
         self.left.add(key, mult)
 

@@ -33,7 +33,8 @@ from .extension import (dot_mod, extend_rows, impulse_array, impulse_block,
 from .field import FieldConfig, fe_random
 from .graphapps import _final_graph
 from .oracle import oracle_bfs, oracle_dijkstra
-from .protocol import Scheme, cached_build, register
+from .protocol import (Scheme, StreamState, cached_build, register,
+                       stream_pass)
 from .setops import (LineCheck, dense_indicator, edge_extension,
                      line_check_help, stream_keys, undirected_key,
                      weighted_key)
@@ -45,43 +46,49 @@ def _horizon(dist) -> int:
     return max((d for d in dist[1:] if d is not None), default=0)
 
 
-class _BallAudit:
-    """Verifier state of the unweighted schemes' round-by-round audit.
+def _ball_stream(scheme, inst, p, rng, meter) -> StreamState:
+    """Stream side of the unweighted schemes' round-by-round audit: the
+    adjacency line a(r1, y, r2), the source row fingerprinted at b0, and
+    the powers of b0, b1 and beta that the rounds read."""
+    n, sc, src = scheme.n, scheme.sc, inst.source
+    r1, r2 = fe_random(rng, p), fe_random(rng, p)
+    beta = fe_random(rng, p)
+    b0 = fe_random(rng, p)
+    b1 = fe_random(rng, p)
+    impn = impulse_array(r2, n, p)
+    # b0^v, b1^v and beta^v for v = 1..n
+    b0pow, b1col, betapow = power_table([b0, b1, beta], n + 1, p)[:, 1:]
+    asketch = LineArray(sc, r1, p)
+    ball = LineArray(sc, r1, p)
+    meter.alloc("adjacency_line", asketch.cells)
+    meter.alloc("ball_line", ball.cells)
+    meter.alloc("registers", 16)
+    u, v, delta, _ = inst.edges
+    d_ = delta % p
+    asketch.add(u, d_ * impn[v - 1] % p)
+    asketch.add(v, d_ * impn[u - 1] % p)
+    g0 = int((d_[u == src] * b0pow[v[u == src] - 1] % p).sum()
+             + (d_[v == src] * b0pow[u[v == src] - 1] % p).sum()) % p
+    return StreamState(point=(r1, r2), b0pow=b0pow, b1col=b1col,
+                       b1pow=tuple(b1col.tolist()), betapow=betapow,
+                       asketch=asketch, ball=ball, g0=g0)
 
-    The stream pass fills the adjacency line a(r1, y, r2) and the source
-    row fingerprint; every round then checks one ball polynomial at
-    (r1, r2) against the ball line b(r1, y), links its partial sums to
-    the degree vector by a fingerprint at beta, and rebuilds the ball
-    line in place from that vector. `psi_prev` and `psi_cur` fingerprint
-    the last two balls, so their equality means the ball stopped growing.
+
+class _BallAudit:
+    """Help side of the unweighted schemes' round-by-round audit.
+
+    Every round checks one ball polynomial at (r1, r2) against the ball
+    line b(r1, y), links its partial sums to the degree vector by a
+    fingerprint at beta, and rebuilds its own copy of the ball line in
+    place from that vector. `psi_prev` and `psi_cur` fingerprint the last
+    two balls, so their equality means the ball stopped growing.
     """
 
-    def __init__(self, scheme, inst, p, rng, meter):
-        n = scheme.n
-        self.n, self.sc, self.p = n, scheme.sc, p
-        self.src = src = inst.source
-        self.r1, self.r2 = fe_random(rng, p), fe_random(rng, p)
-        beta = fe_random(rng, p)
-        b0 = fe_random(rng, p)
-        b1 = fe_random(rng, p)
-        impn = impulse_array(self.r2, n, p)
-        # b0^v, b1^v and beta^v for v = 1..n
-        b0pow, self.b1col, self.betapow = power_table([b0, b1, beta], n + 1,
-                                                      p)[:, 1:]
-        self.b0pow, self.b1pow = b0pow, self.b1col.tolist()
-        self.asketch = asketch = LineArray(self.sc, self.r1, p)
-        self.ball = LineArray(self.sc, self.r1, p)
-        meter.alloc("adjacency_line", asketch.cells)
-        meter.alloc("ball_line", self.ball.cells)
-        meter.alloc("registers", 16)
-        u, v, delta, _ = inst.edges
-        d_ = delta % p
-        asketch.add(u, d_ * impn[v - 1] % p)
-        asketch.add(v, d_ * impn[u - 1] % p)
-        # the source row, fingerprinted at b0
-        self.g0 = int((d_[u == src] * b0pow[v[u == src] - 1] % p).sum()
-                      + (d_[v == src] * b0pow[u[v == src] - 1] % p).sum()) % p
-        self.psi_prev = self.psi_cur = self.b1pow[src - 1]
+    def __init__(self, scheme, inst, p, st):
+        self.n, self.sc, self.p, self.st = scheme.n, scheme.sc, p, st
+        self.src = inst.source
+        self.ball = st.ball.copy()
+        self.psi_prev = self.psi_cur = st.b1pow[self.src - 1]
 
     def _next_ball(self, q):
         """Ball line and fingerprint of {source} plus the support of q."""
@@ -90,7 +97,7 @@ class _BallAudit:
         members = np.concatenate([[self.src], members[members != self.src]])
         ball.arr[:] = 0
         ball.add(members)
-        psi = int(self.b1col[members - 1].sum()) % self.p
+        psi = int(self.st.b1col[members - 1].sum()) % self.p
         self.psi_prev, self.psi_cur = self.psi_cur, psi
 
     def horizon(self, reader) -> int:
@@ -104,22 +111,22 @@ class _BallAudit:
         """Read the source degree row, check it and grow the first ball."""
         p = self.p
         q0 = reader.scalars("source_degrees", self.n) % p
-        if int((q0 * self.b0pow % p).sum() % p) != self.g0:
+        if int((q0 * self.st.b0pow % p).sum() % p) != self.st.g0:
             raise RejectError("source degree row does not match the stream")
         self._next_ball(q0)
         return q0
 
     def round(self, reader, d):
         """Audit round d; returns its degree vector."""
-        p, t = self.p, self.sc.t
-        rhs = int((self.ball.arr * self.asketch.arr % p).sum() % p)
+        p, t, st = self.p, self.sc.t, self.st
+        rhs = int((self.ball.arr * st.asketch.arr % p).sum() % p)
         ball = reader.claim(
-            "ball_poly", (2 * t - 1, self.n), (self.r1, self.r2), rhs,
+            "ball_poly", (2 * t - 1, self.n), st.point, rhs,
             f"round {d}: ball polynomial wrong at random point")
         # sum_{x in [t], v in [n]} beta^v ball(x, v): the degrees' fingerprint
-        link = ball.total((t, self.betapow))
+        link = ball.total((t, st.betapow))
         qd = reader.scalars("round_degrees", self.n) % p
-        if int((qd * self.betapow % p).sum() % p) != link:
+        if int((qd * st.betapow % p).sum() % p) != link:
             raise RejectError(f"round {d}: degree fingerprints disagree")
         self._next_ball(qd)
         return qd
@@ -204,13 +211,17 @@ class SsspUnweighted(Scheme):
 
     # verifier ----------------------------------------------------------
 
+    def stream_side(self, inst, p, rng, meter):
+        st = _ball_stream(self, inst, p, rng, meter)
+        st.b2 = fe_random(rng, p)  # the labels' fingerprint variable
+        return st
+
     def run_verifier(self, inst, reader, p, rng, meter):
-        n = self.n
-        audit = _BallAudit(self, inst, p, rng, meter)
-        b2 = fe_random(rng, p)
+        n, st = self.n, stream_pass(self, inst, p, rng, meter)
+        audit = _BallAudit(self, inst, p, st)
 
         Dhat = audit.horizon(reader)
-        b2pow = power_table([b2], Dhat + 2, p)[0].tolist()
+        b2pow = power_table([st.b2], Dhat + 2, p)[0].tolist()
         span = [0] * (Dhat + 2)
         for d in range(Dhat, 0, -1):
             span[d] = (span[d + 1] + b2pow[d]) % p
@@ -224,7 +235,7 @@ class SsspUnweighted(Scheme):
             if (lab == 0) != (v == audit.src):
                 raise RejectError("label zero must mark the source alone")
             value.append(lab if lab <= Dhat else None)
-            phi_hat = (phi_hat + audit.b1pow[v - 1] * span[max(1, lab)]) % p
+            phi_hat = (phi_hat + st.b1pow[v - 1] * span[max(1, lab)]) % p
 
         audit.source_round(reader)
         phi = b2pow[1] * audit.psi_cur % p if Dhat >= 1 else 0
@@ -296,9 +307,13 @@ class StPath(SsspUnweighted):
         n, wt = self.n, 2 * self.t - 1
         return 1 + n + self._claimed_horizon(inst) * (wt * n + n)
 
+    def stream_side(self, inst, p, rng, meter):
+        return _ball_stream(self, inst, p, rng, meter)
+
     def run_verifier(self, inst, reader, p, rng, meter):
         vt = inst.target
-        audit = _BallAudit(self, inst, p, rng, meter)
+        audit = _BallAudit(self, inst, p, stream_pass(self, inst, p, rng,
+                                                      meter))
 
         Dhat = audit.horizon(reader)
         q0 = audit.source_round(reader)
@@ -387,8 +402,10 @@ class _WeightedScheme(Scheme):
                                "intersect")
 
     def _check_frontier(self, inter, reader, reached, reason):
-        """Finish the edge-side intersection `inter` against the pairs
-        crossing out of `reached`; rejects with `reason` unless empty."""
+        """Finish a copy of the edge-side intersection `inter` against the
+        pairs crossing out of `reached`; rejects with `reason` unless
+        empty."""
+        inter = inter.copy()
         inter.add_right(self._crossing_keys(reached))
         if inter.finish(reader, "frontier_inter", "frontier") != 0:
             raise RejectError(reason)
@@ -444,8 +461,8 @@ class SsspWeightedTurnstile(_WeightedScheme):
 
     # verifier ----------------------------------------------------------
 
-    def run_verifier(self, inst, reader, p, rng, meter):
-        n, W, src = self.n, self.W, inst.source
+    def stream_side(self, inst, p, rng, meter):
+        n, src = self.n, inst.source
         rho = fe_random(rng, p)
         rho_e = fe_random(rng, p)
         impn = impulse_array(rho, n, p)
@@ -465,7 +482,12 @@ class SsspWeightedTurnstile(_WeightedScheme):
         np.add.at(wrow, v[u == src] - 1, delta[u == src])
         np.add.at(wrow, u[v == src] - 1, delta[v == src])
         inter.add_left(*stream_keys(inst, "undirected"))
+        return StreamState(rho=rho, row=row, wrow=wrow, inter=inter)
 
+    def run_verifier(self, inst, reader, p, rng, meter):
+        n, W, src = self.n, self.W, inst.source
+        st = stream_pass(self, inst, p, rng, meter)
+        rho, row, wrow = st.rho, st.row, st.wrow
         Dhat = reader.scalar("horizon")
         if not 0 <= Dhat <= W * (n - 1):
             raise RejectError("distance horizon out of range")
@@ -494,7 +516,7 @@ class SsspWeightedTurnstile(_WeightedScheme):
         meter.free("row_sketch")
 
         reached = {v for v in range(1, n + 1) if dist[v] is not None}
-        self._check_frontier(inter, reader, reached,
+        self._check_frontier(st.inter, reader, reached,
                              "an edge leaves the discovered region")
         return tuple(dist[1:])
 
@@ -581,8 +603,8 @@ class SsspWeightedVanilla(_WeightedScheme):
 
     # verifier ----------------------------------------------------------
 
-    def run_verifier(self, inst, reader, p, rng, meter):
-        n, W, src = self.n, self.W, inst.source
+    def stream_side(self, inst, p, rng, meter):
+        n, W = self.n, self.W
         rho = fe_random(rng, p)
         rho_w = fe_random(rng, p)
         rho_e = fe_random(rng, p)
@@ -601,7 +623,12 @@ class SsspWeightedVanilla(_WeightedScheme):
         F %= p
         sub.add_right(*stream_keys(inst, "weighted"))
         inter.add_left(*stream_keys(inst, "undirected"))
+        return StreamState(rho=rho, F=F, sub=sub, inter=inter)
 
+    def run_verifier(self, inst, reader, p, rng, meter):
+        n, W, src = self.n, self.W, inst.source
+        st = stream_pass(self, inst, p, rng, meter)
+        rho, F, sub = st.rho, st.F, st.sub.copy()
         SENT = W * (n - 1) + 1
         labs = reader.scalars("distance_labels", n)
         prevs = reader.scalars("parent_labels", n)
@@ -644,7 +671,7 @@ class SsspWeightedVanilla(_WeightedScheme):
 
         sub.finish(reader, "tree_subset", "parent edges")
         reached = {v for v in range(1, n + 1) if lab[v] < SENT}
-        self._check_frontier(inter, reader, reached,
+        self._check_frontier(st.inter, reader, reached,
                              "an edge leaves the labeled region")
         return tuple(lab[v] if lab[v] < SENT else None
                      for v in range(1, n + 1))

@@ -36,7 +36,8 @@ from .extension import (StagedProduct, block_rows, dot_mod, impulse_array,
                         int64_sums_exact, mat_mulmod, reduce_mod)
 from .field import fe_random
 from .oracle import oracle_triangles
-from .protocol import Scheme, cached_build, register
+from .protocol import (Scheme, StreamState, cached_build, register,
+                       stream_pass)
 from .setops import Fingerprint, directed_key, stream_keys
 from .stream import ProofTranscript, RejectError
 
@@ -53,6 +54,9 @@ def _shaped_tokens(inst, sc, p):
 
 # tokens whose charge rows tri-frugal stages at most per batched product
 _STAGE = 32
+# tokens whose inner products and columns tri-laconic stages at most per
+# block, so that its peak stays near its n x s x (2t-1) table
+_LACONIC_STAGE = 256
 
 
 class _TriangleBase(Scheme):
@@ -116,7 +120,8 @@ class TrianglesLaconic(_TriangleBase):
         delta = delta % p
         over = np.empty(wt, dtype=bool)
         exact = int64_sums_exact(s)
-        step = block_rows(3 * 8 * wt)  # inner products and both columns
+        # inner products and both columns
+        step = min(_LACONIC_STAGE, block_rows(3 * 8 * wt))
         for lo in range(0, a.size, step):
             block = slice(lo, lo + step)
             ca = reduce_mod(delta[block, None] * Dt[xa[block]], p)
@@ -139,7 +144,7 @@ class TrianglesLaconic(_TriangleBase):
         tr.add_values("charge_poly", acc, p)
         return tr
 
-    def run_verifier(self, inst, reader, p, rng, meter):
+    def stream_side(self, inst, p, rng, meter):
         t, s, n, sc = self.t, self.s, self.n, self.sc
         r = fe_random(rng, p)
         imp = impulse_array(r, t, p).tolist()
@@ -154,7 +159,11 @@ class TrianglesLaconic(_TriangleBase):
                                     + delta * imp[xb - 1]) % p
             table[b - 1, ya - 1] = (table[b - 1, ya - 1]
                                     + delta * imp[xa - 1]) % p
-        return reader.grid_claim("charge_poly", (t,), (r,), acc,
+        return StreamState(point=(r,), acc=acc)
+
+    def run_verifier(self, inst, reader, p, rng, meter):
+        st = stream_pass(self, inst, p, rng, meter)
+        return reader.grid_claim("charge_poly", (self.t,), st.point, st.acc,
                                  "charge polynomial")
 
 
@@ -217,7 +226,7 @@ class TrianglesFrugal(_TriangleBase):
             staged.add(k + 1)
         return staged.total().transpose(1, 2, 0)
 
-    def run_verifier(self, inst, reader, p, rng, meter):
+    def stream_side(self, inst, p, rng, meter):
         t, s, n, sc = self.t, self.s, self.n, self.sc
         r1, r2, r3 = (fe_random(rng, p) for _ in range(3))
         i1 = impulse_array(r1, t, p).tolist()
@@ -236,8 +245,12 @@ class TrianglesFrugal(_TriangleBase):
                                + delta * i1[x - 1] * i3[other - 1]) % p
                 row2[y - 1] = (row2[y - 1]
                                + delta * i2[x - 1] * i3[other - 1]) % p
-        return reader.grid_claim("charge_poly", (t, t, n), (r1, r2, r3),
-                                 acc, "charge polynomial")
+        return StreamState(point=(r1, r2, r3), acc=acc)
+
+    def run_verifier(self, inst, reader, p, rng, meter):
+        st = stream_pass(self, inst, p, rng, meter)
+        return reader.grid_claim("charge_poly", (self.t, self.t, self.n),
+                                 st.point, st.acc, "charge polynomial")
 
 
 @register
@@ -280,8 +293,8 @@ class TrianglesSparse(_TriangleBase):
                       member_pair_charge(inst, lists, self.sc, p), p)
         return tr
 
-    def run_verifier(self, inst, reader, p, rng, meter):
-        t, n, sc = self.t, self.n, self.sc
+    def stream_side(self, inst, p, rng, meter):
+        sc = self.sc
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         gamma = fe_random(rng, p)
         sketch = PairSketch(sc, r1, r2, p)
@@ -291,10 +304,14 @@ class TrianglesSparse(_TriangleBase):
         meter.alloc("line_rows", b1.cells + b2.cells)
         meter.alloc("registers", 5)
         fp_in = Fingerprint(gamma, p)
-        fp_replay = Fingerprint(gamma, p)
         a, b, delta, _ = inst.edges
         sketch.add_sym(a, b, delta)
         fp_in.add(*stream_keys(inst, "symmetric"))
+        return StreamState(point=(r1, r2), gamma=gamma, fp_in=fp_in.value,
+                           sketch=sketch, b1=b1, b2=b2)
+
+    def run_verifier(self, inst, reader, p, rng, meter):
+        n, st = self.n, stream_pass(self, inst, p, rng, meter)
         lists, replayed = [], []
         for v in range(1, n + 1):
             members = reader.vertices("nbrs")
@@ -303,12 +320,13 @@ class TrianglesSparse(_TriangleBase):
                 raise RejectError(f"replayed neighbor {bad} out of range")
             lists.append(members)
             replayed.append(directed_key(v, members, n))
+        fp_replay = Fingerprint(st.gamma, p)
         fp_replay.add(np.concatenate(replayed))
-        acc = sketch.bilinear(b1.rows(lists), b2.rows(lists))
-        if fp_replay.value != fp_in.value:
+        acc = st.sketch.bilinear(st.b1.rows(lists), st.b2.rows(lists))
+        if fp_replay.value != st.fp_in:
             raise RejectError("replayed neighborhoods do not match stream")
-        total = reader.grid_claim("charge_poly", (t, t), (r1, r2), acc,
-                                  "charge polynomial")
+        total = reader.grid_claim("charge_poly", (self.t, self.t),
+                                  st.point, acc, "charge polynomial")
         if total % 6 != 0:
             raise RejectError("pair total is not a multiple of six")
         return total // 6
@@ -377,8 +395,8 @@ class TrianglesAdjList(_TriangleBase):
         tr.add_values("charge_poly", P, p)
         return tr
 
-    def run_verifier(self, inst, reader, p, rng, meter):
-        t, sc = self.t, self.sc
+    def stream_side(self, inst, p, rng, meter):
+        sc = self.sc
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         sketch = PairSketch(sc, r1, r2, p)
         b1 = LineArray(sc, r1, p)
@@ -399,8 +417,12 @@ class TrianglesAdjList(_TriangleBase):
             if new.any():
                 sketch.add_sym(v[lo:hi][new], u[lo:hi][new])
             acc = (acc + sketch.bilinear(lines1[k], lines2[k])) % p
-        total = reader.grid_claim("charge_poly", (t, t), (r1, r2), acc,
-                                  "charge polynomial")
+        return StreamState(point=(r1, r2), acc=acc)
+
+    def run_verifier(self, inst, reader, p, rng, meter):
+        st = stream_pass(self, inst, p, rng, meter)
+        total = reader.grid_claim("charge_poly", (self.t, self.t),
+                                  st.point, st.acc, "charge polynomial")
         if total % 4 != 0:
             raise RejectError("pair total is not a multiple of four")
         return total // 4

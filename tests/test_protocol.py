@@ -1,5 +1,5 @@
 """Runner plumbing: space meter, trial stats, mutation machinery, the
-input domain."""
+input domain, the kept builds and stream passes."""
 
 import random
 from pathlib import Path
@@ -10,12 +10,16 @@ import pytest
 import annostream  # registers schemes
 from annostream import cli, extension, graphapps, protocol
 from annostream.extension import resolve_shape
-from annostream.generators import (clique_edges, dag_instance, gnp_edges,
+from annostream.generators import (adjlist_instance, clique_edges,
+                                   dag_instance, gnp_edges, path_edges,
                                    turnstile_instance, vanilla_instance,
+                                   weighted_instance,
+                                   weighted_turnstile_instance,
                                    with_query_set)
-from annostream.protocol import (MUTATIONS, SCHEMES, SpaceMeter, TrialStats,
-                                 check_domain, get_scheme, run_adversarial,
-                                 run_honest, run_with_transcript, sweep_costs)
+from annostream.protocol import (MUTATIONS, SCHEMES, Coins, SpaceMeter,
+                                 TrialStats, check_domain, get_scheme,
+                                 run_adversarial, run_honest,
+                                 run_with_transcript, sweep_costs)
 from annostream.stream import (EdgeToken, GraphInstance, ParseError,
                                ProofTranscript, parse_stream)
 
@@ -47,6 +51,24 @@ def test_space_meter_tracks_peak():
     assert m.peak == 17
     with pytest.raises(ValueError):
         m.alloc("b", 1)
+
+
+def test_space_meter_restores_a_snapshot():
+    m = SpaceMeter()
+    m.alloc("a", 5)
+    m.grow("q")
+    snap = m.snapshot()
+    m.free("a")
+    m.alloc("b", 9)
+    m.restore(snap)
+    assert (m.current, m.peak) == (6, 6)
+    m.free("a")
+    m.grow("q", 2)
+    assert (m.current, m.peak) == (3, 6)
+    m.alloc("b", 9)
+    assert (m.current, m.peak) == (12, 12)
+    m.restore(snap)
+    assert (m.current, m.peak) == (6, 6)
 
 
 def test_trial_stats_wilson():
@@ -468,10 +490,160 @@ def test_a_zero_budget_keeps_nothing_and_changes_no_trial(monkeypatch, name,
     kept = stats(inst)
     assert any(k[0] == "build" for k in inst.prover_cache
                if isinstance(k, tuple))
-    monkeypatch.setattr(protocol, "_BUILD_ELEMS", 0)
+    monkeypatch.setattr(protocol, "_KEPT_ELEMS", 0)
     fresh = GraphInstance.from_columns(inst.n, inst.model, inst.W,
                                        inst.source, inst.target,
                                        edges=inst.edges, queries=inst.queries)
     assert stats(fresh) == kept
     assert not any(k[0] == "build" for k in fresh.prover_cache
                    if isinstance(k, tuple))
+
+
+# --- the kept stream passes -------------------------------------------------
+
+
+def _one_per_scheme():
+    """A fresh small instance per scheme on which every policy of the scheme
+    finds something to mutate."""
+    seed = 42
+    ght = turnstile_instance(9, gnp_edges(9, 0.5, seed), churn=3, seed=seed)
+    return {
+        "tri-laconic": ght,
+        "tri-frugal": ght,
+        "tri-sparse": vanilla_instance(9, gnp_edges(9, 0.5, seed)),
+        "tri-adj": adjlist_instance(9, gnp_edges(9, 0.5, seed)),
+        "edgecount-induced": with_query_set(ght, [1, 2, 3, 4]),
+        "edgecount-cross": with_query_set(ght, [1, 2, 3], right=[4, 5, 6]),
+        "maxmatch-frugal": ght,
+        "maxmatch-laconic": ght,
+        "mis": ght,
+        "toposort": dag_instance(9, 0.5, seed),
+        "acyclicity": dag_instance(9, 0.5, seed),
+        "components": turnstile_instance(9, gnp_edges(9, 0.2, seed),
+                                         seed=seed),
+        "sssp-unweighted": turnstile_instance(9, gnp_edges(9, 0.35, seed),
+                                              seed=seed, source=1),
+        "stpath": vanilla_instance(8, path_edges(8), source=1, target=6),
+        "sssp-wturnstile": weighted_turnstile_instance(9, 0.4, 3, seed=seed,
+                                                       churn=2, source=1),
+        "sssp-wvanilla": weighted_instance(9, 0.45, 3, seed=seed, source=1),
+    }
+
+
+def _stream_keys(inst) -> list:
+    return [k for k in inst.prover_cache
+            if isinstance(k, tuple) and k[0] == "stream"]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_kept_stream_passes_change_no_trial(monkeypatch, name):
+    """Every trial's verdict and costs are those it gets when no stream
+    pass is kept and each verification runs its own."""
+    verify = protocol._verify
+
+    def trials():
+        inst = _one_per_scheme()[name]
+        scheme = get_scheme(name).configure(inst)
+        seen = []
+
+        def recording(*args, **kw):
+            res = verify(*args, **kw)
+            seen.append((res.status, res.reason, res.value, res.hcost,
+                         res.vcost))
+            return res
+
+        monkeypatch.setattr(protocol, "_verify", recording)
+        for policy in scheme.mutations:
+            run_adversarial(scheme, inst, policy, trials=8, seed=3)
+        return seen, _stream_keys(inst)
+
+    kept, keys = trials()
+    assert keys
+    monkeypatch.setattr(protocol, "_KEPT_ELEMS", 0)
+    assert trials() == (kept, [])
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_the_help_side_draws_no_coin(monkeypatch, name):
+    """The coins close when the stream side ends, kept or not: a draw on
+    the help side would raise out of the run."""
+    closed = []
+    close = Coins.close
+
+    def closing(coins):
+        closed.append(coins)
+        close(coins)
+
+    monkeypatch.setattr(Coins, "close", closing)
+    inst = _one_per_scheme()[name]
+    scheme = get_scheme(name).configure(inst)
+    assert run_honest(scheme, inst, seed=5).accepted
+    for policy in scheme.mutations:
+        run_adversarial(scheme, inst, policy, trials=1, seed=5)
+    assert len(closed) >= 1 + (name != "acyclicity") * len(scheme.mutations)
+    for coins in closed:
+        with pytest.raises(RuntimeError, match="after the stream side"):
+            coins.randrange(7)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_trials_that_share_coins_share_the_stream_pass(monkeypatch, name):
+    """48 trials of every policy and the honest run take 49 coin draws,
+    and each draw runs its stream side once (`acyclicity` once per verdict
+    that it meets)."""
+    passes = []
+
+    def counting(side):
+        def run(self, inst, p, rng, meter):
+            passes.append((rng.seed, side.__qualname__))
+            return side(self, inst, p, rng, meter)
+        return run
+
+    for cls in {k for c in SCHEMES.values() for k in c.__mro__
+                if "stream_side" in vars(k)}:
+        monkeypatch.setattr(cls, "stream_side",
+                            counting(vars(cls)["stream_side"]))
+    inst = _one_per_scheme()[name]
+    scheme = get_scheme(name).configure(inst)
+    assert run_honest(scheme, inst, seed=5).accepted
+    for policy in scheme.mutations:
+        run_adversarial(scheme, inst, policy, trials=48, seed=5)
+    assert len({seed for seed, _ in passes}) == 49
+    assert len(passes) == len(set(passes))
+    if name != "acyclicity":
+        assert len(passes) == 49
+
+
+def _arrays(x):
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _arrays(y)
+    elif hasattr(x, "__dict__"):
+        for y in vars(x).values():
+            yield from _arrays(y)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_a_handed_out_stream_state_is_read_only(monkeypatch, name):
+    handed = []
+    stream_pass = protocol.stream_pass
+
+    def keeping(*args, **kw):
+        handed.append(stream_pass(*args, **kw))
+        return handed[-1]
+
+    for module in (annostream.edgecount, annostream.triangles, graphapps,
+                   annostream.sssp):
+        monkeypatch.setattr(module, "stream_pass", keeping)
+    inst = _one_per_scheme()[name]
+    scheme = get_scheme(name).configure(inst)
+    assert run_honest(scheme, inst, seed=5).accepted
+    assert run_honest(scheme, inst, seed=5).accepted
+    first, again = handed
+    assert again is first
+    kept = [v[0] for k, v in inst.prover_cache.items()
+            if k in _stream_keys(inst)]
+    assert kept == [first]
+    assert not any(a.flags.writeable for a in _arrays(first))

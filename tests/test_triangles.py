@@ -231,6 +231,24 @@ def test_frugal_prove_memory_follows_its_output():
     assert peak < 24 << 20
 
 
+def test_laconic_prove_memory_follows_its_table():
+    # the size of the benchmark's tri-laconic case (n = 256, 3200 edges):
+    # its 1 MiB n x s x (2t-1) table and a staged block of a few hundred
+    # tokens; a 4 MiB block of 5637 tokens peaked at 4.1 MiB here
+    n = 256
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    inst = turnstile_instance(n, random.Random(5).sample(pairs, 3200))
+    scheme = get_scheme("tri-laconic").configure(inst)
+    p = scheme.field_config(inst, None).p
+    tracemalloc.start()
+    try:
+        scheme.prove(inst, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 def _laconic_charge_reference(scheme, inst, p):
     """tri-laconic's charge polynomial by the per-token loop, in Python
     ints: token (a, b, delta) adds delta sum_y T_a[w, y] T_b[w, y] at each
