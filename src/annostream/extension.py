@@ -486,13 +486,16 @@ def reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
 class FloatResidues:
     """In-place reduction mod p of float64 arrays of integers, with its
     own scratch of `size` entries, so that a kernel's inner loop allocates
-    nothing (see the module docstring for why it is exact)."""
+    nothing (see the module docstring for why it is exact). A kernel that
+    needs a buffer of its own between reductions may lend it as the
+    scratch: a contiguous float64 array of `size` entries that `reduce`
+    overwrites."""
 
-    def __init__(self, p: int, size: int):
+    def __init__(self, p: int, size: int, scratch=None):
         check_vectorized_modulus(p)
         self.p = float(p)
         self._inv = 1.0 / p
-        self._q = np.empty(size)
+        self._q = np.empty(size) if scratch is None else scratch.reshape(size)
         self._ge = np.empty(size, dtype=bool)
 
     def reduce(self, x: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from itertools import repeat
 import numpy as np
 
 from .edgecount import LineArray
-from .extension import ShapeConfig, extend_rows
+from .extension import ShapeConfig, extend_rows, power_table
 from .stream import RejectError
 
 
@@ -84,6 +84,11 @@ def monomial(bases, exps, p: int) -> int:
     return out
 
 
+# keys below which Fingerprint.add takes pow per key: building its two
+# power tables costs about as much as 40-48 pow calls
+_TABLE_KEYS = 64
+
+
 class Fingerprint:
     """sum_j mult_j * gamma^j accumulator; one field cell of state."""
 
@@ -95,12 +100,27 @@ class Fingerprint:
         self.value = 0
 
     def add(self, key, mult=1):
-        """Add mult * gamma^key for a key or for each entry of a column."""
-        keys = np.asarray(key).ravel().tolist()
-        powers = np.fromiter(map(pow, repeat(self.gamma), keys,
-                                 repeat(self.p)), np.int64, len(keys))
-        terms = mult % self.p * powers % self.p
-        self.value = (self.value + int(terms.sum())) % self.p
+        """Add mult * gamma^key for a key or for each entry of a column.
+
+        A column of count >= _TABLE_KEYS keys, all >= 0, with count^2 >= its
+        largest key takes gamma^key = hi[key >> h] * lo[key mod 2^h] from
+        two power tables of about sqrt(largest key) entries; any other call
+        takes `pow` per key, which also gives a negative key its inverse
+        power.
+        """
+        p, keys = self.p, np.asarray(key, dtype=np.int64).ravel()
+        tables = keys.size >= _TABLE_KEYS
+        top = int(keys.max()) if tables else 0
+        if tables and keys.min() >= 0 and keys.size ** 2 >= top:
+            h = (top.bit_length() + 1) // 2
+            lo, hi = power_table([self.gamma, pow(self.gamma, 1 << h, p)],
+                                 1 << h, p)
+            powers = hi[keys >> h] * lo[keys & ((1 << h) - 1)] % p
+        else:
+            powers = np.fromiter(map(pow, repeat(self.gamma), keys.tolist(),
+                                     repeat(p)), np.int64, keys.size)
+        terms = mult % p * powers % p
+        self.value = (self.value + int(terms.sum())) % p
 
 
 class LineCheck:

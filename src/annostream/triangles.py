@@ -32,8 +32,9 @@ import numpy as np
 
 from .edgecount import (LineArray, PairSketch, degree_grid, line_rows,
                         member_pair_charge)
-from .extension import (StagedProduct, block_rows, dot_mod, impulse_array,
-                        int64_sums_exact, mat_mulmod, reduce_mod)
+from .extension import (FloatResidues, StagedProduct, block_rows, dot_mod,
+                        exact_chunk, impulse_array, int64_sums_exact,
+                        mat_mulmod, reduce_mod)
 from .field import fe_random
 from .oracle import oracle_triangles
 from .protocol import (Scheme, StreamState, cached_build, register,
@@ -54,9 +55,10 @@ def _shaped_tokens(inst, sc, p):
 
 # tokens whose charge rows tri-frugal stages at most per batched product
 _STAGE = 32
-# tokens whose inner products and columns tri-laconic stages at most per
-# block, so that its peak stays near its n x s x (2t-1) table
-_LACONIC_STAGE = 256
+# tokens per block of tri-laconic's prover at most: 128 keeps its peak
+# near its n x s x t table (1.5 MiB at the n = 256 test instance, where
+# 256 peaked at 2.3)
+_LACONIC_BLOCK = 128
 
 
 class _TriangleBase(Scheme):
@@ -100,48 +102,75 @@ class TrianglesLaconic(_TriangleBase):
         return self.n * self.s + 8
 
     def prove(self, inst, p: int) -> ProofTranscript:
-        """acc[w] = sum over tokens of delta <T_a, T_b>[w], where T_v[y, w]
-        is vertex v's row of the table at node w (contiguous per vertex).
+        """acc[w] = sum_{x1, x2} N[x1, x2] Dt[w, x1] Dt[w, x2], with the
+        t x t count N = sum_k delta_k S_{a_k}^T S_{b_k}, where S_v[y, x] is
+        the multiplicity mod p of the edge {v, (x, y)} just before token k.
 
-        Each token's inner product, one einsum of s products of two
-        residues, goes into a row of a staged block (dot_mod where int64
-        cannot hold s of them); the block is reduced once and weighted by
-        the deltas in one dot_mod. A column update adds a reduced
-        delta Dt[., x] and subtracts p where the sum reaches it.
+        S is kept as n x s x t float64 residues and read in blocks of at
+        most _LACONIC_BLOCK tokens. A block gathers the S rows of its 2K
+        incidences (token k's endpoint, the other endpoint's cell, delta)
+        and adds to each row the incidences of the same vertex at earlier
+        tokens of the block: after one stable sort by (vertex, token) they
+        are a run that two searchsorted calls bound. The a side is weighted
+        by delta and reduced, the b side split into its h-bit halves, and
+        both halves go into N by one float64 matmul each over the block's
+        K*s rows, exact because the block is sized by exact_chunk(p << h).
+        The block is then scattered into S.
         """
         t, s, n, sc = self.t, self.s, self.n, self.sc
-        wt = 2 * t - 1
-        Dt = np.ascontiguousarray(degree_grid(t, p).T)  # row x is contiguous
-        table = np.zeros((n, s, wt), dtype=np.int64)
-        acc = np.zeros(wt, dtype=np.int64)
+        h = (p.bit_length() + 1) // 2
+        step = min(_LACONIC_BLOCK, exact_chunk(p << h) // s)
+        S = np.zeros((n, s, t))
+        gathered = np.empty((2 * step, s, t))
+        high = np.empty((step, s, t))
+        # a reduction of the a side ends before the split fills high
+        mod = FloatResidues(p, high.size, scratch=high)
+        N = np.zeros((t, t), dtype=np.int64)
         a, b, delta, _ = inst.edges
         xa, ya = sc.grid_index(a)
         xb, yb = sc.grid_index(b)
-        delta = delta % p
-        over = np.empty(wt, dtype=bool)
-        exact = int64_sums_exact(s)
-        # inner products and both columns
-        step = min(_LACONIC_STAGE, block_rows(3 * 8 * wt))
+        delta = (delta % p).astype(np.float64)
         for lo in range(0, a.size, step):
             block = slice(lo, lo + step)
-            ca = reduce_mod(delta[block, None] * Dt[xa[block]], p)
-            cb = reduce_mod(delta[block, None] * Dt[xb[block]], p)
-            inner = np.empty_like(ca)
-            cols = (c[block].tolist() for c in (a, b, ya, yb))
-            for k, (u, v, yu, yv) in enumerate(zip(*cols)):
-                tu, tv = table[u - 1], table[v - 1]
-                if exact:
-                    np.einsum("yw,yw->w", tu, tv, out=inner[k])
-                else:
-                    inner[k] = dot_mod(tu.T, tv.T, p)
-                for col, c in ((tu[yv], cb[k]), (tv[yu], ca[k])):
-                    col += c
-                    np.greater_equal(col, p, out=over)
-                    np.subtract(col, p, out=col, where=over)
-            reduce_mod(inner, p)
-            acc = (acc + dot_mod(inner.T, delta[block], p)) % p
+            k = a[block].size
+            # incidence i: vertex v[i]'s edge to cell (y[i], x[i]) changes
+            # by d[i] at token i mod k; the first k are the a side
+            v = np.concatenate([a[block], b[block]]) - 1
+            y = np.concatenate([yb[block], ya[block]])
+            x = np.concatenate([xb[block], xa[block]])
+            d = np.concatenate([delta[block], delta[block]])
+            key = v * k + np.tile(np.arange(k), 2)
+            order = np.argsort(key, kind="stable")
+            keys = key[order]
+            first = np.searchsorted(keys, v * k)
+            counts = np.searchsorted(keys, key) - first
+            # "clip" writes into out as it goes; "raise" buffers a copy
+            rows = np.take(S, v, axis=0, out=gathered[:2 * k], mode="clip")
+            if counts.any():
+                # pair incidence i with the sorted positions
+                # first[i] .. first[i] + counts[i] - 1
+                dst = np.repeat(np.arange(2 * k), counts)
+                src = order[np.arange(dst.size) + np.repeat(
+                    first - np.cumsum(counts) + counts, counts)]
+                cell = (dst, y[src], x[src])
+                np.add.at(rows, cell, d[src])
+                rows[cell] %= p
+            left = mod.reduce(np.multiply(rows[:k], d[:k, None, None],
+                                          out=rows[:k]))
+            left = left.reshape(k * s, t).T
+            # b side = hi * 2^h + low, both halves below 2^h
+            right, hi = rows[k:], high[:k]
+            np.floor(np.multiply(right, 1.0 / (1 << h), out=hi), out=hi)
+            top = (left @ hi.reshape(k * s, t)).astype(np.int64)
+            right -= np.multiply(hi, 1 << h, out=hi)
+            low = (left @ right.reshape(k * s, t)).astype(np.int64)
+            N = (N + low + (top % p << h)) % p
+            cell = (v, y, x)
+            np.add.at(S, cell, d)
+            S[cell] %= p
+        Dt = degree_grid(t, p)
         tr = ProofTranscript()
-        tr.add_values("charge_poly", acc, p)
+        tr.add_values("charge_poly", dot_mod(mat_mulmod(Dt, N, p), Dt, p), p)
         return tr
 
     def stream_side(self, inst, p, rng, meter):

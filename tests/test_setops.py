@@ -54,6 +54,47 @@ def test_fingerprint_multiplicity_cancels():
     assert f.value == pow(g, 9, P)
 
 
+def _fingerprint_reference(gamma, calls, p):
+    return sum(m * pow(gamma, k, p) for keys, mults in calls
+               for k, m in zip(keys, mults)) % p
+
+
+@pytest.mark.parametrize("tables", [True, False])
+def test_fingerprint_matches_python_ints_on_both_paths(monkeypatch, tables):
+    from annostream import extension, setops
+    built = []
+
+    def power_table(x, count, p):
+        built.append(count)
+        return extension.power_table(x, count, p)
+    monkeypatch.setattr(setops, "power_table", power_table)
+    monkeypatch.setattr(setops, "_TABLE_KEYS", 1 if tables else 1 << 30)
+    rng = random.Random(4)
+    calls = [
+        ([0], [5]),                             # key 0
+        (list(range(10)), [1] * 10),            # count^2 >= max key
+        ([3, 4, 200], [1, 2, 3]),               # 200 is past count^2
+        ([7, 7, 7, 2], [-1, -4, 3, -(P - 1)]),  # negative multiplicities
+        ([-1, -5, 9], [1, 1, 2]),               # negative keys
+        ([], []),
+        ([rng.randrange(0, 4096) for _ in range(300)],
+         [rng.randrange(-9, 10) for _ in range(300)]),
+    ]
+    for gamma in (1, 12345, P - 1):
+        f = Fingerprint(gamma, P)
+        for keys, mults in calls:
+            f.add(np.array(keys, dtype=np.int64),
+                  np.array(mults, dtype=np.int64))
+        assert f.value == _fingerprint_reference(gamma, calls, P), gamma
+        # the same keys split across many small calls
+        g = Fingerprint(gamma, P)
+        for keys, mults in calls:
+            for lo in range(0, len(keys), 3):
+                g.add(keys[lo:lo + 3], np.array(mults[lo:lo + 3]))
+        assert g.value == f.value
+    assert bool(built) == tables
+
+
 def test_fingerprint_separates_multisets():
     # different multisets collide only with prob <= maxkey/p per gamma
     rng = random.Random(1)

@@ -15,7 +15,7 @@ from annostream.generators import (adjlist_instance, clique_edges,
                                    turnstile_instance, vanilla_instance)
 from annostream.oracle import oracle_triangles
 from annostream.protocol import get_scheme, run_adversarial, run_honest
-from annostream.stream import EdgeToken, GraphInstance, ParseError
+from annostream.stream import EdgeToken, GraphInstance
 
 DENSE = ("tri-laconic", "tri-frugal")
 ALL = ("tri-laconic", "tri-frugal", "tri-sparse", "tri-adj")
@@ -278,6 +278,64 @@ def test_laconic_charge_matches_per_token_loop(inst, data, p):
     got = scheme.prove(inst, p).blocks[-1].values
     assert got.dtype == np.int64
     assert got.tolist() == _laconic_charge_reference(scheme, inst, p).tolist()
+
+
+def _columns(n, rows):
+    """An edge stream of (u, v, delta) rows, as int64 columns; the deltas
+    may pass the parser's bound on their sum, which the prover never reads."""
+    u, v, d = (np.array(c, dtype=np.int64) for c in zip(*rows))
+    return GraphInstance.from_columns(
+        n, "turnstile", edges=(u, v, d, np.zeros_like(u)))
+
+
+BIG = 2 ** 62 - 1
+
+
+def _huge_star(n, tokens, seed):
+    """Edges from vertex 1 to random vertices, either way round, each with
+    a delta of +-(2^62 - 1)."""
+    rng = random.Random(seed)
+    return n, [(1, rng.randint(2, n))[::rng.choice([1, -1])]
+               + (rng.choice([BIG, -BIG]),) for _ in range(tokens)]
+
+
+# streams whose blocks of 1-3 tokens see every case of the in-block
+# incidences: a vertex in every token, an edge churned inside a block,
+# multiplicities above 1, deltas of +-(2^62 - 1); in full blocks of 128
+# the last stream adds up to 127 residues to one cell of a gathered row
+# and 300 to one cell of the table, and the float64 products stay exact
+# only on reduced rows
+BLOCK_STREAMS = {
+    "star": (6, [(1, 2, 1), (3, 1, 1), (1, 4, 1), (2, 3, 1), (5, 1, 1),
+                 (1, 3, -1), (4, 2, 1), (1, 6, 1), (3, 4, 1), (6, 1, 1),
+                 (1, 3, 1), (4, 1, -1)]),
+    "churn": (5, [(1, 3, 1), (2, 3, 1), (1, 2, 1), (2, 1, -1), (1, 2, 1),
+                  (1, 2, -1), (2, 1, 1), (3, 4, 1), (1, 2, -1), (2, 1, 1),
+                  (2, 4, 1), (1, 2, 1), (1, 2, -1)]),
+    "multiplicity": (5, [(1, 2, 3), (2, 3, 2), (3, 1, 2), (1, 2, -1),
+                         (3, 4, 3), (4, 1, 2), (2, 4, 1), (1, 2, 2),
+                         (3, 4, -2)]),
+    "huge": (4, [(1, 2, BIG), (2, 3, -BIG), (1, 3, BIG), (1, 2, -BIG),
+                 (2, 3, BIG), (3, 4, -BIG), (1, 4, BIG), (2, 4, BIG),
+                 (1, 2, BIG)]),
+    "huge-star": _huge_star(5, 300, 3),
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 128])
+@pytest.mark.parametrize("name", sorted(BLOCK_STREAMS))
+def test_laconic_blocks_charge_the_earlier_incidences(monkeypatch, block,
+                                                      name):
+    from annostream import triangles
+    monkeypatch.setattr(triangles, "_LACONIC_BLOCK", block)
+    n, rows = BLOCK_STREAMS[name]
+    inst = _columns(n, rows)
+    for p in (P_TOP, next_prime(1 << 20)):
+        for t in range(1, n + 1):
+            scheme = get_scheme("tri-laconic").configure(inst, t=t)
+            got = scheme.prove(inst, p).blocks[-1].values
+            want = _laconic_charge_reference(scheme, inst, p)
+            assert got.tolist() == want.tolist(), (p, t)
 
 
 def _adj_charge_reference(scheme, inst, p):
