@@ -205,6 +205,41 @@ def member_pair_charge(inst, member_lists, sc: ShapeConfig, p) -> np.ndarray:
     return pair_charge(rows, rows, stream_adjacency(inst, sc, p), p)
 
 
+class PairCount:
+    """sum_S sum_{u, v in S} A(u, v) over member lists S on the grid sc: the
+    prover's `member_pair_charge` against a `PairSketch` and two
+    `LineArray`s, metered as `counts` line pairs (the counts held open)."""
+
+    def __init__(self, sc: ShapeConfig, counts: int = 1):
+        self.sc, self.counts = sc, counts
+
+    def prove(self, tr, label: str, inst, member_lists, p: int):
+        tr.add_values(label, member_pair_charge(inst, member_lists, self.sc,
+                                                p), p)
+
+    def stream(self, inst, r1: int, r2: int, p: int, meter) -> StreamState:
+        sketch = PairSketch(self.sc, r1, r2, p)
+        meter.alloc("pair_sketch", sketch.cells)
+        meter.alloc("pair_lines", 2 * self.counts * self.sc.s)
+        u, v, delta, _ = inst.edges
+        sketch.add_sym(u, v, delta)
+        return StreamState(point=(r1, r2), sketch=sketch, lines=(
+            LineArray(self.sc, r1, p), LineArray(self.sc, r2, p)))
+
+    def check(self, st: StreamState, reader, label: str, member_lists,
+              what: str, complement: bool = False) -> int:
+        """The grid total of the help in `label`; with `complement` the
+        count runs over [n] minus the one list."""
+        rows = [line.rows(member_lists) for line in st.lines]
+        if complement:
+            everyone = [np.arange(1, self.sc.n + 1)]
+            rows = [(line.rows(everyone) - r) % line.p
+                    for line, r in zip(st.lines, rows)]
+        return reader.grid_claim(label, (self.sc.t, self.sc.t), st.point,
+                                 st.sketch.bilinear(*rows),
+                                 f"{what} polynomial")
+
+
 class _EdgeCountBase(Scheme):
     def count_ceiling(self, inst) -> tuple:
         # an ordered pair count is at most twice the edge multiset's size

@@ -15,10 +15,10 @@ These schemes wrap the set machinery around combinatorial certificates:
 * component counting verifies one spanning-tree block per component,
   with back-referencing records so the verifier never stores the tree.
 
-Vertex lists that the verifier must check for distinctness are tied by
-fingerprint to a strictly increasing copy, or to the full vertex set
-when they must partition it. Edge containment rides on line-restricted
-subset checks; pair counts ride on the bilinear pair sketch.
+Each set relation is declared once per scheme: `setops.SameMultiset`
+ties a list to a strictly increasing copy or to [n], `StreamEdgeCheck`
+puts a key list inside the stream's edges and `edgecount.PairCount`
+counts the edges inside member lists.
 """
 
 from __future__ import annotations
@@ -29,17 +29,16 @@ import math
 import networkx as nx
 import numpy as np
 
-from .edgecount import (LineArray, PairSketch, degree_grid, line_rows,
-                        member_pair_charge, pair_charge, stream_adjacency)
-from .extension import ShapeConfig, dot_mod, extend_rows
+from .edgecount import (LineArray, PairCount, PairSketch, degree_grid,
+                        line_rows, pair_charge, stream_adjacency)
+from .extension import ShapeConfig, dot_mod
 from .field import fe_random
 from .oracle import (oracle_acyclic, oracle_components, oracle_is_mis,
                      oracle_is_toposort, oracle_max_matching)
 from .protocol import (Scheme, StreamState, cached_build, register,
                        stream_pass)
-from .setops import (Fingerprint, LineCheck, dense_indicator, directed_key,
-                     edge_extension, line_check_dims, line_check_help,
-                     monomial, stream_keys, undirected_key)
+from .setops import (KeyCheck, SameMultiset, StreamEdgeCheck, directed_key,
+                     line_check_dims, monomial, undirected_key)
 from .stream import ProofTranscript, RejectError
 
 
@@ -187,11 +186,14 @@ def _groups(vertices, edges) -> list:
     return list(groups.values())
 
 
-def _keys_within(members, n) -> np.ndarray:
-    """Undirected edge keys of every pair of distinct members."""
-    mem = np.array(sorted(members), dtype=np.int64)
-    i, j = np.triu_indices(mem.size, 1)
-    return undirected_key(mem[i], mem[j], n)
+def _keys_within(groups, n) -> np.ndarray:
+    """Undirected edge keys of every pair of distinct members of a group."""
+    keys = [np.zeros(0, dtype=np.int64)]
+    for members in groups:
+        mem = np.array(sorted(members), dtype=np.int64)
+        i, j = np.triu_indices(mem.size, 1)
+        keys.append(undirected_key(mem[i], mem[j], n))
+    return np.concatenate(keys)
 
 
 def _increasing(ids, n) -> bool:
@@ -205,11 +207,8 @@ def _in_range(ids, n) -> bool:
     return not ids.size or bool((ids - 1).view(np.uint64).max() < n)
 
 
-def _all_fingerprint(gamma, n, p) -> int:
-    """The fingerprint at gamma of the vertex set [n], each vertex once."""
-    fp = Fingerprint(gamma, p)
-    fp.add(np.arange(1, n + 1))
-    return fp.value
+_COPY = SameMultiset()  # a list against its strictly increasing copy
+_PARTITION = SameMultiset("vertices")
 
 
 def _replace_matched_vertex(scheme, inst, transcript, p, rng):
@@ -250,10 +249,10 @@ class _SplitScheme(Scheme):
 class MatchingFrugal(_SplitScheme):
     """Maximum matching size with about 3s^2 cells of verifier state.
 
-    The pair sketch sits on the main [t] x [s] grid (s^2 cells, help
-    polynomials of (2t-1)^2 coefficients, as in edgecount) and the edge
-    containment check has line width s^2, so help and space trade along
-    h * v ~ n^2 over the whole shape range.
+    The pair sketch sits on the main [t] x [s] grid (s^2 cells, each pair
+    count's help its values on the (2t-1) x (2t-1) node grid, as in
+    edgecount) and the edge containment check has line width s^2, so help
+    and space trade along h * v ~ n^2 over the whole shape range.
 
     Transcript: k, the matching, its endpoints sorted, the duality
     witness set, the component partition of the rest, then a containment
@@ -263,6 +262,13 @@ class MatchingFrugal(_SplitScheme):
 
     name = "maxmatch-frugal"
     simple_graph = True
+
+    def __init__(self, n: int, t: int, s: int):
+        super().__init__(n, t, s)
+        self.matched = StreamEdgeCheck(self.edge_dims, "undirected", "subset",
+                                       "matching_subset",
+                                       "matching containment")
+        self.pairs = PairCount(self.isc, counts=2)
 
     @staticmethod
     def _grid(n: int, t: int, s: int) -> tuple:
@@ -304,17 +310,12 @@ class MatchingFrugal(_SplitScheme):
         tr.add_scalars("component_count", [len(blocks)])
         for blk in blocks:
             tr.add_vertices("component", blk)
-        sub = dense_indicator([(undirected_key(a, b, n), 1)
-                               for (a, b) in matching], self.edge_dims)
-        sup = edge_extension(inst, self.edge_dims, p)
-        tr.add_values("matching_subset",
-                      line_check_help(sub, sup, p, "subset"), p)
+        self.matched.prove(tr, inst, [undirected_key(a, b, n)
+                                      for (a, b) in matching], p)
         wset = set(witness)
         outside = [v for v in range(1, n + 1) if v not in wset]
-        tr.add_values("inside_pairs",
-                      member_pair_charge(inst, [outside], self.isc, p), p)
-        tr.add_values("block_pairs",
-                      member_pair_charge(inst, blocks, self.isc, p), p)
+        self.pairs.prove(tr, "inside_pairs", inst, [outside], p)
+        self.pairs.prove(tr, "block_pairs", inst, blocks, p)
         return tr
 
     # verifier ----------------------------------------------------------
@@ -323,59 +324,30 @@ class MatchingFrugal(_SplitScheme):
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         rho = fe_random(rng, p)
         gamma = fe_random(rng, p)
-        sketch = PairSketch(self.isc, r1, r2, p)
-        sub = LineCheck(self.edge_dims, rho, p, "subset")
-        out1 = LineArray(self.isc, r1, p)
-        out2 = LineArray(self.isc, r2, p)
-        blk1 = LineArray(self.isc, r1, p)
-        blk2 = LineArray(self.isc, r2, p)
-        meter.alloc("pair_sketch", sketch.cells)
-        meter.alloc("subset_lines", sub.cells)
-        meter.alloc("set_lines", out1.cells * 4)
         meter.alloc("registers", 12)
-        u, v, delta, _ = inst.edges
-        sketch.add_sym(u, v, delta)
-        sub.add_right(*stream_keys(inst, "undirected"))
-        everyone = np.arange(1, self.n + 1)
-        out1.add(everyone)
-        out2.add(everyone)
-        return StreamState(point=(r1, r2), gamma=gamma,
-                           fp_all=_all_fingerprint(gamma, self.n, p),
-                           sketch=sketch, sub=sub, out1=out1, out2=out2,
-                           blk1=blk1, blk2=blk2)
+        return StreamState(pairs=self.pairs.stream(inst, r1, r2, p, meter),
+                           matched=self.matched.stream(inst, rho, p, meter),
+                           ends=_COPY.stream(inst, gamma, p),
+                           parts=_PARTITION.stream(inst, gamma, p))
 
     def run_verifier(self, inst, reader, p, rng, meter):
         n, st = inst.n, stream_pass(self, inst, p, rng, meter)
-        sketch, gamma = st.sketch, st.gamma
-        sub, out1, out2 = st.sub.copy(), st.out1.copy(), st.out2.copy()
         k = reader.scalar("k")
         if not 0 <= k <= n // 2:
             raise RejectError("claimed matching size out of range")
-        fp_flat = Fingerprint(gamma, p)
         pairs = reader.vertices("matching", 2 * k)
         a, b = pairs[0::2], pairs[1::2]
         if not _in_range(pairs, n) or (a == b).any():
             raise RejectError("bad matching pair")
-        sub.add_left(undirected_key(a, b, n))
-        fp_flat.add(pairs)
-        fp_sorted = Fingerprint(gamma, p)
         ends = reader.vertices("endpoints", 2 * k)
         if not _increasing(ends, n):
             raise RejectError("endpoint list not strictly increasing")
-        fp_sorted.add(ends)
-        if fp_sorted.value != fp_flat.value:
-            raise RejectError("endpoint list does not match the matching")
+        _COPY.check(st.ends, [pairs],
+                    "endpoint list does not match the matching", copy=[ends])
 
-        fp_part = Fingerprint(gamma, p)
         witness = reader.vertices("witness")
         if not _in_range(witness, n):
             raise RejectError("witness vertex out of range")
-        usize = witness.size
-        fp_part.add(witness)
-        out1.add(witness, -1)
-        out2.add(witness, -1)
-        acc_inside = sketch.bilinear(out1.arr, out2.arr)
-
         cblocks = reader.scalar("component_count")
         if not 0 <= cblocks <= n:
             raise RejectError("component count out of range")
@@ -386,21 +358,17 @@ class MatchingFrugal(_SplitScheme):
                 raise RejectError("component vertex out of range")
             blocks.append(members)
         odd = sum(len(members) % 2 for members in blocks)
-        if blocks:
-            fp_part.add(np.concatenate(blocks))
-        acc_blocks = sketch.bilinear(st.blk1.rows(blocks),
-                                     st.blk2.rows(blocks))
-        if fp_part.value != st.fp_all:
-            raise RejectError("witness and components do not partition V")
-        if 2 * k != usize + n - odd:
+        _PARTITION.check(st.parts, [witness, *blocks],
+                         "witness and components do not partition V")
+        if 2 * k != witness.size + n - odd:
             raise RejectError("duality count does not match claimed size")
 
-        sub.finish(reader, "matching_subset", "matching containment")
-        grid = (self.tp, self.tp)
-        total_in = reader.grid_claim("inside_pairs", grid, st.point,
-                                     acc_inside, "outside-pair polynomial")
-        total_blk = reader.grid_claim("block_pairs", grid, st.point,
-                                      acc_blocks, "block-pair polynomial")
+        self.matched.check(st.matched, reader, undirected_key(a, b, n))
+        total_in = self.pairs.check(st.pairs, reader, "inside_pairs",
+                                    [witness], "outside-pair",
+                                    complement=True)
+        total_blk = self.pairs.check(st.pairs, reader, "block_pairs", blocks,
+                                     "block-pair")
         if total_in != total_blk:
             raise RejectError("components leave cross edges unaccounted")
         return k
@@ -448,6 +416,14 @@ class MatchingLaconic(Scheme):
         self.n = n
         self.s = s
         self.edge_dims = line_check_dims(n * n, s)
+        # the matching and forest are edges; outside and block pairs tie
+        self.checks = tuple(
+            StreamEdgeCheck(self.edge_dims, "undirected", mode, label, what)
+            for mode, label, what in (
+                ("subset", "matching_subset", "matching containment"),
+                ("subset", "forest_subset", "forest containment"),
+                ("intersect", "inside_inter", "outside pair count"),
+                ("intersect", "block_inter", "block pair count")))
 
     @classmethod
     def configure(cls, inst, t=None, s=None):
@@ -494,47 +470,25 @@ class MatchingLaconic(Scheme):
         tr.add_vertices("matching", [v for e in matching for v in e])
         tr.add_vertices("witness", witness)
         tr.add_vertices("forest", [v for e in forest for v in e])
-        sup = edge_extension(inst, self.edge_dims, p)
-        sub_m = dense_indicator([(undirected_key(a, b, n), 1)
-                                 for (a, b) in matching], self.edge_dims)
-        tr.add_values("matching_subset",
-                      line_check_help(sub_m, sup, p, "subset"), p)
-        sub_f = dense_indicator([(undirected_key(a, b, n), 1)
-                                 for (a, b) in forest], self.edge_dims)
-        tr.add_values("forest_subset",
-                      line_check_help(sub_f, sup, p, "subset"), p)
         wset = set(witness)
         outside = [v for v in range(1, n + 1) if v not in wset]
-        t1 = dense_indicator([(k, 1) for k in _keys_within(outside, n)],
-                             self.edge_dims)
-        tr.add_values("inside_inter",
-                      line_check_help(t1, sup, p, "intersect"), p)
-        t2 = dense_indicator([(k, 1) for blk in _groups(outside, forest)
-                              for k in _keys_within(blk, n)], self.edge_dims)
-        tr.add_values("block_inter",
-                      line_check_help(t2, sup, p, "intersect"), p)
+        keys = ([undirected_key(a, b, n) for (a, b) in matching],
+                [undirected_key(a, b, n) for (a, b) in forest],
+                _keys_within([outside], n),
+                _keys_within(_groups(outside, forest), n))
+        for check, keyed in zip(self.checks, keys):
+            check.prove(tr, inst, keyed, p)
         return tr
 
     def stream_side(self, inst, p, rng, meter):
         rho = fe_random(rng, p)
-        sub_m = LineCheck(self.edge_dims, rho, p, "subset")
-        sub_f = LineCheck(self.edge_dims, rho, p, "subset")
-        int_1 = LineCheck(self.edge_dims, rho, p, "intersect")
-        int_2 = LineCheck(self.edge_dims, rho, p, "intersect")
-        meter.alloc("line_instances",
-                    sub_m.cells + sub_f.cells + int_1.cells + int_2.cells)
         meter.alloc("stored_certificate", 3 * self.n)
         meter.alloc("registers", 8)
-        key, delta = stream_keys(inst, "undirected")
-        sub_m.add_right(key, delta)
-        sub_f.add_right(key, delta)
-        int_1.add_left(key, delta)
-        int_2.add_left(key, delta)
-        return StreamState(checks=(sub_m, sub_f, int_1, int_2))
+        return StreamState(checks=tuple(c.stream(inst, rho, p, meter)
+                                        for c in self.checks))
 
     def run_verifier(self, inst, reader, p, rng, meter):
         n, st = self.n, stream_pass(self, inst, p, rng, meter)
-        sub_m, sub_f, int_1, int_2 = (c.copy() for c in st.checks)
         pairs = reader.vertices("matching")
         flat = pairs.tolist()
         if len(flat) % 2:
@@ -548,7 +502,6 @@ class MatchingLaconic(Scheme):
             if a in seen or b in seen:
                 raise RejectError("matching endpoints collide")
             seen.update((a, b))
-        sub_m.add_left(undirected_key(pairs[0::2], pairs[1::2], n))
         witness = reader.vertices("witness").tolist()
         wset = set(witness)
         if len(wset) != len(witness) or not all(1 <= v <= n for v in witness):
@@ -561,20 +514,16 @@ class MatchingLaconic(Scheme):
         if (np.isin(fl, witness).any() or (a == b).any()
                 or not _in_range(fl, n)):
             raise RejectError("forest edge leaves the outside set")
-        sub_f.add_left(undirected_key(a, b, n))
         blocks = _groups(outside, zip(a.tolist(), b.tolist()))
         odd = sum(len(b) % 2 for b in blocks)
         if 2 * k != len(wset) + n - odd:
             raise RejectError("duality count does not match claimed size")
-        int_1.add_right(_keys_within(outside, n))
-        int_2.add_right(np.concatenate(
-            [_keys_within(blk, n) for blk in blocks]
-            + [np.zeros(0, dtype=np.int64)]))
 
-        sub_m.finish(reader, "matching_subset", "matching containment")
-        sub_f.finish(reader, "forest_subset", "forest containment")
-        m1 = int_1.finish(reader, "inside_inter", "outside pair count")
-        m2 = int_2.finish(reader, "block_inter", "block pair count")
+        keys = (undirected_key(pairs[0::2], pairs[1::2], n),
+                undirected_key(a, b, n), _keys_within([outside], n),
+                _keys_within(blocks, n))
+        _, _, m1, m2 = (check.check(state, reader, keyed) for check, state,
+                        keyed in zip(self.checks, st.checks, keys))
         if m1 != m2:
             raise RejectError("components leave cross edges unaccounted")
         return k
@@ -626,6 +575,11 @@ class MaximalIndependentSet(_SplitScheme):
     def __init__(self, n, t, s):
         super().__init__(n, t, s)
         self.vert_dims = line_check_dims(n, s)
+        self.pairs = PairCount(self.isc)
+        self.pointed = StreamEdgeCheck(self.edge_dims, "undirected", "subset",
+                                       "pointer_subset", "pointer containment")
+        self.partners = KeyCheck(self.vert_dims, "intersect", "partner_inter",
+                                 "partner overlap")
 
     def oracle_value(self, inst):
         members = self._greedy(inst)
@@ -678,20 +632,11 @@ class MaximalIndependentSet(_SplitScheme):
         tr = ProofTranscript()
         tr.add_vertices("independent_set", members)
         tr.add_vertices("pointers", [x for pr in pointers for x in pr])
-        tr.add_values("independent_pairs",
-                      member_pair_charge(inst, [members], self.isc, p), p)
-        sub = dense_indicator([(undirected_key(v, u, n), 1)
-                               for (v, u) in pointers], self.edge_dims)
-        sup = edge_extension(inst, self.edge_dims, p)
-        tr.add_values("pointer_subset",
-                      line_check_help(sub, sup, p, "subset"), p)
-        partners = dense_indicator([(u, 1) for (_, u) in pointers],
-                                   self.vert_dims)
-        sources = dense_indicator([(v, 1) for (v, _) in pointers],
-                                  self.vert_dims)
-        tr.add_values("partner_inter",
-                      line_check_help(partners, extend_rows(sources, p), p,
-                                      "intersect"), p)
+        self.pairs.prove(tr, "independent_pairs", inst, [members], p)
+        self.pointed.prove(tr, inst, [undirected_key(v, u, n)
+                                      for (v, u) in pointers], p)
+        self.partners.prove(tr, [u for (_, u) in pointers],
+                            [v for (v, _) in pointers], p)
         return tr
 
     def prove(self, inst, p: int) -> ProofTranscript:
@@ -701,53 +646,32 @@ class MaximalIndependentSet(_SplitScheme):
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         rho, rho_v = fe_random(rng, p), fe_random(rng, p)
         gamma = fe_random(rng, p)
-        sketch = PairSketch(self.isc, r1, r2, p)
-        l1 = LineArray(self.isc, r1, p)
-        l2 = LineArray(self.isc, r2, p)
-        sub = LineCheck(self.edge_dims, rho, p, "subset")
-        inter = LineCheck(self.vert_dims, rho_v, p, "intersect")
-        meter.alloc("pair_sketch", sketch.cells)
-        meter.alloc("set_lines", l1.cells + l2.cells)
-        meter.alloc("subset_lines", sub.cells)
-        meter.alloc("partner_lines", inter.cells)
         meter.alloc("registers", 8)
-        u, v, delta, _ = inst.edges
-        sketch.add_sym(u, v, delta)
-        sub.add_right(*stream_keys(inst, "undirected"))
-        return StreamState(point=(r1, r2), gamma=gamma,
-                           fp_all=_all_fingerprint(gamma, self.n, p),
-                           sketch=sketch, l1=l1, l2=l2, sub=sub, inter=inter)
+        return StreamState(pairs=self.pairs.stream(inst, r1, r2, p, meter),
+                           pointed=self.pointed.stream(inst, rho, p, meter),
+                           partners=self.partners.stream(rho_v, p, meter),
+                           parts=_PARTITION.stream(inst, gamma, p))
 
     def run_verifier(self, inst, reader, p, rng, meter):
         n, st = self.n, stream_pass(self, inst, p, rng, meter)
-        l1, l2 = st.l1.copy(), st.l2.copy()
-        sub, inter = st.sub.copy(), st.inter.copy()
-        fp_part = Fingerprint(st.gamma, p)
         members = reader.vertices("independent_set")
         if not _in_range(members, n):
             raise RejectError("set member out of range")
-        fp_part.add(members)
-        l1.add(members)
-        l2.add(members)
-        acc = st.sketch.bilinear(l1.arr, l2.arr)
         ptr = reader.vertices("pointers")
         if ptr.size != 2 * (n - members.size):
             raise RejectError("pointer list has wrong length")
         sources, partners = ptr[0::2], ptr[1::2]
         if not _in_range(ptr, n) or (sources == partners).any():
             raise RejectError("bad pointer pair")
-        fp_part.add(sources)
-        sub.add_left(undirected_key(sources, partners, n))
-        inter.add_left(partners)
-        inter.add_right(sources)
-        if fp_part.value != st.fp_all:
-            raise RejectError("set and pointer sources do not partition V")
+        _PARTITION.check(st.parts, [members, sources],
+                         "set and pointer sources do not partition V")
 
-        if reader.grid_claim("independent_pairs", (self.tp, self.tp),
-                             st.point, acc, "set-pair polynomial") != 0:
+        if self.pairs.check(st.pairs, reader, "independent_pairs", [members],
+                            "set-pair") != 0:
             raise RejectError("claimed set is not independent")
-        sub.finish(reader, "pointer_subset", "pointer containment")
-        if inter.finish(reader, "partner_inter", "partner overlap") != 0:
+        self.pointed.check(st.pointed, reader,
+                           undirected_key(sources, partners, n))
+        if self.partners.check(st.partners, reader, partners, sources) != 0:
             raise RejectError("a pointer partner lies outside the set")
         return tuple(members.tolist())
 
@@ -849,8 +773,8 @@ class TopoSort(_SplitScheme):
         meter.alloc("registers", 8)
         u, v, delta, _ = inst.edges
         sketch.add(u, v, delta)
-        return StreamState(point=(r1, r2), gamma=gamma,
-                           fp_all=_all_fingerprint(gamma, self.n, p),
+        return StreamState(point=(r1, r2),
+                           parts=_PARTITION.stream(inst, gamma, p),
                            sketch=sketch, pre1=pre1, m=int(delta.sum()))
 
     def run_verifier(self, inst, reader, p, rng, meter):
@@ -860,11 +784,9 @@ class TopoSort(_SplitScheme):
     def check_order(self, reader, p, st):
         """The help side: the claimed order against the stream side `st`."""
         n, sketch, pre1 = self.n, st.sketch, st.pre1
-        fp_ord = Fingerprint(st.gamma, p)
         order = reader.vertices("order", n)
         if not _in_range(order, n):
             raise RejectError("order entry out of range")
-        fp_ord.add(order)
         # entry i meets the prefix line pre1 as it stood after entries < i:
         # those lines are the running sum of one cell per entry
         xs, ys = self.isc.shape(order)
@@ -873,8 +795,7 @@ class TopoSort(_SplitScheme):
         before = np.cumsum(cells[:-1], axis=0) % p
         hits = dot_mod(before, sketch.table[:, ys[1:] - 1].T, p)
         acc = int((hits * sketch.i2[xs[1:] - 1] % p).sum() % p)
-        if fp_ord.value != st.fp_all:
-            raise RejectError("order is not a permutation of V")
+        _PARTITION.check(st.parts, [order], "order is not a permutation of V")
         if reader.grid_claim("forward_pairs", (self.tp, self.tp), st.point,
                              acc, "forward-pair polynomial") != st.m % p:
             raise RejectError("an edge points backward in the order")
@@ -910,6 +831,8 @@ class Acyclicity(_SplitScheme):
     def __init__(self, n, t, s):
         super().__init__(n, t, s)
         self.sorter = TopoSort(n, t, s)
+        self.cycle = StreamEdgeCheck(self.edge_dims, "directed", "subset",
+                                     "cycle_subset", "cycle containment")
 
     def oracle_value(self, inst):
         return oracle_acyclic(inst)
@@ -973,12 +896,8 @@ class Acyclicity(_SplitScheme):
         tr.add_scalars("verdict", [0])
         tr.add_vertices("cycle", cyc)
         tr.add_vertices("cycle_sorted", sorted(cyc))
-        keys = [directed_key(cyc[i], cyc[(i + 1) % len(cyc)], n)
-                for i in range(len(cyc))]
-        sub = dense_indicator([(k, 1) for k in keys], self.edge_dims)
-        sup = edge_extension(inst, self.edge_dims, p, "directed")
-        tr.add_values("cycle_subset",
-                      line_check_help(sub, sup, p, "subset"), p)
+        self.cycle.prove(tr, inst, [directed_key(a, b, n) for a, b
+                                    in zip(cyc, cyc[1:] + cyc[:1])], p)
         return tr
 
     def stream_side(self, inst, p, rng, meter):
@@ -986,11 +905,9 @@ class Acyclicity(_SplitScheme):
         sorter's."""
         rho = fe_random(rng, p)
         gamma = fe_random(rng, p)
-        sub = LineCheck(self.edge_dims, rho, p, "subset")
-        meter.alloc("subset_lines", sub.cells)
         meter.alloc("registers", 6)
-        sub.add_right(*stream_keys(inst, "directed"))
-        return StreamState(gamma=gamma, sub=sub)
+        return StreamState(cycle=self.cycle.stream(inst, rho, p, meter),
+                           ends=_COPY.stream(inst, gamma, p))
 
     def run_verifier(self, inst, reader, p, rng, meter):
         n = self.n
@@ -1003,42 +920,37 @@ class Acyclicity(_SplitScheme):
             self.sorter.check_order(reader, p, st)
             return True
         st = stream_pass(self, inst, p, rng, meter, branch=0)
-        gamma, sub = st.gamma, st.sub.copy()
         cyc = reader.vertices("cycle")
         if cyc.size < 2:
             raise RejectError("cycle too short")
         if not _in_range(cyc, n):
             raise RejectError("cycle vertex out of range")
-        fp_c = Fingerprint(gamma, p)
-        fp_c.add(cyc)
-        sub.add_left(directed_key(cyc, np.roll(cyc, -1), n))
-        fp_s = Fingerprint(gamma, p)
         ordered = reader.vertices("cycle_sorted", cyc.size)
         if not _increasing(ordered, n):
             raise RejectError("cycle list not strictly increasing")
-        fp_s.add(ordered)
-        if fp_s.value != fp_c.value:
-            raise RejectError("sorted copy does not match the cycle")
-        sub.finish(reader, "cycle_subset", "cycle containment")
+        _COPY.check(st.ends, [cyc], "sorted copy does not match the cycle",
+                    copy=[ordered])
+        self.cycle.check(st.cycle, reader,
+                         directed_key(cyc, np.roll(cyc, -1), n))
         return False
 
     def mutate_output(self, inst, transcript, p, rng):
-        if oracle_acyclic(inst):
-            # claim cyclic with a fabricated cycle, patching the zero total
-            verts = list(range(1, inst.n + 1))
-            rng.shuffle(verts)
-            cyc = sorted(verts[:3])
-            present = set(inst.directed_edges())
-            missing = sum(1 for i in range(3)
-                          if (cyc[i], cyc[(i + 1) % 3]) not in present)
-            if missing == 0:
-                return None
-            tr = self._cycle_transcript(inst, cyc, p)
-            tr.blocks[-1].shift_total(-missing, p)
-            return tr
-        # claim acyclic with a forged forward count
-        order = list(range(1, inst.n + 1))
-        return self._acyclic(self.sorter._forged(inst, order, p))
+        verts = list(range(1, inst.n + 1))
+        if not oracle_acyclic(inst):
+            # claim acyclic with a forged forward count
+            return self._acyclic(self.sorter._forged(inst, verts, p))
+        if inst.n < 3:  # no room for the fabricated 3-cycle
+            return None
+        # claim cyclic with a fabricated cycle, patching the zero total
+        rng.shuffle(verts)
+        cyc = sorted(verts[:3])
+        present = set(inst.directed_edges())
+        missing = sum(e not in present for e in zip(cyc, cyc[1:] + cyc[:1]))
+        if missing == 0:
+            return None
+        tr = self._cycle_transcript(inst, cyc, p)
+        tr.blocks[-1].shift_total(-missing, p)
+        return tr
 
     def mutate_vertices(self, inst, transcript, p, rng):
         out = transcript.copy()
@@ -1067,6 +979,12 @@ class Components(_SplitScheme):
 
     name = "components"
     simple_graph = True
+
+    def __init__(self, n, t, s):
+        super().__init__(n, t, s)
+        self.tree = StreamEdgeCheck(self.edge_dims, "undirected", "subset",
+                                    "tree_subset", "tree containment")
+        self.pairs = PairCount(self.isc)
 
     def oracle_value(self, inst):
         return oracle_components(inst)
@@ -1118,13 +1036,9 @@ class Components(_SplitScheme):
                 mem.append(v)
                 tree_edges.append((min(v, par), max(v, par)))
             members.append(mem)
-        sub = dense_indicator([(undirected_key(a, b, n), 1)
-                               for (a, b) in tree_edges], self.edge_dims)
-        sup = edge_extension(inst, self.edge_dims, p)
-        tr.add_values("tree_subset",
-                      line_check_help(sub, sup, p, "subset"), p)
-        tr.add_values("block_pairs",
-                      member_pair_charge(inst, members, self.isc, p), p)
+        self.tree.prove(tr, inst, [undirected_key(a, b, n)
+                                   for (a, b) in tree_edges], p)
+        self.pairs.prove(tr, "block_pairs", inst, members, p)
         return tr
 
     def prove(self, inst, p: int) -> ProofTranscript:
@@ -1135,31 +1049,19 @@ class Components(_SplitScheme):
         rho = fe_random(rng, p)
         g = tuple(fe_random(rng, p) for _ in range(3))
         gamma = fe_random(rng, p)
-        sketch = PairSketch(self.isc, r1, r2, p)
-        sub = LineCheck(self.edge_dims, rho, p, "subset")
-        b1 = LineArray(self.isc, r1, p)
-        b2 = LineArray(self.isc, r2, p)
-        meter.alloc("pair_sketch", sketch.cells)
-        meter.alloc("subset_lines", sub.cells)
-        meter.alloc("block_lines", b1.cells + b2.cells)
         meter.alloc("registers", 12)
-        u, v, delta, _ = inst.edges
-        sketch.add_sym(u, v, delta)
-        sub.add_right(*stream_keys(inst, "undirected"))
-        return StreamState(point=(r1, r2), g=g, gamma=gamma,
-                           fp_all=_all_fingerprint(gamma, self.n, p),
-                           sketch=sketch, sub=sub, b1=b1, b2=b2,
-                           m_total=int(delta.sum()))
+        return StreamState(g=g, tree=self.tree.stream(inst, rho, p, meter),
+                           pairs=self.pairs.stream(inst, r1, r2, p, meter),
+                           parts=_PARTITION.stream(inst, gamma, p),
+                           m_total=int(inst.edges[2].sum()))
 
     def run_verifier(self, inst, reader, p, rng, meter):
         n, st = self.n, stream_pass(self, inst, p, rng, meter)
-        g, sub = st.g, st.sub.copy()
+        g = st.g
         c = reader.scalar("component_count")
         if not 1 <= c <= n:
             raise RejectError("component count out of range")
-        fp_part = Fingerprint(st.gamma, p)
-        supply = 0
-        refer = 0
+        supply = refer = 0
         blocks, children, parents = [], [], []
         for bi in range(1, c + 1):
             vals = reader.scalars("tree_block").tolist()
@@ -1184,20 +1086,14 @@ class Components(_SplitScheme):
             blocks.append([root] + vals[2::4])
             children.extend(vals[2::4])
             parents.extend(vals[4::4])
-        members = np.concatenate(blocks)
-        fp_part.add(members)
-        sub.add_left(undirected_key(np.array(children, dtype=np.int64),
-                                    np.array(parents, dtype=np.int64), n))
-        acc_blocks = st.sketch.bilinear(st.b1.rows(blocks),
-                                        st.b2.rows(blocks))
         if supply != refer:
             raise RejectError("tree references do not match child counts")
-        if fp_part.value != st.fp_all:
-            raise RejectError("blocks do not partition V")
-        sub.finish(reader, "tree_subset", "tree containment")
-        if reader.grid_claim("block_pairs", (self.tp, self.tp), st.point,
-                             acc_blocks, "block-pair polynomial"
-                             ) != (2 * st.m_total) % p:
+        _PARTITION.check(st.parts, blocks, "blocks do not partition V")
+        self.tree.check(st.tree, reader, undirected_key(
+            np.array(children, dtype=np.int64),
+            np.array(parents, dtype=np.int64), n))
+        if self.pairs.check(st.pairs, reader, "block_pairs", blocks,
+                            "block-pair") != (2 * st.m_total) % p:
             raise RejectError("blocks do not absorb every stream edge")
         return c
 

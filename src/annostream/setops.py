@@ -181,10 +181,10 @@ def line_check_dims(universe: int, width: int) -> tuple:
     return (h, v)
 
 
-def dense_indicator(items, dims) -> np.ndarray:
-    """Grid array from (key, mult) pairs; prover-side helper."""
+def dense_indicator(keys, dims, mults=1) -> np.ndarray:
+    """Grid array of keys, each adding its mult; prover-side helper."""
     H, V = dims
-    keys, mults = np.asarray(items, dtype=np.int64).reshape(-1, 2).T
+    keys = np.asarray(keys, dtype=np.int64).ravel()
     ShapeConfig(H * V, H, V).grid_index(keys)  # refuses keys off the grid
     arr = np.zeros(H * V, dtype=np.int64)
     np.add.at(arr, keys - 1, mults)
@@ -213,8 +213,86 @@ def edge_extension(inst, dims, p: int, rule: str = "undirected"
     nodes 1..2H-1; built once per instance and read-only.
     """
     def build():
-        items = np.transpose(stream_keys(inst, rule))
-        out = extend_rows(dense_indicator(items, dims), p)
+        keys, delta = stream_keys(inst, rule)
+        out = extend_rows(dense_indicator(keys, dims, delta), p)
         out.setflags(write=False)  # cached: every caller shares this array
         return out
     return inst.cached(("edge_extension", rule, tuple(dims), p), build)
+
+
+# --- relations: each set check written once. A relation gives the prover's
+# help from the certificate's lists (`prove`), the verifier's stream-side
+# state and meter group (`stream`) and the help-side `check`.
+
+
+class KeyCheck:
+    """Containment ("subset") or intersection ("intersect") of two key lists
+    on the grid dims: a `LineCheck` whose help is the block `label`."""
+
+    def __init__(self, dims, mode: str, label: str, what: str):
+        self.dims, self.mode, self.label, self.what = dims, mode, label, what
+
+    def prove(self, tr, left, right, p: int):
+        right = dense_indicator(right, self.dims)
+        self._prove(tr, left, extend_rows(right, p), p)
+
+    def _prove(self, tr, left, right_ext, p: int):
+        tr.add_values(self.label, line_check_help(
+            dense_indicator(left, self.dims), right_ext, p, self.mode), p)
+
+    def stream(self, rho: int, p: int, meter) -> LineCheck:
+        check = LineCheck(self.dims, rho, p, self.mode)
+        meter.alloc(self.label, check.cells)
+        return check
+
+    def check(self, state: LineCheck, reader, left, right=None) -> int:
+        """The grid total of the help for `left` and `right` (or the side
+        already in `state`); a subset rejects unless it is 0."""
+        check = state.copy()
+        check.add_left(left)
+        if right is not None:
+            check.add_right(right)
+        return check.finish(reader, self.label, self.what)
+
+
+class StreamEdgeCheck(KeyCheck):
+    """A key list against the stream's final edges keyed by `rule`
+    (`stream_keys`), which `stream` puts on the right side."""
+
+    def __init__(self, dims, rule: str, mode: str, label: str, what: str):
+        super().__init__(dims, mode, label, what)
+        self.rule = rule
+
+    def prove(self, tr, inst, keys, p: int):
+        self._prove(tr, keys, edge_extension(inst, self.dims, p, self.rule),
+                    p)
+
+    def stream(self, inst, rho: int, p: int, meter) -> LineCheck:
+        check = super().stream(rho, p, meter)
+        check.add_right(*stream_keys(inst, self.rule))
+        return check
+
+
+class SameMultiset:
+    """Multiset equality by fingerprint against a target the stream side
+    fixes: "vertices" ([n]: a partition), a `stream_keys` rule, or None
+    (`check` then compares two help lists, as for a sorted copy)."""
+
+    def __init__(self, target: str | None = None):
+        self.target = target
+
+    def stream(self, inst, gamma: int, p: int) -> Fingerprint:
+        fp = Fingerprint(gamma, p)
+        if self.target == "vertices":
+            fp.add(np.arange(1, inst.n + 1))
+        elif self.target is not None:
+            fp.add(*stream_keys(inst, self.target))
+        return fp
+
+    def check(self, target: Fingerprint, lists, reason: str, copy=()):
+        fp = Fingerprint(target.gamma, target.p)
+        for keys, mult in ((lists, 1), (copy, -1)):
+            fp.add(np.concatenate([np.asarray(x, dtype=np.int64) for x in keys]
+                                  + [np.zeros(0, dtype=np.int64)]), mult)
+        if fp.value != target.value:
+            raise RejectError(reason)

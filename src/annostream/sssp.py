@@ -35,9 +35,9 @@ from .graphapps import _final_graph
 from .oracle import oracle_bfs, oracle_dijkstra
 from .protocol import (Scheme, StreamState, cached_build, register,
                        stream_pass)
-from .setops import (LineCheck, dense_indicator, edge_extension,
-                     line_check_help, stream_keys, undirected_key,
-                     weighted_key)
+from .setops import (LineCheck, StreamEdgeCheck, dense_indicator,
+                     edge_extension, line_check_help, stream_keys,
+                     undirected_key, weighted_key)
 from .stream import ProofTranscript, RejectError
 
 
@@ -396,8 +396,8 @@ class _WeightedScheme(Scheme):
         """Intersection help, on its nodes, for the final edges against the
         pairs that cross out of `reached`."""
         n = self.n
-        crossing = [(key, 1) for key in self._crossing_keys(reached).tolist()]
-        return line_check_help(dense_indicator(crossing, (n, n)),
+        return line_check_help(dense_indicator(self._crossing_keys(reached),
+                                               (n, n)),
                                edge_extension(inst, (n, n), p), p,
                                "intersect")
 
@@ -558,6 +558,11 @@ class SsspWeightedVanilla(_WeightedScheme):
     models = ("weighted",)
     scalar_flip_labels = ("distance_labels", "parent_labels")
 
+    def __init__(self, n: int, W: int):
+        super().__init__(n, W)
+        self.tree = StreamEdgeCheck((n * W, n), "weighted", "subset",
+                                    "tree_subset", "parent edges")
+
     # prover ------------------------------------------------------------
 
     @cached_build
@@ -577,13 +582,9 @@ class SsspWeightedVanilla(_WeightedScheme):
             if zero_entry is not None and zero_entry[0] == d:
                 cv[zero_entry[1] - 1] = 0
             tr.add_values("round_poly", cv, p)
-        tree = [(weighted_key(prev[v], v, dist[v] - dist[prev[v]], n, W), 1)
-                for v in range(1, n + 1)
-                if v != src and dist[v] is not None]
-        wdims = (n * W, n)
-        tr.add_values("tree_subset", line_check_help(
-            dense_indicator(tree, wdims),
-            edge_extension(inst, wdims, p, "weighted"), p, "subset"), p)
+        self.tree.prove(tr, inst, [
+            weighted_key(prev[v], v, dist[v] - dist[prev[v]], n, W)
+            for v in range(1, n + 1) if v != src and dist[v] is not None], p)
         reached = {v for v in range(1, n + 1) if dist[v] is not None}
         tr.add_values("frontier_inter",
                       self._frontier_help(inst, reached, p), p)
@@ -610,25 +611,23 @@ class SsspWeightedVanilla(_WeightedScheme):
         rho_e = fe_random(rng, p)
         impn = impulse_array(rho, n, p)
         F = np.zeros((n, W), dtype=np.int64)
-        sub = LineCheck((n * W, n), rho_w, p, "subset")
+        tree = self.tree.stream(inst, rho_w, p, meter)
         inter = LineCheck((n, n), rho_e, p, "intersect")
         meter.alloc("weight_table", n * W)
         meter.alloc("labels", 2 * n)
-        meter.alloc("tree_lines", sub.cells)
         meter.alloc("frontier_lines", inter.cells)
         meter.alloc("registers", 16)
         u, v, _, w = inst.edges
         np.add.at(F, (u - 1, w - 1), impn[v - 1])
         np.add.at(F, (v - 1, w - 1), impn[u - 1])
         F %= p
-        sub.add_right(*stream_keys(inst, "weighted"))
         inter.add_left(*stream_keys(inst, "undirected"))
-        return StreamState(rho=rho, F=F, sub=sub, inter=inter)
+        return StreamState(rho=rho, F=F, tree=tree, inter=inter)
 
     def run_verifier(self, inst, reader, p, rng, meter):
         n, W, src = self.n, self.W, inst.source
         st = stream_pass(self, inst, p, rng, meter)
-        rho, F, sub = st.rho, st.F, st.sub.copy()
+        rho, F = st.rho, st.F
         SENT = W * (n - 1) + 1
         labs = reader.scalars("distance_labels", n)
         prevs = reader.scalars("parent_labels", n)
@@ -653,7 +652,6 @@ class SsspWeightedVanilla(_WeightedScheme):
             if not 1 <= w <= W:
                 raise RejectError("implied tree weight out of range")
             tree.append(weighted_key(pv, v, w, n, W))
-        sub.add_left(np.array(tree, dtype=np.int64))
 
         labs = np.array(lab[1:], dtype=np.int64)
         Dhat = int(labs[labs < SENT].max(initial=0))
@@ -669,7 +667,7 @@ class SsspWeightedVanilla(_WeightedScheme):
                     f"round {d}: a label exceeds its relaxation round")
         meter.free("round_values")
 
-        sub.finish(reader, "tree_subset", "parent edges")
+        self.tree.check(st.tree, reader, np.array(tree, dtype=np.int64))
         reached = {v for v in range(1, n + 1) if lab[v] < SENT}
         self._check_frontier(st.inter, reader, reached,
                              "an edge leaves the labeled region")

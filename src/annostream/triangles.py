@@ -30,8 +30,8 @@ from math import isqrt
 
 import numpy as np
 
-from .edgecount import (LineArray, PairSketch, degree_grid, line_rows,
-                        member_pair_charge)
+from .edgecount import (LineArray, PairCount, PairSketch, degree_grid,
+                        line_rows)
 from .extension import (FloatResidues, StagedProduct, block_rows, dot_mod,
                         exact_chunk, impulse_array, int64_sums_exact,
                         mat_mulmod, reduce_mod)
@@ -39,7 +39,7 @@ from .field import fe_random
 from .oracle import oracle_triangles
 from .protocol import (Scheme, StreamState, cached_build, register,
                        stream_pass)
-from .setops import Fingerprint, directed_key, stream_keys
+from .setops import SameMultiset, directed_key
 from .stream import ProofTranscript, RejectError
 
 
@@ -293,6 +293,11 @@ class TrianglesSparse(_TriangleBase):
 
     name = "tri-sparse"
     _lie_step = 6
+    _replay = SameMultiset("symmetric")
+
+    def __init__(self, n, t, s):
+        super().__init__(n, t, s)
+        self.pairs = PairCount(self.sc)
 
     def hcost_bound(self, inst) -> int:
         m = sum(abs(c) for c in inst.final_edges().values())
@@ -318,26 +323,15 @@ class TrianglesSparse(_TriangleBase):
         tr = ProofTranscript()
         for lst in lists:
             tr.add_vertices("nbrs", lst)
-        tr.add_values("charge_poly",
-                      member_pair_charge(inst, lists, self.sc, p), p)
+        self.pairs.prove(tr, "charge_poly", inst, lists, p)
         return tr
 
     def stream_side(self, inst, p, rng, meter):
-        sc = self.sc
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         gamma = fe_random(rng, p)
-        sketch = PairSketch(sc, r1, r2, p)
-        b1 = LineArray(sc, r1, p)
-        b2 = LineArray(sc, r2, p)
-        meter.alloc("pair_sketch", sketch.cells)
-        meter.alloc("line_rows", b1.cells + b2.cells)
         meter.alloc("registers", 5)
-        fp_in = Fingerprint(gamma, p)
-        a, b, delta, _ = inst.edges
-        sketch.add_sym(a, b, delta)
-        fp_in.add(*stream_keys(inst, "symmetric"))
-        return StreamState(point=(r1, r2), gamma=gamma, fp_in=fp_in.value,
-                           sketch=sketch, b1=b1, b2=b2)
+        return StreamState(pairs=self.pairs.stream(inst, r1, r2, p, meter),
+                           replay=self._replay.stream(inst, gamma, p))
 
     def run_verifier(self, inst, reader, p, rng, meter):
         n, st = self.n, stream_pass(self, inst, p, rng, meter)
@@ -349,13 +343,10 @@ class TrianglesSparse(_TriangleBase):
                 raise RejectError(f"replayed neighbor {bad} out of range")
             lists.append(members)
             replayed.append(directed_key(v, members, n))
-        fp_replay = Fingerprint(st.gamma, p)
-        fp_replay.add(np.concatenate(replayed))
-        acc = st.sketch.bilinear(st.b1.rows(lists), st.b2.rows(lists))
-        if fp_replay.value != st.fp_in:
-            raise RejectError("replayed neighborhoods do not match stream")
-        total = reader.grid_claim("charge_poly", (self.t, self.t),
-                                  st.point, acc, "charge polynomial")
+        self._replay.check(st.replay, replayed,
+                           "replayed neighborhoods do not match stream")
+        total = self.pairs.check(st.pairs, reader, "charge_poly", lists,
+                                 "charge")
         if total % 6 != 0:
             raise RejectError("pair total is not a multiple of six")
         return total // 6

@@ -317,6 +317,23 @@ def test_attack_default_skips_a_policy_with_nothing_to_mutate(
         assert "produced no mutation" in named.stderr
 
 
+# acyclic inputs with no room for the output lie's fabricated 3-cycle
+@pytest.mark.parametrize("body", ["n=2 model=vanilla\n1 2\n",
+                                  "n=2 model=vanilla\n",
+                                  "n=1 model=vanilla\n"],
+                         ids=["n2-edge", "n2-edgeless", "n1"])
+def test_attack_acyclicity_skips_its_output_lie_below_three_vertices(
+        tmp_path, body):
+    path = tmp_path / "small.stream"
+    path.write_text(body)
+    r = run_cli("attack", "--scheme", "acyclicity", "--input", str(path),
+                "--trials", "5")
+    assert r.returncode == 0, r.stderr
+    ran = [row[1] for row in csv.reader(io.StringIO(r.stdout))][1:]
+    assert ran and "output_value_lie" not in ran
+    assert "policy output_value_lie produced no mutation" in r.stderr
+
+
 def test_sweep_csv_schema_and_empty_grid(k5, tmp_path):
     r = run_cli("sweep", "--scheme", "tri-laconic", "--input", k5,
                 "--t-grid", "1,2,4")

@@ -2,21 +2,25 @@
 and the grid kernels every pair charge goes through."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annostream.edgecount import (LineArray, PairSketch, degree_grid,
-                                  grid_adjacency, line_rows,
+from annostream.edgecount import (LineArray, PairCount, PairSketch,
+                                  degree_grid, grid_adjacency, line_rows,
                                   member_pair_charge, pair_charge)
 from annostream.extension import ShapeConfig
+from annostream.field import fe_random
 from annostream.generators import (adjlist_instance, gnp_edges,
                                    turnstile_instance, vanilla_instance,
                                    with_query_set)
 from annostream.oracle import oracle_cross_edges, oracle_induced_edges
-from annostream.protocol import get_scheme, run_adversarial, run_honest
+from annostream.protocol import (Coins, SpaceMeter, get_scheme,
+                                 run_adversarial, run_honest, stream_pass)
+from annostream.stream import ProofTranscript, RejectError
 
 
 def _split(rng, n):
@@ -261,3 +265,41 @@ def test_rewired_provers_at_edge_cases(name, inst, shape):
     assert res.accepted, res.reason
     assert scheme.output_correct(inst, res.value)
     assert res.hcost == scheme.hcost_bound(inst)
+
+
+# --- the pair-count relation ------------------------------------------------
+
+
+def _kept_pairs(rel, inst, p):
+    """PairCount's stream side as `stream_pass` hands it out, and its
+    meter."""
+    meter = SpaceMeter()
+    scheme = SimpleNamespace(name="pairs", t=None, s=None)
+    st = stream_pass(scheme, inst, p, Coins(2, "pairs"), meter,
+                     side=lambda inst, p, rng, meter: rel.stream(
+                         inst, fe_random(rng, p), fe_random(rng, p), p,
+                         meter))
+    return st, meter
+
+
+@pytest.mark.parametrize("complement", [False, True])
+def test_pair_count_accepts_honest_help_and_rejects_other_lists(complement):
+    inst = turnstile_instance(9, gnp_edges(9, 0.5, 8), churn=6, seed=8)
+    p, sc = 1048583, ShapeConfig(9, 3, 3)
+    rel = PairCount(sc, counts=2)
+    st, meter = _kept_pairs(rel, inst, p)
+    assert meter.peak == 9 + 4 * 3
+    arrays = [st.sketch.table, *(a for line in st.lines
+                                 for a in (line.arr, line.imp))]
+    assert not any(a.flags.writeable for a in arrays)
+    lists = [[1, 2, 5, 7]] if complement else [[1, 2, 3], [4, 6, 8, 9]]
+    counted = ([[v for v in range(1, 10) if v not in lists[0]]]
+               if complement else lists)
+    tr = ProofTranscript()
+    rel.prove(tr, "g", inst, counted, p)
+    total = rel.check(st, tr.reader(p), "g", lists, "pair",
+                      complement=complement)
+    assert total == sum(2 * oracle_induced_edges(inst, m) for m in counted)
+    with pytest.raises(RejectError, match="pair polynomial disagrees"):
+        rel.check(st, tr.reader(p), "g", [[3, 4, 6, 8, 9]], "pair",
+                  complement=complement)

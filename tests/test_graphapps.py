@@ -276,3 +276,20 @@ def test_final_graph_carries_the_edge_weights():
         EdgeToken(3, 4, 1), EdgeToken(4, 3, -1)])
     G = _final_graph(inst)
     assert sorted(G.edges(data="weight")) == [(1, 2, 2), (2, 3, 1)]
+
+
+def test_graphapps_checks_its_sets_through_the_relations():
+    """Every set check of the certified-graph schemes goes through a
+    relation object (`setops.StreamEdgeCheck`, `setops.KeyCheck`,
+    `setops.SameMultiset`, `edgecount.PairCount`); toposort's prefix charge
+    keeps its own `PairSketch` and `LineArray`."""
+    banned = {"LineCheck", "Fingerprint", "line_check_help",
+              "edge_extension", "dense_indicator", "member_pair_charge",
+              "stream_keys"}
+    tree = ast.parse(Path(graphapps.__file__).read_text())
+    found = sorted({name for node in ast.walk(tree)
+                    for name in (getattr(node, "id", None),
+                                 getattr(node, "attr", None),
+                                 getattr(node, "name", None))
+                    if name in banned})
+    assert not found

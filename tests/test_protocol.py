@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import annostream  # registers schemes
-from annostream import cli, extension, graphapps, protocol
+from annostream import cli, extension, graphapps, protocol, setops
 from annostream.extension import resolve_shape
 from annostream.generators import (adjlist_instance, clique_edges,
                                    dag_instance, gnp_edges, path_edges,
@@ -441,13 +441,13 @@ def _matching_instance():
 
 def test_a_lie_that_draws_nothing_is_assembled_once(monkeypatch):
     builds = []
-    real = graphapps.line_check_help
+    real = setops.line_check_help
 
     def counting(*args):
         builds.append(args[-1])
         return real(*args)
 
-    monkeypatch.setattr(graphapps, "line_check_help", counting)
+    monkeypatch.setattr(setops, "line_check_help", counting)
     inst = _matching_instance()
     scheme = get_scheme("maxmatch-laconic").configure(inst)
     st = run_adversarial(scheme, inst, "output_value_lie", trials=48, seed=3)

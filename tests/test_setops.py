@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 from annostream.edgecount import LineArray, PairSketch
 from annostream.extension import ShapeConfig, extend_rows
-from annostream.field import fe_random_nonzero
-from annostream.generators import (digraph_instance, weighted_instance,
+from annostream.field import fe_random, fe_random_nonzero
+from annostream.generators import (digraph_instance, gnp_edges,
+                                   turnstile_instance, weighted_instance,
                                    weighted_turnstile_instance)
-from annostream.setops import (Fingerprint, LineCheck, dense_indicator,
+from annostream.protocol import Coins, SpaceMeter, stream_pass
+from annostream.setops import (Fingerprint, KeyCheck, LineCheck,
+                               SameMultiset, StreamEdgeCheck, dense_indicator,
                                directed_key, edge_extension, line_check_dims,
                                line_check_help, stream_keys, undirected_key,
                                weighted_key)
@@ -162,8 +166,8 @@ def test_line_check_intersection_counts():
         for k in b:
             lc.add_right(k)
         help_coeffs = line_check_help(
-            dense_indicator([(k, 1) for k in a], dims),
-            extend_rows(dense_indicator([(k, 1) for k in b], dims), P), P,
+            dense_indicator(sorted(a), dims),
+            extend_rows(dense_indicator(sorted(b), dims), P), P,
             "intersect")
         assert lc.finish(_help(help_coeffs), "g") == len(a & b)
 
@@ -182,8 +186,8 @@ def test_line_check_subset_accepts_and_rejects():
         for k in b:
             lc.add_right(k)
         coeffs = line_check_help(
-            dense_indicator([(k, 1) for k in a], dims),
-            extend_rows(dense_indicator([(k, 1) for k in b], dims), P), P,
+            dense_indicator(sorted(a), dims),
+            extend_rows(dense_indicator(sorted(b), dims), P), P,
             "subset")
         return lc.finish(_help(coeffs), "g")
 
@@ -209,8 +213,8 @@ def test_line_check_catches_forged_polynomial():
     a = {1, 2, 3}
     b = {2, 3}
     honest_for_legal = line_check_help(
-        dense_indicator([(k, 1) for k in {2, 3}], dims),
-        extend_rows(dense_indicator([(k, 1) for k in b], dims), P), P,
+        dense_indicator(sorted({2, 3}), dims),
+        extend_rows(dense_indicator(sorted(b), dims), P), P,
         "subset")
     caught = 0
     for _ in range(40):
@@ -236,9 +240,8 @@ def test_line_check_multiplicity_left():
     lc.add_left(7, 2)
     lc.add_right(5)
     lc.add_right(6)
-    coeffs = line_check_help(dense_indicator([(5, 3), (7, 2)], dims),
-                             extend_rows(dense_indicator([(5, 1), (6, 1)],
-                                                         dims), P),
+    coeffs = line_check_help(dense_indicator([5, 7], dims, [3, 2]),
+                             extend_rows(dense_indicator([5, 6], dims), P),
                              P, "intersect")
     assert lc.finish(_help(coeffs), "g") == 3
 
@@ -430,10 +433,112 @@ def test_stream_keys_sum_to_the_final_edge_indicator(rule):
     n, W = inst.n, inst.W
     dims = (n * W, n) if rule == "weighted" else (n, n)
     assert (edge_extension(inst, dims, P, rule)
-            == extend_rows(dense_indicator(list(want.items()), dims),
-                           P)).all()
+            == extend_rows(dense_indicator(list(want), dims,
+                                           list(want.values())), P)).all()
 
 
 def test_stream_keys_refuse_an_unknown_rule():
     with pytest.raises(ValueError, match="edge-key rule"):
         stream_keys(_TURNSTILE, "bidirected")
+
+
+# --- relations: the prover's help, the kept stream side, the help check ------
+
+
+def _relation_instance():
+    """A small turnstile graph whose churn deletes some edges again."""
+    return turnstile_instance(8, gnp_edges(8, 0.5, 11), churn=6, seed=11)
+
+
+def _kept(side, inst):
+    """The state `side(inst, p, coins, meter)` builds, as `stream_pass`
+    hands it out, and the meter it filled."""
+    meter = SpaceMeter()
+    scheme = SimpleNamespace(name="relation", t=None, s=None)
+    return stream_pass(scheme, inst, P, Coins(1, "relation"), meter,
+                       side=side), meter
+
+
+def _arrays(x):
+    if isinstance(x, np.ndarray):
+        yield x
+    elif hasattr(x, "__dict__"):
+        for y in vars(x).values():
+            yield from _arrays(y)
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _arrays(y)
+
+
+def _edge_keys(inst):
+    return [undirected_key(u, v, inst.n) for (u, v) in inst.final_edges()]
+
+
+@pytest.mark.parametrize("mode", ["subset", "intersect"])
+def test_stream_edge_check_accepts_honest_help_and_rejects_a_non_edge(mode):
+    inst = _relation_instance()
+    n, edges = inst.n, _edge_keys(inst)
+    non_edges = sorted(set(range(1, n * n + 1)) - set(edges))[:3]
+    keys = np.array(edges[:4] + (non_edges if mode == "intersect" else []))
+    dims = line_check_dims(n * n, 5)
+    rel = StreamEdgeCheck(dims, "undirected", mode, "g", "edges")
+    st, meter = _kept(lambda inst, p, rng, meter: rel.stream(
+        inst, fe_random(rng, p), p, meter), inst)
+    assert meter.peak == 2 * dims[1]
+    assert not any(a.flags.writeable for a in _arrays(st))
+    tr = ProofTranscript()
+    rel.prove(tr, inst, keys, P)
+    assert rel.check(st, tr.reader(P), keys) == (4 if mode == "intersect"
+                                                  else 0)
+    bad = np.append(keys, non_edges[-1])
+    tr = ProofTranscript()
+    rel.prove(tr, inst, bad, P)
+    if mode == "subset":
+        with pytest.raises(RejectError, match="edges: containment violated"):
+            rel.check(st, tr.reader(P), bad)
+    else:
+        # honest help for the longer list, checked against the claimed one
+        with pytest.raises(RejectError, match="edges polynomial disagrees"):
+            rel.check(st, tr.reader(P), keys)
+
+
+def test_key_check_counts_the_overlap_of_two_help_lists():
+    inst = _relation_instance()
+    left, right = np.array([1, 3, 5, 7]), np.array([2, 3, 7, 8])
+    dims = line_check_dims(inst.n, 3)
+    rel = KeyCheck(dims, "intersect", "g", "overlap")
+    st, meter = _kept(lambda inst, p, rng, meter: rel.stream(
+        fe_random(rng, p), p, meter), inst)
+    assert meter.peak == 2 * dims[1]
+    assert not any(a.flags.writeable for a in _arrays(st))
+    tr = ProofTranscript()
+    rel.prove(tr, left, right, P)
+    assert rel.check(st, tr.reader(P), left, right) == 2
+    tr = ProofTranscript()
+    rel.prove(tr, left, right[1:], P)
+    with pytest.raises(RejectError, match="overlap polynomial disagrees"):
+        rel.check(st, tr.reader(P), left, right)
+
+
+@pytest.mark.parametrize("target", ["vertices", "symmetric", None])
+def test_same_multiset_accepts_its_target_and_rejects_a_moved_entry(target):
+    inst = _relation_instance()
+    n = inst.n
+    rel = SameMultiset(target)
+    st, meter = _kept(lambda inst, p, rng, meter: rel.stream(
+        inst, fe_random(rng, p), p), inst)
+    value = st.value
+    if target == "vertices":
+        lists, copy = [np.arange(1, 4), np.arange(4, n + 1)], ()
+    elif target == "symmetric":
+        final = inst.final_edges()
+        lists, copy = [np.array([directed_key(u, v, n) for (a, b) in final
+                                 for (u, v) in ((a, b), (b, a))])], ()
+    else:
+        lists, copy = [np.array([5, 2, 7])], [np.array([2, 5, 7])]
+    rel.check(st, lists, "lists differ", copy=copy)
+    moved = [np.append(np.asarray(lists[0]), 1)] + list(lists[1:])
+    with pytest.raises(RejectError, match="lists differ"):
+        rel.check(st, moved, "lists differ", copy=copy)
+    # the kept target is only read
+    assert meter.peak == 0 and st.value == value

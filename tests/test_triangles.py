@@ -233,8 +233,9 @@ def test_frugal_prove_memory_follows_its_output():
 
 def test_laconic_prove_memory_follows_its_table():
     # the size of the benchmark's tri-laconic case (n = 256, 3200 edges):
-    # its 1 MiB n x s x (2t-1) table and a staged block of a few hundred
-    # tokens; a 4 MiB block of 5637 tokens peaked at 4.1 MiB here
+    # the prover keeps an n x s x t float64 table and works in blocks of
+    # at most 128 tokens (`triangles._LACONIC_BLOCK`); its peak here is
+    # about 1.5 MiB
     n = 256
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     inst = turnstile_instance(n, random.Random(5).sample(pairs, 3200))
