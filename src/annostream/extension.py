@@ -128,16 +128,21 @@ def _inv_den_array(size: int, p: int) -> np.ndarray:
 
 
 def impulse_table(x: int, size: int, p: int) -> list:
-    """[delta_u(x) for u in 1..size] in O(size) via prefix/suffix products."""
-    prefix = [1] * (size + 1)
-    for u in range(1, size + 1):
-        prefix[u] = prefix[u - 1] * (x - u) % p
-    suffix = [1] * (size + 2)
-    for u in range(size, 0, -1):
-        suffix[u] = suffix[u + 1] * (x - u) % p
+    """[delta_u(x) for u in 1..size] in O(size), in two loops: the prefix
+    products prod_{u' < u} (x - u'), then one backward loop that carries
+    the suffix product prod_{u' > u} (x - u') and writes each entry."""
+    prefix = [1] * size
+    acc = 1
+    for u in range(1, size):
+        acc = acc * (x - u) % p
+        prefix[u] = acc
     inv_den = _impulse_inv_denominators(size, p)
-    return [prefix[u - 1] * suffix[u + 1] % p * inv_den[u - 1] % p
-            for u in range(1, size + 1)]
+    out = [0] * size
+    suffix = 1
+    for u in range(size, 0, -1):
+        out[u - 1] = prefix[u - 1] * suffix % p * inv_den[u - 1] % p
+        suffix = suffix * (x - u) % p
+    return out
 
 
 # a verification holds tables at a few points, sssp-wturnstile one per vertex
@@ -563,8 +568,12 @@ def int64_sums_exact(terms: int) -> bool:
 
 def dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """sum(a * b, axis=-1) % p for residues, in int64 sums of at most
-    _INT64_TERMS products; a and b broadcast, last axes of equal length."""
+    _INT64_TERMS products; a and b broadcast, last axes of equal length.
+    A 1-D b that short is one int64 matmul (a contraction against one
+    impulse table or weight vector); any other shape is chunked einsums."""
     check_vectorized_modulus(p)
+    if b.ndim == 1 and b.size <= _INT64_TERMS:
+        return np.matmul(a, b) % p
     out = 0
     for lo in range(0, max(a.shape[-1], 1), _INT64_TERMS):
         hi = lo + _INT64_TERMS

@@ -484,8 +484,12 @@ class MatchingLaconic(Scheme):
         rho = fe_random(rng, p)
         meter.alloc("stored_certificate", 3 * self.n)
         meter.alloc("registers", 8)
-        return StreamState(checks=tuple(c.stream(inst, rho, p, meter)
-                                        for c in self.checks))
+        # the four checks share rho, dims and rule: the stream is keyed
+        # once, and the first check's right line serves all four
+        first = self.checks[0].stream(inst, rho, p, meter)
+        return StreamState(checks=(first, *(
+            c.stream(inst, rho, p, meter, right=first.right)
+            for c in self.checks[1:])))
 
     def run_verifier(self, inst, reader, p, rng, meter):
         n, st = self.n, stream_pass(self, inst, p, rng, meter)

@@ -267,9 +267,16 @@ class StreamEdgeCheck(KeyCheck):
         self._prove(tr, keys, edge_extension(inst, self.dims, p, self.rule),
                     p)
 
-    def stream(self, inst, rho: int, p: int, meter) -> LineCheck:
+    def stream(self, inst, rho: int, p: int, meter,
+               right: LineArray | None = None) -> LineCheck:
+        """The check's state at rho. `right`, the right line of a check on
+        the same dims, rule and rho, is shared read-only instead of keying
+        the stream again; the meter group is this check's own either way."""
         check = super().stream(rho, p, meter)
-        check.add_right(*stream_keys(inst, self.rule))
+        if right is None:
+            check.add_right(*stream_keys(inst, self.rule))
+        else:
+            check.right = right
         return check
 
 

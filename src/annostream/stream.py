@@ -892,9 +892,10 @@ class TranscriptReader:
 
     def _help(self, label: str, shape: tuple) -> np.ndarray:
         """The next help block's values as a tensor of `shape`, each one a
-        residue in [0, p)."""
+        residue in [0, p): one reduction over the values read as uint64,
+        where a negative value reads as 2^63 or more."""
         vals = self._next(label, "coeffs", math.prod(shape), "coefficients")
-        if vals.size and not (0 <= vals.min() and vals.max() < self.p):
+        if vals.size and vals.view(np.uint64).max() >= self.p:
             raise RejectError(f"block {label}: value outside [0, p)")
         return vals.reshape(shape)
 
@@ -946,9 +947,14 @@ class Claim:
     def total(self, grid) -> int:
         """Sum over [g_1] x ... x [g_k]: the values on the first g_i nodes
         of each axis. An axis given as weights w instead sums w[u-1] times
-        the value at u over the nodes u = 1..len(w)."""
-        p, acc = self._p, self._values
-        for g in reversed(list(grid)):
+        the value at u over the nodes u = 1..len(w). Where every axis is a
+        plain g_i within the block's nodes, that is one sum of the leading
+        g_1 x ... x g_k sub-block."""
+        p, acc, grid = self._p, self._values, list(grid)
+        if len(grid) == acc.ndim and all(
+                np.ndim(g) == 0 and g <= m for g, m in zip(grid, acc.shape)):
+            return int(acc[tuple(slice(g) for g in grid)].sum() % p)
+        for g in reversed(grid):
             if np.ndim(g) == 0:
                 acc = _on_nodes(acc, g, p).sum(axis=-1) % p
             else:

@@ -59,6 +59,10 @@ _STAGE = 32
 # near its n x s x t table (1.5 MiB at the n = 256 test instance, where
 # 256 peaked at 2.3)
 _LACONIC_BLOCK = 128
+# adjacency rows tri-adj's verifier charges per block at most: each suffix
+# sum F_j of their reduced outer products is an int64 sum of at most 64
+# residues, and F_j times a reduced residue stays below 2^63
+_ADJ_BLOCK = 64
 
 
 class _TriangleBase(Scheme):
@@ -416,6 +420,17 @@ class TrianglesAdjList(_TriangleBase):
         return tr
 
     def stream_side(self, inst, p, rng, meter):
+        """acc = sum_k l1_k^T T_k l2_k over the adjacency rows k, where l1_k,
+        l2_k are row k's lines at r1, r2 and T_k the pair sketch after the
+        edges that rows 1..k list first.
+
+        Rows are charged in blocks of at most _ADJ_BLOCK. With T the sketch
+        at block start and F_j = sum_{k >= j in the block} l1_k (x) l2_k,
+        the block adds sum_k l1_k^T T l2_k, one stacked `bilinear`, plus for
+        each edge (a, b) that row j lists first
+        i1(x_a) i2(x_b) F_j[y_a, y_b] + i1(x_b) i2(x_a) F_j[y_b, y_a]:
+        the charge it makes to rows j and later of its block. Its edges then
+        join T in one `add_sym`."""
         sc = self.sc
         r1, r2 = fe_random(rng, p), fe_random(rng, p)
         sketch = PairSketch(sc, r1, r2, p)
@@ -425,18 +440,33 @@ class TrianglesAdjList(_TriangleBase):
         meter.alloc("line_rows", b1.cells + b2.cells)
         meter.alloc("registers", 4)
         v, u, first, _ = inst.edges
-        acc = 0
-        # one row per run of equal v: the edges it lists first join the
-        # sketch, then the row is charged
-        cuts = np.flatnonzero(v[1:] != v[:-1]) + 1
-        bounds = [0, *cuts.tolist(), v.size] if v.size else []
+        # one row per run of equal v; row_of numbers each edge's row
+        starts = np.ones(v.size, dtype=bool)
+        starts[1:] = v[1:] != v[:-1]
+        row_of = np.cumsum(starts) - 1
+        bounds = [*np.flatnonzero(starts).tolist(), v.size]
         rows = [u[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         lines1, lines2 = b1.rows(rows), b2.rows(rows)
-        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        i1, i2 = sketch.i1, sketch.i2
+        acc = 0
+        step = min(_ADJ_BLOCK, block_rows(3 * 8 * sc.s * sc.s))
+        for k0 in range(0, len(rows), step):
+            l1, l2 = lines1[k0:k0 + step], lines2[k0:k0 + step]
+            acc += sketch.bilinear(l1, l2)
+            # F[j] = sum_{k >= j} l1_k (x) l2_k: at most _ADJ_BLOCK residues
+            F = np.cumsum((l1[::-1, :, None] * l2[::-1, None, :]) % p,
+                          axis=0)[::-1]
+            lo, hi = bounds[k0], bounds[k0 + len(l1)]
             new = first[lo:hi] == 1
             if new.any():
-                sketch.add_sym(v[lo:hi][new], u[lo:hi][new])
-            acc = (acc + sketch.bilinear(lines1[k], lines2[k])) % p
+                a, b = v[lo:hi][new], u[lo:hi][new]
+                j = row_of[lo:hi][new] - k0
+                (xa, ya), (xb, yb) = sc.grid_index(a), sc.grid_index(b)
+                acc += int(((i1[xa] * i2[xb] % p * F[j, ya, yb]
+                             + i1[xb] * i2[xa] % p * F[j, yb, ya])
+                            % p).sum())
+                sketch.add_sym(a, b)
+            acc %= p
         return StreamState(point=(r1, r2), acc=acc)
 
     def run_verifier(self, inst, reader, p, rng, meter):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from annostream.extension import (FloatResidues, ShapeConfig, StagedProduct,
                                   coeffs_from_serial,
                                   coeffs_from_values_1d, coeffs_from_values_nd,
-                                  coeffs_to_serial, exact_chunk,
+                                  coeffs_to_serial, dot_mod, exact_chunk,
                                   extend_rows, grid_bump, impulse_array,
                                   impulse_block, impulse_table, mat_mulmod,
                                   nd_eval, nd_grid_sum, power_moments,
@@ -112,14 +112,17 @@ def test_impulse_identity_on_grid():
 
 
 def test_impulse_table_matches_pointwise():
-    g = 7
     rng = random.Random(1)
-    for _ in range(20):
-        x = rng.randrange(P)
-        tab = impulse_table(x, g, P)
-        assert len(tab) == g
-        for u in range(1, g + 1):
-            assert tab[u - 1] == unit_impulse(u, x, g, P)
+    for g in (1, 2, 3, 7, 64, 129, 130):
+        # on the nodes, off them (past the last and at random) and at
+        # points that are 0 mod p
+        xs = {1, g, (g + 1) // 2, g + 1, 0, P, 2 * P, P + g}
+        xs |= {rng.randrange(P) for _ in range(3)}
+        for x in sorted(xs):
+            tab = impulse_table(x, g, P)
+            assert len(tab) == g
+            assert tab == [unit_impulse(u, x, g, P)
+                           for u in range(1, g + 1)], (g, x)
 
 
 def test_impulse_array_is_the_table_kept_read_only():
@@ -538,6 +541,17 @@ def test_mat_mulmod_exact_at_chunk_boundary(p):
         b = rng.integers(p - 5000, p, size=(inner, 3)) | 1
         a[0], b[:, 0] = p - 1, p - 1
         assert np.array_equal(mat_mulmod(a, b, p), object_mulmod(a, b, p))
+    # dot_mod against a 1-D operand is one int64 matmul up to 2^13 terms,
+    # which at P_TOP is the most products of p-1 an int64 sum holds; one
+    # term more takes the chunked path
+    for inner in (1, 2, 1 << 13, (1 << 13) + 1):
+        a = rng.integers(0, p, size=(2, inner))
+        b = rng.integers(0, p, size=inner)
+        a[0], b[:] = p - 1, p - 1
+        want = [sum(x * y for x, y in zip(row, b.tolist())) % p
+                for row in a.tolist()]
+        assert dot_mod(a, b, p).tolist() == want
+        assert int(dot_mod(a[0], b, p)) == want[0]
 
 
 def test_mat_mulmod_reduces_only_what_needs_it():

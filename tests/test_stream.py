@@ -383,6 +383,18 @@ def test_transcript_reader_enforces_order_and_shape():
     assert r.scalar("a") == 7
     with pytest.raises(RejectError, match="expected 6 coefficients, got 4"):
         r.claim("b", (3, 2), (0, 0), 0, "r")
+    # a help value must be a residue: -1 (read as 2^64 - 1 by the range
+    # check) and p are refused, p - 1 and 0 read
+    for value, refused in ((-1, True), (97, True), (96, False), (0, False)):
+        tr = ProofTranscript()
+        tr.add_values("b", np.ones((2, 2), dtype=np.int64), 97)
+        tr.blocks[0].values[-1] = value
+        if refused:
+            with pytest.raises(RejectError) as exc:
+                tr.reader(97).claim("b", (2, 2), (0, 0), 0, "r")
+            assert exc.value.reason == "block b: value outside [0, p)"
+        else:
+            tr.reader(97).claim("b", (2, 2), (1, 1), 1, "r")
 
 
 def test_transcript_load_refuses_other_versions():

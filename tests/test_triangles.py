@@ -14,7 +14,8 @@ from annostream.generators import (adjlist_instance, clique_edges,
                                    cycle_edges, gnp_edges, path_edges,
                                    turnstile_instance, vanilla_instance)
 from annostream.oracle import oracle_triangles
-from annostream.protocol import get_scheme, run_adversarial, run_honest
+from annostream.protocol import (SpaceMeter, get_scheme, run_adversarial,
+                                 run_honest)
 from annostream.stream import EdgeToken, GraphInstance
 
 DENSE = ("tri-laconic", "tri-frugal")
@@ -387,6 +388,60 @@ def test_adj_charge_matches_row_by_row_loop(inst, data, p):
     assert got.dtype == np.int64
     assert got.tolist() == _adj_charge_reference(scheme, inst, p).ravel(
         ).tolist()
+
+
+def _adj_stream_reference(scheme, inst, p, seed):
+    """tri-adj's stream side by the per-row loop, in Python ints: the edges
+    a row lists first join the pair sketch T (both ways), then the row adds
+    l1^T T l2, its lines at the coins r1, r2. Returns (point, acc)."""
+    rng = random.Random(seed)
+    r1, r2 = rng.randrange(p), rng.randrange(p)
+    t, s = scheme.t, scheme.s
+    i1, i2 = impulse_table(r1, t, p), impulse_table(r2, t, p)
+    T = [[0] * s for _ in range(s)]
+    rows: list = []
+    for v, u, first in zip(*(c.tolist() for c in inst.edges[:3])):
+        if not rows or rows[-1][0] != v:
+            rows.append((v, []))
+        rows[-1][1].append((u, first))
+    acc = 0
+    for v, items in rows:
+        xv, yv = divmod(v - 1, s)
+        l1, l2 = [0] * s, [0] * s
+        for u, first in items:
+            xu, yu = divmod(u - 1, s)
+            l1[yu] += i1[xu]
+            l2[yu] += i2[xu]
+            if first:
+                T[yv][yu] += i1[xv] * i2[xu]
+                T[yu][yv] += i1[xu] * i2[xv]
+        acc += sum(l1[a] * T[a][b] * l2[b]
+                   for a in range(s) for b in range(s))
+    return (r1, r2), acc % p
+
+
+ADJ_LISTS = {
+    # four row blocks of 64, the last one short
+    "gnp-200": (200, gnp_edges(200, 0.05, 3)),
+    # 65 rows: a last block of one row, which lists no edge first (both of
+    # vertex 65's neighbours come before it), like many rows of gnp-200
+    "cycle-65": (65, cycle_edges(65)),
+    # rows 65..128 list every edge first, charged in their own block
+    "chords-130": (130, [(v, v + 1) for v in range(64, 129)]
+                   + gnp_edges(130, 0.03, 5)),
+}
+
+
+@pytest.mark.parametrize("p", [P_TOP, 101])
+@pytest.mark.parametrize("name", sorted(ADJ_LISTS))
+def test_adj_stream_side_charges_row_blocks_as_row_by_row(name, p):
+    n, edges = ADJ_LISTS[name]
+    inst = adjlist_instance(n, sorted(set(edges)))
+    scheme = get_scheme("tri-adj").configure(inst)
+    for seed in range(4):
+        st = scheme.stream_side(inst, p, random.Random(seed), SpaceMeter())
+        assert (st.point, st.acc) == _adj_stream_reference(scheme, inst, p,
+                                                           seed), seed
 
 
 def test_laconic_sums_rows_in_bounded_chunks(monkeypatch):
