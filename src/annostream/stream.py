@@ -32,10 +32,11 @@ non-ASCII digits). int() is the one grammar for integers: numpy reads
 some code points that are not digits as numbers (numpy 2.4 reads U+0903
 as 2259), so it never sees text that is not ASCII. Verifiers feed
 each column to a linear sketch in one call; `final_edges()` is built once
-per instance; `tokens` is a read-only token view, built only when it is
-walked. `weighted_edges()` states the one edge-weight rule: a final
-edge weighs its w on a weighted stream and its net multiplicity on any
-other.
+per instance, from one sort of int64 edge keys (`_pair_keys`, which the
+duplicate-edge check shares); `tokens` is a read-only token view, built
+only when it is walked. `weighted_edges()` states the one edge-weight
+rule: a final edge weighs its w on a weighted stream and its net
+multiplicity on any other.
 
 A ProofTranscript is an ordered list of labeled blocks, each either a
 help polynomial (kind `coeffs`: its values on the nodes 1..m of each axis
@@ -192,6 +193,18 @@ def _columns_of(tokens, model: str) -> tuple:
         raise ValueError("token field outside int64") from None
 
 
+def _pair_keys(lo, hi) -> np.ndarray:
+    """One int64 key per pair (lo[i], hi[i]), lo <= hi, equal for equal
+    pairs and ordered as the pairs are: lo·M + hi for M = max(hi) + 1.
+    Where M² would pass int64 (an id past about 3.03·10^9, or below 0),
+    the ids are first replaced by their ranks among all ids."""
+    top = int(hi.max()) + 1
+    if int(lo.min()) < 0 or top * top > 1 << 63:
+        ids, rank = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+        lo, hi, top = rank[:lo.size], rank[lo.size:], ids.size
+    return lo * top + hi
+
+
 def _final_multiset(edges) -> dict:
     """Net multiplicity of each undirected edge, in order of first
     appearance, without the edges that cancel to zero."""
@@ -199,16 +212,19 @@ def _final_multiset(edges) -> dict:
     if not u.size:
         return {}
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.lexsort((hi, lo))  # stable: each run starts at its first
-    lo, hi = lo[order], hi[order]
-    head = np.ones(lo.size, dtype=bool)
-    head[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    key = _pair_keys(lo, hi)
+    order = np.argsort(key)  # need not be stable: see `first`
+    key = key[order]
+    head = np.ones(key.size, dtype=bool)
+    head[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(head)
-    count = np.add.reduceat(delta[order], starts)
-    keep = np.flatnonzero(count)
-    keep = keep[np.argsort(order[starts][keep], kind="stable")]
-    keys = zip(lo[starts][keep].tolist(), hi[starts][keep].tolist())
-    return dict(zip(keys, count[keep].tolist()))
+    first = np.minimum.reduceat(order, starts)  # each run's first token
+    # each run's net count at its first token; a run that cancels stays 0
+    net = np.zeros(key.size, dtype=np.int64)
+    net[first] = np.add.reduceat(delta[order], starts)
+    at = np.flatnonzero(net)
+    keys = zip(lo[at].tolist(), hi[at].tolist())
+    return dict(zip(keys, net[at].tolist()))
 
 
 class TokenList(Sequence):
@@ -579,11 +595,11 @@ class _BodyParser:
             if self.edges else None
         if self.model in ("vanilla", "weighted") and edges:
             lo, hi = np.minimum(*edges[:2]), np.maximum(*edges[:2])
-            order = np.lexsort((hi, lo))
-            lo, hi = lo[order], hi[order]
-            same = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
-            if same.size:
-                i = same[0]
+            key = _pair_keys(lo, hi)
+            ranked = np.sort(key)
+            same = np.flatnonzero(ranked[1:] == ranked[:-1])
+            if same.size:  # the least repeated pair in (lo, hi) order
+                i = np.flatnonzero(key == ranked[same[0]])[0]
                 raise ParseError(f"duplicate edge {(int(lo[i]), int(hi[i]))}")
         if self.model == "adjlist":
             self._check_adjacency(edges)
@@ -598,14 +614,16 @@ class _BodyParser:
                              "rows")
         if edges is None:
             return
+        # n rows were read, so (n + 1)² fits int64
         v, u = edges[:2]
-        listed = v * (n + 1) + u
-        ranked = np.sort(listed)
+        ranked = np.sort(v * (n + 1) + u)
         twice = np.flatnonzero(ranked[1:] == ranked[:-1])
         if twice.size:
             raise ParseError("duplicate neighbor in row "
                              f"{ranked[twice[0]] // (n + 1)}")
-        lone = np.flatnonzero(~np.isin(u * (n + 1) + v, listed))
+        mirror = u * (n + 1) + v
+        at = np.minimum(np.searchsorted(ranked, mirror), ranked.size - 1)
+        lone = np.flatnonzero(ranked[at] != mirror)
         if lone.size:
             i = lone[0]
             raise ParseError(f"asymmetric adjacency: {u[i]} in row {v[i]} "

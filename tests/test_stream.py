@@ -793,6 +793,66 @@ def test_final_edges_built_once_and_follow_the_tokens(monkeypatch):
     assert len(inst.tokens) == 3 and inst.edges[2].tolist() == [1, 2, 1]
 
 
+@st.composite
+def _churned_tokens(draw):
+    """Up to about 300 turnstile tokens over at most 6 keys, deltas in
+    [-3, 3], endpoints in either order; a key may be cancelled to zero
+    (in steps of at most 3) and come back later."""
+    n = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    keys = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6,
+                         unique=True))
+    steps = draw(st.lists(st.tuples(st.sampled_from(keys),
+                                    st.integers(-3, 3), st.booleans(),
+                                    st.booleans()),
+                          min_size=1, max_size=100))
+    tokens, net = [], {}
+    for (u, v), delta, flip, cancel in steps:
+        tokens.append(EdgeToken(*((v, u) if flip else (u, v)), delta))
+        net[u, v] = net.get((u, v), 0) + delta
+        while cancel and net[u, v]:
+            back = max(-3, min(3, -net[u, v]))
+            tokens.append(EdgeToken(u, v, back))
+            net[u, v] += back
+    return n, tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_churned_tokens())
+@example((3, [EdgeToken(1, 2, 1), EdgeToken(2, 3, 2), EdgeToken(2, 1, -1),
+              EdgeToken(3, 2, 1), EdgeToken(1, 2, 3)]))
+def test_final_edges_keep_first_appearance_under_churn(case):
+    n, tokens = case
+    inst = GraphInstance(n=n, model="turnstile", tokens=tokens)
+    assert list(inst.final_edges().items()) == list(
+        reference_final_edges(tokens).items())
+
+
+def test_final_edges_and_duplicates_with_ids_past_32_bits():
+    # lo·(max + 1) + hi would pass int64 at these ids
+    n = 2 ** 62
+    a, b, c, d = 2 ** 62, 2 ** 62 - 7, 2 ** 33 + 5, 2 ** 32 + 1
+    rows = [(a, c, 2), (d, b, 1), (c, a, -2), (b, c, 3), (a, c, 1),
+            (b, d, -1), (1, a, 1), (d, b, 4), (c, b, -3), (b, c, 2)]
+    text = f"n={n} model=turnstile\n" + "".join(
+        f"{u} {v} {x}\n" for u, v, x in rows)
+    _, tokens = reference_parse(text)
+    inst = parse_stream(text)
+    assert list(inst.tokens) == tokens
+    final = list(inst.final_edges().items())
+    assert final == list(reference_final_edges(tokens).items())
+    assert final == [((c, a), 1), ((d, b), 4), ((c, b), 2), ((1, a), 1)]
+
+    text = f"n={n} model=vanilla\n{a} {c}\n{d} {b}\n1 {a}\n{b} {d}\n"
+    with pytest.raises(ParseError) as want:
+        reference_parse(text)
+    with pytest.raises(ParseError) as got:
+        parse_stream(text)
+    assert str(got.value) == str(want.value) == f"duplicate edge {(d, b)}"
+    assert list(parse_stream(text[:text.rindex(f"{b} {d}")]).final_edges()
+                ) == [(c, a), (d, b), (1, a)]
+
+
 def test_tokens_are_built_only_on_demand():
     text = "n=5 model=vanilla\n1 2\n2 3\nU: 1 2\nU+W: 3 | 4\n"
     inst = parse_stream(text)
